@@ -16,12 +16,10 @@ from .dynamics import (
     ElectricNoise,
     LockVerdict,
     NoiseModel,
-    OscillatorState,
     QuadraturePath,
     Trajectory,
     demodulate,
     detect_lock,
-    drift_secular_frequency,
     integrate_langevin,
     integrate_locked_phase,
     integrate_quadratures,

@@ -12,7 +12,6 @@ import io
 import math
 import os
 import sys
-import tempfile
 
 from . import experiments
 from .config import ConfigError, config_hash, default_config, load_config, save_config
@@ -20,7 +19,6 @@ from .fitting import (
     DEFAULT_FROZEN,
     PARAM_NAMES,
     FitModelParams,
-    NoModulationError,
     fit_histogram,
     initial_guess,
     save_fit_report,
@@ -39,18 +37,7 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+_atomic_write_text = experiments.atomic_write_text
 
 
 def _load_config_arg(path: str | None):
@@ -63,8 +50,6 @@ def _cmd_simulate(args) -> int:
     config = _load_config_arg(args.config)
     if args.seed is not None:
         config = _override_seed(config, args.seed)
-    if config.pipeline.gate_time <= 0:
-        raise ConfigError("gate time must be positive")
     amplitude = (
         args.amplitude * 1e-6
         if args.amplitude is not None
@@ -309,7 +294,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, NoModulationError) as exc:
+    except ConfigError as exc:
         _progress(f"error: {exc}")
         return EXIT_USAGE
     except (ValueError, OSError) as exc:

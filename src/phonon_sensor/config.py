@@ -2,8 +2,10 @@
 
 The file mirrors the simulation types section by section.  Keys carry unit
 suffixes (hz, mv, um, ...) and are converted to SI/angular units at load
-time; unknown keys are rejected.  Every run stamps its outputs with the
-sha256 hash of the canonical configuration.
+time; unknown keys are rejected.  The table :data:`FIELDS` (with
+:data:`BEAM_FIELDS` for each beam) is the whole schema: loading, dumping,
+key checking and unit conversion all read it.  Every run stamps its outputs
+with the sha256 hash of the canonical configuration.
 """
 
 from __future__ import annotations
@@ -12,19 +14,14 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import yaml
 
-from .constants import (
-    ATOMIC_MASS_UNIT,
-    DEFAULT_FREE_RUNNING_AMPLITUDE,
-    ELEMENTARY_CHARGE,
-    TWO_PI,
-)
+from .constants import ATOMIC_MASS_UNIT, DEFAULT_FREE_RUNNING_AMPLITUDE, ELEMENTARY_CHARGE, TWO_PI
 from .dynamics import ElectricNoise, NoiseModel
 from .photons import PipelineConfig
-from .physics import DriveConfig, LaserBeam, TrapConfig
+from .physics import DriveConfig, LaserBeam, TrapConfig, default_beams
 
 
 class ConfigError(ValueError):
@@ -37,14 +34,7 @@ class ExperimentConfig:
 
     seed: int = 20260809
     reference_phase: float = 0.03  # rad, stop-reference offset of the TAC
-    amplitude_voltages: tuple[float, ...] = (
-        5e-3,
-        7.5e-3,
-        10e-3,
-        12.5e-3,
-        15e-3,
-        18.25e-3,
-    )
+    amplitude_voltages: tuple[float, ...] = (5e-3, 7.5e-3, 10e-3, 12.5e-3, 15e-3, 18.25e-3)
     amplitude_trials: int = 4
     squeeze_gains: tuple[float, ...] = (0.0, 0.3, 0.6, 0.9)
     squeeze_phases: tuple[float, ...] = (0.0, math.pi / 4, math.pi / 2)
@@ -62,6 +52,8 @@ class ExperimentConfig:
             raise ConfigError("trial counts must be >= 1")
         if self.lower_bound_trials < 20:
             raise ConfigError("lower-bound protocol needs >= 20 trials per point")
+        if list(self.lower_bound_voltages) != sorted(self.lower_bound_voltages):
+            raise ConfigError("lower_bound_voltages_mv must be ascending")
         if self.lock_threshold <= 0:
             raise ConfigError("lock_threshold must be > 0")
         if self.repetitions < 2:
@@ -89,6 +81,14 @@ class RunConfig:
     output: OutputConfig
     free_running_amplitude: float = DEFAULT_FREE_RUNNING_AMPLITUDE
 
+    def __post_init__(self):
+        period = TWO_PI / self.drive.injection_frequency
+        if self.pipeline.bin_width > period:
+            raise ConfigError(
+                f"bin width {self.pipeline.bin_width:.6g} s exceeds the folding "
+                f"period 2 pi / injection frequency = {period:.6g} s"
+            )
+
     @property
     def amplitude_per_force(self) -> float:
         """Locked-oscillator amplitude response, 1/(m zeta w_z), in m/N."""
@@ -96,10 +96,8 @@ class RunConfig:
 
 
 def default_config() -> RunConfig:
-    red = LaserBeam(detuning=TWO_PI * -75e6, saturation=0.8)
-    blue = LaserBeam(detuning=TWO_PI * 30e6, saturation=0.4)
     return RunConfig(
-        beams=(red, blue),
+        beams=default_beams(),
         trap=TrapConfig(),
         drive=DriveConfig(injection_voltage=18.25e-3),
         noise=NoiseModel(),
@@ -111,326 +109,167 @@ def default_config() -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# dict <-> RunConfig with unit conversion
+# The schema: one row per YAML key, in the order the YAML is written
+
+# (YAML key, LaserBeam field, SI value of one YAML unit) of each beam entry.
+# The wavelength is the one non-linear row: wave_number = 2 pi / wavelength.
+BEAM_FIELDS = (
+    ("detuning_hz", "detuning", TWO_PI),
+    ("saturation", "saturation", 1.0),
+    ("wavelength_nm", "wave_number", 1e-9),
+    ("linewidth_hz", "linewidth", TWO_PI),
+)
+
+# (YAML section, YAML key, RunConfig attribute, dataclass field, SI value of
+# one YAML unit).  An attribute of None marks a field of RunConfig itself.
+# The YAML value takes the type of the default (float, int, bool, str, or a
+# tuple of floats); only floats are scaled.
+FIELDS = (
+    ("physics.trap", "mass_amu", "trap", "mass", ATOMIC_MASS_UNIT),
+    ("physics.trap", "charge_e", "trap", "charge", ELEMENTARY_CHARGE),
+    ("physics.trap", "axial_hz", "trap", "secular_z", TWO_PI),
+    ("physics.trap", "radial_x_hz", "trap", "secular_x", TWO_PI),
+    ("physics.trap", "radial_y_hz", "trap", "secular_y", TWO_PI),
+    ("physics.trap", "drift_hz_per_s", "trap", "drift_rate", 1.0),
+    ("physics.drive", "injection_voltage_mv", "drive", "injection_voltage", 1e-3),
+    ("physics.drive", "injection_frequency_hz", "drive", "injection_frequency", TWO_PI),
+    ("physics.drive", "force_per_volt_yn_per_mv", "drive", "force_per_volt", 1e-21),
+    ("physics.drive", "squeeze_gain", "drive", "squeeze_gain", 1.0),
+    ("physics.drive", "squeeze_phase_rad", "drive", "squeeze_phase", 1.0),
+    ("physics.drive", "squeeze_enabled", "drive", "squeeze_enabled", 1.0),
+    ("physics.noise", "temperature_mk", "noise", "temperature", 1e-3),
+    ("physics.noise", "damping_rate_per_s", "noise", "damping", 1.0),
+    ("physics.noise", "electric_rms_mv", "electric_noise", "rms_voltage", 1e-3),
+    ("physics.noise", "electric_correlation_us", "electric_noise", "correlation_time", 1e-6),
+    ("physics", "free_running_amplitude_um", None, "free_running_amplitude", 1e-6),
+    ("pipeline", "efficiency", "pipeline", "efficiency", 1.0),
+    ("pipeline", "snr", "pipeline", "snr", 1.0),
+    ("pipeline", "bin_width_ns", "pipeline", "bin_width", 1e-9),
+    ("pipeline", "gate_time_s", "pipeline", "gate_time", 1.0),
+    ("pipeline", "timing_jitter_us", "pipeline", "timing_jitter", 1e-6),
+    ("experiment", "seed", "experiment", "seed", 1.0),
+    ("experiment", "reference_phase_rad", "experiment", "reference_phase", 1.0),
+    ("experiment", "amplitude_voltages_mv", "experiment", "amplitude_voltages", 1e-3),
+    ("experiment", "amplitude_trials", "experiment", "amplitude_trials", 1.0),
+    ("experiment", "squeeze_gains", "experiment", "squeeze_gains", 1.0),
+    ("experiment", "squeeze_phases_rad", "experiment", "squeeze_phases", 1.0),
+    ("experiment", "squeeze_trials", "experiment", "squeeze_trials", 1.0),
+    ("experiment", "squeeze_periods", "experiment", "squeeze_periods", 1.0),
+    ("experiment", "lower_bound_voltages_mv", "experiment", "lower_bound_voltages", 1e-3),
+    ("experiment", "lower_bound_trials", "experiment", "lower_bound_trials", 1.0),
+    ("experiment", "lock_threshold_rad", "experiment", "lock_threshold", 1.0),
+    ("experiment", "repetitions", "experiment", "repetitions", 1.0),
+    ("output", "directory", "output", "directory", 1.0),
+    ("output", "emit_svg", "output", "emit_svg", 1.0),
+)
+
+
+def _schema() -> dict:
+    """Nested YAML layout; leaves are FIELDS rows and the beams list."""
+    tree = {"physics": {"beams": "beams"}}
+    for row in FIELDS:
+        node = tree
+        for part in row[0].split("."):
+            node = node.setdefault(part, {})
+        node[row[1]] = row
+    return tree
+
+
+_SCHEMA = _schema()
+_BEAM_SCHEMA = {row[0]: row for row in BEAM_FIELDS}
 
 
 def _round12(value):
     """Stabilize unit-converted floats so dict round trips are exact."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return value
-    if isinstance(value, int):
-        return value
-    return float(f"{value:.12g}")
+    return float(f"{value:.12g}") if isinstance(value, float) else value
 
 
-def _round_tree(node):
-    if isinstance(node, dict):
-        return {k: _round_tree(v) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_round_tree(v) for v in node]
-    return _round12(node)
+def _to_yaml(value, field, scale):
+    """SI value -> YAML value in the row's unit."""
+    if isinstance(value, tuple):
+        return [_to_yaml(v, field, scale) for v in value]
+    if field == "wave_number":
+        value = TWO_PI / value
+    return _round12(value if scale == 1 else value / scale)
+
+
+def _to_si(value, default, field, scale):
+    """YAML value -> SI value of the type of the field's default."""
+    if isinstance(default, tuple):
+        return tuple(_to_si(v, 0.0, field, scale) for v in value)
+    if field == "wave_number":
+        return TWO_PI / (float(value) * scale)
+    if isinstance(default, float):
+        return float(value) * scale
+    return type(default)(value)
+
+
+def _collect(node, schema: dict, where: str) -> dict:
+    """Check one YAML mapping against the schema; return {row: value}."""
+    if node is None:
+        return {}
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where or 'top level'} must be a mapping")
+    unknown = set(node) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where or 'top level'}: {sorted(unknown, key=str)}")
+    values = {}
+    for key, value in node.items():
+        entry = schema[key]
+        if isinstance(entry, dict):
+            values.update(_collect(value, entry, f"{where}.{key}" if where else key))
+        else:
+            values[entry] = value
+    return values
+
+
+def _update(owner, values: dict):
+    """``owner`` with the fields of {row: YAML value}, typed like its own."""
+    return replace(
+        owner,
+        **{r[-2]: _to_si(v, getattr(owner, r[-2]), r[-2], r[-1]) for r, v in values.items()},
+    )
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    return _round_tree(_config_to_dict_raw(config))
-
-
-def _config_to_dict_raw(config: RunConfig) -> dict:
-    return {
-        "physics": {
-            "beams": [
-                {
-                    "detuning_hz": beam.detuning / TWO_PI,
-                    "saturation": beam.saturation,
-                    "wavelength_nm": TWO_PI / beam.wave_number * 1e9,
-                    "linewidth_hz": beam.linewidth / TWO_PI,
-                }
-                for beam in config.beams
-            ],
-            "trap": {
-                "mass_amu": config.trap.mass / ATOMIC_MASS_UNIT,
-                "charge_e": config.trap.charge / ELEMENTARY_CHARGE,
-                "axial_hz": config.trap.secular_z / TWO_PI,
-                "radial_x_hz": config.trap.secular_x / TWO_PI,
-                "radial_y_hz": config.trap.secular_y / TWO_PI,
-                "drift_hz_per_s": config.trap.drift_rate,
-            },
-            "drive": {
-                "injection_voltage_mv": config.drive.injection_voltage * 1e3,
-                "injection_frequency_hz": config.drive.injection_frequency / TWO_PI,
-                "force_per_volt_yn_per_mv": config.drive.force_per_volt * 1e24 * 1e-3,
-                "squeeze_gain": config.drive.squeeze_gain,
-                "squeeze_phase_rad": config.drive.squeeze_phase,
-                "squeeze_enabled": config.drive.squeeze_enabled,
-            },
-            "noise": {
-                "temperature_mk": config.noise.temperature * 1e3,
-                "damping_rate_per_s": config.noise.damping,
-                "electric_rms_mv": config.electric_noise.rms_voltage * 1e3,
-                "electric_correlation_us": config.electric_noise.correlation_time * 1e6,
-            },
-            "free_running_amplitude_um": config.free_running_amplitude * 1e6,
-        },
-        "pipeline": {
-            "efficiency": config.pipeline.efficiency,
-            "snr": config.pipeline.snr,
-            "bin_width_ns": config.pipeline.bin_width * 1e9,
-            "gate_time_s": config.pipeline.gate_time,
-            "timing_jitter_us": config.pipeline.timing_jitter * 1e6,
-        },
-        "experiment": {
-            "seed": config.experiment.seed,
-            "reference_phase_rad": config.experiment.reference_phase,
-            "amplitude_voltages_mv": [v * 1e3 for v in config.experiment.amplitude_voltages],
-            "amplitude_trials": config.experiment.amplitude_trials,
-            "squeeze_gains": list(config.experiment.squeeze_gains),
-            "squeeze_phases_rad": list(config.experiment.squeeze_phases),
-            "squeeze_trials": config.experiment.squeeze_trials,
-            "squeeze_periods": config.experiment.squeeze_periods,
-            "lower_bound_voltages_mv": [
-                v * 1e3 for v in config.experiment.lower_bound_voltages
-            ],
-            "lower_bound_trials": config.experiment.lower_bound_trials,
-            "lock_threshold_rad": config.experiment.lock_threshold,
-            "repetitions": config.experiment.repetitions,
-        },
-        "output": {
-            "directory": config.output.directory,
-            "emit_svg": config.output.emit_svg,
-        },
-    }
-
-
-def _take(section: dict, key: str, default):
-    return section.pop(key, default)
-
-
-def _no_leftovers(section: dict, where: str):
-    if section:
-        raise ConfigError(f"unknown keys in {where}: {sorted(section)}")
-
-
-def _expect_mapping(value, where: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    return dict(value)
+    beams = [
+        {key: _to_yaml(getattr(beam, field), field, scale) for key, field, scale in BEAM_FIELDS}
+        for beam in config.beams
+    ]
+    out = {"physics": {"beams": beams}}
+    for section, key, attr, field, scale in FIELDS:
+        node = out
+        for part in section.split("."):
+            node = node.setdefault(part, {})
+        owner = config if attr is None else getattr(config, attr)
+        node[key] = _to_yaml(getattr(owner, field), field, scale)
+    return out
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    base = default_config()
-    data = _expect_mapping(data, "top level")
-
-    physics = _expect_mapping(_take(data, "physics", None), "physics")
-    pipeline = _expect_mapping(_take(data, "pipeline", None), "pipeline")
-    experiment = _expect_mapping(_take(data, "experiment", None), "experiment")
-    output = _expect_mapping(_take(data, "output", None), "output")
-    _no_leftovers(data, "top level")
-
+    values = _collect(data, _SCHEMA, "")
+    beams = values.pop("beams", None)
+    groups = {}
+    for row, value in values.items():
+        groups.setdefault(row[2], {})[row] = value
     try:
-        beams_raw = _take(physics, "beams", None)
-        if beams_raw is None:
-            beams = base.beams
-        else:
-            beams = []
-            for i, entry in enumerate(beams_raw):
-                entry = _expect_mapping(entry, f"physics.beams[{i}]")
-                detuning = TWO_PI * float(_take(entry, "detuning_hz", 0.0))
-                saturation = float(_take(entry, "saturation", 0.0))
-                wavelength_nm = _take(entry, "wavelength_nm", None)
-                if wavelength_nm is None:
-                    wave_number = base.beams[0].wave_number
-                else:
-                    wave_number = TWO_PI / (float(wavelength_nm) * 1e-9)
-                linewidth_hz = _take(entry, "linewidth_hz", None)
-                linewidth = (
-                    base.beams[0].linewidth
-                    if linewidth_hz is None
-                    else TWO_PI * float(linewidth_hz)
-                )
-                _no_leftovers(entry, f"physics.beams[{i}]")
-                beams.append(
-                    LaserBeam(
-                        detuning=detuning,
-                        saturation=saturation,
-                        wave_number=wave_number,
-                        linewidth=linewidth,
-                    )
-                )
-            beams = tuple(beams)
-            if not beams:
-                raise ConfigError("physics.beams must not be empty")
-
-        trap_raw = _expect_mapping(_take(physics, "trap", None), "physics.trap")
-        trap = TrapConfig(
-            mass=float(_take(trap_raw, "mass_amu", base.trap.mass / ATOMIC_MASS_UNIT))
-            * ATOMIC_MASS_UNIT,
-            charge=float(
-                _take(trap_raw, "charge_e", base.trap.charge / ELEMENTARY_CHARGE)
+        config = _update(default_config(), groups.pop(None, {}))
+        changes = {attr: _update(getattr(config, attr), rows) for attr, rows in groups.items()}
+        if beams is not None:
+            if not isinstance(beams, (list, tuple)) or not beams:
+                raise ConfigError("physics.beams must be a non-empty list")
+            # Detuning and saturation, which LaserBeam leaves required, default to 0.
+            template = LaserBeam(detuning=0.0, saturation=0.0)
+            changes["beams"] = tuple(
+                _update(template, _collect(entry, _BEAM_SCHEMA, f"physics.beams[{i}]"))
+                for i, entry in enumerate(beams)
             )
-            * ELEMENTARY_CHARGE,
-            secular_z=TWO_PI
-            * float(_take(trap_raw, "axial_hz", base.trap.secular_z / TWO_PI)),
-            secular_x=TWO_PI
-            * float(_take(trap_raw, "radial_x_hz", base.trap.secular_x / TWO_PI)),
-            secular_y=TWO_PI
-            * float(_take(trap_raw, "radial_y_hz", base.trap.secular_y / TWO_PI)),
-            drift_rate=float(_take(trap_raw, "drift_hz_per_s", base.trap.drift_rate)),
-        )
-        _no_leftovers(trap_raw, "physics.trap")
-
-        drive_raw = _expect_mapping(_take(physics, "drive", None), "physics.drive")
-        drive = DriveConfig(
-            injection_voltage=float(
-                _take(drive_raw, "injection_voltage_mv", base.drive.injection_voltage * 1e3)
-            )
-            * 1e-3,
-            injection_frequency=TWO_PI
-            * float(
-                _take(
-                    drive_raw,
-                    "injection_frequency_hz",
-                    base.drive.injection_frequency / TWO_PI,
-                )
-            ),
-            force_per_volt=float(
-                _take(
-                    drive_raw,
-                    "force_per_volt_yn_per_mv",
-                    base.drive.force_per_volt * 1e21,
-                )
-            )
-            * 1e-21,
-            squeeze_gain=float(_take(drive_raw, "squeeze_gain", base.drive.squeeze_gain)),
-            squeeze_phase=float(
-                _take(drive_raw, "squeeze_phase_rad", base.drive.squeeze_phase)
-            ),
-            squeeze_enabled=bool(
-                _take(drive_raw, "squeeze_enabled", base.drive.squeeze_enabled)
-            ),
-        )
-        _no_leftovers(drive_raw, "physics.drive")
-
-        noise_raw = _expect_mapping(_take(physics, "noise", None), "physics.noise")
-        noise = NoiseModel(
-            temperature=float(
-                _take(noise_raw, "temperature_mk", base.noise.temperature * 1e3)
-            )
-            * 1e-3,
-            damping=float(_take(noise_raw, "damping_rate_per_s", base.noise.damping)),
-            mass=trap.mass,
-        )
-        electric = ElectricNoise(
-            rms_voltage=float(
-                _take(noise_raw, "electric_rms_mv", base.electric_noise.rms_voltage * 1e3)
-            )
-            * 1e-3,
-            correlation_time=float(
-                _take(
-                    noise_raw,
-                    "electric_correlation_us",
-                    base.electric_noise.correlation_time * 1e6,
-                )
-            )
-            * 1e-6,
-        )
-        _no_leftovers(noise_raw, "physics.noise")
-
-        free_amp = (
-            float(
-                _take(
-                    physics,
-                    "free_running_amplitude_um",
-                    base.free_running_amplitude * 1e6,
-                )
-            )
-            * 1e-6
-        )
-        _no_leftovers(physics, "physics")
-
-        pipe = PipelineConfig(
-            efficiency=float(_take(pipeline, "efficiency", base.pipeline.efficiency)),
-            snr=float(_take(pipeline, "snr", base.pipeline.snr)),
-            bin_width=float(_take(pipeline, "bin_width_ns", base.pipeline.bin_width * 1e9))
-            * 1e-9,
-            gate_time=float(_take(pipeline, "gate_time_s", base.pipeline.gate_time)),
-            timing_jitter=float(
-                _take(pipeline, "timing_jitter_us", base.pipeline.timing_jitter * 1e6)
-            )
-            * 1e-6,
-        )
-        _no_leftovers(pipeline, "pipeline")
-
-        exp_base = base.experiment
-        exp = ExperimentConfig(
-            seed=int(_take(experiment, "seed", exp_base.seed)),
-            reference_phase=float(
-                _take(experiment, "reference_phase_rad", exp_base.reference_phase)
-            ),
-            amplitude_voltages=tuple(
-                float(v) * 1e-3
-                for v in _take(
-                    experiment,
-                    "amplitude_voltages_mv",
-                    [v * 1e3 for v in exp_base.amplitude_voltages],
-                )
-            ),
-            amplitude_trials=int(
-                _take(experiment, "amplitude_trials", exp_base.amplitude_trials)
-            ),
-            squeeze_gains=tuple(
-                float(g) for g in _take(experiment, "squeeze_gains", exp_base.squeeze_gains)
-            ),
-            squeeze_phases=tuple(
-                float(p)
-                for p in _take(experiment, "squeeze_phases_rad", exp_base.squeeze_phases)
-            ),
-            squeeze_trials=int(
-                _take(experiment, "squeeze_trials", exp_base.squeeze_trials)
-            ),
-            squeeze_periods=int(
-                _take(experiment, "squeeze_periods", exp_base.squeeze_periods)
-            ),
-            lower_bound_voltages=tuple(
-                float(v) * 1e-3
-                for v in _take(
-                    experiment,
-                    "lower_bound_voltages_mv",
-                    [v * 1e3 for v in exp_base.lower_bound_voltages],
-                )
-            ),
-            lower_bound_trials=int(
-                _take(experiment, "lower_bound_trials", exp_base.lower_bound_trials)
-            ),
-            lock_threshold=float(
-                _take(experiment, "lock_threshold_rad", exp_base.lock_threshold)
-            ),
-            repetitions=int(_take(experiment, "repetitions", exp_base.repetitions)),
-        )
-        _no_leftovers(experiment, "experiment")
-
-        out = OutputConfig(
-            directory=str(_take(output, "directory", base.output.directory)),
-            emit_svg=bool(_take(output, "emit_svg", base.output.emit_svg)),
-        )
-        _no_leftovers(output, "output")
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+        # The thermal bath moves the ion's mass, which has one key: mass_amu.
+        mass = changes.get("trap", config.trap).mass
+        changes["noise"] = replace(changes.get("noise", config.noise), mass=mass)
+        return replace(config, **changes)
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    return RunConfig(
-        beams=beams,
-        trap=trap,
-        drive=drive,
-        noise=noise,
-        electric_noise=electric,
-        pipeline=pipe,
-        experiment=exp,
-        output=out,
-        free_running_amplitude=free_amp,
-    )
 
 
 def load_config(path) -> RunConfig:

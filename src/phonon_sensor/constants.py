@@ -34,7 +34,6 @@ __all__ = [
     "DEFAULT_DAMPING_RATE",
     "DEFAULT_FREE_RUNNING_AMPLITUDE",
     "DOPPLER_TEMPERATURE",
-    "SQUEEZE_GAIN_PER_VOLT",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -71,7 +70,3 @@ DEFAULT_FREE_RUNNING_AMPLITUDE = 17.839e-6  # m
 
 # Doppler cooling limit for the default linewidth.
 DOPPLER_TEMPERATURE = HBAR * DEFAULT_LINEWIDTH / (2.0 * BOLTZMANN)  # K
-
-# Calibration between the voltage applied on the frequency-doubled drive
-# electrodes and the dimensionless squeeze gain (125 mV produces full gain).
-SQUEEZE_GAIN_PER_VOLT = 1.0 / 125e-3  # 1/V

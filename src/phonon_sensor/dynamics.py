@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .constants import (
     BOLTZMANN,
@@ -49,18 +48,6 @@ DEFAULT_STEPS_PER_PERIOD = 200
 DEFAULT_LOCK_THRESHOLD = 0.3  # rad
 
 
-@dataclass(frozen=True)
-class OscillatorState:
-    position: float
-    velocity: float
-    time: float
-
-    def __post_init__(self):
-        for name in ("position", "velocity", "time"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-
 @dataclass
 class Trajectory:
     """Sampled (t, z, v) path of one integration run."""
@@ -75,13 +62,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.times)
-
-    def state_at(self, index: int) -> OscillatorState:
-        return OscillatorState(
-            position=float(self.positions[index]),
-            velocity=float(self.velocities[index]),
-            time=float(self.times[index]),
-        )
 
 
 @dataclass
@@ -368,7 +348,10 @@ def integrate_quadratures(
         x0, y0 = initial_x, initial_y
 
     # The exact transition is the AR(1) recursion u[n] = decay u[n-1] + kick,
-    # evaluated as an IIR filter.
+    # evaluated as an IIR filter.  scipy.signal is imported here, by its only
+    # user, because importing it costs most of the package's import time.
+    from scipy.signal import lfilter
+
     def ar1(u0, decay, kicks):
         out, _ = lfilter([1.0], [1.0, -decay], kicks, zi=[decay * u0])
         return np.concatenate([[u0], out])
@@ -586,13 +569,6 @@ def detect_lock(
         mean_phase=mean_phase,
         criterion_threshold=float(threshold),
     )
-
-
-def drift_secular_frequency(trap: TrapConfig, t: float) -> float:
-    """Axial secular frequency after a linear drift of drift_rate Hz/s."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return trap.secular_z + TWO_PI * trap.drift_rate * t
 
 
 DRIFT_REFERENCE_TIME = 500.0  # s, horizon at which the random walk matches

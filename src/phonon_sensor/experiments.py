@@ -34,7 +34,7 @@ from .dynamics import (
     stationary_mean_displacement,
     thermal_quadrature_variance,
 )
-from .fitting import chain_init_params, fit_histogram, initial_guess
+from .fitting import NoModulationError, chain_init_params, fit_histogram, initial_guess
 from .photons import synthesize_histogram
 from .physics import (
     DriveConfig,
@@ -134,6 +134,38 @@ def _expected_lock_spread(config: RunConfig, voltage: float) -> float:
     return math.sqrt(diffusion / lock_rate)
 
 
+def _recover_amplitudes(config: RunConfig, amplitude: float, seeds) -> list[float]:
+    """Synthesize one histogram per seed and fit it; the converged amplitudes.
+
+    A histogram too flat to fit (:class:`NoModulationError`) is dropped like
+    an unconverged fit.
+    """
+    exp, pipe = config.experiment, config.pipeline
+    omega_i = config.drive.injection_frequency
+    amplitudes = []
+    for seed in seeds:
+        hist = synthesize_histogram(
+            config.beams, amplitude, exp.reference_phase, omega_i, pipe, seed=seed
+        )
+        try:
+            guess = initial_guess(hist, config.beams, omega_i, sigma_t=pipe.timing_jitter)
+            init = chain_init_params(
+                hist,
+                pipe.efficiency,
+                pipe.snr,
+                amplitude=guess.amplitude,
+                phase=exp.reference_phase,
+                sigma_t=pipe.timing_jitter,
+            )
+            result = fit_histogram(hist, config.beams, init=init, omega_i=omega_i)
+        except NoModulationError as exc:
+            log.warning("trial dropped at %.4g um: %s", amplitude * 1e6, exc)
+            continue
+        if result.converged:
+            amplitudes.append(result.amplitude)
+    return amplitudes
+
+
 def amplitude_sweep(
     config: RunConfig,
     voltages=None,
@@ -158,7 +190,6 @@ def amplitude_sweep(
     seeds = _spawn_seeds(seed, len(voltages) * trials)
     rows = []
     kept_v, kept_a = [], []
-    omega_i = config.drive.injection_frequency
     for i, voltage in enumerate(voltages):
         # A voltage too weak to hold lock contributes no valid fits.
         if _expected_lock_spread(config, voltage) >= exp.lock_threshold:
@@ -176,29 +207,7 @@ def amplitude_sweep(
             )
             continue
         amp_true = _true_amplitude(config, voltage)
-        fits = []
-        for j in range(trials):
-            hist = synthesize_histogram(
-                config.beams,
-                amp_true,
-                exp.reference_phase,
-                omega_i,
-                config.pipeline,
-                seed=seeds[i * trials + j],
-            )
-            init = chain_init_params(
-                hist,
-                config.pipeline.efficiency,
-                config.pipeline.snr,
-                amplitude=initial_guess(
-                    hist, config.beams, omega_i, sigma_t=config.pipeline.timing_jitter
-                ).amplitude,
-                phase=exp.reference_phase,
-                sigma_t=config.pipeline.timing_jitter,
-            )
-            result = fit_histogram(hist, config.beams, init=init, omega_i=omega_i)
-            if result.converged:
-                fits.append(result.amplitude)
+        fits = _recover_amplitudes(config, amp_true, seeds[i * trials : (i + 1) * trials])
         if not fits:
             log.warning("no converged fits at %.3g mV; excluded", voltage * 1e3)
             continue
@@ -442,32 +451,9 @@ def sensitivity_campaign(
     if repetitions < 2:
         raise ValueError("need at least two repetitions")
 
-    amp_true = _true_amplitude(config, voltage)
-    omega_i = config.drive.injection_frequency
-    seeds = _spawn_seeds(seed, repetitions)
-    fitted = []
-    for s in seeds:
-        hist = synthesize_histogram(
-            config.beams,
-            amp_true,
-            exp.reference_phase,
-            omega_i,
-            config.pipeline,
-            seed=s,
-        )
-        init = chain_init_params(
-            hist,
-            config.pipeline.efficiency,
-            config.pipeline.snr,
-            amplitude=initial_guess(
-                hist, config.beams, omega_i, sigma_t=config.pipeline.timing_jitter
-            ).amplitude,
-            phase=exp.reference_phase,
-            sigma_t=config.pipeline.timing_jitter,
-        )
-        result = fit_histogram(hist, config.beams, init=init, omega_i=omega_i)
-        if result.converged:
-            fitted.append(result.amplitude)
+    fitted = _recover_amplitudes(
+        config, _true_amplitude(config, voltage), _spawn_seeds(seed, repetitions)
+    )
     if len(fitted) < 2:
         raise ValueError("not enough converged fits for a scatter estimate")
 
@@ -514,20 +500,24 @@ def make_run_record(kind: str, config: RunConfig, seed: int, results) -> dict:
     return payload
 
 
-def persist_run(record: dict, path) -> None:
-    """Atomically write a run record (temp file then rename)."""
+def atomic_write_text(path, text: str) -> None:
+    """Write a text file in one step: a temp file beside it, then a rename."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def persist_run(record: dict, path) -> None:
+    """Atomically write a run record (temp file then rename)."""
+    atomic_write_text(path, json.dumps(record, indent=1, sort_keys=True) + "\n")
 
 
 def load_run(path) -> dict:

@@ -26,13 +26,6 @@ from .physics import total_scattering_rate
 PARAM_NAMES = ("amplitude", "phase", "alpha", "beta", "sigma_t")
 DEFAULT_FROZEN = ("alpha", "beta", "sigma_t")
 
-# Alternative display preset for the scale/offset pair of the reference
-# data set; the closed forms in derive_alpha_beta give 5.2e-5 and 33.2
-# instead.  Both are exposed, neither is adjudicated.
-PRESET_ALPHA = 4e-5
-PRESET_BETA = 46.0
-PRESET_SIGMA_T = 0.8e-6  # s
-
 
 class NoModulationError(ValueError):
     """Histogram carries no usable Doppler modulation."""
@@ -369,7 +362,7 @@ def chain_init_params(
 ) -> FitModelParams:
     """Fit initialization with alpha/beta at their detection-chain values."""
     alpha, beta = derive_alpha_beta(
-        eta, hist.gate_time, hist.n_intervals, hist.total_counts, snr
+        eta, hist.gate_time, hist.n_bins, hist.total_counts, snr
     )
     return FitModelParams(
         amplitude=amplitude, phase=phase, alpha=alpha, beta=beta, sigma_t=sigma_t

@@ -13,7 +13,6 @@ reproduces the reference count chain (about 1.25e7 emitted in 10 s at
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -104,11 +103,6 @@ class TacHistogram:
     @property
     def n_bins(self) -> int:
         return len(self.counts)
-
-    @property
-    def n_intervals(self) -> int:
-        """Number of unit time intervals (TAC bins)."""
-        return self.n_bins
 
     @property
     def total_counts(self) -> int:
@@ -359,12 +353,3 @@ def load_histogram(path) -> TacHistogram:
     if hist.total_counts != int(header["total_counts"]):
         raise ValueError(f"{path}: total_counts mismatch with counts body")
     return hist
-
-
-def histogram_digest(hist: TacHistogram) -> str:
-    """Stable content digest used by run records."""
-    payload = (
-        f"{hist.period!r}|{hist.bin_width!r}|{hist.gate_time!r}|"
-        + ",".join(str(int(c)) for c in hist.counts)
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()

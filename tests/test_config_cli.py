@@ -1,10 +1,16 @@
+import copy
 import os
+import string
 import subprocess
 import sys
+import tempfile
 
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from phonon_sensor import experiments
 from phonon_sensor.cli import main
 from phonon_sensor.config import (
     ConfigError,
@@ -18,7 +24,7 @@ from phonon_sensor.config import (
 )
 from phonon_sensor.constants import TWO_PI
 from phonon_sensor.fitting import load_fit_report
-from phonon_sensor.photons import load_histogram
+from phonon_sensor.photons import TacHistogram, load_histogram, save_histogram
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED_CONFIG = os.path.join(REPO_ROOT, "configs", "default.yaml")
@@ -48,9 +54,13 @@ class TestDefaults:
         assert cfg.electric_noise.rms_voltage == pytest.approx(2e-3)
         assert cfg.experiment.repetitions == 50
 
-    def test_shipped_yaml_equals_programmatic_defaults(self):
+    def test_shipped_yaml_equals_programmatic_defaults(self, tmp_path):
         cfg = load_config(SHIPPED_CONFIG)
         assert config_hash(cfg) == config_hash(default_config())
+        written = tmp_path / "written.yaml"
+        assert main(["write-config", "--out", str(written)]) == 0
+        with open(SHIPPED_CONFIG, "rb") as fh:
+            assert written.read_bytes() == fh.read()
 
 
 class TestConfigIO:
@@ -93,6 +103,132 @@ class TestConfigIO:
         base = config_hash(default_config())
         other = config_hash(config_from_dict({"pipeline": {"snr": 3.0}}))
         assert base != other
+
+
+DEFAULT_DICT = config_to_dict(default_config())
+# Every mapping of the schema, as a key path into DEFAULT_DICT.
+SECTIONS = [
+    (),
+    ("physics",),
+    ("physics", "trap"),
+    ("physics", "drive"),
+    ("physics", "noise"),
+    ("physics", "beams", 0),
+    ("pipeline",),
+    ("experiment",),
+    ("output",),
+]
+FREQUENCY_KEYS = [
+    ("physics", "trap", "axial_hz"),
+    ("physics", "trap", "radial_x_hz"),
+    ("physics", "trap", "radial_y_hz"),
+    ("physics", "drive", "injection_frequency_hz"),
+    ("physics", "beams", 0, "linewidth_hz"),
+]
+NON_POSITIVE = st.floats(max_value=0.0, allow_nan=False)
+# Keep the draws few: every example runs the CLI once.
+FEW = settings(max_examples=10, deadline=None)
+
+
+def _node(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def _set(data, path, value):
+    _node(data, path[:-1])[path[-1]] = value
+
+
+def _rounded(value):
+    return float(f"{value:.12g}")
+
+
+@st.composite
+def perturbed_defaults(draw):
+    """The default dict with every number, flag and list redrawn near its
+    default, in values that keep the configuration valid."""
+    data = copy.deepcopy(DEFAULT_DICT)
+    factors = st.floats(min_value=0.5, max_value=1.0)
+
+    def walk(node):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in list(items):
+            if isinstance(value, dict) or key == "beams":
+                walk(value)
+            elif isinstance(value, bool):
+                node[key] = draw(st.booleans())
+            elif isinstance(value, int):
+                node[key] = value + draw(st.integers(0, 5))
+            elif isinstance(value, float):
+                node[key] = _rounded(value * draw(factors))
+            elif isinstance(value, list):
+                factor = draw(factors)
+                node[key] = [_rounded(v * factor) for v in value]
+
+    walk(data)
+    return data
+
+
+def invalid_dict(kind, draw):
+    data = copy.deepcopy(DEFAULT_DICT)
+    if kind == "frequency":
+        _set(data, draw(st.sampled_from(FREQUENCY_KEYS)), draw(NON_POSITIVE))
+    elif kind == "gate-time":
+        data["pipeline"]["gate_time_s"] = draw(NON_POSITIVE)
+    elif kind == "bin-width":
+        data["pipeline"]["bin_width_ns"] = draw(NON_POSITIVE)
+    elif kind == "bin-width-over-period":
+        # The folding period at the default 186.02 kHz is 5375.8 ns.
+        data["pipeline"]["bin_width_ns"] = draw(st.floats(5376.0, 1e12))
+    elif kind == "unsorted-voltages":
+        voltages = draw(st.lists(st.floats(0.01, 10.0), min_size=2, max_size=8, unique=True))
+        assume(voltages != sorted(voltages))
+        data["experiment"]["lower_bound_voltages_mv"] = voltages
+    elif kind == "unknown-key":
+        node = _node(data, draw(st.sampled_from(SECTIONS)))
+        key = draw(st.text(string.ascii_lowercase + "_", min_size=1).filter(lambda k: k not in node))
+        node[key] = 1.0
+    elif kind == "non-mapping":
+        value = draw(st.one_of(st.integers(), st.text(string.ascii_letters), st.lists(st.integers())))
+        _set(data, draw(st.sampled_from(SECTIONS[1:])), value)
+    elif kind == "empty-beams":
+        data["physics"]["beams"] = []
+    return data
+
+
+INVALID_KINDS = (
+    "frequency",
+    "gate-time",
+    "bin-width",
+    "bin-width-over-period",
+    "unsorted-voltages",
+    "unknown-key",
+    "non-mapping",
+    "empty-beams",
+)
+
+
+class TestConfigProperties:
+    @FEW
+    @given(perturbed_defaults())
+    def test_dict_round_trip_is_identity(self, data):
+        assert config_to_dict(config_from_dict(copy.deepcopy(data))) == data
+
+    @pytest.mark.parametrize("kind", INVALID_KINDS)
+    @FEW
+    @given(draw=st.data())
+    def test_invalid_config_fails_at_load_with_exit_1(self, kind, draw):
+        data = invalid_dict(kind, draw.draw)
+        with pytest.raises(ConfigError):
+            config_from_dict(copy.deepcopy(data))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "bad.yaml")
+            with open(path, "w") as fh:
+                yaml.safe_dump(data, fh)
+            out = os.path.join(tmp, "h.txt")
+            assert main(["simulate", "--config", path, "--out", out]) == 1
+            assert not os.path.exists(out)
 
 
 def run_cli(args):
@@ -158,6 +294,27 @@ class TestCli:
         assert code == 0
         report = load_fit_report(report_path)
         assert report.frozen == ("phase", "alpha", "beta", "sigma_t")
+
+    def test_fit_flat_histogram_is_runtime_error(self, tmp_path):
+        period = TWO_PI / default_config().drive.injection_frequency
+        flat = TacHistogram(bin_width=10e-9, period=period, counts=[100] * 538, gate_time=10.0)
+        save_histogram(flat, tmp_path / "flat.txt")
+        code = run_cli(["fit", str(tmp_path / "flat.txt"), "--out", str(tmp_path / "r.txt")])
+        assert code == 2
+
+    def test_sweep_drops_flat_histograms(self, tmp_path):
+        # 1 s gates with 0.3 us jitter smear the 5 and 7.5 mV histograms
+        # below the flatness test: at the default seed 3 of their 4 trials.
+        cfg = tmp_path / "flat.yaml"
+        cfg.write_text("pipeline:\n  gate_time_s: 1.0\n  timing_jitter_us: 0.3\n")
+        out = tmp_path / "runs"
+        code = run_cli(["campaign", "sweep-amplitude", "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        trials = {
+            row["voltage_mv"]: row["trials"]
+            for row in experiments.load_run(out / "sweep-amplitude.json")["results"]["rows"]
+        }
+        assert trials == {5.0: 1, 7.5: 1, 10.0: 4, 12.5: 4, 15.0: 4, 18.25: 4}
 
     def test_unknown_campaign_usage_error(self):
         assert run_cli(["campaign", "no-such-campaign", "--out", "/tmp/x"]) == 1

@@ -16,7 +16,6 @@ from phonon_sensor.dynamics import (
     demodulate,
     detect_lock,
     drift_profile,
-    drift_secular_frequency,
     integrate_langevin,
     integrate_locked_phase,
     integrate_quadratures,
@@ -358,15 +357,14 @@ class TestLockedPhaseModel:
 
 class TestDrift:
     def test_linear_drift_values(self):
-        assert drift_secular_frequency(TRAP, 0.0) == TRAP.secular_z
-        shift_500 = drift_secular_frequency(TRAP, 500.0) - TRAP.secular_z
-        assert shift_500 / TWO_PI == pytest.approx(10.0, rel=1e-9)
-        shift_250 = drift_secular_frequency(TRAP, 250.0) - TRAP.secular_z
-        assert shift_250 / TWO_PI == pytest.approx(5.0, rel=1e-9)
+        at_0, at_250, at_500 = drift_profile(TRAP, np.array([0.0, 250.0, 500.0]), "linear")
+        assert at_0 == TRAP.secular_z
+        assert (at_500 - TRAP.secular_z) / TWO_PI == pytest.approx(10.0, rel=1e-9)
+        assert (at_250 - TRAP.secular_z) / TWO_PI == pytest.approx(5.0, rel=1e-9)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            drift_secular_frequency(TRAP, -1.0)
+            drift_profile(TRAP, np.array([-1.0]), "linear")
 
     def test_random_walk_rms_matches_linear_at_reference(self):
         times = np.linspace(0.0, 500.0, 501)
