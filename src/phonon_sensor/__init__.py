@@ -8,20 +8,18 @@ photons      Monte Carlo photon pipeline and TAC histograms
 fitting      amplitude/phase recovery from histograms
 experiments  measurement campaigns and run records
 config       declarative YAML run configuration
+fileio       atomic writes and the histogram/fit-report text format
 cli          command-line entry point
 """
 
 from .config import RunConfig, default_config, load_config, save_config
 from .dynamics import (
     ElectricNoise,
-    LockVerdict,
     NoiseModel,
     QuadraturePath,
-    Trajectory,
     demodulate,
     detect_lock,
     integrate_langevin,
-    integrate_locked_phase,
     integrate_quadratures,
 )
 from .fitting import (

@@ -15,14 +15,9 @@ import sys
 
 from . import experiments
 from .config import ConfigError, config_hash, default_config, load_config, save_config
-from .fitting import (
-    DEFAULT_FROZEN,
-    PARAM_NAMES,
-    FitModelParams,
-    fit_histogram,
-    initial_guess,
-    save_fit_report,
-)
+from .constants import TWO_PI
+from .fileio import atomic_write_text as _atomic_write_text
+from .fitting import DEFAULT_FROZEN, PARAM_NAMES, FitModelParams, fit_histogram, save_fit_report
 from .photons import load_histogram, save_histogram, synthesize_histogram
 
 CAMPAIGNS = ("calibrate", "sweep-amplitude", "sweep-squeeze", "lower-bound", "sensitivity")
@@ -35,9 +30,6 @@ EXIT_NOT_CONVERGED = 3
 
 def _progress(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-_atomic_write_text = experiments.atomic_write_text
 
 
 def _load_config_arg(path: str | None):
@@ -81,14 +73,18 @@ def _override_seed(config, seed: int):
 def _cmd_fit(args) -> int:
     config = _load_config_arg(args.config)
     hist = load_histogram(args.histogram)
+    omega_i = config.drive.injection_frequency
+    if not math.isclose(hist.period, TWO_PI / omega_i, rel_tol=1e-9):
+        raise ConfigError("histogram period differs from 2 pi / configured injection frequency")
     frozen = DEFAULT_FROZEN if args.freeze is None else tuple(
         name for name in args.freeze.split(",") if name
     )
     unknown = set(frozen) - set(PARAM_NAMES)
     if unknown:
         raise ConfigError(f"unknown parameters in --freeze: {sorted(unknown)}")
-    init = None
-    if args.init is not None:
+    if args.init is None:
+        init = experiments.fit_init(config, hist)
+    else:
         values = [float(x) for x in args.init.split(",")]
         if len(values) != len(PARAM_NAMES):
             raise ConfigError(
@@ -101,7 +97,7 @@ def _cmd_fit(args) -> int:
             beta=values[3],
             sigma_t=values[4] * 1e-6,
         )
-    result = fit_histogram(hist, config.beams, init=init, frozen=frozen)
+    result = fit_histogram(hist, config.beams, init=init, frozen=frozen, omega_i=omega_i)
     save_fit_report(result, args.out, config_hash=config_hash(config))
     _progress(
         f"fit: A = {result.amplitude * 1e6:.4f} um, phase = {result.phase:.4f} rad, "

@@ -194,13 +194,23 @@ def _to_yaml(value, field, scale):
 
 
 def _to_si(value, default, field, scale):
-    """YAML value -> SI value of the type of the field's default."""
+    """YAML value -> SI value of the type of the field's default; rejects a
+    NaN, a non-boolean flag and a boolean or fractional count."""
     if isinstance(default, tuple):
         return tuple(_to_si(v, 0.0, field, scale) for v in value)
-    if field == "wave_number":
-        return TWO_PI / (float(value) * scale)
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(f"{field} must be true or false, got {value!r}")
+        return value
+    if isinstance(default, int):
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ConfigError(f"{field} must be a whole number, got {value!r}")
+        return int(value)
     if isinstance(default, float):
-        return float(value) * scale
+        number = float(value)
+        if math.isnan(number):
+            raise ConfigError(f"{field} must be a number, got NaN")
+        return TWO_PI / (number * scale) if field == "wave_number" else number * scale
     return type(default)(value)
 
 

@@ -5,14 +5,15 @@ Three complementary integrators:
 * :func:`integrate_langevin` - the full second-order equation of motion with
   thermal forcing, parametric (squeeze) modulation and optionally the
   saturable radiation-pressure force that produces the self-sustained limit
-  cycle.
+  cycle; it cross-checks the envelope model.
 * :func:`integrate_quadratures` - the linearized rotating-frame envelope
   equations for the in-phase/quadrature components, integrated with exact
   Gaussian transition steps (no step-size bias).
-* :func:`integrate_locked_phase` - the injection-locked phase model used by
+* :func:`_locked_phase_ensemble` - the injection-locked phase model used by
   the smallest-force protocol: the oscillation phasor is pinned at the
   free-running amplitude while its phase feels the injection restoring
-  torque, thermal diffusion and band-limited electrode noise.
+  torque, thermal diffusion and band-limited electrode noise;
+  :func:`detect_lock` judges every trial of its phase array at once.
 
 Thermal forcing follows the narrowband decomposition
 f(t) = f_x(t) cos(w t) + f_y(t) sin(w t) with slowly varying white Gaussian
@@ -30,7 +31,6 @@ import numpy as np
 from .constants import (
     BOLTZMANN,
     DEFAULT_DAMPING_RATE,
-    DEFAULT_FREE_RUNNING_AMPLITUDE,
     DOPPLER_TEMPERATURE,
     ION_MASS,
     TWO_PI,
@@ -49,29 +49,8 @@ DEFAULT_LOCK_THRESHOLD = 0.3  # rad
 
 
 @dataclass
-class Trajectory:
-    """Sampled (t, z, v) path of one integration run."""
-
-    times: np.ndarray
-    positions: np.ndarray
-    velocities: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.times) == len(self.positions) == len(self.velocities)):
-            raise ValueError("trajectory arrays must have equal length")
-
-    def __len__(self):
-        return len(self.times)
-
-
-@dataclass
 class QuadraturePath:
-    """Slow in-phase/quadrature components (X, Y) of the oscillation.
-
-    By convention X carries the free-running amplitude plus its fluctuation
-    and Y carries amplitude times phase deviation, so for small deviations
-    the oscillation phase is Y divided by the operating amplitude.
-    """
+    """Slow in-phase/quadrature components (X, Y) of the oscillation."""
 
     times: np.ndarray
     x: np.ndarray
@@ -94,16 +73,6 @@ class QuadraturePath:
     def phase(self) -> np.ndarray:
         return np.arctan2(self.y, self.x)
 
-    def phase_deviation(self, operating_amplitude: float) -> np.ndarray:
-        """Small-signal phase Y/A0 about the operating amplitude."""
-        if operating_amplitude <= 0:
-            raise ValueError("operating_amplitude must be > 0")
-        return self.y / operating_amplitude
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -112,7 +81,6 @@ class NoiseModel:
     temperature: float = DOPPLER_TEMPERATURE  # K
     damping: float = DEFAULT_DAMPING_RATE  # 1/s
     mass: float = ION_MASS  # kg
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -146,36 +114,32 @@ class ElectricNoise:
             raise ValueError("correlation_time must be > 0")
 
 
-@dataclass(frozen=True)
-class LockVerdict:
-    locked: bool
-    phase_std: float
-    mean_phase: float
-    criterion_threshold: float
-
-
-def _resolve_seed(noise: NoiseModel, seed):
-    return noise.rng_seed if seed is None else seed
-
-
 def _squeeze_modulation(drive: DriveConfig) -> float:
     return drive.effective_gain * math.cos(2.0 * drive.squeeze_phase)
 
 
-def _langevin_ensemble(
+def integrate_langevin(
     trap: TrapConfig,
     beams,
     drive: DriveConfig,
     noise: NoiseModel,
     duration: float,
-    dt: float | None,
-    seed,
-    nonlinear: bool,
-    n_trajectories: int,
-    initial_position=0.0,
-    initial_velocity=0.0,
+    dt: float | None = None,
+    seed: int = 0,
+    nonlinear: bool = False,
+    initial_position: float = 0.0,
+    initial_velocity: float = 0.0,
+    n_trajectories: int = 1,
 ):
-    """Vectorized stepping shared by the public single-trajectory API."""
+    """Integrate the driven, damped, parametrically modulated oscillator.
+
+    Linear mode uses the constant friction rate of ``noise``; the nonlinear
+    mode replaces it with the saturable radiation-pressure force of the beam
+    pair, which self-amplifies small motion into a stable limit cycle.
+    Steps ``n_trajectories`` independent runs together and returns
+    ``(times, z[step, traj], v[step, traj])``.  Deterministic for a given
+    seed.
+    """
     omega_i = drive.injection_frequency
     period = TWO_PI / trap.secular_z
     if dt is None:
@@ -191,7 +155,7 @@ def _langevin_ensemble(
             "g cos(2 phi) >= 1: parametric drive exceeds the linear damping"
         )
 
-    rng = np.random.default_rng(_resolve_seed(noise, seed))
+    rng = np.random.default_rng(seed)
     n_steps = int(round(duration / dt))
     mass = trap.mass
     zeta = noise.damping
@@ -242,48 +206,12 @@ def _langevin_ensemble(
     return times, zs, vs
 
 
-def integrate_langevin(
-    trap: TrapConfig,
-    beams,
-    drive: DriveConfig,
-    noise: NoiseModel,
-    duration: float,
-    dt: float | None = None,
-    seed: int | None = None,
-    nonlinear: bool = False,
-    initial_position: float = 0.0,
-    initial_velocity: float = 0.0,
-) -> Trajectory:
-    """Integrate the driven, damped, parametrically modulated oscillator.
-
-    Linear mode uses the constant friction rate of ``noise``; the nonlinear
-    mode replaces it with the saturable radiation-pressure force of the beam
-    pair, which self-amplifies small motion into a stable limit cycle.
-    Deterministic for a given seed.
-    """
-    times, zs, vs = _langevin_ensemble(
-        trap,
-        beams,
-        drive,
-        noise,
-        duration,
-        dt,
-        seed,
-        nonlinear,
-        n_trajectories=1,
-        initial_position=initial_position,
-        initial_velocity=initial_velocity,
-    )
-    return Trajectory(times=times, positions=zs[:, 0], velocities=vs[:, 0])
-
-
 def integrate_quadratures(
     trap: TrapConfig,
     drive: DriveConfig,
     noise: NoiseModel,
     duration: float,
-    dt: float | None = None,
-    seed: int | None = None,
+    seed: int = 0,
     initial_x: float = 0.0,
     initial_y: float = 0.0,
     stationary_start: bool = False,
@@ -293,11 +221,10 @@ def integrate_quadratures(
     dX/dt = -(zeta/2)(1 + g cos 2phi) X + f_x/(2 m w_z)
     dY/dt = -(zeta/2)(1 - g cos 2phi) Y + (F0 + f_y)/(2 m w_z)
 
-    Uses the exact Gaussian transition of the Ornstein-Uhlenbeck process, so
-    the step may be much longer than the oscillation period and stationary
-    statistics carry no discretization bias.  ``stationary_start`` draws the
-    initial point from the stationary distribution instead of using the
-    given initial values.
+    Steps one injection period at a time with the exact Gaussian transition
+    of the Ornstein-Uhlenbeck process, so stationary statistics carry no
+    discretization bias.  ``stationary_start`` draws the initial point from
+    the stationary distribution instead of using the given initial values.
     """
     if duration <= 0:
         raise ValueError("duration must be > 0")
@@ -313,14 +240,12 @@ def integrate_quadratures(
             f"g cos(2 phi) = {modulation:.6g} < -1: in-phase quadrature diverges"
         )
 
-    period = TWO_PI / drive.injection_frequency
-    if dt is None:
-        dt = period
+    dt = TWO_PI / drive.injection_frequency
     n_steps = int(round(duration / dt))
     if n_steps < 1:
         raise ValueError("duration shorter than one step")
 
-    rng = np.random.default_rng(_resolve_seed(noise, seed))
+    rng = np.random.default_rng(seed)
     denom = 2.0 * noise.mass * trap.secular_z
     diffusion = noise.force_spectral_density() / denom**2  # white-noise intensity
     lam_x = 0.5 * noise.damping * (1.0 + modulation)
@@ -393,11 +318,23 @@ def _locked_phase_ensemble(
     seed,
     electric_noise: ElectricNoise | None,
     operating_amplitude: float,
-    drift_enabled: bool,
-    initial_phase: float,
     n_trials: int,
 ):
-    """Vectorized locked-phase stepping; returns (times, psi[step, trial])."""
+    """Phase dynamics of the injection-locked oscillator at fixed amplitude.
+
+    The gain-saturated oscillator holds its amplitude at the operating value
+    while the phase relative to the injection reference obeys
+
+        dpsi/dt = -w_L sin(psi) + eta(t)
+
+    with locking rate w_L = F0 / (2 m w_z A0), starting from psi = 0.
+    ``eta`` collects thermal phase diffusion and the band-limited electrode
+    voltage noise, both scaled by the quadrature variance ratio of the
+    squeeze drive (the frequency-doubled drive redistributes fluctuations
+    between quadratures, squeezing the phase quadrature when
+    g cos 2phi < 0).  Steps ``n_trials`` independent trials together and
+    returns ``(times, psi[step, trial])``.
+    """
     if duration <= 0:
         raise ValueError("duration must be > 0")
     if operating_amplitude <= 0:
@@ -411,7 +348,7 @@ def _locked_phase_ensemble(
     if n_steps < 2:
         raise ValueError("duration shorter than two steps")
 
-    rng = np.random.default_rng(_resolve_seed(noise, seed))
+    rng = np.random.default_rng(seed)
 
     # The squeeze drive redistributes quadrature fluctuations; the phase
     # quadrature carries the variance ratio of the frequency-doubled drive.
@@ -421,7 +358,7 @@ def _locked_phase_ensemble(
 
     shape = (n_trials,)
     psi = np.empty((n_steps + 1, n_trials))
-    psi[0] = initial_phase
+    psi[0] = 0.0
 
     if electric_noise is not None and electric_noise.rms_voltage > 0:
         tau = electric_noise.correlation_time
@@ -434,12 +371,9 @@ def _locked_phase_ensemble(
         f_perp = np.zeros(shape)
         decay = kick = 0.0
 
-    drift_rate = TWO_PI * trap.drift_rate if drift_enabled else 0.0
-
     for i in range(n_steps):
-        detuning = drift_rate * (i * dt)
         cur = psi[i]
-        step = (-detuning - lock_rate * np.sin(cur) + f_perp / torque_scale) * dt
+        step = (-lock_rate * np.sin(cur) + f_perp / torque_scale) * dt
         step += sqrt_2d_dt * rng.normal(0.0, 1.0, shape)
         psi[i + 1] = cur + step
         if kick:
@@ -449,82 +383,44 @@ def _locked_phase_ensemble(
     return times, psi
 
 
-def integrate_locked_phase(
-    trap: TrapConfig,
-    drive: DriveConfig,
-    noise: NoiseModel,
-    duration: float,
-    dt: float | None = None,
-    seed: int | None = None,
-    electric_noise: ElectricNoise | None = None,
-    operating_amplitude: float = DEFAULT_FREE_RUNNING_AMPLITUDE,
-    drift_enabled: bool = False,
-    initial_phase: float = 0.0,
+def demodulate(
+    times: np.ndarray, positions: np.ndarray, omega_i: float, window: float
 ) -> QuadraturePath:
-    """Phase dynamics of the injection-locked oscillator at fixed amplitude.
-
-    The gain-saturated oscillator holds its amplitude at the operating value
-    while the phase relative to the injection reference obeys
-
-        dpsi/dt = -detuning(t) - w_L sin(psi) + eta(t)
-
-    with locking rate w_L = F0 / (2 m w_z A0).  ``eta`` collects thermal
-    phase diffusion and the band-limited electrode voltage noise, both scaled
-    by the quadrature variance ratio of the squeeze drive (the
-    frequency-doubled drive redistributes fluctuations between quadratures,
-    squeezing the phase quadrature when g cos 2phi < 0).  Returns the phasor
-    path (A0 cos psi, A0 sin psi), so the path phase equals psi.
-    """
-    times, psi = _locked_phase_ensemble(
-        trap,
-        drive,
-        noise,
-        duration,
-        dt,
-        seed,
-        electric_noise,
-        operating_amplitude,
-        drift_enabled,
-        initial_phase,
-        n_trials=1,
-    )
-    angle = psi[:, 0]
-    return QuadraturePath(
-        times=times,
-        x=operating_amplitude * np.cos(angle),
-        y=operating_amplitude * np.sin(angle),
-    )
-
-
-def demodulate(trajectory: Trajectory, omega_i: float, window: float) -> QuadraturePath:
-    """Sliding in-phase/quadrature projection of a position trajectory.
+    """Sliding in-phase/quadrature projection of positions along axis 0.
 
     X(t) = (2/w) integral of z sin(w_i s) ds over the window centered on t,
     and likewise with cos for Y.  The window is rounded to an integer number
     of oscillation periods, which makes the projection exact for a pure
-    sinusoid.
+    sinusoid.  ``positions`` may be one trajectory ``z[step]`` or several
+    ``z[step, traj]``; X and Y then have the same trailing axes.
     """
     period = TWO_PI / omega_i
     if window < period:
         raise ValueError("window must cover at least one oscillation period")
-    if len(trajectory) < 2:
+    if len(times) < 2:
         raise ValueError("trajectory too short")
-    dt = float(trajectory.times[1] - trajectory.times[0])
+    dt = float(times[1] - times[0])
     n_window = int(round(round(window / period) * period / dt))
-    if n_window >= len(trajectory):
+    if n_window >= len(times):
         raise ValueError("window longer than trajectory")
 
-    t = trajectory.times
-    z = trajectory.positions
-    zs = z * np.sin(omega_i * t)
-    zc = z * np.cos(omega_i * t)
-    # Trapezoid cumulative integrals, then window sums by difference.
-    cs = np.concatenate([[0.0], np.cumsum(0.5 * (zs[1:] + zs[:-1]) * dt)])
-    cc = np.concatenate([[0.0], np.cumsum(0.5 * (zc[1:] + zc[:-1]) * dt)])
+    z = np.asarray(positions)
+    angle = np.reshape(omega_i * times, (-1,) + (1,) * (z.ndim - 1))
     width = n_window * dt
-    x = (2.0 / width) * (cs[n_window:] - cs[:-n_window])
-    y = (2.0 / width) * (cc[n_window:] - cc[:-n_window])
-    centers = 0.5 * (t[n_window:] + t[:-n_window])
+
+    def project(reference):
+        # Trapezoid cumulative integral, then window sums by difference.
+        f = z * reference
+        cum = np.cumsum(0.5 * (f[1:] + f[:-1]) * dt, axis=0)
+        del f  # one array fewer alive while the window sums are formed
+        out = cum[n_window - 1 :].copy()
+        out[1:] -= cum[:-n_window]
+        out *= 2.0 / width
+        return out
+
+    x = project(np.sin(angle))
+    y = project(np.cos(angle))
+    centers = 0.5 * (times[n_window:] + times[:-n_window])
     return QuadraturePath(times=centers, x=x, y=y)
 
 
@@ -539,36 +435,29 @@ def circular_std(phases: np.ndarray) -> float:
 
 
 def detect_lock(
-    path: QuadraturePath,
+    times: np.ndarray,
+    psi: np.ndarray,
     threshold: float = DEFAULT_LOCK_THRESHOLD,
     window: float | None = None,
-) -> LockVerdict:
-    """Judge phase lock from the circular spread of the path phase.
+) -> np.ndarray:
+    """Lock verdict of every trial of a phase array ``psi[step, trial]``.
 
-    The verdict is locked when the circular standard deviation of
-    arctan2(Y, X) over the evaluation window (default: final half of the
-    path) stays below the threshold.
+    A trial is locked when the circular standard deviation of its phase over
+    the evaluation window (default: final half of the record) stays below
+    the threshold.  Returns one boolean per trial.
     """
-    if len(path) == 0:
-        raise ValueError("empty quadrature path")
+    if len(times) == 0:
+        raise ValueError("empty phase record")
     if threshold <= 0:
         raise ValueError("threshold must be > 0")
-    duration = path.duration
+    duration = float(times[-1] - times[0])
     if window is None:
         window = 0.5 * duration
     if window > duration:
-        raise ValueError("window longer than path")
-    t_start = path.times[-1] - window
-    sel = path.times >= t_start
-    phases = path.phase[sel]
-    spread = circular_std(phases)
-    mean_phase = float(np.angle(np.mean(np.exp(1j * phases))))
-    return LockVerdict(
-        locked=bool(spread < threshold),
-        phase_std=float(spread),
-        mean_phase=mean_phase,
-        criterion_threshold=float(threshold),
-    )
+        raise ValueError("window longer than record")
+    # Reduce the window (a contiguous tail) one trial at a time to bound memory.
+    tail = psi[np.searchsorted(times, times[-1] - window) :]
+    return np.array([circular_std(tail[:, j]) < threshold for j in range(tail.shape[1])])
 
 
 DRIFT_REFERENCE_TIME = 500.0  # s, horizon at which the random walk matches
@@ -598,88 +487,3 @@ def drift_profile(
         walk = np.cumsum(rng.normal(0.0, 1.0, len(times)) * np.sqrt(scale * steps))
         return trap.secular_z + walk
     raise ValueError(f"unknown drift model {model!r}")
-
-
-def _write_columns(path, magic: str, columns: dict, seed, config_hash) -> None:
-    names = list(columns)
-    arrays = [np.asarray(columns[k], dtype=float) for k in names]
-    lines = [
-        magic,
-        f"# seed = {'-' if seed is None else seed}",
-        f"# config_hash = {config_hash or '-'}",
-        "# columns = " + " ".join(names),
-    ]
-    for row in zip(*arrays):
-        lines.append(" ".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _read_columns(path, magic: str, n_columns: int) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines or lines[0] != magic:
-        raise ValueError(f"{path}: wrong file type")
-    data = [
-        [float(x) for x in line.split()]
-        for line in lines
-        if line and not line.startswith("#")
-    ]
-    out = np.array(data, dtype=float)
-    if out.ndim != 2 or out.shape[1] != n_columns:
-        raise ValueError(f"{path}: expected {n_columns} columns")
-    return out
-
-
-TRAJECTORY_MAGIC = "# phonon-sensor trajectory v1"
-QUADRATURE_MAGIC = "# phonon-sensor quadrature-path v1"
-
-
-def save_trajectory(trajectory: Trajectory, path, seed=None, config_hash=None) -> None:
-    """Columnar text export: time, position, velocity."""
-    _write_columns(
-        path,
-        TRAJECTORY_MAGIC,
-        {
-            "time_s": trajectory.times,
-            "position_m": trajectory.positions,
-            "velocity_m_per_s": trajectory.velocities,
-        },
-        seed,
-        config_hash,
-    )
-
-
-def load_trajectory(path) -> Trajectory:
-    data = _read_columns(path, TRAJECTORY_MAGIC, 3)
-    return Trajectory(times=data[:, 0], positions=data[:, 1], velocities=data[:, 2])
-
-
-def save_quadrature_path(path_obj: QuadraturePath, path, seed=None, config_hash=None) -> None:
-    """Columnar text export: time, X, Y."""
-    _write_columns(
-        path,
-        QUADRATURE_MAGIC,
-        {"time_s": path_obj.times, "x_m": path_obj.x, "y_m": path_obj.y},
-        seed,
-        config_hash,
-    )
-
-
-def load_quadrature_path(path) -> QuadraturePath:
-    data = _read_columns(path, QUADRATURE_MAGIC, 3)
-    return QuadraturePath(times=data[:, 0], x=data[:, 1], y=data[:, 2])
-
-
-def limit_cycle_amplitude(trajectory: Trajectory, omega_i: float, tail: float = 0.25):
-    """Mean oscillation amplitude over the trailing fraction of a run."""
-    n_tail = max(2, int(len(trajectory) * tail))
-    window = 10 * TWO_PI / omega_i
-    times = trajectory.times[-n_tail:]
-    sub = Trajectory(
-        times=times,
-        positions=trajectory.positions[-n_tail:],
-        velocities=trajectory.velocities[-n_tail:],
-    )
-    quad = demodulate(sub, omega_i, window)
-    return float(np.mean(quad.amplitude))

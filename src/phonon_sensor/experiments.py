@@ -12,8 +12,6 @@ import hashlib
 import json
 import logging
 import math
-import os
-import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,13 +25,13 @@ from .config import (
 )
 from .constants import TWO_PI
 from .dynamics import (
-    QuadraturePath,
     _locked_phase_ensemble,
     detect_lock,
     integrate_quadratures,
     stationary_mean_displacement,
     thermal_quadrature_variance,
 )
+from .fileio import atomic_write_text
 from .fitting import NoModulationError, chain_init_params, fit_histogram, initial_guess
 from .photons import synthesize_histogram
 from .physics import (
@@ -134,6 +132,23 @@ def _expected_lock_spread(config: RunConfig, voltage: float) -> float:
     return math.sqrt(diffusion / lock_rate)
 
 
+def fit_init(config: RunConfig, hist):
+    """Fit start of a histogram taken under ``config``: the template-matched
+    amplitude, the reference phase, detection-chain alpha/beta and jitter."""
+    pipe = config.pipeline
+    guess = initial_guess(
+        hist, config.beams, config.drive.injection_frequency, sigma_t=pipe.timing_jitter
+    )
+    return chain_init_params(
+        hist,
+        pipe.efficiency,
+        pipe.snr,
+        amplitude=guess.amplitude,
+        phase=config.experiment.reference_phase,
+        sigma_t=pipe.timing_jitter,
+    )
+
+
 def _recover_amplitudes(config: RunConfig, amplitude: float, seeds) -> list[float]:
     """Synthesize one histogram per seed and fit it; the converged amplitudes.
 
@@ -148,15 +163,7 @@ def _recover_amplitudes(config: RunConfig, amplitude: float, seeds) -> list[floa
             config.beams, amplitude, exp.reference_phase, omega_i, pipe, seed=seed
         )
         try:
-            guess = initial_guess(hist, config.beams, omega_i, sigma_t=pipe.timing_jitter)
-            init = chain_init_params(
-                hist,
-                pipe.efficiency,
-                pipe.snr,
-                amplitude=guess.amplitude,
-                phase=exp.reference_phase,
-                sigma_t=pipe.timing_jitter,
-            )
+            init = fit_init(config, hist)
             result = fit_histogram(hist, config.beams, init=init, omega_i=omega_i)
         except NoModulationError as exc:
             log.warning("trial dropped at %.4g um: %s", amplitude * 1e6, exc)
@@ -353,7 +360,6 @@ def lower_bound_search(
     trials: int | None = None,
     squeeze: bool = False,
     seed: int | None = None,
-    drift_enabled: bool = False,
 ) -> LowerBoundResult:
     """Smallest locking voltage at 90% success probability.
 
@@ -393,19 +399,9 @@ def lower_bound_search(
             vseed,
             config.electric_noise,
             config.free_running_amplitude,
-            drift_enabled,
-            0.0,
             trials,
         )
-        locked = 0
-        for j in range(trials):
-            path = QuadraturePath(
-                times=times,
-                x=config.free_running_amplitude * np.cos(psi[:, j]),
-                y=config.free_running_amplitude * np.sin(psi[:, j]),
-            )
-            verdict = detect_lock(path, threshold=exp.lock_threshold)
-            locked += verdict.locked
+        locked = int(np.count_nonzero(detect_lock(times, psi, threshold=exp.lock_threshold)))
         probabilities.append(locked / trials)
 
     probs = np.array(probabilities)
@@ -498,21 +494,6 @@ def make_run_record(kind: str, config: RunConfig, seed: int, results) -> dict:
     }
     payload["checksum"] = hashlib.sha256(_canonical(payload).encode()).hexdigest()
     return payload
-
-
-def atomic_write_text(path, text: str) -> None:
-    """Write a text file in one step: a temp file beside it, then a rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def persist_run(record: dict, path) -> None:

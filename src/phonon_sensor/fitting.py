@@ -20,6 +20,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .constants import TWO_PI
+from .fileio import optional, read_header_file, write_header_file
 from .photons import TacHistogram
 from .physics import total_scattering_rate
 
@@ -370,44 +371,36 @@ def chain_init_params(
 
 
 FIT_REPORT_MAGIC = "# phonon-sensor fit-report v1"
+_FIT_REPORT_KEYS = {
+    "converged": lambda text: text == "true",
+    "iterations": int,
+    "residual": float,
+    "frozen": optional(lambda text: tuple(text.split(","))),
+    **{key: float for name in PARAM_NAMES for key in (name, f"{name}_err")},
+}
 
 
 def save_fit_report(result: FitResult, path, config_hash: str | None = None) -> None:
     """Stable key-value text report of a completed fit."""
-    lines = [
-        FIT_REPORT_MAGIC,
-        f"converged = {str(result.converged).lower()}",
-        f"iterations = {result.iterations}",
-        f"residual = {result.residual!r}",
-        f"frozen = {','.join(result.frozen) if result.frozen else '-'}",
-        f"config_hash = {config_hash or '-'}",
-    ]
+    header = {
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "residual": result.residual,
+        "frozen": ",".join(result.frozen) or None,
+        "config_hash": config_hash or None,
+    }
     for name in PARAM_NAMES:
-        lines.append(f"{name} = {getattr(result.params, name)!r}")
-        lines.append(f"{name}_err = {result.errors[name]!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        header.update({name: getattr(result.params, name), f"{name}_err": result.errors[name]})
+    write_header_file(path, FIT_REPORT_MAGIC, header)
 
 
 def load_fit_report(path) -> FitResult:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines or lines[0] != FIT_REPORT_MAGIC:
-        raise ValueError(f"{path}: not a fit-report file")
-    fields = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    params = FitModelParams(**{name: float(fields[name]) for name in PARAM_NAMES})
-    errors = {name: float(fields[f"{name}_err"]) for name in PARAM_NAMES}
-    frozen = () if fields["frozen"] == "-" else tuple(fields["frozen"].split(","))
+    fields, _ = read_header_file(path, FIT_REPORT_MAGIC, _FIT_REPORT_KEYS)
     return FitResult(
-        params=params,
-        errors=errors,
-        residual=float(fields["residual"]),
-        converged=fields["converged"] == "true",
-        iterations=int(fields["iterations"]),
-        frozen=frozen,
+        params=FitModelParams(**{name: fields[name] for name in PARAM_NAMES}),
+        errors={name: fields[f"{name}_err"] for name in PARAM_NAMES},
+        residual=fields["residual"],
+        converged=fields["converged"],
+        iterations=fields["iterations"],
+        frozen=fields["frozen"] or (),
     )

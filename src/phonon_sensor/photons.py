@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TWO_PI
+from .fileio import optional, read_header_file, write_header_file
 
 
 @dataclass(frozen=True)
@@ -112,11 +113,6 @@ class TacHistogram:
     def bin_edges(self) -> np.ndarray:
         edges = np.arange(self.n_bins + 1) * self.bin_width
         return np.minimum(edges, self.period)
-
-    @property
-    def bin_centers(self) -> np.ndarray:
-        edges = self.bin_edges
-        return 0.5 * (edges[:-1] + edges[1:])
 
 
 def expected_bin_count(period: float, bin_width: float) -> int:
@@ -302,54 +298,36 @@ def synthesize_histogram(
 
 
 HISTOGRAM_MAGIC = "# phonon-sensor tac-histogram v1"
+_HISTOGRAM_KEYS = {
+    "period_s": float,
+    "bin_width_s": float,
+    "gate_time_s": float,
+    "n_bins": int,
+    "total_counts": int,
+    "seed": optional(int),
+    "config_hash": optional(str),
+}
 
 
 def save_histogram(hist: TacHistogram, path) -> None:
     """Write the bit-exact text representation of a histogram."""
-    lines = [
-        HISTOGRAM_MAGIC,
-        f"period_s = {hist.period!r}",
-        f"bin_width_s = {hist.bin_width!r}",
-        f"gate_time_s = {hist.gate_time!r}",
-        f"n_bins = {hist.n_bins}",
-        f"total_counts = {hist.total_counts}",
-        f"seed = {'-' if hist.seed is None else hist.seed}",
-        f"config_hash = {hist.config_hash or '-'}",
-        "counts:",
-    ]
-    lines.extend(str(int(c)) for c in hist.counts)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    values = (hist.period, hist.bin_width, hist.gate_time, hist.n_bins, hist.total_counts,
+              hist.seed, hist.config_hash or None)  # in the order of _HISTOGRAM_KEYS
+    header = dict(zip(_HISTOGRAM_KEYS, values))
+    write_header_file(path, HISTOGRAM_MAGIC, header, "counts:", (int(c) for c in hist.counts))
 
 
 def load_histogram(path) -> TacHistogram:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines or lines[0] != HISTOGRAM_MAGIC:
-        raise ValueError(f"{path}: not a tac-histogram file")
-    header = {}
-    body_start = None
-    for i, line in enumerate(lines[1:], start=1):
-        if line == "counts:":
-            body_start = i + 1
-            break
-        if "=" not in line:
-            raise ValueError(f"{path}: malformed header line {line!r}")
-        key, _, value = line.partition("=")
-        header[key.strip()] = value.strip()
-    if body_start is None:
-        raise ValueError(f"{path}: missing counts section")
-    counts = np.array([int(line) for line in lines[body_start:] if line], dtype=np.int64)
+    header, body = read_header_file(path, HISTOGRAM_MAGIC, _HISTOGRAM_KEYS, "counts:")
     hist = TacHistogram(
-        bin_width=float(header["bin_width_s"]),
-        period=float(header["period_s"]),
-        counts=counts,
-        gate_time=float(header["gate_time_s"]),
-        seed=None if header["seed"] == "-" else int(header["seed"]),
-        config_hash=None if header["config_hash"] == "-" else header["config_hash"],
+        bin_width=header["bin_width_s"],
+        period=header["period_s"],
+        counts=np.array([int(line) for line in body], dtype=np.int64),
+        gate_time=header["gate_time_s"],
+        seed=header["seed"],
+        config_hash=header["config_hash"],
     )
-    if hist.n_bins != int(header["n_bins"]):
-        raise ValueError(f"{path}: n_bins mismatch")
-    if hist.total_counts != int(header["total_counts"]):
-        raise ValueError(f"{path}: total_counts mismatch with counts body")
+    for key, value in (("n_bins", hist.n_bins), ("total_counts", hist.total_counts)):
+        if value != header[key]:
+            raise ValueError(f"{path}: {key} mismatch with counts body")
     return hist

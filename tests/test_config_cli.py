@@ -1,4 +1,5 @@
 import copy
+import math
 import os
 import string
 import subprocess
@@ -99,6 +100,25 @@ class TestConfigIO:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "pipeline:\n  gate_time_s: .nan\n",
+            'output:\n  emit_svg: "false"\n',
+            "experiment:\n  amplitude_trials: 4.7\n",
+        ],
+    )
+    def test_loose_types_are_usage_errors(self, tmp_path, text):
+        path = tmp_path / "loose.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "h.txt")]) == 1
+
+    def test_infinity_and_whole_float_count_still_load(self):
+        assert config_from_dict({"pipeline": {"snr": math.inf}}).pipeline.snr == math.inf
+        assert config_from_dict({"experiment": {"amplitude_trials": 4.0}}).experiment.amplitude_trials == 4
+
     def test_hash_changes_with_values(self):
         base = config_hash(default_config())
         other = config_hash(config_from_dict({"pipeline": {"snr": 3.0}}))
@@ -170,6 +190,22 @@ def perturbed_defaults(draw):
     return data
 
 
+def _leaves(node, path=()):
+    """(key path, value) of every leaf of a config dict."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, dict) or key == "beams":
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+LEAVES = list(_leaves(DEFAULT_DICT))
+FLOAT_KEYS = [p for p, v in LEAVES if isinstance(v, (float, list))]
+BOOL_KEYS = [p for p, v in LEAVES if isinstance(v, bool)]
+INT_KEYS = [p for p, v in LEAVES if isinstance(v, int) and not isinstance(v, bool)]
+
+
 def invalid_dict(kind, draw):
     data = copy.deepcopy(DEFAULT_DICT)
     if kind == "frequency":
@@ -194,6 +230,19 @@ def invalid_dict(kind, draw):
         _set(data, draw(st.sampled_from(SECTIONS[1:])), value)
     elif kind == "empty-beams":
         data["physics"]["beams"] = []
+    elif kind == "nan":
+        path = draw(st.sampled_from(FLOAT_KEYS))
+        value = _node(data, path)
+        if isinstance(value, list):
+            value[draw(st.integers(0, len(value) - 1))] = math.nan
+        else:
+            _set(data, path, math.nan)
+    elif kind == "non-boolean":
+        text = st.sampled_from(["false", "true", "no", "yes", "0", "1"])
+        _set(data, draw(st.sampled_from(BOOL_KEYS)), draw(st.one_of(text, st.integers(0, 1))))
+    elif kind == "non-integer":
+        fractional = st.floats(1.0, 1e6).filter(lambda x: not x.is_integer())
+        _set(data, draw(st.sampled_from(INT_KEYS)), draw(st.one_of(st.booleans(), fractional)))
     return data
 
 
@@ -206,6 +255,9 @@ INVALID_KINDS = (
     "unknown-key",
     "non-mapping",
     "empty-beams",
+    "nan",
+    "non-boolean",
+    "non-integer",
 )
 
 
@@ -268,6 +320,41 @@ class TestCli:
         assert report.converged
         # Default drive 18.25 mV: amplitude near 24.45 um.
         assert report.amplitude == pytest.approx(24.45e-6, abs=0.3e-6)
+
+    def test_fit_with_config_matches_campaign_recovery(self, tmp_path, monkeypatch):
+        # fit --config starts where the sweep and sensitivity campaigns do:
+        # the config's detection chain, reference phase and timing jitter.
+        cfg = tmp_path / "jitter.yaml"
+        cfg.write_text("pipeline:\n  timing_jitter_us: 0.2\n")
+        hist_path = tmp_path / "hist.txt"
+        report_path = tmp_path / "fit.txt"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(hist_path), "--seed", "2"]) == 0
+        assert run_cli(["fit", str(hist_path), "--config", str(cfg), "--out", str(report_path)]) == 0
+        hist = load_histogram(hist_path)
+        # The campaign path on the same histogram; the amplitude and seed
+        # passed below only reach the replaced sampler.
+        monkeypatch.setattr(experiments, "synthesize_histogram", lambda *a, **k: hist)
+        (campaign,) = experiments._recover_amplitudes(load_config(cfg), 24.4e-6, [2])
+        assert load_fit_report(report_path).amplitude == campaign
+
+    def test_fit_missing_header_key_is_runtime_error(self, tmp_path, capsys):
+        hist_path = tmp_path / "hist.txt"
+        assert run_cli(["simulate", "--out", str(hist_path), "--seed", "3"]) == 0
+        lines = hist_path.read_text().splitlines()
+        hist_path.write_text("\n".join(x for x in lines if not x.startswith("bin_width_s")) + "\n")
+        capsys.readouterr()
+        code = run_cli(["fit", str(hist_path), "--out", str(tmp_path / "r.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "bin_width_s" in err
+
+    def test_fit_histogram_of_another_frequency_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "other.yaml"
+        cfg.write_text("physics:\n  drive:\n    injection_frequency_hz: 190000.0\n")
+        hist_path = tmp_path / "hist.txt"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(hist_path), "--seed", "4"]) == 0
+        assert run_cli(["fit", str(hist_path), "--out", str(tmp_path / "r.txt")]) == 1
+        assert run_cli(["fit", str(hist_path), "--config", str(cfg), "--out", str(tmp_path / "r.txt")]) == 0
 
     def test_fit_corrupt_file_nonzero_exit(self, tmp_path):
         bad = tmp_path / "bad.txt"
