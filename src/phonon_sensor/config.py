@@ -82,6 +82,8 @@ class RunConfig:
     free_running_amplitude: float = DEFAULT_FREE_RUNNING_AMPLITUDE
 
     def __post_init__(self):
+        if not 0.0 < self.free_running_amplitude < math.inf:
+            raise ConfigError("free_running_amplitude must be finite and > 0")
         period = TWO_PI / self.drive.injection_frequency
         if self.pipeline.bin_width > period:
             raise ConfigError(

@@ -9,11 +9,14 @@ Three complementary integrators:
 * :func:`integrate_quadratures` - the linearized rotating-frame envelope
   equations for the in-phase/quadrature components, integrated with exact
   Gaussian transition steps (no step-size bias).
-* :func:`_locked_phase_ensemble` - the injection-locked phase model used by
+* :func:`_locked_phase_spreads` - the injection-locked phase model used by
   the smallest-force protocol: the oscillation phasor is pinned at the
   free-running amplitude while its phase feels the injection restoring
-  torque, thermal diffusion and band-limited electrode noise;
-  :func:`detect_lock` judges every trial of its phase array at once.
+  torque, thermal diffusion and band-limited electrode noise.  It steps the
+  trials of a whole voltage grid as the columns of one loop, drawing each
+  voltage's normals a chunk of steps at a time, and judges lock as it
+  steps, so the phase array is never stored; :func:`detect_lock` judges a
+  stored phase array through the same circular-spread helper.
 
 Thermal forcing follows the narrowband decomposition
 f(t) = f_x(t) cos(w t) + f_y(t) sin(w t) with slowly varying white Gaussian
@@ -46,6 +49,7 @@ from .physics import (
 MIN_STEPS_PER_PERIOD = 50
 DEFAULT_STEPS_PER_PERIOD = 200
 DEFAULT_LOCK_THRESHOLD = 0.3  # rad
+PHASE_CHUNK = 500  # locked-phase steps whose normals are drawn at once
 
 
 @dataclass
@@ -309,17 +313,17 @@ def thermal_quadrature_variance(drive: DriveConfig, noise: NoiseModel) -> float:
     )
 
 
-def _locked_phase_ensemble(
+def _locked_phase_spreads(
     trap: TrapConfig,
-    drive: DriveConfig,
+    drives,
     noise: NoiseModel,
     duration: float,
     dt: float | None,
-    seed,
+    seeds,
     electric_noise: ElectricNoise | None,
     operating_amplitude: float,
     n_trials: int,
-):
+) -> np.ndarray:
     """Phase dynamics of the injection-locked oscillator at fixed amplitude.
 
     The gain-saturated oscillator holds its amplitude at the operating value
@@ -332,55 +336,82 @@ def _locked_phase_ensemble(
     voltage noise, both scaled by the quadrature variance ratio of the
     squeeze drive (the frequency-doubled drive redistributes fluctuations
     between quadratures, squeezing the phase quadrature when
-    g cos 2phi < 0).  Steps ``n_trials`` independent trials together and
-    returns ``(times, psi[step, trial])``.
+    g cos 2phi < 0).
+
+    Steps ``n_trials`` trials of every drive in ``drives`` as the columns
+    of one loop and returns ``spread[drive, trial]``, the circular standard
+    deviation of each trial's phase over the final half of the record; a
+    trial is locked when its spread is below the lock threshold.  Each
+    drive has its own generator, seeded by its entry of ``seeds``, whose
+    normals are drawn ``PHASE_CHUNK`` steps at a time in the per-step order
+    diffusion kick, then electrode kick, so a drive's trials do not depend
+    on the other drives.  Instead of storing the phase, each chunk adds the
+    unit phasors exp(i psi) of its rows inside the window to a running sum
+    per trial.  ``dt=None`` takes the smallest min(1e-4 s, 0.05 / w_L) of
+    the drives.
     """
     if duration <= 0:
         raise ValueError("duration must be > 0")
     if operating_amplitude <= 0:
         raise ValueError("operating_amplitude must be > 0")
+    if not drives or len(drives) != len(seeds):
+        raise ValueError("need at least one drive and one seed per drive")
 
     torque_scale = 2.0 * noise.mass * trap.secular_z * operating_amplitude
-    lock_rate = drive.force / torque_scale
+    lock_rates = [drive.force / torque_scale for drive in drives]
     if dt is None:
-        dt = 1e-4 if lock_rate == 0 else min(1e-4, 0.05 / lock_rate)
+        dt = min(1e-4 if rate == 0 else min(1e-4, 0.05 / rate) for rate in lock_rates)
     n_steps = int(round(duration / dt))
     if n_steps < 2:
         raise ValueError("duration shorter than two steps")
 
-    rng = np.random.default_rng(seed)
+    electrode = electric_noise is not None and electric_noise.rms_voltage > 0
+    decay = math.exp(-dt / electric_noise.correlation_time) if electrode else 0.0
+    rngs = [np.random.default_rng(seed) for seed in seeds]
 
-    # The squeeze drive redistributes quadrature fluctuations; the phase
-    # quadrature carries the variance ratio of the frequency-doubled drive.
-    ratio = squeeze_variance_ratio(drive.effective_gain, drive.squeeze_phase)
-    diffusion = ratio * noise.force_spectral_density() / (2.0 * torque_scale**2)
-    sqrt_2d_dt = math.sqrt(2.0 * diffusion * dt)
+    # Per-drive constants, then repeated over that drive's columns.
+    sqrt_2d_dt, kick, f_perp = [], [], []
+    for drive, rng in zip(drives, rngs):
+        # The squeeze drive redistributes quadrature fluctuations; the phase
+        # quadrature carries the variance ratio of the frequency-doubled drive.
+        ratio = squeeze_variance_ratio(drive.effective_gain, drive.squeeze_phase)
+        diffusion = ratio * noise.force_spectral_density() / (2.0 * torque_scale**2)
+        sqrt_2d_dt.append(math.sqrt(2.0 * diffusion * dt))
+        if electrode:
+            force_rms = electric_noise.rms_voltage * drive.force_per_volt
+            sigma_perp = (force_rms / math.sqrt(2.0)) * math.sqrt(ratio)
+            kick.append(sigma_perp * math.sqrt(1.0 - decay * decay))
+            f_perp.append(rng.normal(0.0, sigma_perp, n_trials))
+    neg_rate = np.repeat([-rate for rate in lock_rates], n_trials)
+    sqrt_2d_dt = np.repeat(sqrt_2d_dt, n_trials)
+    kick = np.repeat(kick, n_trials)
+    f_perp = np.concatenate(f_perp) if electrode else np.zeros(len(neg_rate))
 
-    shape = (n_trials,)
-    psi = np.empty((n_steps + 1, n_trials))
-    psi[0] = 0.0
-
-    if electric_noise is not None and electric_noise.rms_voltage > 0:
-        tau = electric_noise.correlation_time
-        force_rms = electric_noise.rms_voltage * drive.force_per_volt
-        sigma_perp = (force_rms / math.sqrt(2.0)) * math.sqrt(ratio)
-        decay = math.exp(-dt / tau)
-        kick = sigma_perp * math.sqrt(1.0 - decay * decay)
-        f_perp = rng.normal(0.0, sigma_perp, shape)
-    else:
-        f_perp = np.zeros(shape)
-        decay = kick = 0.0
-
-    for i in range(n_steps):
-        cur = psi[i]
-        step = (-lock_rate * np.sin(cur) + f_perp / torque_scale) * dt
-        step += sqrt_2d_dt * rng.normal(0.0, 1.0, shape)
-        psi[i + 1] = cur + step
-        if kick:
-            f_perp = decay * f_perp + kick * rng.normal(0.0, 1.0, shape)
-
-    times = np.arange(n_steps + 1) * dt
-    return times, psi
+    start = _window_start(np.arange(n_steps + 1) * dt, None)
+    draw_shape = (2, n_trials) if electrode else (n_trials,)
+    cur = np.zeros(len(neg_rate))
+    phasors = np.zeros(len(neg_rate), dtype=complex)
+    block = np.empty((PHASE_CHUNK, len(neg_rate)))
+    for first in range(0, n_steps, PHASE_CHUNK):
+        rows = min(PHASE_CHUNK, n_steps - first)
+        normals = np.concatenate(
+            [rng.normal(0.0, 1.0, (rows,) + draw_shape) for rng in rngs], axis=-1
+        )
+        diffusion_kicks = sqrt_2d_dt * (normals[:, 0] if electrode else normals)
+        electrode_kicks = kick * normals[:, 1] if electrode else None
+        del normals
+        for k in range(rows):
+            step = (neg_rate * np.sin(cur) + f_perp / torque_scale) * dt
+            step += diffusion_kicks[k]
+            cur = cur + step
+            block[k] = cur
+            if electrode:
+                f_perp = decay * f_perp + electrode_kicks[k]
+        # Rows first + 1 .. first + rows were stepped; sum those in the window.
+        lo = max(start - first - 1, 0)
+        if lo < rows:
+            phasors += np.exp(1j * block[lo:rows]).sum(axis=0)
+    return _spread(phasors, n_steps + 1 - start).reshape(len(drives), n_trials)
 
 
 def demodulate(
@@ -424,14 +455,33 @@ def demodulate(
     return QuadraturePath(times=centers, x=x, y=y)
 
 
+def _window_start(times: np.ndarray, window: float | None) -> int:
+    """First index of the evaluation window ``times >= times[-1] - window``.
+
+    The default window is the final half of the record.
+    """
+    duration = float(times[-1] - times[0])
+    if window is None:
+        window = 0.5 * duration
+    if window > duration:
+        raise ValueError("window longer than record")
+    return int(np.searchsorted(times, times[-1] - window))
+
+
+def _spread(phasor_sum, count: int) -> np.ndarray:
+    """Circular standard deviation sqrt(-2 ln R) from the sum of ``count``
+    unit phasors exp(i psi), with R = |sum| / count; inf where R <= 1e-12."""
+    resultant = np.abs(phasor_sum) / count
+    with np.errstate(divide="ignore"):
+        spread = np.sqrt(np.maximum(-2.0 * np.log(resultant), 0.0))
+    return np.where(resultant > 1e-12, spread, np.inf)
+
+
 def circular_std(phases: np.ndarray) -> float:
     """Circular standard deviation sqrt(-2 ln R) of a phase sample."""
     if len(phases) == 0:
         raise ValueError("empty phase sample")
-    resultant = abs(np.mean(np.exp(1j * np.asarray(phases))))
-    if resultant <= 1e-12:
-        return math.inf
-    return math.sqrt(-2.0 * math.log(resultant))
+    return float(_spread(np.exp(1j * np.asarray(phases)).sum(), len(phases)))
 
 
 def detect_lock(
@@ -450,14 +500,13 @@ def detect_lock(
         raise ValueError("empty phase record")
     if threshold <= 0:
         raise ValueError("threshold must be > 0")
-    duration = float(times[-1] - times[0])
-    if window is None:
-        window = 0.5 * duration
-    if window > duration:
-        raise ValueError("window longer than record")
-    # Reduce the window (a contiguous tail) one trial at a time to bound memory.
-    tail = psi[np.searchsorted(times, times[-1] - window) :]
-    return np.array([circular_std(tail[:, j]) < threshold for j in range(tail.shape[1])])
+    tail = psi[_window_start(times, window) :]
+    # Sum the unit phasors a chunk of rows at a time to bound memory.
+    phasors = sum(
+        np.exp(1j * tail[k : k + PHASE_CHUNK]).sum(axis=0)
+        for k in range(0, len(tail), PHASE_CHUNK)
+    )
+    return _spread(phasors, len(tail)) < threshold
 
 
 DRIFT_REFERENCE_TIME = 500.0  # s, horizon at which the random walk matches

@@ -25,8 +25,7 @@ from .config import (
 )
 from .constants import TWO_PI
 from .dynamics import (
-    _locked_phase_ensemble,
-    detect_lock,
+    _locked_phase_spreads,
     integrate_quadratures,
     stationary_mean_displacement,
     thermal_quadrature_variance,
@@ -363,8 +362,9 @@ def lower_bound_search(
 ) -> LowerBoundResult:
     """Smallest locking voltage at 90% success probability.
 
-    For each grid voltage the injection-locked phase model runs ``trials``
-    independent 10-second trials against thermal plus electrode noise; the
+    The injection-locked phase model runs ``trials`` independent 10-second
+    trials against thermal plus electrode noise at every grid voltage, the
+    whole grid in one stepping loop with one generator per voltage; the
     critical voltage is where the locked fraction crosses 0.9, interpolated
     linearly in log-voltage between the bracketing grid points.  Squeezing
     applies the frequency-doubled drive at full gain and the phase that
@@ -386,23 +386,20 @@ def lower_bound_search(
         squeeze_enabled=squeeze,
     )
 
-    probabilities = []
-    point_seeds = _spawn_seeds(seed + (1 if squeeze else 0), len(voltages))
-    for voltage, vseed in zip(voltages, point_seeds):
-        drive = replace(drive_template, injection_voltage=voltage)
-        times, psi = _locked_phase_ensemble(
-            config.trap,
-            drive,
-            config.noise,
-            config.pipeline.gate_time,
-            2e-4,
-            vseed,
-            config.electric_noise,
-            config.free_running_amplitude,
-            trials,
-        )
-        locked = int(np.count_nonzero(detect_lock(times, psi, threshold=exp.lock_threshold)))
-        probabilities.append(locked / trials)
+    drives = [replace(drive_template, injection_voltage=voltage) for voltage in voltages]
+    spreads = _locked_phase_spreads(
+        config.trap,
+        drives,
+        config.noise,
+        config.pipeline.gate_time,
+        2e-4,
+        _spawn_seeds(seed + (1 if squeeze else 0), len(voltages)),
+        config.electric_noise,
+        config.free_running_amplitude,
+        trials,
+    )
+    locked = np.count_nonzero(spreads < exp.lock_threshold, axis=1)
+    probabilities = [int(n) / trials for n in locked]
 
     probs = np.array(probabilities)
     above = probs >= 0.9

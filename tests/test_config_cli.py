@@ -217,6 +217,9 @@ def invalid_dict(kind, draw):
     elif kind == "bin-width-over-period":
         # The folding period at the default 186.02 kHz is 5375.8 ns.
         data["pipeline"]["bin_width_ns"] = draw(st.floats(5376.0, 1e12))
+    elif kind == "free-running-amplitude":
+        value = draw(st.one_of(NON_POSITIVE, st.just(math.inf)))
+        data["physics"]["free_running_amplitude_um"] = value
     elif kind == "unsorted-voltages":
         voltages = draw(st.lists(st.floats(0.01, 10.0), min_size=2, max_size=8, unique=True))
         assume(voltages != sorted(voltages))
@@ -251,6 +254,7 @@ INVALID_KINDS = (
     "gate-time",
     "bin-width",
     "bin-width-over-period",
+    "free-running-amplitude",
     "unsorted-voltages",
     "unknown-key",
     "non-mapping",

@@ -8,8 +8,9 @@ from phonon_sensor.dynamics import (
     DEFAULT_LOCK_THRESHOLD,
     ElectricNoise,
     NoiseModel,
+    PHASE_CHUNK,
     QuadraturePath,
-    _locked_phase_ensemble,
+    _locked_phase_spreads,
     circular_std,
     demodulate,
     detect_lock,
@@ -24,6 +25,7 @@ from phonon_sensor.physics import (
     InstabilityError,
     TrapConfig,
     default_beams,
+    squeeze_variance_ratio,
 )
 
 TRAP = TrapConfig()
@@ -276,24 +278,19 @@ class TestDetectLock:
     def test_operating_voltage_locks_nearly_always(self):
         # 100 phase-model trials with the full noise budget.
         drive = DriveConfig(injection_voltage=18.25e-3)
-        times, psi = _locked_phase_ensemble(
+        (spreads,) = _locked_phase_spreads(
             TRAP,
-            drive,
+            [drive],
             THERMAL,
             2.0,
             None,
-            21,
+            [21],
             ElectricNoise(),
             17.839e-6,
             100,
         )
-        half = len(times) // 2
-        per_trial = [circular_std(psi[half:, j]) < DEFAULT_LOCK_THRESHOLD for j in range(100)]
-        assert sum(per_trial) >= 99
-        # The one-call verdict over the whole array judges each trial alike.
-        verdict = detect_lock(times, psi)
-        assert verdict.shape == (100,)
-        assert verdict.tolist() == per_trial
+        assert spreads.shape == (100,)
+        assert np.count_nonzero(spreads < DEFAULT_LOCK_THRESHOLD) >= 99
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
@@ -305,35 +302,126 @@ class TestDetectLock:
             detect_lock(path.times, path.phase[:, None], window=2 * path.times[-1])
 
 
+OPERATING_AMPLITUDE = 17.839e-6
+
+
+def oracle_phase(drive, seed, n_steps, dt, electric_noise, n_trials):
+    """The locked-phase model one step and one trial at a time.
+
+    Same generator and draw order as the engine: the initial electrode
+    force of every trial, then per step the diffusion kicks of all trials
+    followed by their electrode kicks.  Returns ``(times, psi[step, trial])``.
+    """
+    rng = np.random.default_rng(seed)
+    torque_scale = 2.0 * THERMAL.mass * TRAP.secular_z * OPERATING_AMPLITUDE
+    lock_rate = drive.force / torque_scale
+    ratio = squeeze_variance_ratio(drive.effective_gain, drive.squeeze_phase)
+    diffusion = ratio * THERMAL.force_spectral_density() / (2.0 * torque_scale**2)
+    kick_scale = math.sqrt(2.0 * diffusion * dt)
+    if electric_noise is not None:
+        force_rms = electric_noise.rms_voltage * drive.force_per_volt
+        sigma_perp = force_rms / math.sqrt(2.0) * math.sqrt(ratio)
+        decay = math.exp(-dt / electric_noise.correlation_time)
+        ou_kick = sigma_perp * math.sqrt(1.0 - decay * decay)
+        force = list(rng.normal(0.0, sigma_perp, n_trials))
+    else:
+        force = [0.0] * n_trials
+    psi = np.zeros((n_steps + 1, n_trials))
+    for i in range(n_steps):
+        diffusion_kicks = rng.normal(0.0, 1.0, n_trials)
+        if electric_noise is not None:
+            electrode_kicks = rng.normal(0.0, 1.0, n_trials)
+        for j in range(n_trials):
+            drift = -lock_rate * math.sin(psi[i, j]) + force[j] / torque_scale
+            psi[i + 1, j] = psi[i, j] + drift * dt + kick_scale * diffusion_kicks[j]
+            if electric_noise is not None:
+                force[j] = decay * force[j] + ou_kick * electrode_kicks[j]
+    return np.arange(n_steps + 1) * dt, psi
+
+
+SQUEEZED = dict(squeeze_gain=1.0, squeeze_phase=math.pi / 2, squeeze_enabled=True)
+ORACLE_DRIVES = (
+    DriveConfig(injection_voltage=0.3e-3),
+    DriveConfig(injection_voltage=0.6e-3),
+    DriveConfig(injection_voltage=0.4e-3, **SQUEEZED),
+)
+ORACLE_SEEDS = (5, 6, 7)
+
+
+class TestLockedPhaseEngine:
+    @pytest.mark.parametrize(
+        "n_steps, electric_noise",
+        [
+            # Not a whole number of chunks; the window starts at step 617,
+            # inside the second chunk.
+            (1234, ElectricNoise()),
+            # Shorter than one chunk.
+            (321, ElectricNoise()),
+            # The window starts exactly at a chunk edge.
+            (2 * PHASE_CHUNK, ElectricNoise()),
+            # No electrode noise: one draw per step.
+            (1234, None),
+        ],
+    )
+    def test_matches_per_step_oracle(self, n_steps, electric_noise):
+        dt = 2e-4
+        spreads = _locked_phase_spreads(
+            TRAP,
+            ORACLE_DRIVES,
+            THERMAL,
+            n_steps * dt,
+            dt,
+            ORACLE_SEEDS,
+            electric_noise,
+            OPERATING_AMPLITUDE,
+            3,
+        )
+        assert spreads.shape == (3, 3)
+        for k, (drive, seed) in enumerate(zip(ORACLE_DRIVES, ORACLE_SEEDS)):
+            times, psi = oracle_phase(drive, seed, n_steps, dt, electric_noise, 3)
+            assert len(times) == n_steps + 1
+            window = psi[times >= times[-1] / 2]
+            expected = np.array([circular_std(window[:, j]) for j in range(3)])
+            np.testing.assert_allclose(spreads[k], expected, rtol=1e-12)
+            verdict = spreads[k] < DEFAULT_LOCK_THRESHOLD
+            assert verdict.tolist() == (expected < DEFAULT_LOCK_THRESHOLD).tolist()
+            assert verdict.tolist() == detect_lock(times, psi).tolist()
+
+    def test_spreads_independent_of_stacking(self):
+        args = (THERMAL, 0.25, 2e-4)
+        tail = (ElectricNoise(), OPERATING_AMPLITUDE, 4)
+        together = _locked_phase_spreads(TRAP, ORACLE_DRIVES, *args, ORACLE_SEEDS, *tail)
+        for k, (drive, seed) in enumerate(zip(ORACLE_DRIVES, ORACLE_SEEDS)):
+            (alone,) = _locked_phase_spreads(TRAP, [drive], *args, [seed], *tail)
+            np.testing.assert_array_equal(together[k], alone)
+
+    def test_one_seed_per_drive_required(self):
+        with pytest.raises(ValueError):
+            _locked_phase_spreads(
+                TRAP, ORACLE_DRIVES, THERMAL, 0.1, 2e-4, [1], None, OPERATING_AMPLITUDE, 2
+            )
+
+
 class TestLockedPhaseModel:
     def test_squeeze_halves_locked_phase_variance(self):
         drive_off = DriveConfig(injection_voltage=2e-3)
-        drive_on = DriveConfig(
-            injection_voltage=2e-3,
-            squeeze_gain=1.0,
-            squeeze_phase=math.pi / 2,
-            squeeze_enabled=True,
+        drive_on = DriveConfig(injection_voltage=2e-3, **SQUEEZED)
+        spreads = _locked_phase_spreads(
+            TRAP, [drive_off, drive_on], THERMAL, 2.0, 1e-4, [31, 31], None, 17.839e-6, 64
         )
-        spreads = {}
-        for name, drive in (("off", drive_off), ("on", drive_on)):
-            _, psi = _locked_phase_ensemble(
-                TRAP, drive, THERMAL, 2.0, 1e-4, 31, None, 17.839e-6, 64
-            )
-            spreads[name] = np.var(psi[len(psi) // 2 :], axis=0).mean()
-        assert spreads["on"] / spreads["off"] == pytest.approx(0.5, abs=0.08)
+        off, on = np.mean(spreads**2, axis=1)
+        assert on / off == pytest.approx(0.5, abs=0.08)
 
     def test_undriven_phase_diffuses_uniformly(self):
-        times, psi = _locked_phase_ensemble(
-            TRAP, IDLE, THERMAL, 10.0, None, 4, ElectricNoise(), DEFAULT_FREE_RUNNING_AMPLITUDE, 1
+        (spreads,) = _locked_phase_spreads(
+            TRAP, [IDLE], THERMAL, 10.0, None, [4], ElectricNoise(), DEFAULT_FREE_RUNNING_AMPLITUDE, 1
         )
-        assert detect_lock(times, psi).tolist() == [False]
+        assert (spreads < DEFAULT_LOCK_THRESHOLD).tolist() == [False]
 
     def test_deterministic(self):
         drive = DriveConfig(injection_voltage=1e-3)
-        args = (TRAP, drive, THERMAL, 1.0, None, 9, None, DEFAULT_FREE_RUNNING_AMPLITUDE, 1)
-        np.testing.assert_array_equal(
-            _locked_phase_ensemble(*args)[1], _locked_phase_ensemble(*args)[1]
-        )
+        args = (TRAP, [drive], THERMAL, 1.0, None, [9], None, DEFAULT_FREE_RUNNING_AMPLITUDE, 1)
+        np.testing.assert_array_equal(_locked_phase_spreads(*args), _locked_phase_spreads(*args))
 
 
 class TestDrift:

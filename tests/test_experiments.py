@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -201,6 +202,18 @@ class TestLowerBound:
     def test_too_few_trials_rejected(self):
         with pytest.raises(ValueError):
             lower_bound_search(CONFIG, trials=10, squeeze=False)
+
+    def test_default_search_memory_is_bounded(self):
+        # Lock is judged while the phase is stepped, so no psi[step, trial]
+        # array is kept; one voltage's alone (50 001 steps x 32 trials)
+        # would take 12.8 MB.
+        tracemalloc.start()
+        try:
+            lower_bound_search(CONFIG, squeeze=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestSensitivityCampaign:

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phonon_sensor.constants import DEFAULT_AXIAL_FREQUENCY, TWO_PI
 from phonon_sensor.fitting import (
@@ -106,6 +109,46 @@ class TestModelCurve:
             )
             rolled = model_profile(shifted, BEAMS, OMEGA, PERIOD, n_fine)
             np.testing.assert_allclose(rolled, np.roll(profile, -k), rtol=1e-12)
+
+    @pytest.mark.parametrize("sigma_t", [0.0, 0.8e-6])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_bins=st.integers(16, 600),
+        amplitude=st.floats(1e-6, 40e-6),
+        phase=st.floats(-math.pi, math.pi),
+        beta=st.floats(0.0, 100.0),
+        draw=st.data(),
+    )
+    def test_phase_shift_rolls_whole_bin_curve(
+        self, sigma_t, n_bins, amplitude, phase, beta, draw
+    ):
+        # With the period a whole number of bins, advancing the phase by
+        # m bin widths rotates the binned curve by m bins.
+        bin_width = PERIOD / n_bins
+        m = draw.draw(st.integers(0, n_bins - 1))
+        base = FitModelParams(amplitude, phase, 1.0, beta, sigma_t)
+        shifted = replace(base, phase=phase + OMEGA * m * bin_width)
+        curve = model_curve(base, BEAMS, OMEGA, PERIOD, bin_width)
+        assert len(curve) == n_bins
+        np.testing.assert_allclose(
+            model_curve(shifted, BEAMS, OMEGA, PERIOD, bin_width),
+            np.roll(curve, -m),
+            rtol=1e-9,
+        )
+
+    @pytest.mark.parametrize("sigma_t", [0.0, 0.8e-6])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_bins=st.integers(16, 600),
+        phases=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+    )
+    def test_zero_amplitude_curve_ignores_phase(self, sigma_t, n_bins, phases):
+        bin_width = PERIOD / n_bins
+        a, b = (
+            model_curve(FitModelParams(0.0, p, 1.0, 5.0, sigma_t), BEAMS, OMEGA, PERIOD, bin_width)
+            for p in phases
+        )
+        np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_reference_shape_regime(self):
         # At the reference parameters the sharp profile carries the two
