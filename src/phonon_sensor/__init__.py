@@ -36,7 +36,6 @@ from .photons import (
     PipelineConfig,
     TacHistogram,
     detect,
-    merge,
     sample_arrivals,
     synthesize_histogram,
     tac_fold,

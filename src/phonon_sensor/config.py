@@ -52,6 +52,8 @@ class ExperimentConfig:
             raise ConfigError("trial counts must be >= 1")
         if self.lower_bound_trials < 20:
             raise ConfigError("lower-bound protocol needs >= 20 trials per point")
+        if len(self.lower_bound_voltages) < 2:
+            raise ConfigError("lower_bound_voltages_mv needs at least two voltages")
         if list(self.lower_bound_voltages) != sorted(self.lower_bound_voltages):
             raise ConfigError("lower_bound_voltages_mv must be ascending")
         if self.lock_threshold <= 0:

@@ -507,32 +507,3 @@ def detect_lock(
         for k in range(0, len(tail), PHASE_CHUNK)
     )
     return _spread(phasors, len(tail)) < threshold
-
-
-DRIFT_REFERENCE_TIME = 500.0  # s, horizon at which the random walk matches
-
-
-def drift_profile(
-    trap: TrapConfig,
-    times: np.ndarray,
-    model: str = "linear",
-    seed: int | None = None,
-) -> np.ndarray:
-    """Axial frequency over time under the chosen drift model.
-
-    ``linear`` applies the constant Hz-per-second rate; ``random_walk`` is a
-    zero-drift walk whose RMS at the reference horizon equals the linear
-    model's displacement there.
-    """
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("times must be >= 0")
-    if model == "linear":
-        return trap.secular_z + TWO_PI * trap.drift_rate * times
-    if model == "random_walk":
-        rng = np.random.default_rng(seed)
-        steps = np.diff(times, prepend=times[0])
-        scale = (TWO_PI * trap.drift_rate) ** 2 * DRIFT_REFERENCE_TIME
-        walk = np.cumsum(rng.normal(0.0, 1.0, len(times)) * np.sqrt(scale * steps))
-        return trap.secular_z + walk
-    raise ValueError(f"unknown drift model {model!r}")

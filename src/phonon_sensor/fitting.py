@@ -9,12 +9,17 @@ the TAC bins, scaled and offset:
 Amplitude and phase are the physical parameters; alpha, beta and the
 dispersion width sigma_t are nuisance parameters that default to the
 closed-form detection-chain values and stay frozen.
+
+What depends only on the binning, never on the counts, is built once per
+binning and reused read-only: the initial guess's zero-phase template bank
+and the spectrum of the Gaussian dispersion kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -93,12 +98,22 @@ def model_profile(
     centers = (np.arange(n_fine) + 0.5) * h
     rate = total_scattering_rate(beams, params.amplitude, params.phase, omega_i, centers)
     if params.sigma_t > h / 2:
-        offsets = np.arange(n_fine) * h
-        offsets = np.where(offsets > period / 2, offsets - period, offsets)
-        kernel = np.exp(-0.5 * (offsets / params.sigma_t) ** 2)
-        kernel /= kernel.sum()
-        rate = np.real(np.fft.ifft(np.fft.fft(rate) * np.fft.fft(kernel)))
+        kernel_spectrum = _kernel_spectrum(period, n_fine, params.sigma_t)
+        rate = np.real(np.fft.ifft(np.fft.fft(rate) * kernel_spectrum))
     return rate
+
+
+@lru_cache(maxsize=8)
+def _kernel_spectrum(period: float, n_fine: int, sigma_t: float) -> np.ndarray:
+    """Read-only FFT of the unit-sum Gaussian kernel on the profile grid."""
+    h = period / n_fine
+    offsets = np.arange(n_fine) * h
+    offsets = np.where(offsets > period / 2, offsets - period, offsets)
+    kernel = np.exp(-0.5 * (offsets / sigma_t) ** 2)
+    kernel /= kernel.sum()
+    spectrum = np.fft.fft(kernel)
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def _bin_integrals(profile: np.ndarray, period: float, edges: np.ndarray) -> np.ndarray:
@@ -150,22 +165,6 @@ def derive_alpha_beta(
     return alpha, beta
 
 
-def amplitude_diagnostic_height(
-    params: FitModelParams, beams, omega_i: float, period: float, n_fine: int = 4096
-) -> float:
-    """Height of the secondary feature of the smeared profile.
-
-    Evaluated at the phase where the ion counter-propagates fastest, i.e.
-    where the far-detuned beam approaches its Doppler resonance; this is the
-    second peak of the folded fluorescence curve and the feature whose
-    height grows with oscillation amplitude.
-    """
-    profile = model_profile(params, beams, omega_i, period, n_fine)
-    t_star = (math.pi - params.phase) / omega_i % period
-    idx = int(t_star / (period / n_fine)) % n_fine
-    return float(profile[idx])
-
-
 def _is_flat(counts: np.ndarray) -> bool:
     # Chi-square against a flat histogram; Poisson scatter alone stays near
     # one per degree of freedom, real Doppler modulation is far above.
@@ -173,6 +172,36 @@ def _is_flat(counts: np.ndarray) -> bool:
     chi2 = float(np.sum((counts - mean) ** 2) / mean)
     dof = max(len(counts) - 1, 1)
     return chi2 < dof + 8.0 * math.sqrt(2.0 * dof)
+
+
+@lru_cache(maxsize=8)
+def _template_bank(
+    beams: tuple,
+    omega_i: float,
+    period: float,
+    bin_width: float,
+    sigma_t: float,
+    amplitude_range: tuple[float, float],
+    n_amplitudes: int,
+) -> tuple:
+    """Zero-phase, zero-mean templates over the amplitude grid, in grid order.
+
+    Each entry is ``(amplitude, norm, conj(rfft(template)))`` with the
+    spectrum read-only; templates of zero norm are left out.
+    """
+    bank = []
+    for amp in np.linspace(*amplitude_range, n_amplitudes):
+        template = model_curve(
+            FitModelParams(amp, 0.0, 1.0, 0.0, sigma_t), beams, omega_i, period, bin_width
+        )
+        template = template - template.mean()
+        norm = math.sqrt(float(np.sum(template**2)))
+        if norm == 0:
+            continue
+        template_conj = np.conj(np.fft.rfft(template))
+        template_conj.flags.writeable = False
+        bank.append((amp, norm, template_conj))
+    return tuple(bank)
 
 
 def initial_guess(
@@ -204,28 +233,25 @@ def initial_guess(
 
     spectrum = np.fft.rfft(signal)
     best = None
-    amplitudes = np.linspace(*amplitude_range, n_amplitudes)
-    for amp in amplitudes:
-        template = model_curve(
-            FitModelParams(amp, 0.0, 1.0, 0.0, sigma_t),
-            beams,
-            omega_i,
-            hist.period,
-            hist.bin_width,
-        )
-        template = template - template.mean()
-        norm = math.sqrt(float(np.sum(template**2)))
-        if norm == 0:
-            continue
+    bank = _template_bank(
+        tuple(beams),
+        omega_i,
+        hist.period,
+        hist.bin_width,
+        sigma_t,
+        tuple(amplitude_range),
+        n_amplitudes,
+    )
+    for amp, norm, template_conj in bank:
         # Circular cross-correlation over all bin shifts at once.
-        corr = np.fft.irfft(spectrum * np.conj(np.fft.rfft(template)), len(signal))
+        corr = np.fft.irfft(spectrum * template_conj, len(signal))
         shift = int(np.argmax(corr))
         score = corr[shift] / norm
         if best is None or score > best[0]:
-            best = (score, amp, shift, template)
+            best = (score, amp, shift)
     if best is None:
         raise NoModulationError("no usable template correlation")
-    _, amp, shift, template = best
+    _, amp, shift = best
 
     # data(i) ~ template(i - shift): the pattern moved right by `shift`
     # bins, i.e. the phase decreased by shift * bin * omega.

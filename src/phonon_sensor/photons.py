@@ -224,20 +224,6 @@ def tac_fold(stream: PhotonStream, period: float, bin_width: float) -> TacHistog
     )
 
 
-def merge(first: TacHistogram, second: TacHistogram) -> TacHistogram:
-    """Combine two histograms of identical binning; gate times add."""
-    if not math.isclose(first.bin_width, second.bin_width, rel_tol=1e-12):
-        raise ValueError("bin widths differ")
-    if not math.isclose(first.period, second.period, rel_tol=1e-12):
-        raise ValueError("periods differ")
-    return TacHistogram(
-        bin_width=first.bin_width,
-        period=first.period,
-        counts=first.counts + second.counts,
-        gate_time=first.gate_time + second.gate_time,
-    )
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """End-to-end photon pipeline settings."""

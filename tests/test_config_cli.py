@@ -224,6 +224,9 @@ def invalid_dict(kind, draw):
         voltages = draw(st.lists(st.floats(0.01, 10.0), min_size=2, max_size=8, unique=True))
         assume(voltages != sorted(voltages))
         data["experiment"]["lower_bound_voltages_mv"] = voltages
+    elif kind == "short-voltage-grid":
+        voltages = draw(st.lists(st.floats(0.01, 10.0), max_size=1))
+        data["experiment"]["lower_bound_voltages_mv"] = voltages
     elif kind == "unknown-key":
         node = _node(data, draw(st.sampled_from(SECTIONS)))
         key = draw(st.text(string.ascii_lowercase + "_", min_size=1).filter(lambda k: k not in node))
@@ -256,6 +259,7 @@ INVALID_KINDS = (
     "bin-width-over-period",
     "free-running-amplitude",
     "unsorted-voltages",
+    "short-voltage-grid",
     "unknown-key",
     "non-mapping",
     "empty-beams",

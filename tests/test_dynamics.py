@@ -14,7 +14,6 @@ from phonon_sensor.dynamics import (
     circular_std,
     demodulate,
     detect_lock,
-    drift_profile,
     integrate_langevin,
     integrate_quadratures,
     stationary_mean_displacement,
@@ -422,32 +421,6 @@ class TestLockedPhaseModel:
         drive = DriveConfig(injection_voltage=1e-3)
         args = (TRAP, [drive], THERMAL, 1.0, None, [9], None, DEFAULT_FREE_RUNNING_AMPLITUDE, 1)
         np.testing.assert_array_equal(_locked_phase_spreads(*args), _locked_phase_spreads(*args))
-
-
-class TestDrift:
-    def test_linear_drift_values(self):
-        at_0, at_250, at_500 = drift_profile(TRAP, np.array([0.0, 250.0, 500.0]), "linear")
-        assert at_0 == TRAP.secular_z
-        assert (at_500 - TRAP.secular_z) / TWO_PI == pytest.approx(10.0, rel=1e-9)
-        assert (at_250 - TRAP.secular_z) / TWO_PI == pytest.approx(5.0, rel=1e-9)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            drift_profile(TRAP, np.array([-1.0]), "linear")
-
-    def test_random_walk_rms_matches_linear_at_reference(self):
-        times = np.linspace(0.0, 500.0, 501)
-        finals = [
-            drift_profile(TRAP, times, model="random_walk", seed=seed)[-1]
-            - TRAP.secular_z
-            for seed in range(400)
-        ]
-        rms = math.sqrt(np.mean(np.square(finals)))
-        assert rms == pytest.approx(TWO_PI * 10.0, rel=0.15)
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
-            drift_profile(TRAP, np.array([0.0, 1.0]), model="cubic")
 
 
 class TestSqueezeCrossRoute:

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phonon_sensor import fitting
 from phonon_sensor.constants import DEFAULT_AXIAL_FREQUENCY, TWO_PI
 from phonon_sensor.fitting import (
     DEFAULT_FROZEN,
+    PARAM_NAMES,
     FitModelParams,
     NoModulationError,
-    amplitude_diagnostic_height,
     chain_init_params,
     derive_alpha_beta,
     fit_histogram,
@@ -23,7 +24,7 @@ from phonon_sensor.fitting import (
     wrap_phase,
 )
 from phonon_sensor.photons import PipelineConfig, TacHistogram, synthesize_histogram
-from phonon_sensor.physics import default_beams, total_scattering_rate
+from phonon_sensor.physics import LaserBeam, default_beams, total_scattering_rate
 
 BEAMS = default_beams()
 OMEGA = DEFAULT_AXIAL_FREQUENCY
@@ -170,14 +171,17 @@ class TestModelCurve:
         assert count_maxima(smeared) == 1
 
     def test_amplitude_diagnostic_monotone(self):
+        # The second peak of the folded curve sits where the ion
+        # counter-propagates fastest (omega t + phase = pi), as the
+        # far-detuned beam nears its Doppler resonance; its height grows
+        # with the amplitude, sharp or smeared.
+        n_fine, phase = 4096, 0.028
+        idx = int((math.pi - phase) / OMEGA % PERIOD / (PERIOD / n_fine)) % n_fine
         for sigma in (0.0, 0.8e-6):
             heights = [
-                amplitude_diagnostic_height(
-                    FitModelParams(a * 1e-6, 0.028, 1.0, 0.0, sigma),
-                    BEAMS,
-                    OMEGA,
-                    PERIOD,
-                )
+                model_profile(
+                    FitModelParams(a * 1e-6, phase, 1.0, 0.0, sigma), BEAMS, OMEGA, PERIOD, n_fine
+                )[idx]
                 for a in (18, 20, 22, 24, 26)
             ]
             assert all(np.diff(heights) > 0)
@@ -232,6 +236,118 @@ class TestInitialGuess:
         # 21 points over [12, 32] um puts 24 um exactly on the grid.
         assert guess.amplitude == pytest.approx(24e-6, abs=1e-9)
         assert abs(wrap_phase(guess.phase)) < 0.05
+
+
+def per_template_guess(hist, beams, amplitude_range=(12e-6, 32e-6), sigma_t=0.0, n_amplitudes=24):
+    """The initial guess with every template built per histogram, as before
+    the template bank; the flat-histogram check is left out."""
+    omega_i = TWO_PI / hist.period
+    counts = hist.counts.astype(float)
+    widths = np.diff(hist.bin_edges)
+    full = widths >= hist.bin_width * (1 - 1e-9)
+    beta_guess = max(0.0, float(np.partition(counts[full], 2)[:3].mean()))
+    signal = counts - beta_guess * widths / hist.bin_width
+    signal -= signal.mean()
+    spectrum = np.fft.rfft(signal)
+    best = None
+    for amp in np.linspace(*amplitude_range, n_amplitudes):
+        template = model_curve(
+            FitModelParams(amp, 0.0, 1.0, 0.0, sigma_t), beams, omega_i, hist.period, hist.bin_width
+        )
+        template = template - template.mean()
+        norm = math.sqrt(float(np.sum(template**2)))
+        if norm == 0:
+            continue
+        corr = np.fft.irfft(spectrum * np.conj(np.fft.rfft(template)), len(signal))
+        shift = int(np.argmax(corr))
+        score = corr[shift] / norm
+        if best is None or score > best[0]:
+            best = (score, amp, shift)
+    _, amp, shift = best
+    phase = wrap_phase(-shift * hist.bin_width * omega_i)
+    rate_template = model_curve(
+        FitModelParams(amp, phase, 1.0, 0.0, sigma_t), beams, omega_i, hist.period, hist.bin_width
+    )
+    denom = float(np.sum(rate_template * widths / hist.bin_width))
+    alpha = max(1e-12, float(np.sum(counts - beta_guess * widths / hist.bin_width)) / denom)
+    return FitModelParams(float(amp), phase, alpha, beta_guess, sigma_t)
+
+
+def clear_caches():
+    fitting._template_bank.cache_clear()
+    fitting._kernel_spectrum.cache_clear()
+
+
+def assert_same_params(got, expected):
+    for name in PARAM_NAMES:
+        assert getattr(got, name) == getattr(expected, name), name
+
+
+# 5375.8 ns / 13 ns leaves a partial last bin.
+CACHE_CASES = [
+    pytest.param(10e-9, 0.0, {}, id="sharp"),
+    pytest.param(10e-9, 0.2e-6, {}, id="jittered"),
+    pytest.param(13e-9, 0.2e-6, {}, id="partial-last-bin"),
+    pytest.param(
+        13e-9, 0.0, {"amplitude_range": (15e-6, 30e-6), "n_amplitudes": 7}, id="custom-grid"
+    ),
+]
+
+
+class TestCaches:
+    @pytest.mark.parametrize("bin_width, sigma_t, grid", CACHE_CASES)
+    def test_initial_guess_matches_per_template_loop(self, bin_width, sigma_t, grid):
+        pipe = PipelineConfig(gate_time=1.0, bin_width=bin_width, timing_jitter=sigma_t)
+        hist = synth(*REF_CASE_B, seed=71, pipe=pipe)
+        expected = per_template_guess(hist, BEAMS, sigma_t=sigma_t, **grid)
+        clear_caches()
+        for _ in range(2):  # cold, then warm
+            assert_same_params(initial_guess(hist, BEAMS, sigma_t=sigma_t, **grid), expected)
+
+    def test_interleaved_keys_match_cold_results(self):
+        red, _ = BEAMS
+        other_beams = (red, LaserBeam(TWO_PI * 40e6, 0.4))
+        cases = []
+        for bin_width in (10e-9, 13e-9):
+            hist = synth(*REF_CASE_A, seed=72, pipe=PipelineConfig(gate_time=1.0, bin_width=bin_width))
+            for beams in (BEAMS, other_beams):
+                for sigma_t in (0.0, 0.2e-6, 0.3e-6):
+                    cases.append((hist, beams, sigma_t))
+        clear_caches()
+        warm = [initial_guess(h, b, sigma_t=s) for _ in range(2) for h, b, s in cases]
+        for k, (hist, beams, sigma_t) in enumerate(cases):
+            clear_caches()
+            cold = initial_guess(hist, beams, sigma_t=sigma_t)
+            assert_same_params(cold, per_template_guess(hist, beams, sigma_t=sigma_t))
+            assert_same_params(warm[k], cold)
+            assert_same_params(warm[k + len(cases)], cold)
+
+    def test_cached_arrays_are_read_only(self):
+        bank = fitting._template_bank(BEAMS, OMEGA, PERIOD, 10e-9, 0.2e-6, (12e-6, 32e-6), 24)
+        _, _, template_conj = bank[0]
+        with pytest.raises(ValueError):
+            template_conj[0] = 0.0
+        spectrum = fitting._kernel_spectrum(PERIOD, 4304, 0.2e-6)
+        with pytest.raises(ValueError):
+            spectrum[0] = 0.0
+
+    @pytest.mark.parametrize("sigma_t", [0.2e-6, 0.8e-6])
+    def test_jittered_profile_matches_inline_kernel_fft(self, sigma_t):
+        params = FitModelParams(*REF_CASE_A, 1.0, 0.0, sigma_t)
+        n_fine = 4304
+        h = PERIOD / n_fine
+        centers = (np.arange(n_fine) + 0.5) * h
+        rate = total_scattering_rate(BEAMS, params.amplitude, params.phase, OMEGA, centers)
+        offsets = np.arange(n_fine) * h
+        offsets = np.where(offsets > PERIOD / 2, offsets - PERIOD, offsets)
+        kernel = np.exp(-0.5 * (offsets / sigma_t) ** 2)
+        kernel /= kernel.sum()
+        expected = np.real(np.fft.ifft(np.fft.fft(rate) * np.fft.fft(kernel)))
+        clear_caches()
+        for _ in range(2):  # cold, then warm
+            np.testing.assert_array_equal(
+                model_profile(params, BEAMS, OMEGA, PERIOD, n_fine), expected
+            )
 
 
 class TestFit:
