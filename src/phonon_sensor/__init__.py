@@ -31,8 +31,6 @@ from .fitting import (
     model_curve,
 )
 from .photons import (
-    DetectionConfig,
-    PhotonStream,
     PipelineConfig,
     TacHistogram,
     detect,

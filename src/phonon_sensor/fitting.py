@@ -26,7 +26,7 @@ from scipy.optimize import least_squares
 
 from .constants import TWO_PI
 from .fileio import optional, read_header_file, write_header_file
-from .photons import TacHistogram
+from .photons import TacHistogram, bin_edges
 from .physics import total_scattering_rate
 
 PARAM_NAMES = ("amplitude", "phase", "alpha", "beta", "sigma_t")
@@ -138,11 +138,8 @@ def model_curve(
     A trailing partial bin receives proportionally fewer counts; both the
     rate term and the flat offset scale with the actual bin width.
     """
-    from .photons import expected_bin_count
-
-    n_bins = expected_bin_count(period, bin_width)
-    edges = np.minimum(np.arange(n_bins + 1) * bin_width, period)
-    n_fine = fine_factor * n_bins
+    edges = bin_edges(period, bin_width)
+    n_fine = fine_factor * (len(edges) - 1)
     profile = model_profile(params, beams, omega_i, period, n_fine)
     integrals = _bin_integrals(profile, period, edges)
     widths = np.diff(edges)
@@ -283,7 +280,6 @@ def fit_histogram(
     init: FitModelParams | None = None,
     frozen: tuple[str, ...] = DEFAULT_FROZEN,
     omega_i: float | None = None,
-    weighted: bool = True,
     max_evaluations: int = 500,
 ) -> FitResult:
     """Weighted nonlinear least squares on a TAC histogram.
@@ -312,7 +308,7 @@ def fit_histogram(
     if not free:
         raise ValueError("at least one parameter must be free")
 
-    weights = 1.0 / np.sqrt(np.maximum(counts, 1.0)) if weighted else np.ones_like(counts)
+    weights = 1.0 / np.sqrt(np.maximum(counts, 1.0))
 
     lower = {"amplitude": 0.0, "phase": -2 * math.pi, "alpha": 0.0, "beta": 0.0, "sigma_t": 0.0}
     upper = {

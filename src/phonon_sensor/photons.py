@@ -1,9 +1,11 @@
-"""Monte Carlo photon stream generation and TAC histogram folding.
+"""Monte Carlo photon arrival times and TAC histogram folding.
 
-Arrival times are drawn from the modulated scattering rate by thinning an
-inhomogeneous Poisson process, thinned again by the detection efficiency,
-mixed with uniform background set by the signal-to-background ratio, and
-folded modulo the oscillation period into fixed-width TAC bins.
+Arrival times are drawn from the detected scattering rate (the emitted rate
+times the detection efficiency, applied once) by thinning an inhomogeneous
+Poisson process, mixed with uniform background set by the
+signal-to-background ratio, optionally jittered, and folded modulo the
+oscillation period into fixed-width TAC bins.  Every stage passes a plain
+float array of arrival times.
 
 The emitted rate is the two-beam scattering rate exactly as the rate
 formula states it; the detected photon budget of the shipped defaults then
@@ -20,54 +22,6 @@ import numpy as np
 
 from .constants import TWO_PI
 from .fileio import optional, read_header_file, write_header_file
-
-
-@dataclass(frozen=True)
-class DetectionConfig:
-    """Detection efficiency, signal-to-background ratio and RNG seed."""
-
-    efficiency: float = 0.0028
-    snr: float = 2.0  # signal rate / background rate; inf disables background
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
-        if not self.snr > 0:
-            raise ValueError(f"snr must be > 0, got {self.snr}")
-
-
-@dataclass
-class PhotonStream:
-    """Sorted arrival times within the gate, tagged signal/background."""
-
-    arrival_times: np.ndarray
-    is_signal: np.ndarray
-    gate_time: float
-
-    def __post_init__(self):
-        self.arrival_times = np.asarray(self.arrival_times, dtype=float)
-        self.is_signal = np.asarray(self.is_signal, dtype=bool)
-        if self.arrival_times.shape != self.is_signal.shape:
-            raise ValueError("arrival_times and is_signal must match")
-        if self.gate_time <= 0:
-            raise ValueError("gate_time must be > 0")
-        if self.arrival_times.size:
-            if np.any(np.diff(self.arrival_times) < 0):
-                raise ValueError("arrival_times must be sorted ascending")
-            if self.arrival_times[0] < 0 or self.arrival_times[-1] > self.gate_time:
-                raise ValueError("arrival times must lie within [0, gate_time]")
-
-    def __len__(self):
-        return len(self.arrival_times)
-
-    @property
-    def n_signal(self) -> int:
-        return int(np.count_nonzero(self.is_signal))
-
-    @property
-    def n_background(self) -> int:
-        return len(self) - self.n_signal
 
 
 @dataclass
@@ -111,42 +65,36 @@ class TacHistogram:
 
     @property
     def bin_edges(self) -> np.ndarray:
-        edges = np.arange(self.n_bins + 1) * self.bin_width
-        return np.minimum(edges, self.period)
+        return bin_edges(self.period, self.bin_width)
 
 
 def expected_bin_count(period: float, bin_width: float) -> int:
     return int(math.ceil(period / bin_width - 1e-9))
 
 
+def bin_edges(period: float, bin_width: float) -> np.ndarray:
+    """TAC bin edges over one period; the last bin may be partial."""
+    edges = np.arange(expected_bin_count(period, bin_width) + 1) * bin_width
+    return np.minimum(edges, period)
+
+
 def sample_arrivals(
-    rate_fn,
-    gate_time: float,
-    seed: int | None = None,
-    rate_max: float | None = None,
-) -> PhotonStream:
-    """Draw an inhomogeneous Poisson arrival stream by thinning.
+    rate_fn, gate_time: float, rate_max: float, seed: int | None = None
+) -> np.ndarray:
+    """Sorted arrival times of an inhomogeneous Poisson process, by thinning.
 
     ``rate_fn`` maps time (array) to a rate in photons/s and must be bounded
-    by ``rate_max``; when the bound is not supplied it is probed on a dense
-    grid with a safety margin.  Candidates are proposed uniformly at the
-    bound rate and accepted with probability rate/bound.
+    by ``rate_max``.  Candidates are proposed uniformly at the bound rate
+    and accepted with probability rate/bound.
     """
     if gate_time <= 0:
         raise ValueError("gate_time must be > 0")
-    rng = np.random.default_rng(seed)
-
-    if rate_max is None:
-        probe = rate_fn(np.linspace(0.0, gate_time, 8192))
-        if np.any(probe < 0):
-            raise ValueError("rate_fn returned a negative rate")
-        rate_max = 1.2 * float(np.max(probe)) + 1e-300
     if not np.isfinite(rate_max) or rate_max < 0:
         raise ValueError(f"rate bound must be finite and >= 0, got {rate_max}")
-
     if rate_max == 0.0:
-        return PhotonStream(np.empty(0), np.empty(0, dtype=bool), gate_time)
+        return np.empty(0)
 
+    rng = np.random.default_rng(seed)
     n_candidates = rng.poisson(rate_max * gate_time)
     t_cand = rng.uniform(0.0, gate_time, n_candidates)
     rates = np.asarray(rate_fn(t_cand))
@@ -154,74 +102,44 @@ def sample_arrivals(
         raise ValueError("rate_fn returned a negative rate")
     if np.any(rates > rate_max * (1 + 1e-9)):
         raise ValueError("rate_fn exceeds the supplied bound; thinning is biased")
-    accepted = np.sort(t_cand[rng.uniform(0.0, rate_max, n_candidates) < rates])
-    return PhotonStream(accepted, np.ones(accepted.size, dtype=bool), gate_time)
+    return np.sort(t_cand[rng.uniform(0.0, rate_max, n_candidates) < rates])
 
 
-def detect(stream: PhotonStream, det: DetectionConfig) -> PhotonStream:
-    """Thin the stream by the detection efficiency and add background.
+def detect(
+    signal: np.ndarray, snr: float, gate_time: float, seed: int | None = None
+) -> np.ndarray:
+    """Add uniform background at the signal count over the SNR, and sort.
 
-    Each photon survives independently with probability ``efficiency``;
-    uniform background arrivals are added at the detected-signal rate
-    divided by the SNR (an infinite SNR disables the background).
+    An infinite SNR adds no background.
     """
-    rng = np.random.default_rng(det.rng_seed)
-    keep = (
-        rng.uniform(0.0, 1.0, len(stream)) < det.efficiency
-        if det.efficiency < 1.0
-        else np.ones(len(stream), dtype=bool)
-    )
-    t_signal = stream.arrival_times[keep]
-
-    if math.isinf(det.snr):
-        n_background = 0
-    else:
-        n_background = rng.poisson(t_signal.size / det.snr)
-    t_background = rng.uniform(0.0, stream.gate_time, n_background)
-
-    times = np.concatenate([t_signal, t_background])
-    labels = np.concatenate(
-        [np.ones(t_signal.size, dtype=bool), np.zeros(n_background, dtype=bool)]
-    )
-    order = np.argsort(times, kind="stable")
-    return PhotonStream(times[order], labels[order], stream.gate_time)
-
-
-def apply_time_jitter(stream: PhotonStream, sigma: float, seed: int | None = None) -> PhotonStream:
-    """Gaussian timing jitter of the stop reference, wrapped into the gate.
-
-    Models the time dispersion of the arrival-time electronics; a folded
-    histogram of the jittered stream matches the circular Gaussian
-    convolution of the unjittered one.
-    """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if sigma == 0 or len(stream) == 0:
-        return stream
     rng = np.random.default_rng(seed)
-    times = np.mod(
-        stream.arrival_times + rng.normal(0.0, sigma, len(stream)), stream.gate_time
-    )
-    order = np.argsort(times, kind="stable")
-    return PhotonStream(times[order], stream.is_signal[order], stream.gate_time)
+    background = rng.uniform(0.0, gate_time, rng.poisson(len(signal) / snr))
+    return np.sort(np.concatenate([signal, background]))
 
 
-def tac_fold(stream: PhotonStream, period: float, bin_width: float) -> TacHistogram:
+def apply_time_jitter(times: np.ndarray, sigma: float, seed: int | None = None) -> np.ndarray:
+    """Gaussian timing jitter of the stop reference.
+
+    Models the time dispersion of the arrival-time electronics.  The times
+    are not wrapped or re-sorted: folding modulo the period makes the
+    jittered histogram the circular Gaussian convolution of the unjittered
+    one.
+    """
+    rng = np.random.default_rng(seed)
+    return times + rng.normal(0.0, sigma, len(times))
+
+
+def tac_fold(
+    times: np.ndarray, period: float, bin_width: float, gate_time: float
+) -> TacHistogram:
     """Fold arrivals modulo the period into TAC bins of the given width."""
     if period <= 0:
         raise ValueError("period must be > 0")
     if not 0 < bin_width <= period:
         raise ValueError("need 0 < bin_width <= period")
     n_bins = expected_bin_count(period, bin_width)
-    folded = np.mod(stream.arrival_times, period)
-    idx = np.minimum((folded / bin_width).astype(np.int64), n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins)
-    return TacHistogram(
-        bin_width=bin_width,
-        period=period,
-        counts=counts,
-        gate_time=stream.gate_time,
-    )
+    idx = np.minimum((np.mod(times, period) / bin_width).astype(np.int64), n_bins - 1)
+    return TacHistogram(bin_width, period, np.bincount(idx, minlength=n_bins), gate_time)
 
 
 @dataclass(frozen=True)
@@ -229,7 +147,7 @@ class PipelineConfig:
     """End-to-end photon pipeline settings."""
 
     efficiency: float = 0.0028
-    snr: float = 2.0
+    snr: float = 2.0  # signal rate / background rate; inf disables background
     bin_width: float = 10e-9  # s
     gate_time: float = 10.0  # s
     timing_jitter: float = 0.0  # s, Gaussian sigma of the stop reference
@@ -241,7 +159,10 @@ class PipelineConfig:
             raise ValueError("gate_time must be > 0")
         if self.timing_jitter < 0:
             raise ValueError("timing_jitter must be >= 0")
-        DetectionConfig(efficiency=self.efficiency, snr=self.snr)
+        if not 0.0 < self.efficiency <= 1.0:
+            raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
+        if not self.snr > 0:
+            raise ValueError(f"snr must be > 0, got {self.snr}")
 
 
 def synthesize_histogram(
@@ -264,20 +185,17 @@ def synthesize_histogram(
     beams = tuple(beams)
     rng_seed = np.random.SeedSequence(seed).generate_state(3)
     eta = pipeline.efficiency
+    gate = pipeline.gate_time
 
     def detected_rate(t):
         return eta * total_scattering_rate(beams, amplitude, phase, omega_i, t)
 
     bound = eta * total_scattering_rate_max(beams, amplitude, omega_i)
-    stream = sample_arrivals(
-        detected_rate, pipeline.gate_time, seed=int(rng_seed[0]), rate_max=bound
-    )
-    stream = detect(
-        stream,
-        DetectionConfig(efficiency=1.0, snr=pipeline.snr, rng_seed=int(rng_seed[1])),
-    )
-    stream = apply_time_jitter(stream, pipeline.timing_jitter, seed=int(rng_seed[2]))
-    hist = tac_fold(stream, TWO_PI / omega_i, pipeline.bin_width)
+    times = sample_arrivals(detected_rate, gate, rate_max=bound, seed=int(rng_seed[0]))
+    times = detect(times, pipeline.snr, gate, seed=int(rng_seed[1]))
+    if pipeline.timing_jitter > 0:
+        times = apply_time_jitter(times, pipeline.timing_jitter, seed=int(rng_seed[2]))
+    hist = tac_fold(times, TWO_PI / omega_i, pipeline.bin_width, gate)
     hist.seed = seed
     hist.config_hash = config_hash
     return hist

@@ -48,6 +48,7 @@ from phonon_sensor.physics import (
     squeeze_variance_ratio,
     static_force,
     total_scattering_rate,
+    total_scattering_rate_max,
 )
 
 CONFIG = default_config()
@@ -306,7 +307,10 @@ def test_criterion_09_lower_bound_protocol():
 
 def test_criterion_10_photon_budget():
     emitted = sample_arrivals(
-        lambda t: total_scattering_rate(BEAMS, 22e-6, 0.0, OMEGA, t), 10.0, seed=100
+        lambda t: total_scattering_rate(BEAMS, 22e-6, 0.0, OMEGA, t),
+        10.0,
+        rate_max=total_scattering_rate_max(BEAMS, 22e-6, OMEGA),
+        seed=100,
     )
     emit_ok = abs(len(emitted) - EMITTED_ORACLE_22UM_10S) < 3 * math.sqrt(
         EMITTED_ORACLE_22UM_10S

@@ -489,12 +489,6 @@ class TestFit:
         result = fit_histogram(hist, BEAMS, init=init, max_evaluations=2)
         assert not result.converged
 
-    def test_unweighted_mode_available(self):
-        hist = synth(*REF_CASE_A, seed=4300)
-        result = fit_with_chain_init(hist, weighted=False)
-        assert result.converged
-        assert result.amplitude == pytest.approx(REF_CASE_A[0], abs=0.2e-6)
-
     def test_wrap_phase_convention(self):
         assert wrap_phase(math.pi) == pytest.approx(math.pi)
         assert wrap_phase(-math.pi) == pytest.approx(math.pi)
