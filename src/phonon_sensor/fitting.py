@@ -12,7 +12,10 @@ closed-form detection-chain values and stay frozen.
 
 What depends only on the binning, never on the counts, is built once per
 binning and reused read-only: the initial guess's zero-phase template bank
-and the spectrum of the Gaussian dispersion kernel.
+and the spectrum of the Gaussian dispersion kernel.  The circular smear is
+one real linear convolution of a fast (5-smooth) FFT length, folded back
+onto the period, so a profile grid with a large prime factor never takes
+the slow prime-length FFT path.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 from scipy.optimize import least_squares
 
 from .constants import TWO_PI
@@ -90,7 +94,9 @@ def model_profile(
 
     The Gaussian kernel is sampled on the same grid, normalized to unit sum
     and applied by circular convolution, so the profile is covariant under
-    grid-commensurate time translations.
+    grid-commensurate time translations.  The circular convolution is
+    computed as the linear one on a fast FFT length of at least 2 n_fine,
+    with its upper half folded back onto the period.
     """
     if params.sigma_t > period / 2:
         raise ValueError("sigma_t wider than half the period")
@@ -98,22 +104,29 @@ def model_profile(
     centers = (np.arange(n_fine) + 0.5) * h
     rate = total_scattering_rate(beams, params.amplitude, params.phase, omega_i, centers)
     if params.sigma_t > h / 2:
-        kernel_spectrum = _kernel_spectrum(period, n_fine, params.sigma_t)
-        rate = np.real(np.fft.ifft(np.fft.fft(rate) * kernel_spectrum))
+        n_fft, kernel_spectrum = _kernel_spectrum(period, n_fine, params.sigma_t)
+        linear = scipy.fft.irfft(scipy.fft.rfft(rate, n_fft) * kernel_spectrum, n_fft)
+        rate = linear[:n_fine] + linear[n_fine : 2 * n_fine]
     return rate
 
 
 @lru_cache(maxsize=8)
-def _kernel_spectrum(period: float, n_fine: int, sigma_t: float) -> np.ndarray:
-    """Read-only FFT of the unit-sum Gaussian kernel on the profile grid."""
+def _kernel_spectrum(period: float, n_fine: int, sigma_t: float) -> tuple[int, np.ndarray]:
+    """Fast FFT length and read-only real spectrum of the smearing kernel.
+
+    The kernel is the unit-sum Gaussian on the profile grid with offsets
+    wrapped to (-period/2, period/2], zero-padded to ``n_fft``, the
+    smallest 5-smooth length of at least 2 n_fine.
+    """
     h = period / n_fine
     offsets = np.arange(n_fine) * h
     offsets = np.where(offsets > period / 2, offsets - period, offsets)
     kernel = np.exp(-0.5 * (offsets / sigma_t) ** 2)
     kernel /= kernel.sum()
-    spectrum = np.fft.fft(kernel)
+    n_fft = scipy.fft.next_fast_len(2 * n_fine, real=True)
+    spectrum = scipy.fft.rfft(kernel, n_fft)
     spectrum.flags.writeable = False
-    return spectrum
+    return n_fft, spectrum
 
 
 def _bin_integrals(profile: np.ndarray, period: float, edges: np.ndarray) -> np.ndarray:

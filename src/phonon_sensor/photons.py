@@ -188,7 +188,9 @@ def synthesize_histogram(
     gate = pipeline.gate_time
 
     def detected_rate(t):
-        return eta * total_scattering_rate(beams, amplitude, phase, omega_i, t)
+        rate = total_scattering_rate(beams, amplitude, phase, omega_i, t)
+        rate *= eta
+        return rate
 
     bound = eta * total_scattering_rate_max(beams, amplitude, omega_i)
     times = sample_arrivals(detected_rate, gate, rate_max=bound, seed=int(rng_seed[0]))

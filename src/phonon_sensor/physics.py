@@ -201,6 +201,11 @@ def collection_efficiency(chain: EfficiencyChain, measured: float | None = None)
     return eta
 
 
+def _require_frequency(omega_i):
+    if not (math.isfinite(omega_i) and omega_i > 0):
+        raise ValueError(f"omega_i must be > 0 and finite, got {omega_i!r}")
+
+
 def scattering_rate(beam: LaserBeam, amplitude, phase, omega_i, t):
     """Instantaneous scattering rate of one beam off the oscillating ion.
 
@@ -209,22 +214,12 @@ def scattering_rate(beam: LaserBeam, amplitude, phase, omega_i, t):
     ``t`` may be a scalar or array; the result is periodic in t with period
     2 pi / omega_i.
     """
-    amplitude = float(amplitude)
-    if amplitude < 0:
-        raise ValueError(f"amplitude must be >= 0, got {amplitude}")
-    _require_finite("amplitude", amplitude)
-    _require_finite("phase", phase)
-    _require_finite("t", t)
-    if omega_i <= 0:
-        raise ValueError("omega_i must be > 0")
-    s, gamma = beam.saturation, beam.linewidth
-    doppler = beam.wave_number * omega_i * amplitude * np.cos(omega_i * np.asarray(t) + phase)
-    detuning_ratio = (beam.detuning - doppler) / gamma
-    return (gamma * s / (4.0 * math.pi)) / (1.0 + s + 4.0 * detuning_ratio**2)
+    return total_scattering_rate((beam,), amplitude, phase, omega_i, t)
 
 
 def scattering_rate_max(beam: LaserBeam, amplitude: float, omega_i: float) -> float:
     """Exact upper bound of scattering_rate over a period (analytic)."""
+    _require_frequency(omega_i)
     s, gamma = beam.saturation, beam.linewidth
     swing = beam.wave_number * omega_i * amplitude
     nearest = np.clip(beam.detuning / swing, -1.0, 1.0) if swing > 0 else 0.0
@@ -233,14 +228,39 @@ def scattering_rate_max(beam: LaserBeam, amplitude: float, omega_i: float) -> fl
 
 
 def total_scattering_rate(beams, amplitude, phase, omega_i, t):
-    """Sum of per-beam scattering rates."""
+    """Sum of per-beam scattering rates (see ``scattering_rate``).
+
+    The inputs are checked and the Doppler cosine is formed once for all
+    beams; each beam's Lorentzian is then evaluated in place.  A scalar
+    ``t`` gives a scalar.
+    """
     beams = tuple(beams)
     if not beams:
         raise ValueError("need at least one beam")
-    total = scattering_rate(beams[0], amplitude, phase, omega_i, t)
-    for beam in beams[1:]:
-        total = total + scattering_rate(beam, amplitude, phase, omega_i, t)
-    return total
+    amplitude = float(amplitude)
+    if amplitude < 0:
+        raise ValueError(f"amplitude must be >= 0, got {amplitude}")
+    _require_finite("amplitude", amplitude)
+    _require_finite("phase", phase)
+    _require_finite("t", t)
+    _require_frequency(omega_i)
+    t = np.asarray(t)
+    cosine = np.multiply(t, omega_i, out=np.empty(t.shape))
+    cosine += phase
+    np.cos(cosine, out=cosine)
+    total = np.zeros(t.shape)
+    rate = np.empty(t.shape)
+    for beam in beams:
+        s, gamma = beam.saturation, beam.linewidth
+        np.multiply(cosine, beam.wave_number * omega_i * amplitude, out=rate)
+        np.subtract(beam.detuning, rate, out=rate)
+        rate /= gamma
+        np.square(rate, out=rate)
+        rate *= 4.0
+        rate += 1.0 + s
+        np.divide(gamma * s / (4.0 * math.pi), rate, out=rate)
+        total += rate
+    return total if total.ndim else total[()]
 
 
 def total_scattering_rate_max(beams, amplitude: float, omega_i: float) -> float:

@@ -111,6 +111,35 @@ class TestModelCurve:
             rolled = model_profile(shifted, BEAMS, OMEGA, PERIOD, n_fine)
             np.testing.assert_allclose(rolled, np.roll(profile, -k), rtol=1e-12)
 
+    @pytest.mark.parametrize("n_fine", [97, 538, 4304])
+    @pytest.mark.parametrize("sigma_t", [0.05e-6, 0.8e-6, PERIOD / 2])
+    def test_smear_matches_direct_circular_convolution(self, n_fine, sigma_t):
+        # O(n^2) oracle: profile[j] = sum_k kernel[k] * rate[(j - k) mod n],
+        # with the unit-sum kernel on wrapped grid offsets.  97 is prime;
+        # at sigma_t = period / 2 the kernel wraps round the whole period.
+        params = FitModelParams(*REF_CASE_A, 1.0, 0.0, sigma_t)
+        h = PERIOD / n_fine
+        centers = (np.arange(n_fine) + 0.5) * h
+        rate = total_scattering_rate(BEAMS, *REF_CASE_A, OMEGA, centers)
+        offsets = np.arange(n_fine) * h
+        offsets = np.where(offsets > PERIOD / 2, offsets - PERIOD, offsets)
+        kernel = np.exp(-0.5 * (offsets / sigma_t) ** 2)
+        kernel /= kernel.sum()
+        expected = np.zeros(n_fine)
+        for k in range(n_fine):
+            expected += kernel[k] * np.roll(rate, k)
+        profile = model_profile(params, BEAMS, OMEGA, PERIOD, n_fine)
+        np.testing.assert_allclose(profile, expected, rtol=0, atol=1e-12 * expected.max())
+
+        n_fft, spectrum = fitting._kernel_spectrum(PERIOD, n_fine, sigma_t)
+        assert n_fft >= 2 * n_fine
+        assert len(spectrum) == n_fft // 2 + 1
+        smooth = n_fft
+        for prime in (2, 3, 5):
+            while smooth % prime == 0:
+                smooth //= prime
+        assert smooth == 1
+
     @pytest.mark.parametrize("sigma_t", [0.0, 0.8e-6])
     @settings(max_examples=20, deadline=None)
     @given(
@@ -327,7 +356,7 @@ class TestCaches:
         _, _, template_conj = bank[0]
         with pytest.raises(ValueError):
             template_conj[0] = 0.0
-        spectrum = fitting._kernel_spectrum(PERIOD, 4304, 0.2e-6)
+        _, spectrum = fitting._kernel_spectrum(PERIOD, 4304, 0.2e-6)
         with pytest.raises(ValueError):
             spectrum[0] = 0.0
 
@@ -345,8 +374,11 @@ class TestCaches:
         expected = np.real(np.fft.ifft(np.fft.fft(rate) * np.fft.fft(kernel)))
         clear_caches()
         for _ in range(2):  # cold, then warm
-            np.testing.assert_array_equal(
-                model_profile(params, BEAMS, OMEGA, PERIOD, n_fine), expected
+            np.testing.assert_allclose(
+                model_profile(params, BEAMS, OMEGA, PERIOD, n_fine),
+                expected,
+                rtol=0,
+                atol=1e-12 * expected.max(),
             )
 
 

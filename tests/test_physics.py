@@ -23,6 +23,7 @@ from phonon_sensor.physics import (
     static_force,
     total_damping_coefficient,
     total_scattering_rate,
+    total_scattering_rate_max,
 )
 
 RED, BLUE = default_beams()
@@ -135,12 +136,21 @@ class TestScatteringRate:
             assert np.min(np.abs(peak_times - expected)) < 0.01 * PERIOD
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            scattering_rate(RED, -1e-6, 0.0, OMEGA, 0.0)
-        with pytest.raises(ValueError):
-            scattering_rate(RED, np.nan, 0.0, OMEGA, 0.0)
-        with pytest.raises(ValueError):
-            scattering_rate(RED, 1e-6, 0.0, OMEGA, np.inf)
+        t = np.zeros(2)
+        cases = [
+            ((RED, -1e-6, 0.0, OMEGA, 0.0), "amplitude must be >= 0"),
+            ((RED, np.nan, 0.0, OMEGA, 0.0), "amplitude must be finite"),
+            ((RED, 1e-6, np.inf, OMEGA, t), "phase must be finite"),
+            ((RED, 1e-6, 0.0, OMEGA, np.inf), "t must be finite"),
+            ((RED, 1e-6, 0.0, OMEGA, np.array([0.0, np.nan])), "t must be finite"),
+            ((RED, 1e-6, 0.0, 0.0, t), "omega_i must be > 0"),
+            ((RED, 1e-6, 0.0, -OMEGA, t), "omega_i must be > 0"),
+        ]
+        for (beam, *args), message in cases:
+            with pytest.raises(ValueError, match=message):
+                scattering_rate(beam, *args)
+            with pytest.raises(ValueError, match=message):
+                total_scattering_rate((beam, BLUE), *args)
 
     def test_singleton_and_doubled_sum(self):
         t = np.linspace(0, PERIOD, 64)
@@ -151,6 +161,44 @@ class TestScatteringRate:
         np.testing.assert_allclose(
             total_scattering_rate([RED, RED], 22e-6, 0.1, OMEGA, t), 2 * one, rtol=0
         )
+
+    @staticmethod
+    def per_beam_sum(beams, amplitude, phase, omega_i, t):
+        # The rate formula evaluated beam by beam, summed left to right.
+        total = None
+        for beam in beams:
+            s, gamma = beam.saturation, beam.linewidth
+            swing = beam.wave_number * omega_i * amplitude
+            doppler = swing * np.cos(omega_i * np.asarray(t) + phase)
+            ratio = (beam.detuning - doppler) / gamma
+            rate = (gamma * s / (4.0 * math.pi)) / (1.0 + s + 4.0 * ratio**2)
+            total = rate if total is None else total + rate
+        return total
+
+    @pytest.mark.parametrize("n_beams", [1, 2, 3])
+    def test_total_rate_equals_per_beam_sum_bitwise(self, n_beams):
+        beams = (RED, BLUE, LaserBeam(detuning=TWO_PI * 5e6, saturation=1.3))[:n_beams]
+        t = np.random.default_rng(n_beams).uniform(0.0, 10.0, 4096)
+        for times in (t, t.reshape(64, 64)):
+            before = times.copy()
+            got = total_scattering_rate(beams, 22e-6, 0.37, OMEGA, times)
+            assert got.shape == times.shape
+            np.testing.assert_array_equal(got, self.per_beam_sum(beams, 22e-6, 0.37, OMEGA, times))
+            np.testing.assert_array_equal(times, before)
+        scalar = total_scattering_rate(beams, 22e-6, 0.37, OMEGA, 1.3e-6)
+        assert np.ndim(scalar) == 0 and not isinstance(scalar, np.ndarray)
+        assert scalar == self.per_beam_sum(beams, 22e-6, 0.37, OMEGA, 1.3e-6)
+
+    @pytest.mark.parametrize("omega_i", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frequency_rejected(self, omega_i):
+        # NaN fails "omega_i <= 0" as well as "omega_i > 0"; it must raise,
+        # not return NaN rates.
+        with pytest.raises(ValueError, match="omega_i must be > 0"):
+            total_scattering_rate((RED, BLUE), 2e-5, 0.0, omega_i, np.zeros(2))
+        with pytest.raises(ValueError, match="omega_i must be > 0"):
+            scattering_rate(RED, 2e-5, 0.0, omega_i, 0.0)
+        with pytest.raises(ValueError, match="omega_i must be > 0"):
+            total_scattering_rate_max((RED, BLUE), 2e-5, omega_i)
 
     def test_empty_beam_list_rejected(self):
         with pytest.raises(ValueError):
