@@ -1,4 +1,5 @@
-"""Least-squares recovery of oscillation amplitude and phase from a TAC histogram.
+"""Poisson maximum-likelihood recovery of oscillation amplitude and phase
+from a TAC histogram.
 
 The model is the two-beam scattering rate, circularly convolved with a
 Gaussian time-dispersion kernel over the folding period, integrated into
@@ -6,6 +7,7 @@ the TAC bins, scaled and offset:
 
     counts(bin) = alpha * <smeared rate over bin> + beta * width_fraction
 
+The fit minimises the Poisson deviance of the counts against this model.
 Amplitude and phase are the physical parameters; alpha, beta and the
 dispersion width sigma_t are nuisance parameters that default to the
 closed-form detection-chain values and stay frozen.
@@ -65,7 +67,7 @@ class FitModelParams:
 class FitResult:
     params: FitModelParams
     errors: dict[str, float]
-    residual: float  # weighted residual sum of squares
+    residual: float  # Poisson deviance 2 sum(m - n + n ln(n/m)) at the fit
     converged: bool
     iterations: int
     frozen: tuple[str, ...]
@@ -295,12 +297,17 @@ def fit_histogram(
     omega_i: float | None = None,
     max_evaluations: int = 500,
 ) -> FitResult:
-    """Weighted nonlinear least squares on a TAC histogram.
+    """Poisson maximum-likelihood fit of a TAC histogram.
 
-    Poisson weights 1/max(count, 1) stabilize low-count bins; ``frozen``
-    names parameters held at their initial values.  Convergence follows the
-    relative-residual (1e-8) and step-norm (1e-10) thresholds; running out
-    of evaluations flags the result instead of raising.
+    Folded counts are independent Poisson variates per bin, so the fit
+    minimises the Poisson deviance (the Baker-Cousins likelihood
+    chi-square) by least squares on the signed deviance residuals
+    ``sign(n - m) sqrt(2 (m - n + n ln(n/m)))``, with ``n ln(n/m) = 0`` at
+    ``n = 0``; unlike count weights, it does not pull the model toward
+    low-count bins.  ``frozen`` names parameters held at their initial
+    values.  Convergence follows the relative-residual (1e-8) and step-norm
+    (1e-10) thresholds; running out of evaluations flags the result
+    instead of raising.  The result's ``residual`` is the deviance.
     """
     if hist.total_counts == 0:
         raise NoModulationError("empty histogram")
@@ -321,7 +328,8 @@ def fit_histogram(
     if not free:
         raise ValueError("at least one parameter must be free")
 
-    weights = 1.0 / np.sqrt(np.maximum(counts, 1.0))
+    # n ln n, taken as 0 at n = 0.
+    n_log_n = counts * np.log(np.where(counts > 0, counts, 1.0))
 
     lower = {"amplitude": 0.0, "phase": -2 * math.pi, "alpha": 0.0, "beta": 0.0, "sigma_t": 0.0}
     upper = {
@@ -348,7 +356,10 @@ def fit_histogram(
     def residuals(vector):
         params = build(vector)
         curve = model_curve(params, beams, omega_i, hist.period, hist.bin_width)
-        return weights * (counts - curve)
+        # An empty model bin gives a large but finite residual.
+        curve = np.maximum(curve, np.finfo(float).tiny)
+        half_deviance = curve - counts + n_log_n - counts * np.log(curve)
+        return np.copysign(np.sqrt(2.0 * np.maximum(half_deviance, 0.0)), counts - curve)
 
     x0 = [getattr(init, name) for name in free]
     result = least_squares(
@@ -421,6 +432,7 @@ def save_fit_report(result: FitResult, path, config_hash: str | None = None) -> 
         "converged": result.converged,
         "iterations": result.iterations,
         "residual": result.residual,
+        "residual_statistic": "poisson-deviance",
         "frozen": ",".join(result.frozen) or None,
         "config_hash": config_hash or None,
     }

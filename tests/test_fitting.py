@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from phonon_sensor import fitting
 from phonon_sensor.constants import DEFAULT_AXIAL_FREQUENCY, TWO_PI
@@ -528,6 +529,29 @@ class TestFit:
         assert wrap_phase(0.1) == pytest.approx(0.1)
 
 
+class TestDeviance:
+    def test_squared_residuals_sum_to_the_deviance(self):
+        # A 0.2 s gate leaves many bins empty; they enter as n ln(n/m) = 0.
+        pipe = PipelineConfig(gate_time=0.2)
+        hist = synth(*REF_CASE_A, seed=6000, pipe=pipe)
+        counts = hist.counts.astype(float)
+        assert np.count_nonzero(counts == 0) > 50
+        result = fit_with_chain_init(hist, pipe=pipe)
+        assert result.converged
+        assert np.isfinite(result.residual)
+        m = model_curve(result.params, BEAMS, OMEGA, PERIOD, hist.bin_width)
+        deviance = 2 * np.sum(m - counts + special.xlogy(counts, counts / m))
+        assert result.residual == pytest.approx(deviance, rel=1e-9)
+
+    def test_empty_histogram_bins_against_an_empty_model_stay_finite(self):
+        # alpha = beta = 0 makes every model bin empty; the residuals stay
+        # finite, so the fit runs instead of raising on the first step.
+        hist = synth(*REF_CASE_A, seed=6001, pipe=PipelineConfig(gate_time=1.0))
+        init = FitModelParams(*REF_CASE_A, 0.0, 0.0, 0.0)
+        result = fit_histogram(hist, BEAMS, init=init, frozen=("alpha", "sigma_t"))
+        assert np.isfinite(result.residual)
+
+
 class TestFitReport:
     def test_round_trip(self, tmp_path):
         hist = synth(*REF_CASE_A, seed=5000)
@@ -535,6 +559,8 @@ class TestFitReport:
         path = tmp_path / "fit.txt"
         save_fit_report(result, path, config_hash="deadbeef")
         loaded = load_fit_report(path)
+        assert "residual_statistic = poisson-deviance" in path.read_text().splitlines()
+        assert loaded.residual == result.residual
         assert loaded.params == result.params
         assert loaded.errors == result.errors
         assert loaded.converged == result.converged
