@@ -33,7 +33,6 @@ from .fitting import (
 from .photons import (
     PipelineConfig,
     TacHistogram,
-    detect,
     sample_arrivals,
     synthesize_histogram,
     tac_fold,

@@ -92,6 +92,11 @@ class RunConfig:
                 f"bin width {self.pipeline.bin_width:.6g} s exceeds the folding "
                 f"period 2 pi / injection frequency = {period:.6g} s"
             )
+        if self.pipeline.timing_jitter > period / 2:
+            raise ConfigError(
+                f"timing jitter {self.pipeline.timing_jitter:.6g} s exceeds half the "
+                f"folding period, {period / 2:.6g} s"
+            )
 
     @property
     def amplitude_per_force(self) -> float:

@@ -70,6 +70,7 @@ class SensitivityReport:
     repetitions: int
     slope: float  # m/N
     sensitivity: float  # N/sqrt(Hz)
+    dropped: int = 0  # repetitions whose histogram was flat or whose fit did not converge
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,9 @@ def amplitude_sweep(
     regresses the fitted amplitude on voltage and reports the slope, the
     zero-voltage intercept (free-running amplitude) and regression quality.
     Voltages whose trials all fail the lock criterion are excluded with a
-    warning.
+    warning.  Each row counts the fits it kept (``trials``) and the trials
+    it dropped because the histogram was flat or the fit did not converge
+    (``dropped``).
     """
     exp = config.experiment
     voltages = list(exp.amplitude_voltages if voltages is None else voltages)
@@ -209,6 +212,7 @@ def amplitude_sweep(
                     "amplitude_um": float("nan"),
                     "amplitude_err_um": float("nan"),
                     "trials": 0,
+                    "dropped": 0,
                 }
             )
             continue
@@ -225,6 +229,7 @@ def amplitude_sweep(
                 "amplitude_um": mean_amp * 1e6,
                 "amplitude_err_um": float(np.std(fits)) / math.sqrt(len(fits)) * 1e6,
                 "trials": len(fits),
+                "dropped": trials - len(fits),
             }
         )
         kept_v.append(voltage)
@@ -435,7 +440,8 @@ def sensitivity_campaign(
     The scatter of the fitted amplitude over the repetitions gives delta_A;
     the total measurement time is repetitions times the gate time; the
     amplitude-per-force slope comes from the locked-oscillator response.
-    The reference formula evaluation is reported alongside.
+    The reference formula evaluation is reported alongside, and the report
+    counts the repetitions dropped as flat or unconverged.
     """
     exp = config.experiment
     repetitions = exp.repetitions if repetitions is None else repetitions
@@ -459,6 +465,7 @@ def sensitivity_campaign(
         repetitions=repetitions,
         slope=slope,
         sensitivity=sensitivity(delta_a, tau, slope),
+        dropped=repetitions - len(fitted),
     )
     reference = SensitivityReport(
         delta_a=REFERENCE_DELTA_A,
@@ -570,6 +577,7 @@ def run_campaign(kind: str, config: RunConfig, seed: int | None = None):
             "delta_a_nm": report.delta_a * 1e9,
             "tau_s": report.tau,
             "repetitions": report.repetitions,
+            "dropped": report.dropped,
             "slope_nm_per_yn": report.slope * 1e9 * 1e-24,
             "sensitivity_yn_per_sqrt_hz": report.sensitivity * 1e24,
             "reference_sensitivity_yn_per_sqrt_hz": reference.sensitivity * 1e24,

@@ -92,24 +92,31 @@ def wrap_phase(phi: float) -> float:
 def model_profile(
     params: FitModelParams, beams, omega_i: float, period: float, n_fine: int
 ) -> np.ndarray:
-    """Smeared periodic rate profile on n_fine uniform cells over the period.
-
-    The Gaussian kernel is sampled on the same grid, normalized to unit sum
-    and applied by circular convolution, so the profile is covariant under
-    grid-commensurate time translations.  The circular convolution is
-    computed as the linear one on a fast FFT length of at least 2 n_fine,
-    with its upper half folded back onto the period.
-    """
-    if params.sigma_t > period / 2:
-        raise ValueError("sigma_t wider than half the period")
+    """Smeared periodic rate profile on n_fine uniform cells over the period."""
     h = period / n_fine
     centers = (np.arange(n_fine) + 0.5) * h
     rate = total_scattering_rate(beams, params.amplitude, params.phase, omega_i, centers)
-    if params.sigma_t > h / 2:
-        n_fft, kernel_spectrum = _kernel_spectrum(period, n_fine, params.sigma_t)
-        linear = scipy.fft.irfft(scipy.fft.rfft(rate, n_fft) * kernel_spectrum, n_fft)
-        rate = linear[:n_fine] + linear[n_fine : 2 * n_fine]
-    return rate
+    return circular_smear(rate, period, params.sigma_t)
+
+
+def circular_smear(profile: np.ndarray, period: float, sigma_t: float) -> np.ndarray:
+    """Circular Gaussian convolution of a profile on uniform cells over the period.
+
+    The Gaussian kernel is sampled on the same grid, normalized to unit sum
+    and applied by circular convolution, so the profile is covariant under
+    grid-commensurate time translations and keeps its sum.  The circular
+    convolution is computed as the linear one on a fast FFT length of at
+    least twice the grid, with its upper half folded back onto the period.
+    A kernel narrower than half a cell leaves the profile as it is.
+    """
+    if sigma_t > period / 2:
+        raise ValueError("sigma_t wider than half the period")
+    n_fine = len(profile)
+    if sigma_t <= period / n_fine / 2:
+        return profile
+    n_fft, kernel_spectrum = _kernel_spectrum(period, n_fine, sigma_t)
+    linear = scipy.fft.irfft(scipy.fft.rfft(profile, n_fft) * kernel_spectrum, n_fft)
+    return linear[:n_fine] + linear[n_fine : 2 * n_fine]
 
 
 @lru_cache(maxsize=8)
@@ -186,6 +193,11 @@ def _is_flat(counts: np.ndarray) -> bool:
     return chi2 < dof + 8.0 * math.sqrt(2.0 * dof)
 
 
+def _correlation_length(n: int) -> int:
+    """Smallest 5-smooth length that holds a linear correlation of n bins."""
+    return scipy.fft.next_fast_len(2 * n, real=True)
+
+
 @lru_cache(maxsize=8)
 def _template_bank(
     beams: tuple,
@@ -198,8 +210,9 @@ def _template_bank(
 ) -> tuple:
     """Zero-phase, zero-mean templates over the amplitude grid, in grid order.
 
-    Each entry is ``(amplitude, norm, conj(rfft(template)))`` with the
-    spectrum read-only; templates of zero norm are left out.
+    Each entry is ``(amplitude, norm, conj(rfft(template, n_fft)))`` with
+    the spectrum read-only and ``n_fft`` the correlation length of
+    :func:`_correlation_length`; templates of zero norm are left out.
     """
     bank = []
     for amp in np.linspace(*amplitude_range, n_amplitudes):
@@ -210,7 +223,7 @@ def _template_bank(
         norm = math.sqrt(float(np.sum(template**2)))
         if norm == 0:
             continue
-        template_conj = np.conj(np.fft.rfft(template))
+        template_conj = np.conj(scipy.fft.rfft(template, _correlation_length(len(template))))
         template_conj.flags.writeable = False
         bank.append((amp, norm, template_conj))
     return tuple(bank)
@@ -243,7 +256,9 @@ def initial_guess(
     signal = counts - beta_guess * widths / hist.bin_width
     signal -= signal.mean()
 
-    spectrum = np.fft.rfft(signal)
+    n = len(signal)
+    n_fft = _correlation_length(n)
+    spectrum = scipy.fft.rfft(signal, n_fft)
     best = None
     bank = _template_bank(
         tuple(beams),
@@ -255,8 +270,10 @@ def initial_guess(
         n_amplitudes,
     )
     for amp, norm, template_conj in bank:
-        # Circular cross-correlation over all bin shifts at once.
-        corr = np.fft.irfft(spectrum * template_conj, len(signal))
+        # Circular cross-correlation over all bin shifts at once: the
+        # linear one, with its negative lags folded back onto the period.
+        linear = scipy.fft.irfft(spectrum * template_conj, n_fft)
+        corr = linear[:n] + linear[n_fft - n :]
         shift = int(np.argmax(corr))
         score = corr[shift] / norm
         if best is None or score > best[0]:

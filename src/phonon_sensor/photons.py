@@ -1,16 +1,21 @@
-"""Monte Carlo photon arrival times and TAC histogram folding.
+"""Photon-counting TAC histograms drawn from their exact law.
 
-Arrival times are drawn from the detected scattering rate (the emitted rate
-times the detection efficiency, applied once) by thinning an inhomogeneous
-Poisson process, mixed with uniform background set by the
-signal-to-background ratio, optionally jittered, and folded modulo the
-oscillation period into fixed-width TAC bins.  Every stage passes a plain
-float array of arrival times.
+The detected signal is an inhomogeneous Poisson process at the two-beam
+scattering rate times the detection efficiency (applied once).  Folded
+modulo the oscillation period, its counts in the TAC bins are independent
+Poisson variates whose means integrate that rate over the gate, so
+:func:`synthesize_histogram` draws the folded counts directly: the signal
+total, then its split over the bins after the timing jitter's circular
+smear, then uniform background at the signal count over the
+signal-to-background ratio.  No arrival time is drawn.
 
-The emitted rate is the two-beam scattering rate exactly as the rate
-formula states it; the detected photon budget of the shipped defaults then
-reproduces the reference count chain (about 1.25e7 emitted in 10 s at
-22 um amplitude, about 5.3e4 detected at 0.28% efficiency and SNR 2).
+The per-photon path (thinning by :func:`sample_arrivals`, Gaussian
+:func:`apply_time_jitter`, folding by :func:`tac_fold`) is kept as the
+oracle the binned law is checked against.  The emitted rate is the
+two-beam scattering rate exactly as the rate formula states it; the
+detected photon budget of the shipped defaults then reproduces the
+reference count chain (about 1.25e7 emitted in 10 s at 22 um amplitude,
+about 5.3e4 detected at 0.28% efficiency and SNR 2).
 """
 
 from __future__ import annotations
@@ -105,18 +110,6 @@ def sample_arrivals(
     return np.sort(t_cand[rng.uniform(0.0, rate_max, n_candidates) < rates])
 
 
-def detect(
-    signal: np.ndarray, snr: float, gate_time: float, seed: int | None = None
-) -> np.ndarray:
-    """Add uniform background at the signal count over the SNR, and sort.
-
-    An infinite SNR adds no background.
-    """
-    rng = np.random.default_rng(seed)
-    background = rng.uniform(0.0, gate_time, rng.poisson(len(signal) / snr))
-    return np.sort(np.concatenate([signal, background]))
-
-
 def apply_time_jitter(times: np.ndarray, sigma: float, seed: int | None = None) -> np.ndarray:
     """Gaussian timing jitter of the stop reference.
 
@@ -165,6 +158,42 @@ class PipelineConfig:
             raise ValueError(f"snr must be > 0, got {self.snr}")
 
 
+# Profile cells per TAC bin of the sampler's law: finer than the fit's
+# model grid, so simulated data never come from the fitted model itself.
+SAMPLER_FINE_FACTOR = 32
+
+
+def folded_law(
+    beams, amplitude: float, phase: float, omega_i: float, pipeline: PipelineConfig
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Parameters of one gate's folded counts: the mean signal total, the
+    mean signal count per TAC bin, and the time per bin the gate folds in.
+
+    The gate holds ``floor(gate/T)`` full periods plus the partial period
+    ``[0, gate mod T)``; each profile cell weighs the full periods plus its
+    share of the partial one.  The total is that of the unsmeared rate; the
+    bin means are those after the timing jitter, whose circular smear moves
+    counts between bins and keeps their sum up to rounding.
+    """
+    from .fitting import FitModelParams, _bin_integrals, circular_smear, model_profile
+
+    period = TWO_PI / omega_i
+    edges = bin_edges(period, pipeline.bin_width)
+    widths = np.diff(edges)
+    n_periods, rest = divmod(pipeline.gate_time, period)
+    gate_share = n_periods * widths + np.clip(rest - edges[:-1], 0.0, widths)
+
+    n_fine = SAMPLER_FINE_FACTOR * len(widths)
+    h = period / n_fine
+    weight = n_periods + np.clip(rest / h - np.arange(n_fine), 0.0, 1.0)
+    rate = model_profile(
+        FitModelParams(amplitude, phase, 1.0, 0.0, 0.0), beams, omega_i, period, n_fine
+    )
+    folded = pipeline.efficiency * rate * weight
+    smeared = circular_smear(folded, period, pipeline.timing_jitter)
+    return float(folded.sum()) * h, _bin_integrals(smeared, period, edges), gate_share
+
+
 def synthesize_histogram(
     beams,
     amplitude: float,
@@ -174,33 +203,30 @@ def synthesize_histogram(
     seed: int | None = None,
     config_hash: str | None = None,
 ) -> TacHistogram:
-    """Run the full pipeline: sample, detect, jitter, fold.
+    """Draw one gate's folded TAC histogram from its exact law.
 
-    The proposal envelope is thinned at the detected-signal level (the
-    analytic rate bound times the efficiency), which is statistically
-    identical to emitting first and thinning afterwards.
+    The signal total is Poisson at the folded mean and is split over the
+    bins by a multinomial on their smeared means, so a seed's total does
+    not depend on the jitter.  The background total is Poisson at that
+    signal count over the SNR and is split in proportion to the time each
+    bin's folded interval spends in the gate.  The background is left
+    unjittered: jitter moves a uniform folded density only at the partial
+    period's edge, a share below jitter/gate of it.  The two stages draw
+    from independent streams of ``seed``.
     """
-    from .physics import total_scattering_rate, total_scattering_rate_max
-
-    beams = tuple(beams)
-    rng_seed = np.random.SeedSequence(seed).generate_state(3)
-    eta = pipeline.efficiency
-    gate = pipeline.gate_time
-
-    def detected_rate(t):
-        rate = total_scattering_rate(beams, amplitude, phase, omega_i, t)
-        rate *= eta
-        return rate
-
-    bound = eta * total_scattering_rate_max(beams, amplitude, omega_i)
-    times = sample_arrivals(detected_rate, gate, rate_max=bound, seed=int(rng_seed[0]))
-    times = detect(times, pipeline.snr, gate, seed=int(rng_seed[1]))
-    if pipeline.timing_jitter > 0:
-        times = apply_time_jitter(times, pipeline.timing_jitter, seed=int(rng_seed[2]))
-    hist = tac_fold(times, TWO_PI / omega_i, pipeline.bin_width, gate)
-    hist.seed = seed
-    hist.config_hash = config_hash
-    return hist
+    signal_seed, background_seed = np.random.SeedSequence(seed).generate_state(2)
+    mean_signal, signal_means, gate_share = folded_law(
+        beams, amplitude, phase, omega_i, pipeline
+    )
+    rng = np.random.default_rng(signal_seed)
+    n_signal = rng.poisson(mean_signal)
+    counts = rng.multinomial(n_signal, signal_means / signal_means.sum())
+    rng = np.random.default_rng(background_seed)
+    n_background = rng.poisson(n_signal / pipeline.snr)
+    counts += rng.multinomial(n_background, gate_share / gate_share.sum())
+    return TacHistogram(
+        pipeline.bin_width, TWO_PI / omega_i, counts, pipeline.gate_time, seed, config_hash
+    )
 
 
 HISTOGRAM_MAGIC = "# phonon-sensor tac-histogram v1"

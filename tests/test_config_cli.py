@@ -217,6 +217,8 @@ def invalid_dict(kind, draw):
     elif kind == "bin-width-over-period":
         # The folding period at the default 186.02 kHz is 5375.8 ns.
         data["pipeline"]["bin_width_ns"] = draw(st.floats(5376.0, 1e12))
+    elif kind == "jitter-over-half-period":
+        data["pipeline"]["timing_jitter_us"] = draw(st.floats(2.688, 1e6))
     elif kind == "free-running-amplitude":
         value = draw(st.one_of(NON_POSITIVE, st.just(math.inf)))
         data["physics"]["free_running_amplitude_um"] = value
@@ -257,6 +259,7 @@ INVALID_KINDS = (
     "gate-time",
     "bin-width",
     "bin-width-over-period",
+    "jitter-over-half-period",
     "free-running-amplitude",
     "unsorted-voltages",
     "short-voltage-grid",
@@ -399,17 +402,16 @@ class TestCli:
 
     def test_sweep_drops_flat_histograms(self, tmp_path):
         # 1 s gates with 0.3 us jitter smear the 5 and 7.5 mV histograms
-        # below the flatness test: at the default seed 3 of their 4 trials.
+        # below the flatness test: at the default seed 3 of their 8 trials.
         cfg = tmp_path / "flat.yaml"
         cfg.write_text("pipeline:\n  gate_time_s: 1.0\n  timing_jitter_us: 0.3\n")
         out = tmp_path / "runs"
         code = run_cli(["campaign", "sweep-amplitude", "--config", str(cfg), "--out", str(out)])
         assert code == 0
-        trials = {
-            row["voltage_mv"]: row["trials"]
-            for row in experiments.load_run(out / "sweep-amplitude.json")["results"]["rows"]
-        }
-        assert trials == {5.0: 1, 7.5: 1, 10.0: 4, 12.5: 4, 15.0: 4, 18.25: 4}
+        rows = experiments.load_run(out / "sweep-amplitude.json")["results"]["rows"]
+        dropped = {row["voltage_mv"]: row["dropped"] for row in rows}
+        assert dropped == {5.0: 2, 7.5: 1, 10.0: 0, 12.5: 0, 15.0: 0, 18.25: 0}
+        assert all(row["trials"] + row["dropped"] == 4 for row in rows)
 
     def test_unknown_campaign_usage_error(self):
         assert run_cli(["campaign", "no-such-campaign", "--out", "/tmp/x"]) == 1

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from phonon_sensor.config import default_config
+from phonon_sensor.config import config_from_dict, default_config
 from phonon_sensor.experiments import (
     REFERENCE_DELTA_A,
     REFERENCE_SLOPE,
@@ -224,6 +224,19 @@ class TestSensitivityCampaign:
             report.delta_a * math.sqrt(report.tau) / report.slope, rel=1e-12
         )
         assert reference.sensitivity == pytest.approx(336.1e-24, rel=1e-3)
+        assert report.dropped == 0
+
+    def test_dropped_repetitions_are_reported(self):
+        # 1 s gates with 0.3 us jitter leave some 7.5 mV histograms too flat
+        # to fit: at seed 31, 3 of 8.
+        config = config_from_dict(
+            {
+                "physics": {"drive": {"injection_voltage_mv": 7.5}},
+                "pipeline": {"gate_time_s": 1.0, "timing_jitter_us": 0.3},
+                "experiment": {"repetitions": 8},
+            }
+        )
+        assert run_campaign("sensitivity", config, 31)["dropped"] == 3
 
 
 class TestRunRecords:

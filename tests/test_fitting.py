@@ -361,6 +361,17 @@ class TestCaches:
         with pytest.raises(ValueError):
             spectrum[0] = 0.0
 
+    def test_templates_correlate_on_a_fast_length(self):
+        bank = fitting._template_bank(BEAMS, OMEGA, PERIOD, 10e-9, 0.0, (12e-6, 32e-6), 24)
+        n_fft = fitting._correlation_length(538)
+        assert n_fft >= 2 * 538
+        rest = n_fft
+        for factor in (2, 3, 5):
+            while rest % factor == 0:
+                rest //= factor
+        assert rest == 1
+        assert all(len(template_conj) == n_fft // 2 + 1 for _, _, template_conj in bank)
+
     @pytest.mark.parametrize("sigma_t", [0.2e-6, 0.8e-6])
     def test_jittered_profile_matches_inline_kernel_fft(self, sigma_t):
         params = FitModelParams(*REF_CASE_A, 1.0, 0.0, sigma_t)
@@ -531,11 +542,11 @@ class TestFit:
 
 class TestDeviance:
     def test_squared_residuals_sum_to_the_deviance(self):
-        # A 0.2 s gate leaves many bins empty; they enter as n ln(n/m) = 0.
-        pipe = PipelineConfig(gate_time=0.2)
+        # A 0.3 s gate leaves many bins empty; they enter as n ln(n/m) = 0.
+        pipe = PipelineConfig(gate_time=0.3)
         hist = synth(*REF_CASE_A, seed=6000, pipe=pipe)
         counts = hist.counts.astype(float)
-        assert np.count_nonzero(counts == 0) > 50
+        assert np.count_nonzero(counts == 0) > 20
         result = fit_with_chain_init(hist, pipe=pipe)
         assert result.converged
         assert np.isfinite(result.residual)
