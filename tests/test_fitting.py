@@ -559,7 +559,7 @@ class TestDeviance:
         # finite, so the fit runs instead of raising on the first step.
         hist = synth(*REF_CASE_A, seed=6001, pipe=PipelineConfig(gate_time=1.0))
         init = FitModelParams(*REF_CASE_A, 0.0, 0.0, 0.0)
-        result = fit_histogram(hist, BEAMS, init=init, frozen=("alpha", "sigma_t"))
+        result = fit_histogram(hist, BEAMS, init=init, frozen=("alpha", "beta", "sigma_t"))
         assert np.isfinite(result.residual)
 
 
