@@ -50,12 +50,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.amplitude_trials < 1 or self.squeeze_trials < 1:
             raise ConfigError("trial counts must be >= 1")
+        if self.squeeze_periods < 1:
+            raise ConfigError("squeeze_periods must be >= 1")
+        if not all(0.0 <= gain <= 1.0 for gain in self.squeeze_gains):
+            raise ConfigError("squeeze_gains must lie in [0, 1]")
         if self.lower_bound_trials < 20:
             raise ConfigError("lower-bound protocol needs >= 20 trials per point")
         if len(self.lower_bound_voltages) < 2:
             raise ConfigError("lower_bound_voltages_mv needs at least two voltages")
         if list(self.lower_bound_voltages) != sorted(self.lower_bound_voltages):
             raise ConfigError("lower_bound_voltages_mv must be ascending")
+        if self.lower_bound_voltages[0] <= 0:
+            raise ConfigError("lower_bound_voltages_mv must be > 0")
         if self.lock_threshold <= 0:
             raise ConfigError("lock_threshold must be > 0")
         if self.repetitions < 2:

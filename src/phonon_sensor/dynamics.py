@@ -13,10 +13,12 @@ Three complementary integrators:
   the smallest-force protocol: the oscillation phasor is pinned at the
   free-running amplitude while its phase feels the injection restoring
   torque, thermal diffusion and band-limited electrode noise.  It steps the
-  trials of a whole voltage grid as the columns of one loop, drawing each
-  voltage's normals a chunk of steps at a time, and judges lock as it
-  steps, so the phase array is never stored; :func:`detect_lock` judges a
-  stored phase array through the same circular-spread helper.
+  trials of a whole voltage grid as the columns of one loop.  Per chunk of
+  steps it draws each voltage's normals and forms every additive increment
+  at once, so a step is four in-place ufunc calls; it judges lock from
+  running sums of cos psi and sin psi, so the phase array is never stored.
+  :func:`detect_lock` judges a stored phase array through the same
+  circular-spread helper.
 
 Thermal forcing follows the narrowband decomposition
 f(t) = f_x(t) cos(w t) + f_y(t) sin(w t) with slowly varying white Gaussian
@@ -277,16 +279,20 @@ def integrate_quadratures(
         x0, y0 = initial_x, initial_y
 
     # The exact transition is the AR(1) recursion u[n] = decay u[n-1] + kick,
-    # evaluated as an IIR filter.  scipy.signal is imported here, by its only
-    # user, because importing it costs most of the package's import time.
+    # evaluated as an IIR filter over one row per quadrature that holds the
+    # start value in column 0 and the kicks after it, so the filter's output
+    # is the path itself.  scipy.signal is imported here, by its only user,
+    # because importing it costs most of the package's import time.
     from scipy.signal import lfilter
 
-    def ar1(u0, decay, kicks):
-        out, _ = lfilter([1.0], [1.0, -decay], kicks, zi=[decay * u0])
-        return np.concatenate([[u0], out])
-
-    x = ar1(x0, decay_x, sd_x * rng.normal(0.0, 1.0, n_steps))
-    y = mean_y + ar1(y0 - mean_y, decay_y, sd_y * rng.normal(0.0, 1.0, n_steps))
+    paths = np.empty((2, n_steps + 1))
+    for row, start, sd in ((paths[0], x0, sd_x), (paths[1], y0 - mean_y, sd_y)):
+        row[0] = start
+        rng.standard_normal(out=row[1:])
+        row[1:] *= sd
+    x = lfilter([1.0], [1.0, -decay_x], paths[0])
+    y = lfilter([1.0], [1.0, -decay_y], paths[1])
+    y += mean_y
 
     times = np.arange(n_steps + 1) * dt
     return QuadraturePath(times=times, x=x, y=y)
@@ -345,10 +351,19 @@ def _locked_phase_spreads(
     drive has its own generator, seeded by its entry of ``seeds``, whose
     normals are drawn ``PHASE_CHUNK`` steps at a time in the per-step order
     diffusion kick, then electrode kick, so a drive's trials do not depend
-    on the other drives.  Instead of storing the phase, each chunk adds the
-    unit phasors exp(i psi) of its rows inside the window to a running sum
-    per trial.  ``dt=None`` takes the smallest min(1e-4 s, 0.05 / w_L) of
-    the drives.
+    on the other drives.  ``dt=None`` takes the smallest
+    min(1e-4 s, 0.05 / w_L) of the drives.
+
+    Everything but the injection torque is known before a chunk is
+    stepped, so each chunk first forms the additive increment
+    ``g = sqrt(2 D dt) xi + f_perp dt / torque_scale`` of all its rows,
+    advancing the left-point electrode force ``f_perp`` row by row.  A step
+    is then four in-place ufunc calls on preallocated rows,
+    ``psi[k+1] = psi[k] + (-w_L dt) sin(psi[k]) + g[k]`` followed by
+    ``sin(psi[k+1])``, which the next step reuses.  Instead of storing the
+    phase, each chunk adds sum(cos psi) and sum(sin psi) of its rows
+    inside the window to running sums per trial; the sines are the ones
+    already formed by the steps.
     """
     if duration <= 0:
         raise ValueError("duration must be > 0")
@@ -369,49 +384,77 @@ def _locked_phase_spreads(
     decay = math.exp(-dt / electric_noise.correlation_time) if electrode else 0.0
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
-    # Per-drive constants, then repeated over that drive's columns.
+    # Per-drive constants, shaped to broadcast over that drive's trials.
     sqrt_2d_dt, kick, f_perp = [], [], []
     for drive, rng in zip(drives, rngs):
         # The squeeze drive redistributes quadrature fluctuations; the phase
         # quadrature carries the variance ratio of the frequency-doubled drive.
         ratio = squeeze_variance_ratio(drive.effective_gain, drive.squeeze_phase)
         diffusion = ratio * noise.force_spectral_density() / (2.0 * torque_scale**2)
-        sqrt_2d_dt.append(math.sqrt(2.0 * diffusion * dt))
+        sqrt_2d_dt.append([math.sqrt(2.0 * diffusion * dt)])
         if electrode:
             force_rms = electric_noise.rms_voltage * drive.force_per_volt
             sigma_perp = (force_rms / math.sqrt(2.0)) * math.sqrt(ratio)
-            kick.append(sigma_perp * math.sqrt(1.0 - decay * decay))
+            kick.append([sigma_perp * math.sqrt(1.0 - decay * decay)])
             f_perp.append(rng.normal(0.0, sigma_perp, n_trials))
-    neg_rate = np.repeat([-rate for rate in lock_rates], n_trials)
-    sqrt_2d_dt = np.repeat(sqrt_2d_dt, n_trials)
-    kick = np.repeat(kick, n_trials)
-    f_perp = np.concatenate(f_perp) if electrode else np.zeros(len(neg_rate))
+    n_drives, n_cols = len(drives), len(drives) * n_trials
+    neg_rate_dt = np.repeat([-rate * dt for rate in lock_rates], n_trials)
+    force_step = dt / torque_scale
 
     start = _window_start(np.arange(n_steps + 1) * dt, None)
-    draw_shape = (2, n_trials) if electrode else (n_trials,)
-    cur = np.zeros(len(neg_rate))
-    phasors = np.zeros(len(neg_rate), dtype=complex)
-    block = np.empty((PHASE_CHUNK, len(neg_rate)))
-    for first in range(0, n_steps, PHASE_CHUNK):
-        rows = min(PHASE_CHUNK, n_steps - first)
-        normals = np.concatenate(
-            [rng.normal(0.0, 1.0, (rows,) + draw_shape) for rng in rngs], axis=-1
+    chunk = PHASE_CHUNK
+    raw = np.empty((n_drives, chunk, 2 if electrode else 1, n_trials))
+    g = np.empty((chunk, n_cols))
+    # force[k] and sines[k] hold f_perp and sin(psi) before step k of the
+    # chunk; row 0 carries over from the previous chunk.
+    if electrode:
+        force = np.empty((chunk + 1, n_cols))
+        force[0] = np.concatenate(f_perp)
+    sines = np.zeros((chunk + 1, n_cols))
+    block = np.empty((chunk, n_cols))
+    tmp = np.empty(n_cols)
+    cur = np.zeros(n_cols)
+    cos_sum = np.zeros(n_cols)
+    sin_sum = np.zeros(n_cols)
+    for first in range(0, n_steps, chunk):
+        rows = min(chunk, n_steps - first)
+        for j, rng in enumerate(rngs):
+            rng.standard_normal(out=raw[j, :rows])
+        # (drive, row, trial) -> (row, drive, trial), the column order of g.
+        g_rows = g[:rows]
+        np.multiply(
+            raw[:, :rows, 0].transpose(1, 0, 2),
+            sqrt_2d_dt,
+            out=g_rows.reshape(rows, n_drives, n_trials),
         )
-        diffusion_kicks = sqrt_2d_dt * (normals[:, 0] if electrode else normals)
-        electrode_kicks = kick * normals[:, 1] if electrode else None
-        del normals
+        if electrode:
+            np.multiply(
+                raw[:, :rows, 1].transpose(1, 0, 2),
+                kick,
+                out=force[1 : rows + 1].reshape(rows, n_drives, n_trials),
+            )
+            for k in range(rows):
+                np.multiply(force[k], decay, out=tmp)
+                force[k + 1] += tmp
+            force_rows = force[:rows]
+            force_rows *= force_step
+            g_rows += force_rows
+            force[0] = force[rows]
         for k in range(rows):
-            step = (neg_rate * np.sin(cur) + f_perp / torque_scale) * dt
-            step += diffusion_kicks[k]
-            cur = cur + step
-            block[k] = cur
-            if electrode:
-                f_perp = decay * f_perp + electrode_kicks[k]
+            np.multiply(neg_rate_dt, sines[k], out=tmp)
+            tmp += g[k]
+            np.add(cur, tmp, out=block[k])
+            cur = block[k]
+            np.sin(cur, out=sines[k + 1])
         # Rows first + 1 .. first + rows were stepped; sum those in the window.
         lo = max(start - first - 1, 0)
         if lo < rows:
-            phasors += np.exp(1j * block[lo:rows]).sum(axis=0)
-    return _spread(phasors, n_steps + 1 - start).reshape(len(drives), n_trials)
+            cos_sum += np.cos(block[lo:rows]).sum(axis=0)
+            sin_sum += sines[lo + 1 : rows + 1].sum(axis=0)
+        cur = cur.copy()  # block is refilled by the next chunk
+        sines[0] = sines[rows]
+    spread = _spread(cos_sum + 1j * sin_sum, n_steps + 1 - start)
+    return spread.reshape(n_drives, n_trials)
 
 
 def demodulate(

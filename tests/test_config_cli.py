@@ -229,6 +229,22 @@ def invalid_dict(kind, draw):
     elif kind == "short-voltage-grid":
         voltages = draw(st.lists(st.floats(0.01, 10.0), max_size=1))
         data["experiment"]["lower_bound_voltages_mv"] = voltages
+    elif kind == "non-positive-voltage":
+        # Ascending, so only the sign is at fault.
+        bad = draw(st.lists(NON_POSITIVE, min_size=1, max_size=3))
+        good = draw(st.lists(st.floats(0.01, 10.0), max_size=4))
+        data["experiment"]["lower_bound_voltages_mv"] = sorted(bad + good + [1.0])
+    elif kind == "squeeze-gain-outside-unit-interval":
+        gain = draw(
+            st.one_of(
+                st.floats(max_value=0.0, exclude_max=True, allow_nan=False),
+                st.floats(min_value=1.0, exclude_min=True, allow_nan=False),
+            )
+        )
+        gains = data["experiment"]["squeeze_gains"]
+        gains.insert(draw(st.integers(0, len(gains))), gain)
+    elif kind == "squeeze-periods":
+        data["experiment"]["squeeze_periods"] = draw(st.integers(max_value=0))
     elif kind == "unknown-key":
         node = _node(data, draw(st.sampled_from(SECTIONS)))
         key = draw(st.text(string.ascii_lowercase + "_", min_size=1).filter(lambda k: k not in node))
@@ -263,6 +279,9 @@ INVALID_KINDS = (
     "free-running-amplitude",
     "unsorted-voltages",
     "short-voltage-grid",
+    "non-positive-voltage",
+    "squeeze-gain-outside-unit-interval",
+    "squeeze-periods",
     "unknown-key",
     "non-mapping",
     "empty-beams",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from phonon_sensor import dynamics
 from phonon_sensor.constants import BOLTZMANN, DEFAULT_FREE_RUNNING_AMPLITUDE, TWO_PI
 from phonon_sensor.dynamics import (
     DEFAULT_LOCK_THRESHOLD,
@@ -133,6 +134,44 @@ class TestLangevinQuadratureAgreement:
         assert np.var(ys) == pytest.approx(target_var, rel=0.05)
 
 
+def oracle_quadratures(drive, noise, n_periods, seed, start=None):
+    """The envelope equations one injection period at a time.
+
+    Same generator and draw order as the integrator: x0 and y0 when the
+    start is stationary (``start=None``), then every x-kick, then every
+    y-kick.  Returns ``(x, y)`` of length ``n_periods + 1``.
+    """
+    rng = np.random.default_rng(seed)
+    dt = TWO_PI / drive.injection_frequency
+    denom = 2.0 * noise.mass * TRAP.secular_z
+    diffusion = noise.force_spectral_density() / denom**2
+    modulation = drive.effective_gain * math.cos(2.0 * drive.squeeze_phase)
+    lam_x = 0.5 * noise.damping * (1.0 + modulation)
+    lam_y = 0.5 * noise.damping * (1.0 - modulation)
+    mean_y = drive.force / (denom * lam_y)
+    if start is None:
+        x0 = rng.normal(0.0, math.sqrt(diffusion / (2.0 * lam_x)))
+        y0 = rng.normal(mean_y, math.sqrt(diffusion / (2.0 * lam_y)))
+    else:
+        x0, y0 = start
+
+    def walk(u0, lam):
+        if lam > 0:
+            decay = math.exp(-lam * dt)
+            sd = math.sqrt(diffusion * (1.0 - decay * decay) / (2.0 * lam))
+        else:
+            decay, sd = 1.0, math.sqrt(diffusion * dt)
+        u = [u0]
+        for _ in range(n_periods):
+            u.append(decay * u[-1] + sd * rng.normal())
+        return np.array(u)
+
+    x = walk(x0, lam_x)
+    # The displaced quadrature relaxes toward its mean.
+    y = mean_y + walk(y0 - mean_y, lam_y)
+    return x, y
+
+
 class TestQuadratures:
     def test_decay_without_forcing(self):
         noise = NoiseModel(temperature=0.0)
@@ -206,6 +245,42 @@ class TestQuadratures:
             integrate_quadratures(
                 TRAP, marginal, THERMAL, 100 * PERIOD, stationary_start=True
             )
+
+    @pytest.mark.parametrize(
+        "drive, start",
+        [
+            (DriveConfig(injection_voltage=5e-3), None),
+            (
+                DriveConfig(
+                    injection_voltage=1e-3,
+                    squeeze_gain=0.5,
+                    squeeze_phase=0.3,
+                    squeeze_enabled=True,
+                ),
+                (2e-8, -1e-8),
+            ),
+            # g cos 2phi = -1: the in-phase quadrature is a random walk.
+            (
+                DriveConfig(
+                    squeeze_gain=1.0, squeeze_phase=math.pi / 2, squeeze_enabled=True
+                ),
+                (3e-9, 0.0),
+            ),
+        ],
+        ids=["stationary", "given-start", "marginal"],
+    )
+    def test_matches_per_period_oracle(self, drive, start):
+        n_periods = 1500
+        if start is None:
+            kwargs = {"stationary_start": True}
+        else:
+            kwargs = {"initial_x": start[0], "initial_y": start[1]}
+        path = integrate_quadratures(
+            TRAP, drive, THERMAL, n_periods * PERIOD, seed=8, **kwargs
+        )
+        x, y = oracle_quadratures(drive, THERMAL, n_periods, 8, start)
+        np.testing.assert_allclose(path.x, x, rtol=1e-12)
+        np.testing.assert_allclose(path.y, y, rtol=1e-12)
 
     def test_deterministic(self):
         a = integrate_quadratures(TRAP, IDLE, THERMAL, 500 * PERIOD, seed=5)
@@ -393,6 +468,19 @@ class TestLockedPhaseEngine:
         for k, (drive, seed) in enumerate(zip(ORACLE_DRIVES, ORACLE_SEEDS)):
             (alone,) = _locked_phase_spreads(TRAP, [drive], *args, [seed], *tail)
             np.testing.assert_array_equal(together[k], alone)
+
+    @pytest.mark.parametrize("electric_noise", [ElectricNoise(), None], ids=["electrode", "thermal"])
+    def test_spreads_independent_of_chunk_size(self, monkeypatch, electric_noise):
+        # sin(psi), psi and the electrode force carry across chunk edges.
+        args = (TRAP, ORACLE_DRIVES, THERMAL, 1234 * 2e-4, 2e-4, ORACLE_SEEDS)
+        tail = (electric_noise, OPERATING_AMPLITUDE, 3)
+        default = _locked_phase_spreads(*args, *tail)
+        for chunk in (1, 7, 333):
+            monkeypatch.setattr(dynamics, "PHASE_CHUNK", chunk)
+            spreads = _locked_phase_spreads(*args, *tail)
+            np.testing.assert_allclose(spreads, default, rtol=1e-12)
+            verdict = spreads < DEFAULT_LOCK_THRESHOLD
+            assert verdict.tolist() == (default < DEFAULT_LOCK_THRESHOLD).tolist()
 
     def test_one_seed_per_drive_required(self):
         with pytest.raises(ValueError):

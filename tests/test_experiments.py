@@ -216,6 +216,33 @@ class TestLowerBound:
         assert peak < 16e6
 
 
+class TestFixedSeedOutputs:
+    """Exact campaign outputs at fixed seeds, recorded before the locked-phase
+    step and the envelope integrator were rewritten for speed.  A later
+    change of draws or of arithmetic that moves a result fails here."""
+
+    def test_lower_bound_lock_fractions(self):
+        # The benchmark's smoke settings: 2 s gates, 20 trials, shipped grid.
+        short = replace(CONFIG, pipeline=replace(CONFIG.pipeline, gate_time=2.0))
+        off = lower_bound_search(short, trials=20, squeeze=False, seed=37)
+        on = lower_bound_search(short, trials=20, squeeze=True, seed=37)
+        assert list(off.lock_probability) == [0.0] * 7 + [0.35, 0.9, 1.0, 1.0, 1.0]
+        assert list(on.lock_probability) == (
+            [0.0, 0.05, 0.0, 0.0, 0.3, 0.6] + [1.0] * 6
+        )
+
+    def test_squeeze_ratios(self):
+        rows, _ = squeeze_sweep(
+            CONFIG,
+            points=[(0.9, math.pi / 2), (0.5, 0.0)],
+            trials=20,
+            periods=2000,
+            seed=41,
+        )
+        ratios = [row["sim_ratio_y"] for row in rows]
+        assert ratios == pytest.approx([0.5362266307392819, 1.7833302851049535], rel=1e-12)
+
+
 class TestSensitivityCampaign:
     def test_empirical_and_reference_reports(self):
         report, reference = sensitivity_campaign(CONFIG, repetitions=8, seed=31)
