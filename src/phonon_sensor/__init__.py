@@ -3,7 +3,7 @@
 Modules
 -------
 physics      closed-form kernels (scattering, damping, forces, squeezing law)
-dynamics     stochastic integrators and lock detection
+dynamics     stochastic integrators and the locked-phase spread
 photons      Monte Carlo photon pipeline and TAC histograms
 fitting      amplitude/phase recovery from histograms
 experiments  measurement campaigns and run records
@@ -18,7 +18,6 @@ from .dynamics import (
     NoiseModel,
     QuadraturePath,
     demodulate,
-    detect_lock,
     integrate_langevin,
     integrate_quadratures,
 )

@@ -85,18 +85,22 @@ def _cmd_fit(args) -> int:
     if args.init is None:
         init = experiments.fit_init(config, hist)
     else:
-        values = [float(x) for x in args.init.split(",")]
-        if len(values) != len(PARAM_NAMES):
-            raise ConfigError(
-                "--init wants amplitude_um,phase,alpha,beta,sigma_t_us"
+        try:
+            values = [float(x) for x in args.init.split(",")]
+            if not all(map(math.isfinite, values)):
+                raise ValueError("values must be finite")
+            amplitude_um, phase, alpha, beta, sigma_t_us = values
+            init = FitModelParams(
+                amplitude=amplitude_um * 1e-6,
+                phase=phase,
+                alpha=alpha,
+                beta=beta,
+                sigma_t=sigma_t_us * 1e-6,
             )
-        init = FitModelParams(
-            amplitude=values[0] * 1e-6,
-            phase=values[1],
-            alpha=values[2],
-            beta=values[3],
-            sigma_t=values[4] * 1e-6,
-        )
+        except ValueError as exc:
+            raise ConfigError(
+                f"--init wants amplitude_um,phase,alpha,beta,sigma_t_us: {exc}"
+            ) from exc
     result = fit_histogram(hist, config.beams, init=init, frozen=frozen, omega_i=omega_i)
     save_fit_report(result, args.out, config_hash=config_hash(config))
     _progress(

@@ -52,6 +52,12 @@ class ExperimentConfig:
             raise ConfigError("trial counts must be >= 1")
         if self.squeeze_periods < 1:
             raise ConfigError("squeeze_periods must be >= 1")
+        if len(set(self.amplitude_voltages)) < 3 or min(self.amplitude_voltages) < 0:
+            raise ConfigError(
+                "amplitude_voltages_mv needs at least three distinct voltages, none negative"
+            )
+        if not self.squeeze_gains or not self.squeeze_phases:
+            raise ConfigError("squeeze_gains and squeeze_phases_rad must not be empty")
         if not all(0.0 <= gain <= 1.0 for gain in self.squeeze_gains):
             raise ConfigError("squeeze_gains must lie in [0, 1]")
         if self.lower_bound_trials < 20:

@@ -17,8 +17,6 @@ Three complementary integrators:
   steps it draws each voltage's normals and forms every additive increment
   at once, so a step is four in-place ufunc calls; it judges lock from
   running sums of cos psi and sin psi, so the phase array is never stored.
-  :func:`detect_lock` judges a stored phase array through the same
-  circular-spread helper.
 
 Thermal forcing follows the narrowband decomposition
 f(t) = f_x(t) cos(w t) + f_y(t) sin(w t) with slowly varying white Gaussian
@@ -50,7 +48,6 @@ from .physics import (
 
 MIN_STEPS_PER_PERIOD = 50
 DEFAULT_STEPS_PER_PERIOD = 200
-DEFAULT_LOCK_THRESHOLD = 0.3  # rad
 PHASE_CHUNK = 500  # locked-phase steps whose normals are drawn at once
 
 
@@ -58,18 +55,8 @@ PHASE_CHUNK = 500  # locked-phase steps whose normals are drawn at once
 class QuadraturePath:
     """Slow in-phase/quadrature components (X, Y) of the oscillation."""
 
-    times: np.ndarray
     x: np.ndarray
     y: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.times) == len(self.x) == len(self.y)):
-            raise ValueError("quadrature arrays must have equal length")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
-
-    def __len__(self):
-        return len(self.times)
 
     @property
     def amplitude(self) -> np.ndarray:
@@ -293,9 +280,7 @@ def integrate_quadratures(
     x = lfilter([1.0], [1.0, -decay_x], paths[0])
     y = lfilter([1.0], [1.0, -decay_y], paths[1])
     y += mean_y
-
-    times = np.arange(n_steps + 1) * dt
-    return QuadraturePath(times=times, x=x, y=y)
+    return QuadraturePath(x, y)
 
 
 def stationary_mean_displacement(
@@ -324,9 +309,9 @@ def _locked_phase_spreads(
     drives,
     noise: NoiseModel,
     duration: float,
-    dt: float | None,
+    dt: float,
     seeds,
-    electric_noise: ElectricNoise | None,
+    electric_noise: ElectricNoise,
     operating_amplitude: float,
     n_trials: int,
 ) -> np.ndarray:
@@ -351,8 +336,7 @@ def _locked_phase_spreads(
     drive has its own generator, seeded by its entry of ``seeds``, whose
     normals are drawn ``PHASE_CHUNK`` steps at a time in the per-step order
     diffusion kick, then electrode kick, so a drive's trials do not depend
-    on the other drives.  ``dt=None`` takes the smallest
-    min(1e-4 s, 0.05 / w_L) of the drives.
+    on the other drives.
 
     Everything but the injection torque is known before a chunk is
     stepped, so each chunk first forms the additive increment
@@ -374,13 +358,11 @@ def _locked_phase_spreads(
 
     torque_scale = 2.0 * noise.mass * trap.secular_z * operating_amplitude
     lock_rates = [drive.force / torque_scale for drive in drives]
-    if dt is None:
-        dt = min(1e-4 if rate == 0 else min(1e-4, 0.05 / rate) for rate in lock_rates)
     n_steps = int(round(duration / dt))
     if n_steps < 2:
         raise ValueError("duration shorter than two steps")
 
-    electrode = electric_noise is not None and electric_noise.rms_voltage > 0
+    electrode = electric_noise.rms_voltage > 0
     decay = math.exp(-dt / electric_noise.correlation_time) if electrode else 0.0
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
@@ -401,7 +383,9 @@ def _locked_phase_spreads(
     neg_rate_dt = np.repeat([-rate * dt for rate in lock_rates], n_trials)
     force_step = dt / torque_scale
 
-    start = _window_start(np.arange(n_steps + 1) * dt, None)
+    # The lock window is the final half of the record.
+    times = np.arange(n_steps + 1) * dt
+    start = int(np.searchsorted(times, 0.5 * times[-1]))
     chunk = PHASE_CHUNK
     raw = np.empty((n_drives, chunk, 2 if electrode else 1, n_trials))
     g = np.empty((chunk, n_cols))
@@ -459,14 +443,15 @@ def _locked_phase_spreads(
 
 def demodulate(
     times: np.ndarray, positions: np.ndarray, omega_i: float, window: float
-) -> QuadraturePath:
+) -> tuple[np.ndarray, QuadraturePath]:
     """Sliding in-phase/quadrature projection of positions along axis 0.
 
     X(t) = (2/w) integral of z sin(w_i s) ds over the window centered on t,
     and likewise with cos for Y.  The window is rounded to an integer number
     of oscillation periods, which makes the projection exact for a pure
     sinusoid.  ``positions`` may be one trajectory ``z[step]`` or several
-    ``z[step, traj]``; X and Y then have the same trailing axes.
+    ``z[step, traj]``; X and Y then have the same trailing axes.  Returns
+    ``(centers, path)``, the window center times and the projections.
     """
     period = TWO_PI / omega_i
     if window < period:
@@ -495,20 +480,7 @@ def demodulate(
     x = project(np.sin(angle))
     y = project(np.cos(angle))
     centers = 0.5 * (times[n_window:] + times[:-n_window])
-    return QuadraturePath(times=centers, x=x, y=y)
-
-
-def _window_start(times: np.ndarray, window: float | None) -> int:
-    """First index of the evaluation window ``times >= times[-1] - window``.
-
-    The default window is the final half of the record.
-    """
-    duration = float(times[-1] - times[0])
-    if window is None:
-        window = 0.5 * duration
-    if window > duration:
-        raise ValueError("window longer than record")
-    return int(np.searchsorted(times, times[-1] - window))
+    return centers, QuadraturePath(x, y)
 
 
 def _spread(phasor_sum, count: int) -> np.ndarray:
@@ -525,28 +497,3 @@ def circular_std(phases: np.ndarray) -> float:
     if len(phases) == 0:
         raise ValueError("empty phase sample")
     return float(_spread(np.exp(1j * np.asarray(phases)).sum(), len(phases)))
-
-
-def detect_lock(
-    times: np.ndarray,
-    psi: np.ndarray,
-    threshold: float = DEFAULT_LOCK_THRESHOLD,
-    window: float | None = None,
-) -> np.ndarray:
-    """Lock verdict of every trial of a phase array ``psi[step, trial]``.
-
-    A trial is locked when the circular standard deviation of its phase over
-    the evaluation window (default: final half of the record) stays below
-    the threshold.  Returns one boolean per trial.
-    """
-    if len(times) == 0:
-        raise ValueError("empty phase record")
-    if threshold <= 0:
-        raise ValueError("threshold must be > 0")
-    tail = psi[_window_start(times, window) :]
-    # Sum the unit phasors a chunk of rows at a time to bound memory.
-    phasors = sum(
-        np.exp(1j * tail[k : k + PHASE_CHUNK]).sum(axis=0)
-        for k in range(0, len(tail), PHASE_CHUNK)
-    )
-    return _spread(phasors, len(tail)) < threshold

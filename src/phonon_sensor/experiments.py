@@ -184,10 +184,11 @@ def amplitude_sweep(
     Runs dynamics -> photon pipeline -> fit for each voltage and trial,
     regresses the fitted amplitude on voltage and reports the slope, the
     zero-voltage intercept (free-running amplitude) and regression quality.
-    Voltages whose trials all fail the lock criterion are excluded with a
-    warning.  Each row counts the fits it kept (``trials``) and the trials
-    it dropped because the histogram was flat or the fit did not converge
-    (``dropped``).
+    Voltages that fail the lock criterion, or keep no converged fit, are
+    excluded from the regression with a warning; their rows stay, with a
+    NaN amplitude.  Each row counts the fits it kept (``trials``) and the
+    trials it dropped because the histogram was flat or the fit did not
+    converge (``dropped``).
     """
     exp = config.experiment
     voltages = list(exp.amplitude_voltages if voltages is None else voltages)
@@ -200,38 +201,31 @@ def amplitude_sweep(
     rows = []
     kept_v, kept_a = [], []
     for i, voltage in enumerate(voltages):
+        row = {
+            "voltage_mv": voltage * 1e3,
+            "locked": True,
+            "amplitude_um": math.nan,
+            "amplitude_err_um": math.nan,
+            "trials": 0,
+            "dropped": 0,
+        }
+        rows.append(row)
         # A voltage too weak to hold lock contributes no valid fits.
         if _expected_lock_spread(config, voltage) >= exp.lock_threshold:
             log.warning(
                 "voltage %.3g mV fails the lock criterion; excluded", voltage * 1e3
             )
-            rows.append(
-                {
-                    "voltage_mv": voltage * 1e3,
-                    "locked": False,
-                    "amplitude_um": float("nan"),
-                    "amplitude_err_um": float("nan"),
-                    "trials": 0,
-                    "dropped": 0,
-                }
-            )
+            row["locked"] = False
             continue
         amp_true = _true_amplitude(config, voltage)
         fits = _recover_amplitudes(config, amp_true, seeds[i * trials : (i + 1) * trials])
+        row["trials"], row["dropped"] = len(fits), trials - len(fits)
         if not fits:
             log.warning("no converged fits at %.3g mV; excluded", voltage * 1e3)
             continue
         mean_amp = float(np.mean(fits))
-        rows.append(
-            {
-                "voltage_mv": voltage * 1e3,
-                "locked": True,
-                "amplitude_um": mean_amp * 1e6,
-                "amplitude_err_um": float(np.std(fits)) / math.sqrt(len(fits)) * 1e6,
-                "trials": len(fits),
-                "dropped": trials - len(fits),
-            }
-        )
+        row["amplitude_um"] = mean_amp * 1e6
+        row["amplitude_err_um"] = float(np.std(fits)) / math.sqrt(len(fits)) * 1e6
         kept_v.append(voltage)
         kept_a.append(mean_amp)
 

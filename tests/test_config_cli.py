@@ -234,6 +234,13 @@ def invalid_dict(kind, draw):
         bad = draw(st.lists(NON_POSITIVE, min_size=1, max_size=3))
         good = draw(st.lists(st.floats(0.01, 10.0), max_size=4))
         data["experiment"]["lower_bound_voltages_mv"] = sorted(bad + good + [1.0])
+    elif kind == "amplitude-voltage-grid":
+        # Three distinct voltages, one negative; or fewer than three distinct.
+        negative = [draw(st.floats(max_value=-0.001, allow_nan=False)), 5.0, 10.0]
+        short = draw(st.lists(st.sampled_from([5.0, 7.5]), max_size=6))
+        data["experiment"]["amplitude_voltages_mv"] = draw(st.sampled_from([negative, short]))
+    elif kind == "empty-squeeze-grid":
+        data["experiment"][draw(st.sampled_from(["squeeze_gains", "squeeze_phases_rad"]))] = []
     elif kind == "squeeze-gain-outside-unit-interval":
         gain = draw(
             st.one_of(
@@ -280,6 +287,8 @@ INVALID_KINDS = (
     "unsorted-voltages",
     "short-voltage-grid",
     "non-positive-voltage",
+    "amplitude-voltage-grid",
+    "empty-squeeze-grid",
     "squeeze-gain-outside-unit-interval",
     "squeeze-periods",
     "unknown-key",
@@ -411,6 +420,14 @@ class TestCli:
         assert code == 0
         report = load_fit_report(report_path)
         assert report.frozen == ("phase", "alpha", "beta", "sigma_t")
+
+    def test_fit_bad_init_is_usage_error(self, tmp_path):
+        hist_path = tmp_path / "hist.txt"
+        assert run_cli(["simulate", "--out", str(hist_path), "--seed", "13"]) == 0
+        out = tmp_path / "fit.txt"
+        for init in ("24.0,0.03,5.2e-5,33.2", "abc,0,1,1,0", "-5,0,1,1,0", "24.0,nan,5.2e-5,33.2,0.0"):
+            assert run_cli(["fit", str(hist_path), f"--init={init}", "--out", str(out)]) == 1, init
+        assert not out.exists()
 
     def test_fit_flat_histogram_is_runtime_error(self, tmp_path):
         period = TWO_PI / default_config().drive.injection_frequency

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from phonon_sensor import dynamics
+from phonon_sensor.config import ExperimentConfig
 from phonon_sensor.constants import BOLTZMANN, DEFAULT_FREE_RUNNING_AMPLITUDE, TWO_PI
 from phonon_sensor.dynamics import (
-    DEFAULT_LOCK_THRESHOLD,
     ElectricNoise,
     NoiseModel,
     PHASE_CHUNK,
-    QuadraturePath,
     _locked_phase_spreads,
     circular_std,
     demodulate,
-    detect_lock,
     integrate_langevin,
     integrate_quadratures,
     stationary_mean_displacement,
@@ -35,6 +33,8 @@ COLD = NoiseModel(temperature=0.0, damping=0.0)
 DAMPED = NoiseModel(temperature=0.0)
 THERMAL = NoiseModel()
 IDLE = DriveConfig()
+NO_ELECTRODE = ElectricNoise(rms_voltage=0.0)
+LOCK_THRESHOLD = ExperimentConfig().lock_threshold
 
 
 class TestLangevin:
@@ -52,8 +52,8 @@ class TestLangevin:
         times, z, _ = integrate_langevin(
             TRAP, BEAMS, IDLE, DAMPED, 20 / zeta, seed=1, initial_position=1e-6
         )
-        quad = demodulate(times, z[:, 0], TRAP.secular_z, 10 * PERIOD)
-        expected = 1e-6 * np.exp(-zeta * quad.times / 2)
+        centers, quad = demodulate(times, z[:, 0], TRAP.secular_z, 10 * PERIOD)
+        expected = 1e-6 * np.exp(-zeta * centers / 2)
         assert np.max(np.abs(quad.amplitude - expected) / expected) < 0.01
 
     def test_nonlinear_mode_reaches_limit_cycle(self):
@@ -72,8 +72,8 @@ class TestLangevin:
             nonlinear=True,
             initial_position=5e-7,
         )
-        quad = demodulate(times, z[:, 0], TRAP.secular_z, 10 * PERIOD)
-        tail = quad.amplitude[-len(quad) // 4 :]
+        _, quad = demodulate(times, z[:, 0], TRAP.secular_z, 10 * PERIOD)
+        tail = quad.amplitude[-len(quad.x) // 4 :]
         amplitude = np.mean(tail)
         print(f"limit-cycle amplitude {amplitude * 1e6:.2f} um (observed scale 17.8)")
         assert 10e-6 < amplitude < 30e-6
@@ -103,8 +103,8 @@ class TestLangevin:
         times, z, _ = integrate_langevin(
             TRAP, BEAMS, drive, NoiseModel(temperature=0.0), 400 * PERIOD, seed=3
         )
-        quad = demodulate(times, z[:, 0], TRAP.secular_z, 20 * PERIOD)
-        tail = slice(-len(quad) // 4, None)
+        _, quad = demodulate(times, z[:, 0], TRAP.secular_z, 20 * PERIOD)
+        tail = slice(-len(quad.x) // 4, None)
         expected = stationary_mean_displacement(TRAP, drive, DAMPED)
         assert np.mean(quad.y[tail]) == pytest.approx(-expected, rel=0.01)
         assert abs(np.mean(quad.x[tail])) < 0.01 * expected
@@ -123,11 +123,18 @@ class TestLangevinQuadratureAgreement:
         target_var = thermal_quadrature_variance(drive, THERMAL)
         target_mean = stationary_mean_displacement(TRAP, drive, THERMAL)
         burn = len(times) // 4
-        quad = demodulate(times, zs, TRAP.secular_z, 20 * PERIOD)
-        del zs
-        sel = quad.times > times[burn]
-        xs = quad.x[sel]
-        ys = quad.y[sel]
+        # Demodulate 32 trajectories at a time, which keeps only the
+        # selected rows of X and Y; columns demodulate independently, so
+        # the reassembled arrays equal those of one call on all of zs.
+        xs, ys = [], []
+        for k in range(0, zs.shape[1], 32):
+            centers, quad = demodulate(times, zs[:, k : k + 32], TRAP.secular_z, 20 * PERIOD)
+            sel = centers > times[burn]
+            xs.append(quad.x[sel])
+            ys.append(quad.y[sel])
+        del zs, quad
+        xs = np.concatenate(xs, axis=1)
+        ys = np.concatenate(ys, axis=1)
         # Envelope-model magnitude; the demodulated response sits at -Y.
         assert np.mean(ys) == pytest.approx(-target_mean, rel=0.02)
         assert np.var(xs) == pytest.approx(target_var, rel=0.05)
@@ -293,21 +300,21 @@ class TestDemodulate:
     def test_pure_sine_recovered_exactly(self):
         times = np.arange(0, 40 * PERIOD, PERIOD / 256)
         z = 1e-6 * np.sin(TRAP.secular_z * times)
-        quad = demodulate(times, z, TRAP.secular_z, 10 * PERIOD)
+        _, quad = demodulate(times, z, TRAP.secular_z, 10 * PERIOD)
         assert np.max(np.abs(quad.x - 1e-6)) < 1e-9
         assert np.max(np.abs(quad.y)) < 1e-9
 
     def test_phase_offset_recovered(self):
         times = np.arange(0, 40 * PERIOD, PERIOD / 256)
         z = 21.677e-6 * np.sin(TRAP.secular_z * times + 0.028)
-        quad = demodulate(times, z, TRAP.secular_z, 10 * PERIOD)
+        centers, quad = demodulate(times, z, TRAP.secular_z, 10 * PERIOD)
         assert np.mean(quad.phase) == pytest.approx(0.028, abs=0.001)
         # Several trajectories z[step, k] demodulate column by column,
         # bit for bit as one trajectory at a time.
         stack = np.column_stack([z, 0.5 * z, np.cos(TRAP.secular_z * times)])
-        both = demodulate(times, stack, TRAP.secular_z, 10 * PERIOD)
-        singles = [demodulate(times, col, TRAP.secular_z, 10 * PERIOD) for col in stack.T]
-        np.testing.assert_array_equal(both.times, quad.times)
+        both_centers, both = demodulate(times, stack, TRAP.secular_z, 10 * PERIOD)
+        singles = [demodulate(times, col, TRAP.secular_z, 10 * PERIOD)[1] for col in stack.T]
+        np.testing.assert_array_equal(both_centers, centers)
         np.testing.assert_array_equal(both.x, np.column_stack([q.x for q in singles]))
         np.testing.assert_array_equal(both.y, np.column_stack([q.y for q in singles]))
 
@@ -317,7 +324,7 @@ class TestDemodulate:
         x_means, y_means, x_vars, y_vars = [], [], [], []
         for _ in range(100):
             z = rng.normal(0.0, 1e-6, len(times))
-            quad = demodulate(times, z, TRAP.secular_z, 10 * PERIOD)
+            _, quad = demodulate(times, z, TRAP.secular_z, 10 * PERIOD)
             x_means.append(np.mean(quad.x))
             y_means.append(np.mean(quad.y))
             x_vars.append(np.var(quad.x))
@@ -339,15 +346,13 @@ class TestDetectLock:
         path = integrate_quadratures(
             TRAP, drive, NoiseModel(temperature=0.0), 4000 * PERIOD, seed=1
         )
-        assert detect_lock(path.times, path.phase[:, None]).tolist() == [True]
-        assert circular_std(path.phase[len(path) // 2 :]) < 1e-6
+        assert circular_std(path.phase[len(path.x) // 2 :]) < 1e-6
 
     def test_undriven_thermal_phase_diffuses(self):
         path = integrate_quadratures(
             TRAP, IDLE, THERMAL, 8000 * PERIOD, seed=2, stationary_start=True
         )
-        assert detect_lock(path.times, path.phase[:, None]).tolist() == [False]
-        assert circular_std(path.phase[len(path) // 2 :]) > 1.0
+        assert circular_std(path.phase[len(path.x) // 2 :]) > 1.0
 
     def test_operating_voltage_locks_nearly_always(self):
         # 100 phase-model trials with the full noise budget.
@@ -357,23 +362,14 @@ class TestDetectLock:
             [drive],
             THERMAL,
             2.0,
-            None,
+            2.09165e-5,  # 0.05 / w_L at 18.25 mV
             [21],
             ElectricNoise(),
             17.839e-6,
             100,
         )
         assert spreads.shape == (100,)
-        assert np.count_nonzero(spreads < DEFAULT_LOCK_THRESHOLD) >= 99
-
-    def test_empty_path_rejected(self):
-        with pytest.raises(ValueError):
-            detect_lock(np.array([]), np.empty((0, 1)))
-
-    def test_window_longer_than_path_rejected(self):
-        path = integrate_quadratures(TRAP, IDLE, THERMAL, 100 * PERIOD, seed=3)
-        with pytest.raises(ValueError):
-            detect_lock(path.times, path.phase[:, None], window=2 * path.times[-1])
+        assert np.count_nonzero(spreads < LOCK_THRESHOLD) >= 99
 
 
 OPERATING_AMPLITUDE = 17.839e-6
@@ -384,15 +380,17 @@ def oracle_phase(drive, seed, n_steps, dt, electric_noise, n_trials):
 
     Same generator and draw order as the engine: the initial electrode
     force of every trial, then per step the diffusion kicks of all trials
-    followed by their electrode kicks.  Returns ``(times, psi[step, trial])``.
+    followed by their electrode kicks; no electrode draws at zero noise.
+    Returns ``(times, psi[step, trial])``.
     """
     rng = np.random.default_rng(seed)
+    electrode = electric_noise.rms_voltage > 0
     torque_scale = 2.0 * THERMAL.mass * TRAP.secular_z * OPERATING_AMPLITUDE
     lock_rate = drive.force / torque_scale
     ratio = squeeze_variance_ratio(drive.effective_gain, drive.squeeze_phase)
     diffusion = ratio * THERMAL.force_spectral_density() / (2.0 * torque_scale**2)
     kick_scale = math.sqrt(2.0 * diffusion * dt)
-    if electric_noise is not None:
+    if electrode:
         force_rms = electric_noise.rms_voltage * drive.force_per_volt
         sigma_perp = force_rms / math.sqrt(2.0) * math.sqrt(ratio)
         decay = math.exp(-dt / electric_noise.correlation_time)
@@ -403,12 +401,12 @@ def oracle_phase(drive, seed, n_steps, dt, electric_noise, n_trials):
     psi = np.zeros((n_steps + 1, n_trials))
     for i in range(n_steps):
         diffusion_kicks = rng.normal(0.0, 1.0, n_trials)
-        if electric_noise is not None:
+        if electrode:
             electrode_kicks = rng.normal(0.0, 1.0, n_trials)
         for j in range(n_trials):
             drift = -lock_rate * math.sin(psi[i, j]) + force[j] / torque_scale
             psi[i + 1, j] = psi[i, j] + drift * dt + kick_scale * diffusion_kicks[j]
-            if electric_noise is not None:
+            if electrode:
                 force[j] = decay * force[j] + ou_kick * electrode_kicks[j]
     return np.arange(n_steps + 1) * dt, psi
 
@@ -434,7 +432,7 @@ class TestLockedPhaseEngine:
             # The window starts exactly at a chunk edge.
             (2 * PHASE_CHUNK, ElectricNoise()),
             # No electrode noise: one draw per step.
-            (1234, None),
+            pytest.param(1234, NO_ELECTRODE, id="1234-None"),
         ],
     )
     def test_matches_per_step_oracle(self, n_steps, electric_noise):
@@ -457,9 +455,8 @@ class TestLockedPhaseEngine:
             window = psi[times >= times[-1] / 2]
             expected = np.array([circular_std(window[:, j]) for j in range(3)])
             np.testing.assert_allclose(spreads[k], expected, rtol=1e-12)
-            verdict = spreads[k] < DEFAULT_LOCK_THRESHOLD
-            assert verdict.tolist() == (expected < DEFAULT_LOCK_THRESHOLD).tolist()
-            assert verdict.tolist() == detect_lock(times, psi).tolist()
+            verdict = spreads[k] < LOCK_THRESHOLD
+            assert verdict.tolist() == (expected < LOCK_THRESHOLD).tolist()
 
     def test_spreads_independent_of_stacking(self):
         args = (THERMAL, 0.25, 2e-4)
@@ -469,7 +466,7 @@ class TestLockedPhaseEngine:
             (alone,) = _locked_phase_spreads(TRAP, [drive], *args, [seed], *tail)
             np.testing.assert_array_equal(together[k], alone)
 
-    @pytest.mark.parametrize("electric_noise", [ElectricNoise(), None], ids=["electrode", "thermal"])
+    @pytest.mark.parametrize("electric_noise", [ElectricNoise(), NO_ELECTRODE], ids=["electrode", "thermal"])
     def test_spreads_independent_of_chunk_size(self, monkeypatch, electric_noise):
         # sin(psi), psi and the electrode force carry across chunk edges.
         args = (TRAP, ORACLE_DRIVES, THERMAL, 1234 * 2e-4, 2e-4, ORACLE_SEEDS)
@@ -479,13 +476,13 @@ class TestLockedPhaseEngine:
             monkeypatch.setattr(dynamics, "PHASE_CHUNK", chunk)
             spreads = _locked_phase_spreads(*args, *tail)
             np.testing.assert_allclose(spreads, default, rtol=1e-12)
-            verdict = spreads < DEFAULT_LOCK_THRESHOLD
-            assert verdict.tolist() == (default < DEFAULT_LOCK_THRESHOLD).tolist()
+            verdict = spreads < LOCK_THRESHOLD
+            assert verdict.tolist() == (default < LOCK_THRESHOLD).tolist()
 
     def test_one_seed_per_drive_required(self):
         with pytest.raises(ValueError):
             _locked_phase_spreads(
-                TRAP, ORACLE_DRIVES, THERMAL, 0.1, 2e-4, [1], None, OPERATING_AMPLITUDE, 2
+                TRAP, ORACLE_DRIVES, THERMAL, 0.1, 2e-4, [1], NO_ELECTRODE, OPERATING_AMPLITUDE, 2
             )
 
 
@@ -494,20 +491,20 @@ class TestLockedPhaseModel:
         drive_off = DriveConfig(injection_voltage=2e-3)
         drive_on = DriveConfig(injection_voltage=2e-3, **SQUEEZED)
         spreads = _locked_phase_spreads(
-            TRAP, [drive_off, drive_on], THERMAL, 2.0, 1e-4, [31, 31], None, 17.839e-6, 64
+            TRAP, [drive_off, drive_on], THERMAL, 2.0, 1e-4, [31, 31], NO_ELECTRODE, 17.839e-6, 64
         )
         off, on = np.mean(spreads**2, axis=1)
         assert on / off == pytest.approx(0.5, abs=0.08)
 
     def test_undriven_phase_diffuses_uniformly(self):
         (spreads,) = _locked_phase_spreads(
-            TRAP, [IDLE], THERMAL, 10.0, None, [4], ElectricNoise(), DEFAULT_FREE_RUNNING_AMPLITUDE, 1
+            TRAP, [IDLE], THERMAL, 10.0, 1e-4, [4], ElectricNoise(), DEFAULT_FREE_RUNNING_AMPLITUDE, 1
         )
-        assert (spreads < DEFAULT_LOCK_THRESHOLD).tolist() == [False]
+        assert (spreads < LOCK_THRESHOLD).tolist() == [False]
 
     def test_deterministic(self):
         drive = DriveConfig(injection_voltage=1e-3)
-        args = (TRAP, [drive], THERMAL, 1.0, None, [9], None, DEFAULT_FREE_RUNNING_AMPLITUDE, 1)
+        args = (TRAP, [drive], THERMAL, 1.0, 1e-4, [9], NO_ELECTRODE, DEFAULT_FREE_RUNNING_AMPLITUDE, 1)
         np.testing.assert_array_equal(_locked_phase_spreads(*args), _locked_phase_spreads(*args))
 
 
@@ -536,26 +533,14 @@ class TestSqueezeCrossRoute:
                 initial_position=z0,
                 initial_velocity=v0,
             )
-            quad = demodulate(times, z[:, 0], TRAP.secular_z, 10 * PERIOD)
-            sel = slice(len(quad) // 6, len(quad) // 2)
-            slope = np.polyfit(quad.times[sel], np.log(quad.amplitude[sel]), 1)[0]
+            centers, quad = demodulate(times, z[:, 0], TRAP.secular_z, 10 * PERIOD)
+            sel = slice(len(centers) // 6, len(centers) // 2)
+            slope = np.polyfit(centers[sel], np.log(quad.amplitude[sel]), 1)[0]
             expected = 0.5 * zeta * (1 + sign * (g / 2) * math.cos(2 * phi))
             assert -slope == pytest.approx(expected, rel=0.02), component
 
 
 class TestTypes:
-    def test_quadrature_path_validation(self):
-        with pytest.raises(ValueError):
-            QuadraturePath(
-                times=np.array([0.0, 1.0]), x=np.array([1.0]), y=np.array([1.0, 2.0])
-            )
-        with pytest.raises(ValueError):
-            QuadraturePath(
-                times=np.array([0.0, 0.0]),
-                x=np.array([1.0, 1.0]),
-                y=np.array([1.0, 1.0]),
-            )
-
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(temperature=-1.0)

@@ -116,6 +116,22 @@ class TestAmplitudeSweep:
         assert rows[0]["locked"] is False
         assert record.r_squared > 0.99
 
+    def test_voltage_without_converged_fits_keeps_its_row(self, caplog):
+        # 1 s gates with 0.45 us jitter leave both 5 mV histograms too flat
+        # to fit at the default seed.
+        config = config_from_dict(
+            {"pipeline": {"gate_time_s": 1.0, "timing_jitter_us": 0.45}}
+        )
+        voltages = [5e-3, 12.5e-3, 15e-3, 18.25e-3]
+        with caplog.at_level("WARNING"):
+            _, rows = amplitude_sweep(config, voltages=voltages, trials=2)
+        assert "no converged fits at 5 mV" in caplog.text
+        assert [row["voltage_mv"] for row in rows] == pytest.approx([5.0, 12.5, 15.0, 18.25])
+        first = rows[0]
+        assert first["locked"] is True
+        assert math.isnan(first["amplitude_um"]) and math.isnan(first["amplitude_err_um"])
+        assert (first["trials"], first["dropped"]) == (0, 2)
+
 
 class TestSqueezeSweep:
     def test_matches_variance_law_within_bootstrap_errors(self):
