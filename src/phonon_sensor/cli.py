@@ -17,7 +17,14 @@ from . import experiments
 from .config import ConfigError, config_hash, default_config, load_config, save_config
 from .constants import TWO_PI
 from .fileio import atomic_write_text as _atomic_write_text
-from .fitting import DEFAULT_FROZEN, PARAM_NAMES, FitModelParams, fit_histogram, save_fit_report
+from .fitting import (
+    DEFAULT_FROZEN,
+    PARAM_NAMES,
+    FitModelParams,
+    check_start,
+    fit_histogram,
+    save_fit_report,
+)
 from .photons import load_histogram, save_histogram, synthesize_histogram
 
 CAMPAIGNS = ("calibrate", "sweep-amplitude", "sweep-squeeze", "lower-bound", "sensitivity")
@@ -86,10 +93,9 @@ def _cmd_fit(args) -> int:
         init = experiments.fit_init(config, hist)
     else:
         try:
-            values = [float(x) for x in args.init.split(",")]
-            if not all(map(math.isfinite, values)):
-                raise ValueError("values must be finite")
-            amplitude_um, phase, alpha, beta, sigma_t_us = values
+            amplitude_um, phase, alpha, beta, sigma_t_us = (
+                float(x) for x in args.init.split(",")
+            )
             init = FitModelParams(
                 amplitude=amplitude_um * 1e-6,
                 phase=phase,
@@ -97,6 +103,7 @@ def _cmd_fit(args) -> int:
                 beta=beta,
                 sigma_t=sigma_t_us * 1e-6,
             )
+            check_start(init, hist.period)
         except ValueError as exc:
             raise ConfigError(
                 f"--init wants amplitude_um,phase,alpha,beta,sigma_t_us: {exc}"

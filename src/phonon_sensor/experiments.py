@@ -31,8 +31,18 @@ from .dynamics import (
     thermal_quadrature_variance,
 )
 from .fileio import atomic_write_text
-from .fitting import NoModulationError, chain_init_params, fit_histogram, initial_guess
-from .photons import synthesize_histogram
+from .fitting import (
+    DEFAULT_FROZEN,
+    PARAM_NAMES,
+    FitModelParams,
+    NoModulationError,
+    chain_init_params,
+    derive_alpha_beta,
+    fisher_information,
+    fit_histogram,
+    initial_guess,
+)
+from .photons import expected_bin_count, folded_law, synthesize_histogram
 from .physics import (
     DriveConfig,
     InstabilityError,
@@ -71,6 +81,11 @@ class SensitivityReport:
     slope: float  # m/N
     sensitivity: float  # N/sqrt(Hz)
     dropped: int = 0  # repetitions whose histogram was flat or whose fit did not converge
+    delta_a_crb: float = math.nan  # m, Cramer-Rao bound of one gate's amplitude
+
+    @property
+    def delta_a_over_crb(self) -> float:
+        return self.delta_a / self.delta_a_crb
 
 
 @dataclass(frozen=True)
@@ -147,6 +162,32 @@ def fit_init(config: RunConfig, hist):
         phase=config.experiment.reference_phase,
         sigma_t=pipe.timing_jitter,
     )
+
+
+def _amplitude_crb(config: RunConfig, amplitude: float) -> float:
+    """Cramer-Rao bound of one gate's fitted amplitude.
+
+    The Fisher information of the parameters the campaigns fit is taken at
+    the true amplitude and the reference phase, with alpha and beta at
+    their detection-chain values for the gate's mean count.
+    """
+    pipe = config.pipeline
+    omega_i = config.drive.injection_frequency
+    period = TWO_PI / omega_i
+    phase = config.experiment.reference_phase
+    mean_signal, _, _ = folded_law(config.beams, amplitude, phase, omega_i, pipe)
+    alpha, beta = derive_alpha_beta(
+        pipe.efficiency,
+        pipe.gate_time,
+        expected_bin_count(period, pipe.bin_width),
+        mean_signal * (1.0 + 1.0 / pipe.snr),
+        pipe.snr,
+    )
+    params = FitModelParams(amplitude, phase, alpha, beta, pipe.timing_jitter)
+    free = [name for name in PARAM_NAMES if name not in DEFAULT_FROZEN]
+    info = fisher_information(params, config.beams, omega_i, period, pipe.bin_width, free)
+    j = free.index("amplitude")
+    return math.sqrt(np.linalg.inv(info)[j, j])
 
 
 def _recover_amplitudes(config: RunConfig, amplitude: float, seeds) -> list[float]:
@@ -435,7 +476,9 @@ def sensitivity_campaign(
     the total measurement time is repetitions times the gate time; the
     amplitude-per-force slope comes from the locked-oscillator response.
     The reference formula evaluation is reported alongside, and the report
-    counts the repetitions dropped as flat or unconverged.
+    counts the repetitions dropped as flat or unconverged.  The report
+    also holds the Cramer-Rao bound of one gate's amplitude, the scatter
+    an efficient fit would reach.
     """
     exp = config.experiment
     repetitions = exp.repetitions if repetitions is None else repetitions
@@ -444,9 +487,8 @@ def sensitivity_campaign(
     if repetitions < 2:
         raise ValueError("need at least two repetitions")
 
-    fitted = _recover_amplitudes(
-        config, _true_amplitude(config, voltage), _spawn_seeds(seed, repetitions)
-    )
+    amplitude = _true_amplitude(config, voltage)
+    fitted = _recover_amplitudes(config, amplitude, _spawn_seeds(seed, repetitions))
     if len(fitted) < 2:
         raise ValueError("not enough converged fits for a scatter estimate")
 
@@ -460,6 +502,7 @@ def sensitivity_campaign(
         slope=slope,
         sensitivity=sensitivity(delta_a, tau, slope),
         dropped=repetitions - len(fitted),
+        delta_a_crb=_amplitude_crb(config, amplitude),
     )
     reference = SensitivityReport(
         delta_a=REFERENCE_DELTA_A,
@@ -569,6 +612,8 @@ def run_campaign(kind: str, config: RunConfig, seed: int | None = None):
         report, reference = sensitivity_campaign(config, seed=seed)
         return {
             "delta_a_nm": report.delta_a * 1e9,
+            "delta_a_crb_nm": report.delta_a_crb * 1e9,
+            "delta_a_over_crb": report.delta_a_over_crb,
             "tau_s": report.tau,
             "repetitions": report.repetitions,
             "dropped": report.dropped,

@@ -12,6 +12,14 @@ Amplitude and phase are the physical parameters; alpha, beta and the
 dispersion width sigma_t are nuisance parameters that default to the
 closed-form detection-chain values and stay frozen.
 
+The model's derivatives are exact: the rate's closed-form derivatives in
+amplitude and phase come from the pass that forms the rate, and the smear
+and the bin integrals are linear, so they carry over column by column;
+sigma_t's column smears the rate with the kernel's width derivative.  The
+fit passes these columns, chain-ruled through the deviance residuals, as
+the Jacobian, and :func:`fisher_information` builds the Cramer-Rao bound
+from the same columns.
+
 What depends only on the binning, never on the counts, is built once per
 binning and reused read-only: the initial guess's zero-phase template bank
 and the spectrum of the Gaussian dispersion kernel.  The circular smear is
@@ -37,6 +45,8 @@ from .physics import total_scattering_rate
 
 PARAM_NAMES = ("amplitude", "phase", "alpha", "beta", "sigma_t")
 DEFAULT_FROZEN = ("alpha", "beta", "sigma_t")
+# Profile cells per TAC bin of the fit model.
+MODEL_FINE_FACTOR = 8
 
 
 class NoModulationError(ValueError):
@@ -56,6 +66,8 @@ class FitModelParams:
             raise ValueError("amplitude must be >= 0")
         if self.sigma_t < 0:
             raise ValueError("sigma_t must be >= 0")
+        if self.alpha < 0:
+            raise ValueError("alpha must be >= 0")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
 
@@ -90,16 +102,37 @@ def wrap_phase(phi: float) -> float:
 
 
 def model_profile(
-    params: FitModelParams, beams, omega_i: float, period: float, n_fine: int
+    params: FitModelParams, beams, omega_i: float, period: float, n_fine: int, free=()
 ) -> np.ndarray:
-    """Smeared periodic rate profile on n_fine uniform cells over the period."""
+    """Smeared periodic rate profile on n_fine uniform cells over the period.
+
+    With ``free`` the result is a stack: the profile, then its derivatives
+    in those free parameters it depends on, in the order amplitude, phase,
+    sigma_t.  The smear is linear, so the rate's closed-form derivatives
+    are smeared with the same kernel; the sigma_t row is the rate smeared
+    with the kernel's derivative in its width.
+    """
     h = period / n_fine
     centers = (np.arange(n_fine) + 0.5) * h
-    rate = total_scattering_rate(beams, params.amplitude, params.phase, omega_i, centers)
-    return circular_smear(rate, period, params.sigma_t)
+    doppler = [name for name in ("amplitude", "phase") if name in free]
+    rate = total_scattering_rate(
+        beams, params.amplitude, params.phase, omega_i, centers, bool(doppler)
+    )
+    if not free:
+        return circular_smear(rate, period, params.sigma_t)
+    rows = dict(zip(("rate", "amplitude", "phase"), rate)) if doppler else {"rate": rate}
+    stack = circular_smear(
+        np.stack([rows[name] for name in ("rate", *doppler)]), period, params.sigma_t
+    )
+    if "sigma_t" in free:
+        width = circular_smear(rows["rate"], period, params.sigma_t, width_derivative=True)
+        stack = np.vstack([stack, width])
+    return stack
 
 
-def circular_smear(profile: np.ndarray, period: float, sigma_t: float) -> np.ndarray:
+def circular_smear(
+    profile: np.ndarray, period: float, sigma_t: float, width_derivative: bool = False
+) -> np.ndarray:
     """Circular Gaussian convolution of a profile on uniform cells over the period.
 
     The Gaussian kernel is sampled on the same grid, normalized to unit sum
@@ -107,31 +140,49 @@ def circular_smear(profile: np.ndarray, period: float, sigma_t: float) -> np.nda
     grid-commensurate time translations and keeps its sum.  The circular
     convolution is computed as the linear one on a fast FFT length of at
     least twice the grid, with its upper half folded back onto the period.
-    A kernel narrower than half a cell leaves the profile as it is.
+    A kernel narrower than half a cell leaves the profile as it is.  A 2-D
+    ``profile`` is smeared row by row.
+
+    With ``width_derivative`` the result is the smeared profile's
+    derivative in sigma_t instead, which is 0 while the smear is the
+    identity.
     """
     if sigma_t > period / 2:
         raise ValueError("sigma_t wider than half the period")
-    n_fine = len(profile)
-    if sigma_t <= period / n_fine / 2:
-        return profile
-    n_fft, kernel_spectrum = _kernel_spectrum(period, n_fine, sigma_t)
+    n_fine = profile.shape[-1]
+    if _smear_is_identity(period, n_fine, sigma_t):
+        return np.zeros_like(profile) if width_derivative else profile
+    n_fft, kernel_spectrum = _kernel_spectrum(period, n_fine, sigma_t, width_derivative)
     linear = scipy.fft.irfft(scipy.fft.rfft(profile, n_fft) * kernel_spectrum, n_fft)
-    return linear[:n_fine] + linear[n_fine : 2 * n_fine]
+    return linear[..., :n_fine] + linear[..., n_fine : 2 * n_fine]
+
+
+def _smear_is_identity(period: float, n_fine: int, sigma_t: float) -> bool:
+    """A kernel at most half a profile cell wide leaves the profile as it is."""
+    return sigma_t <= period / n_fine / 2
 
 
 @lru_cache(maxsize=8)
-def _kernel_spectrum(period: float, n_fine: int, sigma_t: float) -> tuple[int, np.ndarray]:
+def _kernel_spectrum(
+    period: float, n_fine: int, sigma_t: float, width_derivative: bool = False
+) -> tuple[int, np.ndarray]:
     """Fast FFT length and read-only real spectrum of the smearing kernel.
 
     The kernel is the unit-sum Gaussian on the profile grid with offsets
     wrapped to (-period/2, period/2], zero-padded to ``n_fft``, the
-    smallest 5-smooth length of at least 2 n_fine.
+    smallest 5-smooth length of at least 2 n_fine.  With
+    ``width_derivative`` it is that kernel's derivative in sigma_t:
+    (dk - k_hat sum(dk)) / sum(k), with dk = k offsets^2 / sigma_t^3.
     """
     h = period / n_fine
     offsets = np.arange(n_fine) * h
     offsets = np.where(offsets > period / 2, offsets - period, offsets)
     kernel = np.exp(-0.5 * (offsets / sigma_t) ** 2)
-    kernel /= kernel.sum()
+    if width_derivative:
+        dk = kernel * offsets**2 / sigma_t**3
+        kernel = (dk - kernel / kernel.sum() * dk.sum()) / kernel.sum()
+    else:
+        kernel /= kernel.sum()
     n_fft = scipy.fft.next_fast_len(2 * n_fine, real=True)
     spectrum = scipy.fft.rfft(kernel, n_fft)
     spectrum.flags.writeable = False
@@ -139,12 +190,17 @@ def _kernel_spectrum(period: float, n_fine: int, sigma_t: float) -> tuple[int, n
 
 
 def _bin_integrals(profile: np.ndarray, period: float, edges: np.ndarray) -> np.ndarray:
-    """Integral of the piecewise-constant profile between consecutive edges."""
-    n_fine = len(profile)
+    """Integral of the piecewise-constant profile between consecutive
+    edges, row by row for a 2-D profile."""
+    n_fine = profile.shape[-1]
     h = period / n_fine
-    cum = np.concatenate([[0.0], np.cumsum(profile) * h])
+    cum = np.zeros(profile.shape[:-1] + (n_fine + 1,))
+    np.cumsum(profile, axis=-1, out=cum[..., 1:])
+    cum[..., 1:] *= h
     fine_edges = np.arange(n_fine + 1) * h
-    return np.diff(np.interp(edges, fine_edges, cum))
+    if cum.ndim == 1:
+        return np.diff(np.interp(edges, fine_edges, cum))
+    return np.diff([np.interp(edges, fine_edges, row) for row in cum])
 
 
 def model_curve(
@@ -153,19 +209,49 @@ def model_curve(
     omega_i: float,
     period: float,
     bin_width: float,
-    fine_factor: int = 8,
-) -> np.ndarray:
+    fine_factor: int = MODEL_FINE_FACTOR,
+    free=(),
+):
     """Expected counts per TAC bin for the given model parameters.
 
     A trailing partial bin receives proportionally fewer counts; both the
     rate term and the flat offset scale with the actual bin width.
+
+    With ``free`` the result is ``(curve, columns)``: column j is the
+    curve's exact derivative in parameter ``free[j]``.  The alpha and beta
+    columns are the rate integrals and the bin widths over the bin width;
+    the amplitude, phase and sigma_t columns are alpha times the bin
+    integrals of the profile's derivatives (:func:`model_profile`).
     """
     edges = bin_edges(period, bin_width)
     n_fine = fine_factor * (len(edges) - 1)
-    profile = model_profile(params, beams, omega_i, period, n_fine)
-    integrals = _bin_integrals(profile, period, edges)
     widths = np.diff(edges)
-    return params.alpha * integrals / bin_width + params.beta * widths / bin_width
+    integrals = _bin_integrals(
+        model_profile(params, beams, omega_i, period, n_fine, free), period, edges
+    )
+    rate = integrals[0] if free else integrals
+    curve = params.alpha * rate / bin_width + params.beta * widths / bin_width
+    if not free:
+        return curve
+    columns = {"alpha": rate / bin_width, "beta": widths / bin_width}
+    shape_params = [name for name in ("amplitude", "phase", "sigma_t") if name in free]
+    columns.update(zip(shape_params, params.alpha * integrals[1:] / bin_width))
+    return curve, np.column_stack([columns[name] for name in free])
+
+
+def fisher_information(
+    params: FitModelParams, beams, omega_i: float, period: float, bin_width: float, free
+) -> np.ndarray:
+    """Fisher information of one histogram's Poisson counts in ``free``.
+
+    The counts per bin are independent Poisson variates of mean m(theta),
+    so I = sum over bins of dm dm^T / m, built from the model's derivative
+    columns; ``sqrt(inv(I)[j, j])`` is the Cramer-Rao bound of parameter j
+    (Kay, Fundamentals of Statistical Signal Processing: Estimation
+    Theory, 1993).
+    """
+    curve, columns = model_curve(params, beams, omega_i, period, bin_width, free=tuple(free))
+    return columns.T @ (columns / curve[:, None])
 
 
 def derive_alpha_beta(
@@ -306,6 +392,53 @@ def initial_guess(
     )
 
 
+def _fit_bounds(period: float) -> dict[str, tuple[float, float]]:
+    """Range of each parameter the fit searches, for a folding period."""
+    return {
+        "amplitude": (0.0, np.inf),
+        "phase": (-2 * math.pi, 2 * math.pi),
+        "alpha": (0.0, np.inf),
+        "beta": (0.0, np.inf),
+        "sigma_t": (0.0, period / 2 * 0.999),
+    }
+
+
+def check_start(init: FitModelParams, period: float) -> None:
+    """Raise a ValueError naming the first start value that is not finite
+    or lies outside the range the fit searches at this folding period."""
+    for name, (low, high) in _fit_bounds(period).items():
+        value = getattr(init, name)
+        if not (math.isfinite(value) and low <= value <= high):
+            raise ValueError(f"initial {name} = {value:g} outside [{low:g}, {high:g}]")
+
+
+def _deviance_residuals(curve, counts, n_log_n) -> tuple[np.ndarray, np.ndarray]:
+    """Signed deviance residuals rho and their derivatives in the model m.
+
+    With h = m - n + n ln(n/m) the half deviance of a bin, rho =
+    sign(n - m) sqrt(2 h) and d rho/dm = -|m - n| / (m sqrt(2 h)), which
+    tends to -1/sqrt(n) at m = n.  Where m is within n/2 of n, h is a small
+    difference of large terms, so sqrt(2 h)/|m - n| is taken from
+    u - log1p(u), u = m/n - 1, or from its series below |u| = 1e-6.
+    """
+    # An empty model bin gives a large but finite residual.
+    curve = np.maximum(curve, np.finfo(float).tiny)
+    gap = curve - counts
+    half_deviance = gap + n_log_n - counts * np.log(curve)
+    root = np.sqrt(2.0 * np.maximum(half_deviance, 0.0))
+    residuals = np.copysign(root, counts - curve)
+
+    near = np.abs(gap) < 0.5 * counts
+    slope = np.divide(np.abs(gap), root, out=np.zeros_like(gap), where=~near)
+    u = gap[near] / counts[near]
+    series = 1.0 + u / 3.0
+    ratio = np.divide(
+        np.abs(u), np.sqrt(2.0 * (u - np.log1p(u))), out=series, where=np.abs(u) >= 1e-6
+    )
+    slope[near] = np.sqrt(counts[near]) * ratio
+    return residuals, -slope / curve
+
+
 def fit_histogram(
     hist: TacHistogram,
     beams,
@@ -325,6 +458,13 @@ def fit_histogram(
     values.  Convergence follows the relative-residual (1e-8) and step-norm
     (1e-10) thresholds; running out of evaluations flags the result
     instead of raising.  The result's ``residual`` is the deviance.
+
+    Each evaluation is one model pass that also yields the exact Jacobian
+    columns.  Every start value must be finite and inside the searched
+    range (:func:`check_start`), or a ValueError names it.  While sigma_t
+    is at most half a profile cell the smear is the identity and its
+    column is 0, so a free sigma_t that starts there (at 0, say) keeps
+    its start value.
     """
     if hist.total_counts == 0:
         raise NoModulationError("empty histogram")
@@ -338,24 +478,20 @@ def fit_histogram(
         raise ValueError(f"unknown frozen parameters: {sorted(unknown)}")
     if init is None:
         init = initial_guess(hist, beams, omega_i)
-    if not np.all(np.isfinite(init.as_array())):
-        raise ValueError("initial parameters must be finite")
+    check_start(init, hist.period)
 
-    free = [name for name in PARAM_NAMES if name not in frozen]
+    free = tuple(name for name in PARAM_NAMES if name not in frozen)
+    # While the smear is the identity its sigma_t column is 0, whatever the
+    # other parameters: a free sigma_t that starts there cannot move.
+    if _smear_is_identity(hist.period, MODEL_FINE_FACTOR * hist.n_bins, init.sigma_t):
+        free = tuple(name for name in free if name != "sigma_t")
     if not free:
         raise ValueError("at least one parameter must be free")
+    bounds = _fit_bounds(hist.period)
 
     # n ln n, taken as 0 at n = 0.
     n_log_n = counts * np.log(np.where(counts > 0, counts, 1.0))
 
-    lower = {"amplitude": 0.0, "phase": -2 * math.pi, "alpha": 0.0, "beta": 0.0, "sigma_t": 0.0}
-    upper = {
-        "amplitude": np.inf,
-        "phase": 2 * math.pi,
-        "alpha": np.inf,
-        "beta": np.inf,
-        "sigma_t": hist.period / 2 * 0.999,
-    }
     scales = {
         "amplitude": 1e-6,
         "phase": 0.1,
@@ -370,19 +506,26 @@ def fit_histogram(
         values["amplitude"] = max(values["amplitude"], 0.0)
         return FitModelParams(**values)
 
-    def residuals(vector):
-        params = build(vector)
-        curve = model_curve(params, beams, omega_i, hist.period, hist.bin_width)
-        # An empty model bin gives a large but finite residual.
-        curve = np.maximum(curve, np.finfo(float).tiny)
-        half_deviance = curve - counts + n_log_n - counts * np.log(curve)
-        return np.copysign(np.sqrt(2.0 * np.maximum(half_deviance, 0.0)), counts - curve)
+    # One model pass gives the residuals and the columns; least_squares
+    # asks for the Jacobian only at the point it evaluated last.
+    last = {}
+
+    def evaluate(vector) -> dict:
+        key = vector.tobytes()
+        if last.get("key") != key:
+            curve, columns = model_curve(
+                build(vector), beams, omega_i, hist.period, hist.bin_width, free=free
+            )
+            residuals, slope = _deviance_residuals(curve, counts, n_log_n)
+            last.update(key=key, residuals=residuals, jac=slope[:, None] * columns)
+        return last
 
     x0 = [getattr(init, name) for name in free]
     result = least_squares(
-        residuals,
+        lambda vector: evaluate(vector)["residuals"],
         x0,
-        bounds=([lower[n] for n in free], [upper[n] for n in free]),
+        jac=lambda vector: evaluate(vector)["jac"],
+        bounds=([bounds[n][0] for n in free], [bounds[n][1] for n in free]),
         x_scale=[scales[n] for n in free],
         ftol=1e-8,
         xtol=1e-10,

@@ -227,12 +227,18 @@ def scattering_rate_max(beam: LaserBeam, amplitude: float, omega_i: float) -> fl
     return (gamma * s / (4.0 * math.pi)) / (1.0 + s + 4.0 * ratio**2)
 
 
-def total_scattering_rate(beams, amplitude, phase, omega_i, t):
+def total_scattering_rate(beams, amplitude, phase, omega_i, t, derivatives=False):
     """Sum of per-beam scattering rates (see ``scattering_rate``).
 
     The inputs are checked and the Doppler cosine is formed once for all
     beams; each beam's Lorentzian is then evaluated in place.  A scalar
     ``t`` gives a scalar.
+
+    With ``derivatives`` the result is ``(rate, d rate/d amplitude,
+    d rate/d phase)``, formed in the same pass.  With theta = w t + phi,
+    x = (Delta - k w A cos theta)/Gamma and D = 1 + s + 4 x^2, each beam
+    adds 8 (Gamma s/4pi) x k w / (Gamma D^2) to a common factor G; then
+    d/dA = G cos theta and d/dphi = -A G sin theta.
     """
     beams = tuple(beams)
     if not beams:
@@ -247,19 +253,33 @@ def total_scattering_rate(beams, amplitude, phase, omega_i, t):
     t = np.asarray(t)
     cosine = np.multiply(t, omega_i, out=np.empty(t.shape))
     cosine += phase
+    if derivatives:
+        sine = np.sin(cosine)
+        common = np.zeros(t.shape)
+        ratio = np.empty(t.shape)
     np.cos(cosine, out=cosine)
     total = np.zeros(t.shape)
     rate = np.empty(t.shape)
     for beam in beams:
         s, gamma = beam.saturation, beam.linewidth
+        peak = gamma * s / (4.0 * math.pi)
         np.multiply(cosine, beam.wave_number * omega_i * amplitude, out=rate)
         np.subtract(beam.detuning, rate, out=rate)
         rate /= gamma
+        if derivatives:
+            np.copyto(ratio, rate)
         np.square(rate, out=rate)
         rate *= 4.0
         rate += 1.0 + s
-        np.divide(gamma * s / (4.0 * math.pi), rate, out=rate)
+        if derivatives:
+            ratio /= rate
+            ratio /= rate
+            ratio *= 8.0 * peak * beam.wave_number * omega_i / gamma
+            common += ratio
+        np.divide(peak, rate, out=rate)
         total += rate
+    if derivatives:
+        return total, common * cosine, -amplitude * common * sine
     return total if total.ndim else total[()]
 
 

@@ -425,8 +425,19 @@ class TestCli:
         hist_path = tmp_path / "hist.txt"
         assert run_cli(["simulate", "--out", str(hist_path), "--seed", "13"]) == 0
         out = tmp_path / "fit.txt"
-        for init in ("24.0,0.03,5.2e-5,33.2", "abc,0,1,1,0", "-5,0,1,1,0", "24.0,nan,5.2e-5,33.2,0.0"):
-            assert run_cli(["fit", str(hist_path), f"--init={init}", "--out", str(out)]) == 1, init
+        bad = (
+            "24.0,0.03,5.2e-5,33.2",
+            "abc,0,1,1,0",
+            "-5,0,1,1,0",
+            "24.0,nan,5.2e-5,33.2,0.0",
+            "22,0,-1,1,0",  # negative alpha
+            "22,0,1,1,10",  # sigma_t wider than half the 5.38 us period
+            "22,7,1,1,0",  # phase outside the fit's [-2 pi, 2 pi]
+        )
+        for init in bad:
+            for freeze in ([], ["--freeze="]):
+                argv = ["fit", str(hist_path), f"--init={init}", "--out", str(out), *freeze]
+                assert run_cli(argv) == 1, (init, freeze)
         assert not out.exists()
 
     def test_fit_flat_histogram_is_runtime_error(self, tmp_path):

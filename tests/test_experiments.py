@@ -268,6 +268,17 @@ class TestSensitivityCampaign:
         )
         assert reference.sensitivity == pytest.approx(336.1e-24, rel=1e-3)
         assert report.dropped == 0
+        # The bound depends on no seed: 48.3 nm at the default 24.446 um.
+        assert report.delta_a_crb == pytest.approx(48.32e-9, rel=1e-3)
+        assert report.delta_a_over_crb == report.delta_a / report.delta_a_crb
+
+    def test_record_carries_the_bound(self):
+        config = config_from_dict({"experiment": {"repetitions": 3}})
+        results = run_campaign("sensitivity", config, 31)
+        assert results["delta_a_crb_nm"] == pytest.approx(48.32, rel=1e-3)
+        assert results["delta_a_over_crb"] == pytest.approx(
+            results["delta_a_nm"] / results["delta_a_crb_nm"], rel=1e-12
+        )
 
     def test_dropped_repetitions_are_reported(self):
         # 1 s gates with 0.3 us jitter leave some 7.5 mV histograms too flat

@@ -16,6 +16,7 @@ from phonon_sensor.fitting import (
     NoModulationError,
     chain_init_params,
     derive_alpha_beta,
+    fisher_information,
     fit_histogram,
     initial_guess,
     load_fit_report,
@@ -24,7 +25,13 @@ from phonon_sensor.fitting import (
     save_fit_report,
     wrap_phase,
 )
-from phonon_sensor.photons import PipelineConfig, TacHistogram, synthesize_histogram
+from phonon_sensor.photons import (
+    PipelineConfig,
+    TacHistogram,
+    bin_edges,
+    folded_law,
+    synthesize_histogram,
+)
 from phonon_sensor.physics import LaserBeam, default_beams, total_scattering_rate
 
 BEAMS = default_beams()
@@ -561,6 +568,153 @@ class TestDeviance:
         init = FitModelParams(*REF_CASE_A, 0.0, 0.0, 0.0)
         result = fit_histogram(hist, BEAMS, init=init, frozen=("alpha", "beta", "sigma_t"))
         assert np.isfinite(result.residual)
+
+
+# Half a cell of the fit model's profile grid on the 10 ns binning.
+HALF_CELL = PERIOD / (fitting.MODEL_FINE_FACTOR * 538) / 2
+
+
+def nudged(params, name, sign):
+    """``params`` with one parameter stepped by 1e-5 of its value (of a
+    radian for the phase), and that step."""
+    step = 1e-5 if name == "phase" else 1e-5 * getattr(params, name)
+    return replace(params, **{name: getattr(params, name) + sign * step}), step
+
+
+def central_difference(params, name, bin_width=10e-9):
+    (up, step), (down, _) = (nudged(params, name, sign) for sign in (1, -1))
+    curve = lambda p: model_curve(p, BEAMS, OMEGA, PERIOD, bin_width)
+    return (curve(up) - curve(down)) / (2 * step)
+
+
+class TestExactJacobian:
+    @pytest.mark.parametrize("sigma_t", [0.0, 0.2e-6])
+    def test_columns_match_central_differences(self, sigma_t):
+        # 5375.8 ns over 10 ns bins: 538 bins, the last one partial.
+        widths = np.diff(bin_edges(PERIOD, 10e-9))
+        assert len(widths) == 538 and widths[-1] < 10e-9
+        params = FitModelParams(*REF_CASE_A, 5.2e-5, 33.2, sigma_t)
+        curve, columns = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9, free=PARAM_NAMES)
+        np.testing.assert_array_equal(curve, model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9))
+        assert columns.shape == (538, 5)
+        for j, name in enumerate(PARAM_NAMES):
+            if name == "sigma_t" and sigma_t == 0.0:
+                continue  # a central difference would step below 0
+            expected = central_difference(params, name)
+            np.testing.assert_allclose(
+                columns[:, j], expected, rtol=1e-6, atol=1e-6 * np.abs(expected).max()
+            )
+
+    def test_sigma_column_is_zero_while_the_smear_is_the_identity(self):
+        # Up to half a profile cell the kernel leaves the profile as it is,
+        # so the curve does not depend on sigma_t there.
+        sharp = FitModelParams(*REF_CASE_A, 5.2e-5, 33.2, 0.0)
+        for sigma_t in (0.0, HALF_CELL):
+            params = replace(sharp, sigma_t=sigma_t)
+            curve, columns = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9, free=("sigma_t",))
+            np.testing.assert_array_equal(curve, model_curve(sharp, BEAMS, OMEGA, PERIOD, 10e-9))
+            assert not np.any(columns)
+
+    def test_free_sigma_from_zero_stays_at_zero(self):
+        hist = synth(*REF_CASE_A, seed=4000)
+        held = fit_with_chain_init(hist, frozen=("sigma_t",))
+        free = fit_with_chain_init(hist, frozen=())
+        assert free.converged and free.params.sigma_t == 0.0
+        assert free.errors["sigma_t"] == 0.0
+        assert free.params == held.params
+
+    def test_residual_chain_rule_on_empty_bins(self):
+        # A 0.3 s gate leaves many bins empty; their residual is -sqrt(2 m).
+        hist = synth(*REF_CASE_A, seed=6000, pipe=PipelineConfig(gate_time=0.3))
+        counts = hist.counts.astype(float)
+        assert np.count_nonzero(counts == 0) > 20
+        n_log_n = special.xlogy(counts, counts)
+        alpha, beta = derive_alpha_beta(PIPE.efficiency, 0.3, 538, hist.total_counts, PIPE.snr)
+        params = FitModelParams(REF_CASE_A[0] + 0.3e-6, REF_CASE_A[1] - 0.02, alpha, beta, 0.2e-6)
+        curve, columns = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9, free=PARAM_NAMES)
+        _, slope = fitting._deviance_residuals(curve, counts, n_log_n)
+        jacobian = slope[:, None] * columns
+
+        def residuals(p):
+            curve = model_curve(p, BEAMS, OMEGA, PERIOD, 10e-9)
+            return fitting._deviance_residuals(curve, counts, n_log_n)[0]
+
+        for j, name in enumerate(PARAM_NAMES):
+            (up, step), (down, _) = (nudged(params, name, sign) for sign in (1, -1))
+            expected = (residuals(up) - residuals(down)) / (2 * step)
+            np.testing.assert_allclose(
+                jacobian[:, j], expected, rtol=1e-6, atol=1e-6 * np.abs(expected).max()
+            )
+
+    def test_residual_slope_where_the_model_meets_the_counts(self):
+        counts = np.array([0.0, 1.0, 7.0, 40.0, 40.0, 40.0, 1000.0])
+        curve = np.array([0.3, 1.0, 7.0, 40.0, 40.0 + 1e-7, 52.0, 1000.0 * (1 - 1e-9)])
+        n_log_n = special.xlogy(counts, counts)
+        residuals, slope = fitting._deviance_residuals(curve, counts, n_log_n)
+        assert residuals[1:4].tolist() == [0.0, 0.0, 0.0]
+        np.testing.assert_allclose(slope[1:4], -1 / np.sqrt(counts[1:4]), rtol=1e-15)
+        step = 1e-4 * curve
+        up, down = (
+            fitting._deviance_residuals(curve + sign * step, counts, n_log_n)[0] for sign in (1, -1)
+        )
+        np.testing.assert_allclose(slope, (up - down) / (2 * step), rtol=1e-6)
+
+    def test_empty_model_slope_stays_finite(self):
+        counts = np.array([0.0, 3.0, 500.0])
+        _, slope = fitting._deviance_residuals(np.zeros(3), counts, special.xlogy(counts, counts))
+        assert np.all(np.isfinite(slope))
+
+    def test_default_fit_calls_the_model_once_per_evaluation(self, monkeypatch):
+        hist = synth(*REF_CASE_A, seed=1000)
+        guess = initial_guess(hist, BEAMS)
+        init = chain_init_params(hist, PIPE.efficiency, PIPE.snr, guess.amplitude, guess.phase)
+        calls = []
+        curve = fitting.model_curve
+
+        def counting_curve(*args, **kwargs):
+            calls.append(kwargs.get("free"))
+            return curve(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "model_curve", counting_curve)
+        result = fit_histogram(hist, BEAMS, init=init)
+        assert result.converged
+        assert 0 < len(calls) <= result.iterations
+        assert set(calls) == {("amplitude", "phase")}
+
+
+class TestFisherInformation:
+    def test_is_the_column_gram_matrix_over_the_model(self):
+        params = FitModelParams(*REF_CASE_A, 5.2e-5, 33.2, 0.2e-6)
+        free = ("amplitude", "phase", "beta")
+        info = fisher_information(params, BEAMS, OMEGA, PERIOD, 10e-9, free)
+        curve = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9)
+        grads = np.stack([central_difference(params, name) for name in free])
+        expected = grads @ (grads / curve).T
+        # Compared as correlations: amplitude and phase are nearly orthogonal.
+        norm = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
+        np.testing.assert_allclose(info / norm, expected / norm, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(np.diag(info), np.diag(expected), rtol=1e-6)
+
+    def test_bounds_the_amplitude_scatter_of_the_fit(self):
+        # 200 fits at 10 s gates: the deviance fit is efficient, so the
+        # scatter of its amplitude meets the Cramer-Rao bound within 4
+        # standard errors of a standard deviation from 200 samples.
+        n = 200
+        amplitudes = []
+        for seed in range(n):
+            result = fit_with_chain_init(synth(*REF_CASE_A, seed=50000 + seed))
+            assert result.converged
+            amplitudes.append(result.amplitude)
+        mean_signal, _, _ = folded_law(BEAMS, *REF_CASE_A, OMEGA, PIPE)
+        alpha, beta = derive_alpha_beta(
+            PIPE.efficiency, PIPE.gate_time, 538, mean_signal * (1 + 1 / PIPE.snr), PIPE.snr
+        )
+        truth = FitModelParams(*REF_CASE_A, alpha, beta, 0.0)
+        info = fisher_information(truth, BEAMS, OMEGA, PERIOD, 10e-9, ("amplitude", "phase"))
+        bound = math.sqrt(np.linalg.inv(info)[0, 0])
+        assert bound == pytest.approx(45.2e-9, rel=0.01)
+        ratio = np.std(amplitudes, ddof=1) / bound
+        assert abs(ratio - 1) < 4 / math.sqrt(2 * (n - 1))
 
 
 class TestFitReport:

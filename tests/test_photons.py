@@ -319,9 +319,9 @@ class TestStageSpans:
             calls["synthesize_histogram"] += 1
             return synthesize(*args, **kwargs)
 
-        def counting_rate(beams, amplitude, phase, omega_i, t):
+        def counting_rate(beams, amplitude, phase, omega_i, t, *derivatives):
             calls["rate_points"] += np.size(t)
-            return rate(beams, amplitude, phase, omega_i, t)
+            return rate(beams, amplitude, phase, omega_i, t, *derivatives)
 
         def per_photon_stage(*args, **kwargs):
             raise AssertionError("histograms are drawn without arrival times")
