@@ -8,7 +8,8 @@ Three complementary integrators:
   cycle; it cross-checks the envelope model.
 * :func:`integrate_quadratures` - the linearized rotating-frame envelope
   equations for the in-phase/quadrature components, integrated with exact
-  Gaussian transition steps (no step-size bias).
+  Gaussian transition steps (no step-size bias); :func:`_envelope_paths`
+  integrates one such path per seed in one call, bit for bit the same.
 * :func:`_locked_phase_spreads` - the injection-locked phase model used by
   the smallest-force protocol: the oscillation phasor is pinned at the
   free-running amplitude while its phase feels the injection restoring
@@ -219,6 +220,29 @@ def integrate_quadratures(
     discretization bias.  ``stationary_start`` draws the initial point from
     the stationary distribution instead of using the given initial values.
     """
+    path = _envelope_paths(
+        trap, drive, noise, duration, [seed], initial_x, initial_y, stationary_start
+    )
+    return QuadraturePath(path.x[0], path.y[0])
+
+
+def _envelope_paths(
+    trap: TrapConfig,
+    drive: DriveConfig,
+    noise: NoiseModel,
+    duration: float,
+    seeds,
+    initial_x: float = 0.0,
+    initial_y: float = 0.0,
+    stationary_start: bool = False,
+) -> QuadraturePath:
+    """:func:`integrate_quadratures` for one trajectory per seed, returned
+    as ``x[traj, step]`` and ``y[traj, step]``.
+
+    Each trajectory draws from its own generator exactly as a call of
+    :func:`integrate_quadratures` with its seed does, and rows are filtered
+    and offset independently, so row k equals that call's path bit for bit.
+    """
     if duration <= 0:
         raise ValueError("duration must be > 0")
     if noise.damping <= 0:
@@ -238,7 +262,6 @@ def integrate_quadratures(
     if n_steps < 1:
         raise ValueError("duration shorter than one step")
 
-    rng = np.random.default_rng(seed)
     denom = 2.0 * noise.mass * trap.secular_z
     diffusion = noise.force_spectral_density() / denom**2  # white-noise intensity
     lam_x = 0.5 * noise.damping * (1.0 + modulation)
@@ -256,27 +279,29 @@ def integrate_quadratures(
 
     decay_x, sd_x = step_params(lam_x)
     decay_y, sd_y = step_params(lam_y)
-
-    if stationary_start:
-        if lam_x <= 0 or lam_y <= 0:
-            raise InstabilityError("no stationary state at |g cos 2 phi| = 1")
-        x0 = rng.normal(0.0, math.sqrt(diffusion / (2.0 * lam_x)))
-        y0 = rng.normal(mean_y, math.sqrt(diffusion / (2.0 * lam_y)))
-    else:
-        x0, y0 = initial_x, initial_y
+    if stationary_start and (lam_x <= 0 or lam_y <= 0):
+        raise InstabilityError("no stationary state at |g cos 2 phi| = 1")
 
     # The exact transition is the AR(1) recursion u[n] = decay u[n-1] + kick,
-    # evaluated as an IIR filter over one row per quadrature that holds the
-    # start value in column 0 and the kicks after it, so the filter's output
-    # is the path itself.  scipy.signal is imported here, by its only user,
-    # because importing it costs most of the package's import time.
+    # evaluated as an IIR filter along rows that hold the start value in
+    # column 0 and the kicks after it, so the filter's output is the path
+    # itself.  scipy.signal is imported here, by its only user, because
+    # importing it costs most of the package's import time.
     from scipy.signal import lfilter
 
-    paths = np.empty((2, n_steps + 1))
-    for row, start, sd in ((paths[0], x0, sd_x), (paths[1], y0 - mean_y, sd_y)):
-        row[0] = start
-        rng.standard_normal(out=row[1:])
-        row[1:] *= sd
+    paths = np.empty((2, len(seeds), n_steps + 1))
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        if stationary_start:
+            x0 = rng.normal(0.0, math.sqrt(diffusion / (2.0 * lam_x)))
+            y0 = rng.normal(mean_y, math.sqrt(diffusion / (2.0 * lam_y)))
+        else:
+            x0, y0 = initial_x, initial_y
+        for row, start in ((paths[0, k], x0), (paths[1, k], y0 - mean_y)):
+            row[0] = start
+            rng.standard_normal(out=row[1:])
+    paths[0, :, 1:] *= sd_x
+    paths[1, :, 1:] *= sd_y
     x = lfilter([1.0], [1.0, -decay_x], paths[0])
     y = lfilter([1.0], [1.0, -decay_y], paths[1])
     y += mean_y
@@ -341,12 +366,16 @@ def _locked_phase_spreads(
     Everything but the injection torque is known before a chunk is
     stepped, so each chunk first forms the additive increment
     ``g = sqrt(2 D dt) xi + f_perp dt / torque_scale`` of all its rows,
-    advancing the left-point electrode force ``f_perp`` row by row.  A step
-    is then four in-place ufunc calls on preallocated rows,
-    ``psi[k+1] = psi[k] + (-w_L dt) sin(psi[k]) + g[k]`` followed by
-    ``sin(psi[k+1])``, which the next step reuses.  Instead of storing the
-    phase, each chunk adds sum(cos psi) and sum(sin psi) of its rows
-    inside the window to running sums per trial; the sines are the ones
+    advancing the left-point electrode force ``f_perp`` row by row.  Each
+    drive's normals go to one reused ``(chunk, draws, trials)`` buffer and
+    are scaled straight into that drive's columns of ``block``, which holds
+    the increments.  A step is then four in-place ufunc calls on
+    preallocated rows, ``psi[k+1] = psi[k] + (-w_L dt) sin(psi[k]) + g[k]``
+    followed by ``sin(psi[k+1])``, which the next step reuses; step k reads
+    ``g[k]`` before it overwrites that row of ``block`` with the new phase.
+    Instead of storing the phase, each chunk adds sum(cos psi) and
+    sum(sin psi) of its rows inside the window to running sums per trial;
+    the cosines are taken in place in ``block`` and the sines are the ones
     already formed by the steps.
     """
     if duration <= 0:
@@ -366,18 +395,18 @@ def _locked_phase_spreads(
     decay = math.exp(-dt / electric_noise.correlation_time) if electrode else 0.0
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
-    # Per-drive constants, shaped to broadcast over that drive's trials.
+    # Per-drive scale factors of the normals; f_perp is each drive's start force.
     sqrt_2d_dt, kick, f_perp = [], [], []
     for drive, rng in zip(drives, rngs):
         # The squeeze drive redistributes quadrature fluctuations; the phase
         # quadrature carries the variance ratio of the frequency-doubled drive.
         ratio = squeeze_variance_ratio(drive.effective_gain, drive.squeeze_phase)
         diffusion = ratio * noise.force_spectral_density() / (2.0 * torque_scale**2)
-        sqrt_2d_dt.append([math.sqrt(2.0 * diffusion * dt)])
+        sqrt_2d_dt.append(math.sqrt(2.0 * diffusion * dt))
         if electrode:
             force_rms = electric_noise.rms_voltage * drive.force_per_volt
             sigma_perp = (force_rms / math.sqrt(2.0)) * math.sqrt(ratio)
-            kick.append([sigma_perp * math.sqrt(1.0 - decay * decay)])
+            kick.append(sigma_perp * math.sqrt(1.0 - decay * decay))
             f_perp.append(rng.normal(0.0, sigma_perp, n_trials))
     n_drives, n_cols = len(drives), len(drives) * n_trials
     neg_rate_dt = np.repeat([-rate * dt for rate in lock_rates], n_trials)
@@ -387,15 +416,17 @@ def _locked_phase_spreads(
     times = np.arange(n_steps + 1) * dt
     start = int(np.searchsorted(times, 0.5 * times[-1]))
     chunk = PHASE_CHUNK
-    raw = np.empty((n_drives, chunk, 2 if electrode else 1, n_trials))
-    g = np.empty((chunk, n_cols))
-    # force[k] and sines[k] hold f_perp and sin(psi) before step k of the
-    # chunk; row 0 carries over from the previous chunk.
+    # One drive's normals of a chunk, refilled for each drive in turn.
+    draws = np.empty((chunk, 2 if electrode else 1, n_trials))
+    # block[k] holds the increment g of step k until the step overwrites
+    # it with psi after that step.  force[k] and sines[k] hold f_perp and
+    # sin(psi) before step k of the chunk; row 0 carries over from the
+    # previous chunk.
+    block = np.empty((chunk, n_cols))
     if electrode:
         force = np.empty((chunk + 1, n_cols))
         force[0] = np.concatenate(f_perp)
     sines = np.zeros((chunk + 1, n_cols))
-    block = np.empty((chunk, n_cols))
     tmp = np.empty(n_cols)
     cur = np.zeros(n_cols)
     cos_sum = np.zeros(n_cols)
@@ -403,39 +434,32 @@ def _locked_phase_spreads(
     for first in range(0, n_steps, chunk):
         rows = min(chunk, n_steps - first)
         for j, rng in enumerate(rngs):
-            rng.standard_normal(out=raw[j, :rows])
-        # (drive, row, trial) -> (row, drive, trial), the column order of g.
-        g_rows = g[:rows]
-        np.multiply(
-            raw[:, :rows, 0].transpose(1, 0, 2),
-            sqrt_2d_dt,
-            out=g_rows.reshape(rows, n_drives, n_trials),
-        )
+            cols = slice(j * n_trials, (j + 1) * n_trials)
+            rng.standard_normal(out=draws[:rows])
+            np.multiply(draws[:rows, 0], sqrt_2d_dt[j], out=block[:rows, cols])
+            if electrode:
+                np.multiply(draws[:rows, 1], kick[j], out=force[1 : rows + 1, cols])
         if electrode:
-            np.multiply(
-                raw[:, :rows, 1].transpose(1, 0, 2),
-                kick,
-                out=force[1 : rows + 1].reshape(rows, n_drives, n_trials),
-            )
             for k in range(rows):
                 np.multiply(force[k], decay, out=tmp)
                 force[k + 1] += tmp
             force_rows = force[:rows]
             force_rows *= force_step
-            g_rows += force_rows
+            block[:rows] += force_rows
             force[0] = force[rows]
         for k in range(rows):
             np.multiply(neg_rate_dt, sines[k], out=tmp)
-            tmp += g[k]
+            tmp += block[k]
             np.add(cur, tmp, out=block[k])
             cur = block[k]
             np.sin(cur, out=sines[k + 1])
+        cur = cur.copy()  # block is refilled by the next chunk
         # Rows first + 1 .. first + rows were stepped; sum those in the window.
         lo = max(start - first - 1, 0)
         if lo < rows:
-            cos_sum += np.cos(block[lo:rows]).sum(axis=0)
+            window = block[lo:rows]
+            cos_sum += np.cos(window, out=window).sum(axis=0)
             sin_sum += sines[lo + 1 : rows + 1].sum(axis=0)
-        cur = cur.copy()  # block is refilled by the next chunk
         sines[0] = sines[rows]
     spread = _spread(cos_sum + 1j * sin_sum, n_steps + 1 - start)
     return spread.reshape(n_drives, n_trials)

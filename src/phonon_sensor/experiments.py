@@ -12,6 +12,8 @@ import hashlib
 import json
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,8 +27,8 @@ from .config import (
 )
 from .constants import TWO_PI
 from .dynamics import (
+    _envelope_paths,
     _locked_phase_spreads,
-    integrate_quadratures,
     stationary_mean_displacement,
     thermal_quadrature_variance,
 )
@@ -57,6 +59,12 @@ log = logging.getLogger(__name__)
 REFERENCE_DELTA_A = 15e-9  # m
 REFERENCE_TAU = 500.0  # s
 REFERENCE_SLOPE = 0.9979e-9 / 1e-24  # m/N
+
+# Envelope trials integrated per call in the squeeze sweep.  Batching makes
+# the scaling, filtering and variance calls per batch rather than per trial,
+# so two sweep workers seldom hand the interpreter lock back and forth; 8
+# trials of 10 000 periods take about 3 MB.
+ENVELOPE_BATCH = 8
 
 
 class RunRecordError(ValueError):
@@ -121,6 +129,26 @@ def sensitivity(delta_a: float, tau: float, slope: float) -> float:
 
 def _spawn_seeds(seed: int, count: int) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(count)]
+
+
+def _available_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _run_concurrently(fn, jobs) -> list:
+    """``[fn(job) for job in jobs]``, with the calls run on a thread pool.
+
+    The jobs must share no generator or other mutable state.  Results come
+    back in submission order, so they do not depend on the number of
+    workers.  A job's exception is raised here once every worker has ended.
+    """
+    jobs = list(jobs)
+    with ThreadPoolExecutor(min(len(jobs), _available_cpus())) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def _true_amplitude(config: RunConfig, voltage: float) -> float:
@@ -323,30 +351,42 @@ def squeeze_sweep(
     )
 
     def trial_variances(drive, seeds):
+        stationary = abs(drive.effective_gain * math.cos(2 * drive.squeeze_phase)) < 1.0
         var_y, var_x = [], []
-        for s in seeds:
-            path = integrate_quadratures(
+        for first in range(0, len(seeds), ENVELOPE_BATCH):
+            path = _envelope_paths(
                 config.trap,
                 drive,
                 config.noise,
                 duration,
-                seed=s,
-                stationary_start=abs(
-                    drive.effective_gain * math.cos(2 * drive.squeeze_phase)
-                )
-                < 1.0,
+                seeds[first : first + ENVELOPE_BATCH],
+                stationary_start=stationary,
             )
-            var_y.append(float(np.var(path.y)))
-            var_x.append(float(np.var(path.x)))
-        return np.array(var_y), np.array(var_x)
+            var_y.append(np.var(path.y, axis=1))
+            var_x.append(np.var(path.x, axis=1))
+        return np.concatenate(var_y), np.concatenate(var_x)
 
+    # Every stable point's trials have their own seeds, so the baseline and
+    # the points are integrated concurrently; the rows and the bootstrap,
+    # which share one generator, then follow in grid order.
+    jobs = [(base_drive, _spawn_seeds(seed, trials))]
+    for k, (gain, phase) in enumerate(points):
+        if gain * math.cos(2 * phase) < 1.0:
+            drive = replace(
+                config.drive,
+                injection_voltage=0.0,
+                squeeze_gain=gain,
+                squeeze_phase=phase,
+                squeeze_enabled=True,
+            )
+            jobs.append((drive, _spawn_seeds(seed + 104729 * (k + 1), trials)))
+    variances = iter(_run_concurrently(lambda job: trial_variances(*job), jobs))
     rng = np.random.default_rng(seed)
-    baseline_seeds = _spawn_seeds(seed, trials)
-    base_y, base_x = trial_variances(base_drive, baseline_seeds)
+    base_y, base_x = next(variances)
     base_mean = base_y.mean()
 
     rows = []
-    for k, (gain, phase) in enumerate(points):
+    for gain, phase in points:
         modulation = gain * math.cos(2 * phase)
         row = {
             "gain": gain,
@@ -366,15 +406,7 @@ def squeeze_sweep(
         row["theory_ratio_y"] = squeeze_variance_ratio(gain, phase)
         if modulation > -1.0:
             row["theory_ratio_x"] = 1.0 / (1.0 + modulation)
-        drive = replace(
-            config.drive,
-            injection_voltage=0.0,
-            squeeze_gain=gain,
-            squeeze_phase=phase,
-            squeeze_enabled=True,
-        )
-        point_seeds = _spawn_seeds(seed + 104729 * (k + 1), trials)
-        var_y, var_x = trial_variances(drive, point_seeds)
+        var_y, var_x = next(variances)
         ratio = var_y.mean() / base_mean
         boots = np.empty(n_bootstrap)
         for b in range(n_bootstrap):
@@ -592,10 +624,13 @@ def run_campaign(kind: str, config: RunConfig, seed: int | None = None):
         rows, summary = squeeze_sweep(config, seed=seed)
         return {"rows": rows, **summary}
     if kind == "lower-bound":
+        searches = _run_concurrently(
+            lambda squeeze: lower_bound_search(config, squeeze=squeeze, seed=seed),
+            (False, True),
+        )
         results = {}
-        for squeeze in (False, True):
-            res = lower_bound_search(config, squeeze=squeeze, seed=seed)
-            key = "squeezed" if squeeze else "unsqueezed"
+        for res in searches:
+            key = "squeezed" if res.squeezing_enabled else "unsqueezed"
             results[key] = {
                 "voltages_mv": [v * 1e3 for v in res.voltages],
                 "lock_probability": list(res.lock_probability),

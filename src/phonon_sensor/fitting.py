@@ -495,10 +495,15 @@ def fit_histogram(
     scales = {
         "amplitude": 1e-6,
         "phase": 0.1,
-        "alpha": max(init.alpha, 1e-12),
         "beta": max(init.beta, 1.0),
         "sigma_t": max(init.sigma_t, hist.bin_width),
     }
+    if "alpha" in free:
+        # The alpha that puts every count under the start's profile; a start
+        # alpha of 0 would give no scale.
+        unit = replace(init, alpha=1.0, beta=0.0)
+        rate = model_curve(unit, beams, omega_i, hist.period, hist.bin_width)
+        scales["alpha"] = counts.sum() / rate.sum()
 
     def build(vector) -> FitModelParams:
         values = dict(zip(PARAM_NAMES, (float(v) for v in init.as_array())))

@@ -460,6 +460,21 @@ class TestCli:
         assert dropped == {5.0: 2, 7.5: 1, 10.0: 0, 12.5: 0, 15.0: 0, 18.25: 0}
         assert all(row["trials"] + row["dropped"] == 4 for row in rows)
 
+    def test_unbracketed_lower_bound_is_runtime_error(self, tmp_path, capsys):
+        # Without thermal or electrode noise every voltage locks, so the
+        # search raises inside its worker thread.
+        cfg = tmp_path / "quiet.yaml"
+        cfg.write_text(
+            "physics:\n  noise:\n    temperature_mk: 0.0\n    electric_rms_mv: 0.0\n"
+            "pipeline:\n  gate_time_s: 0.2\n"
+            "experiment:\n  lower_bound_trials: 20\n"
+        )
+        out = tmp_path / "runs"
+        code = run_cli(["campaign", "lower-bound", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "not bracketed" in capsys.readouterr().err
+        assert not (out / "lower-bound.json").exists()
+
     def test_unknown_campaign_usage_error(self):
         assert run_cli(["campaign", "no-such-campaign", "--out", "/tmp/x"]) == 1
 

@@ -10,6 +10,7 @@ from phonon_sensor.dynamics import (
     ElectricNoise,
     NoiseModel,
     PHASE_CHUNK,
+    _envelope_paths,
     _locked_phase_spreads,
     circular_std,
     demodulate,
@@ -294,6 +295,17 @@ class TestQuadratures:
         b = integrate_quadratures(TRAP, IDLE, THERMAL, 500 * PERIOD, seed=5)
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.y, b.y)
+
+
+    @pytest.mark.parametrize("kwargs", [{"stationary_start": True}, {"initial_x": 1e-9}])
+    def test_batched_rows_equal_single_paths(self, kwargs):
+        squeezed = DriveConfig(squeeze_gain=0.6, squeeze_phase=0.3, squeeze_enabled=True)
+        batch = _envelope_paths(TRAP, squeezed, THERMAL, 300 * PERIOD, [5, 6, 7], **kwargs)
+        assert batch.x.shape == batch.y.shape == (3, 301)
+        for row, seed in enumerate((5, 6, 7)):
+            path = integrate_quadratures(TRAP, squeezed, THERMAL, 300 * PERIOD, seed=seed, **kwargs)
+            np.testing.assert_array_equal(batch.x[row], path.x)
+            np.testing.assert_array_equal(batch.y[row], path.y)
 
 
 class TestDemodulate:

@@ -1,12 +1,14 @@
 import json
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from phonon_sensor.config import config_from_dict, default_config
+from phonon_sensor import experiments
+from phonon_sensor.config import canonicalize, config_from_dict, default_config
 from phonon_sensor.experiments import (
     REFERENCE_DELTA_A,
     REFERENCE_SLOPE,
@@ -26,6 +28,17 @@ from phonon_sensor.experiments import (
 )
 CONFIG = default_config()
 TRAP = CONFIG.trap
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while ``fn()`` runs, over all threads."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 class TestCalibrateForce:
@@ -230,6 +243,69 @@ class TestLowerBound:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+class TestConcurrency:
+    """The smallest-force campaigns run independent streams on a thread
+    pool; neither the pool nor the number of CPUs may show in an output."""
+
+    # The benchmark's smoke settings: 2 s gates, 20 trials, shipped grid.
+    SHORT = replace(
+        CONFIG,
+        pipeline=replace(CONFIG.pipeline, gate_time=2.0),
+        experiment=replace(CONFIG.experiment, lower_bound_trials=20),
+    )
+
+    def test_lower_bound_campaign_equals_serial_searches(self):
+        before = threading.active_count()
+        results = run_campaign("lower-bound", self.SHORT, seed=37)
+        assert threading.active_count() == before
+        # run_campaign searches the config as a run record stores it.
+        config = canonicalize(self.SHORT)
+        for key, squeeze in (("unsqueezed", False), ("squeezed", True)):
+            serial = lower_bound_search(config, squeeze=squeeze, seed=37)
+            assert results[key]["lock_probability"] == list(serial.lock_probability)
+            assert results[key]["critical_voltage_mv"] == serial.critical_voltage * 1e3
+
+    def test_worker_error_ends_every_thread(self):
+        quiet = replace(
+            self.SHORT,
+            pipeline=replace(self.SHORT.pipeline, gate_time=0.2),
+            noise=replace(CONFIG.noise, temperature=0.0),
+            electric_noise=replace(CONFIG.electric_noise, rms_voltage=0.0),
+        )
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="not bracketed"):
+            run_campaign("lower-bound", quiet)
+        assert threading.active_count() == before
+
+    def test_sweep_does_not_depend_on_the_worker_count(self, monkeypatch, caplog):
+        # Two unstable points between stable ones: the warnings keep the
+        # grid order, and the shared bootstrap generator its draw order.
+        points = [(0.3, 0.0), (1.2, 0.0), (0.6, math.pi / 2), (1.0, 0.0), (0.9, 0.4)]
+
+        def sweep():
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="phonon_sensor.experiments"):
+                result = squeeze_sweep(CONFIG, points=points, trials=10, periods=500, seed=43)
+            return json.dumps(result), [record.getMessage() for record in caplog.records]
+
+        pooled, pooled_log = sweep()
+        monkeypatch.setattr(experiments, "_available_cpus", lambda: 1)
+        serial, serial_log = sweep()
+        assert pooled == serial
+        assert pooled_log == serial_log == [
+            "unstable squeeze point g=1.2 phi=0 skipped",
+            "unstable squeeze point g=1 phi=0 skipped",
+        ]
+
+    def test_default_search_working_set(self):
+        # One reused draw buffer and the increments held in the phase rows:
+        # three (chunk, trials x voltages) arrays, about 4.6 MB.
+        assert traced_peak(lambda: lower_bound_search(CONFIG, squeeze=False)) <= 7e6
+
+    def test_concurrent_searches_working_set(self):
+        assert traced_peak(lambda: run_campaign("lower-bound", CONFIG)) <= 14e6
 
 
 class TestFixedSeedOutputs:
