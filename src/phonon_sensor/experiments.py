@@ -344,31 +344,18 @@ def squeeze_sweep(
     trials = exp.squeeze_trials if trials is None else trials
     periods = exp.squeeze_periods if periods is None else periods
     seed = exp.seed if seed is None else seed
+    if trials < 1:
+        raise ValueError("squeeze sweep needs at least one trial per point")
 
     duration = periods * TWO_PI / config.drive.injection_frequency
     base_drive = replace(
         config.drive, injection_voltage=0.0, squeeze_gain=0.0, squeeze_enabled=False
     )
 
-    def trial_variances(drive, seeds):
-        stationary = abs(drive.effective_gain * math.cos(2 * drive.squeeze_phase)) < 1.0
-        var_y, var_x = [], []
-        for first in range(0, len(seeds), ENVELOPE_BATCH):
-            path = _envelope_paths(
-                config.trap,
-                drive,
-                config.noise,
-                duration,
-                seeds[first : first + ENVELOPE_BATCH],
-                stationary_start=stationary,
-            )
-            var_y.append(np.var(path.y, axis=1))
-            var_x.append(np.var(path.x, axis=1))
-        return np.concatenate(var_y), np.concatenate(var_x)
-
-    # Every stable point's trials have their own seeds, so the baseline and
-    # the points are integrated concurrently; the rows and the bootstrap,
-    # which share one generator, then follow in grid order.
+    # Every stable point's trials have their own seeds, so the envelope
+    # batches of the baseline and of every point are integrated
+    # concurrently; the rows and the bootstrap, which share one generator,
+    # then follow in grid order.
     jobs = [(base_drive, _spawn_seeds(seed, trials))]
     for k, (gain, phase) in enumerate(points):
         if gain * math.cos(2 * phase) < 1.0:
@@ -380,7 +367,27 @@ def squeeze_sweep(
                 squeeze_enabled=True,
             )
             jobs.append((drive, _spawn_seeds(seed + 104729 * (k + 1), trials)))
-    variances = iter(_run_concurrently(lambda job: trial_variances(*job), jobs))
+    batches = [
+        (drive, seeds[first : first + ENVELOPE_BATCH])
+        for drive, seeds in jobs
+        for first in range(0, trials, ENVELOPE_BATCH)
+    ]
+
+    def batch_variances(batch):
+        drive, seeds = batch
+        stationary = abs(drive.effective_gain * math.cos(2 * drive.squeeze_phase)) < 1.0
+        path = _envelope_paths(
+            config.trap, drive, config.noise, duration, seeds, stationary_start=stationary
+        )
+        return np.array([np.var(path.y, axis=1), np.var(path.x, axis=1)])
+
+    # (var_y, var_x) of every job's trials, in job order.
+    done = _run_concurrently(batch_variances, batches)
+    per_job = len(done) // len(jobs)
+    variances = (
+        np.concatenate(done[first : first + per_job], axis=1)
+        for first in range(0, len(done), per_job)
+    )
     rng = np.random.default_rng(seed)
     base_y, base_x = next(variances)
     base_mean = base_y.mean()
@@ -624,13 +631,10 @@ def run_campaign(kind: str, config: RunConfig, seed: int | None = None):
         rows, summary = squeeze_sweep(config, seed=seed)
         return {"rows": rows, **summary}
     if kind == "lower-bound":
-        searches = _run_concurrently(
-            lambda squeeze: lower_bound_search(config, squeeze=squeeze, seed=seed),
-            (False, True),
-        )
         results = {}
-        for res in searches:
-            key = "squeezed" if res.squeezing_enabled else "unsqueezed"
+        for squeeze in (False, True):
+            res = lower_bound_search(config, squeeze=squeeze, seed=seed)
+            key = "squeezed" if squeeze else "unsqueezed"
             results[key] = {
                 "voltages_mv": [v * 1e3 for v in res.voltages],
                 "lock_probability": list(res.lock_probability),

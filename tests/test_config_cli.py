@@ -462,7 +462,7 @@ class TestCli:
 
     def test_unbracketed_lower_bound_is_runtime_error(self, tmp_path, capsys):
         # Without thermal or electrode noise every voltage locks, so the
-        # search raises inside its worker thread.
+        # search raises.
         cfg = tmp_path / "quiet.yaml"
         cfg.write_text(
             "physics:\n  noise:\n    temperature_mk: 0.0\n    electric_rms_mv: 0.0\n"
