@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -139,15 +140,36 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_concurrently(fn, jobs) -> list:
-    """``[fn(job) for job in jobs]``, with the calls run on a thread pool.
+def _run_concurrently(fn, jobs, processes: bool = False) -> list:
+    """``[fn(job) for job in jobs]``, with the calls run on a pool.
 
-    The jobs must share no generator or other mutable state.  Results come
-    back in submission order, so they do not depend on the number of
-    workers.  A job's exception is raised here once every worker has ended.
+    The pool holds threads, or with ``processes`` forked worker processes,
+    whose calls do not share the interpreter lock; ``fn``, the jobs and the
+    results must then pickle, and the caller must run no other thread, as
+    forking copies no thread but the calling one.  The jobs must share no
+    generator or other mutable state.  Results come back in submission
+    order, so they do not depend on the number of workers.  The calls run
+    in series when one CPU is available, or when processes are asked for
+    on a platform that cannot fork.  A job's exception is raised here once
+    every worker has ended.
     """
     jobs = list(jobs)
-    with ThreadPoolExecutor(min(len(jobs), _available_cpus())) as pool:
+    workers = min(len(jobs), _available_cpus())
+    if processes:
+        # Imported here, by the one caller that forks, so that the other
+        # campaigns do not pay for the import.
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    if processes:
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    else:
+        pool = ThreadPoolExecutor(workers)
+    with pool:
         return list(pool.map(fn, jobs))
 
 
@@ -608,6 +630,18 @@ def rerun_record(record: dict) -> dict:
     return make_run_record(kind, config, seed, results)
 
 
+def _search(config: RunConfig, seed: int, squeeze: bool) -> dict:
+    """One lower-bound search, as the lower-bound record holds it."""
+    res = lower_bound_search(config, squeeze=squeeze, seed=seed)
+    return {
+        "voltages_mv": [v * 1e3 for v in res.voltages],
+        "lock_probability": list(res.lock_probability),
+        "trials": res.trials,
+        "critical_voltage_mv": res.critical_voltage * 1e3,
+        "critical_force_yn": res.critical_force * 1e24,
+    }
+
+
 def run_campaign(kind: str, config: RunConfig, seed: int | None = None):
     """Dispatch a named campaign and return JSON-serializable results."""
     config = canonicalize(config)
@@ -631,22 +665,18 @@ def run_campaign(kind: str, config: RunConfig, seed: int | None = None):
         rows, summary = squeeze_sweep(config, seed=seed)
         return {"rows": rows, **summary}
     if kind == "lower-bound":
-        results = {}
-        for squeeze in (False, True):
-            res = lower_bound_search(config, squeeze=squeeze, seed=seed)
-            key = "squeezed" if squeeze else "unsqueezed"
-            results[key] = {
-                "voltages_mv": [v * 1e3 for v in res.voltages],
-                "lock_probability": list(res.lock_probability),
-                "trials": res.trials,
-                "critical_voltage_mv": res.critical_voltage * 1e3,
-                "critical_force_yn": res.critical_force * 1e24,
-            }
-        results["critical_voltage_ratio"] = (
-            results["unsqueezed"]["critical_voltage_mv"]
-            / results["squeezed"]["critical_voltage_mv"]
+        # The two searches share no state, and their step loops hold the
+        # interpreter lock, so they run in forked processes; spawned ones
+        # would import numpy and scipy again, which costs more than it saves.
+        unsqueezed, squeezed = _run_concurrently(
+            partial(_search, config, seed), (False, True), processes=True
         )
-        return results
+        return {
+            "unsqueezed": unsqueezed,
+            "squeezed": squeezed,
+            "critical_voltage_ratio": unsqueezed["critical_voltage_mv"]
+            / squeezed["critical_voltage_mv"],
+        }
     if kind == "sensitivity":
         report, reference = sensitivity_campaign(config, seed=seed)
         return {

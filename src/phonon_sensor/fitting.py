@@ -500,10 +500,14 @@ def fit_histogram(
     }
     if "alpha" in free:
         # The alpha that puts every count under the start's profile; a start
-        # alpha of 0 would give no scale.
+        # alpha of 0 would give no scale.  It is also the start of a free
+        # alpha that starts at 0, where the amplitude and phase columns
+        # vanish and the first steps would move alpha alone.
         unit = replace(init, alpha=1.0, beta=0.0)
         rate = model_curve(unit, beams, omega_i, hist.period, hist.bin_width)
         scales["alpha"] = counts.sum() / rate.sum()
+        if init.alpha == 0:
+            init = replace(init, alpha=scales["alpha"])
 
     def build(vector) -> FitModelParams:
         values = dict(zip(PARAM_NAMES, (float(v) for v in init.as_array())))

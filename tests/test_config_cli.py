@@ -461,8 +461,9 @@ class TestCli:
         assert all(row["trials"] + row["dropped"] == 4 for row in rows)
 
     def test_unbracketed_lower_bound_is_runtime_error(self, tmp_path, capsys):
-        # Without thermal or electrode noise every voltage locks, so the
-        # search raises.
+        # Without thermal or electrode noise every voltage locks, so each
+        # search raises in its worker process and the CLI still reports the
+        # worker's message.
         cfg = tmp_path / "quiet.yaml"
         cfg.write_text(
             "physics:\n  noise:\n    temperature_mk: 0.0\n    electric_rms_mv: 0.0\n"

@@ -1,14 +1,18 @@
+import hashlib
 import json
 import math
+import multiprocessing
+import os
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from phonon_sensor import experiments
-from phonon_sensor.config import canonicalize, config_from_dict, default_config
+from phonon_sensor.config import canonicalize, config_from_dict, default_config, load_config
 from phonon_sensor.experiments import (
     REFERENCE_DELTA_A,
     REFERENCE_SLOPE,
@@ -28,6 +32,7 @@ from phonon_sensor.experiments import (
 )
 CONFIG = default_config()
 TRAP = CONFIG.trap
+SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 
 
 def traced_peak(fn) -> int:
@@ -39,6 +44,10 @@ def traced_peak(fn) -> int:
     finally:
         tracemalloc.stop()
     return peak
+
+
+def _worker_pid(_job) -> int:
+    return os.getpid()
 
 
 class TestCalibrateForce:
@@ -251,8 +260,9 @@ class TestLowerBound:
 
 class TestConcurrency:
     """The squeeze sweep runs its envelope batches on a thread pool and the
-    lower-bound campaign runs its two searches in series; neither the pool
-    nor the number of CPUs may show in an output."""
+    lower-bound campaign runs its two searches in forked worker processes;
+    neither pool nor the number of CPUs may show in an output, and no
+    worker may outlive a campaign."""
 
     # The benchmark's smoke settings: 2 s gates, 20 trials, shipped grid.
     SHORT = replace(
@@ -261,16 +271,38 @@ class TestConcurrency:
         experiment=replace(CONFIG.experiment, lower_bound_trials=20),
     )
 
-    def test_lower_bound_campaign_equals_serial_searches(self):
+    def lower_bound_record(self, results=None) -> str:
+        if results is None:
+            results = run_campaign("lower-bound", self.SHORT, seed=37)
+        return json.dumps(make_run_record("lower-bound", self.SHORT, 37, results), sort_keys=True)
+
+    def test_lower_bound_campaign_equals_serial_searches(self, monkeypatch):
         before = threading.active_count()
         results = run_campaign("lower-bound", self.SHORT, seed=37)
         assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
         # run_campaign searches the config as a run record stores it.
         config = canonicalize(self.SHORT)
         for key, squeeze in (("unsqueezed", False), ("squeezed", True)):
             serial = lower_bound_search(config, squeeze=squeeze, seed=37)
             assert results[key]["lock_probability"] == list(serial.lock_probability)
             assert results[key]["critical_voltage_mv"] == serial.critical_voltage * 1e3
+        # The record's bytes do not depend on the pool.
+        pooled = self.lower_bound_record(results)
+        monkeypatch.setattr(experiments, "_available_cpus", lambda: 1)
+        assert self.lower_bound_record() == pooled
+
+    def test_lower_bound_campaign_without_fork_runs_in_series(self, monkeypatch):
+        pooled = self.lower_bound_record()
+        if experiments._available_cpus() > 1:
+            assert os.getpid() not in experiments._run_concurrently(
+                _worker_pid, range(2), processes=True
+            )
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert experiments._run_concurrently(_worker_pid, range(2), processes=True) == [
+            os.getpid()
+        ] * 2
+        assert self.lower_bound_record() == pooled
 
     def test_worker_error_ends_every_thread(self):
         # A zero duration passes squeeze_sweep and fails in every envelope
@@ -279,6 +311,19 @@ class TestConcurrency:
         with pytest.raises(ValueError, match="duration must be > 0"):
             squeeze_sweep(CONFIG, points=[(0.3, 0.0)], trials=20, periods=0, seed=43)
         assert threading.active_count() == before
+        # Without thermal or electrode noise every voltage locks, so both
+        # searches raise inside their worker processes.
+        quiet = config_from_dict(
+            {
+                "physics": {"noise": {"temperature_mk": 0.0, "electric_rms_mv": 0.0}},
+                "pipeline": {"gate_time_s": 0.2},
+                "experiment": {"lower_bound_trials": 20},
+            }
+        )
+        with pytest.raises(ValueError, match="not bracketed"):
+            run_campaign("lower-bound", quiet)
+        assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
 
     def test_sweep_does_not_depend_on_the_worker_count(self, monkeypatch, caplog):
         # Two unstable points between stable ones: the warnings keep the
@@ -305,8 +350,10 @@ class TestConcurrency:
         # three (chunk, trials x voltages) arrays, about 4.6 MB.
         assert traced_peak(lambda: lower_bound_search(CONFIG, squeeze=False)) <= 7e6
 
-    def test_lower_bound_campaign_working_set(self):
-        # The two searches run in series, so the campaign peaks as one does.
+    def test_lower_bound_campaign_working_set(self, monkeypatch):
+        # tracemalloc does not see worker processes, so the two searches run
+        # here, in series; the campaign then peaks as one search does.
+        monkeypatch.setattr(experiments, "_available_cpus", lambda: 1)
         assert traced_peak(lambda: run_campaign("lower-bound", CONFIG)) <= 7e6
 
 
@@ -314,6 +361,23 @@ class TestFixedSeedOutputs:
     """Exact campaign outputs at fixed seeds, recorded before the locked-phase
     step and the envelope integrator were rewritten for speed.  A later
     change of draws or of arithmetic that moves a result fails here."""
+
+    # The sha256 of the run record that `phonon-sensor campaign <kind>
+    # --config configs/default.yaml` writes.  A change that moves these
+    # numbers on purpose updates the digest and says so.
+    DEFAULT_RECORD_SHA256 = {
+        "lower-bound": "ee6717ea29d11fb1314f7e8c9e83bea2f2d9cd22c193a6bd4f36fb67af18004d",
+        "sweep-squeeze": "6445a80f2ef27fd964564179e414278c9522ccd8e9b171311c06e814edd427ca",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DEFAULT_RECORD_SHA256))
+    def test_default_smallest_force_record(self, kind, tmp_path):
+        config = load_config(SHIPPED_CONFIG)
+        seed = config.experiment.seed
+        path = tmp_path / f"{kind}.json"
+        persist_run(make_run_record(kind, config, seed, run_campaign(kind, config, seed)), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.DEFAULT_RECORD_SHA256[kind]
 
     def test_lower_bound_lock_fractions(self):
         # The benchmark's smoke settings: 2 s gates, 20 trials, shipped grid.

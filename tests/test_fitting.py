@@ -541,29 +541,31 @@ class TestFit:
         assert not result.converged
 
     def test_free_alpha_from_zero_converges(self):
-        # An alpha start of 0 gives alpha no scale of its own; the fit takes
-        # it from the histogram.  beta is frozen at its start, so the fit
-        # from a start of 0 is compared with the fit of the same model from
-        # the chain start's alpha.
+        # An alpha start of 0 gives alpha no scale of its own and zeroes the
+        # amplitude and phase columns; the fit takes alpha's scale and start
+        # from the histogram.  Each zero start must find the fit of the same
+        # model from the chain start's alpha.
         pipe = PipelineConfig(gate_time=1.0)
         hist = synth(*REF_CASE_A, seed=5, pipe=pipe)
         guess = initial_guess(hist, BEAMS)
         init = chain_init_params(hist, pipe.efficiency, pipe.snr, guess.amplitude, guess.phase)
-        frozen = ("beta", "sigma_t")
-        zero = fit_histogram(hist, BEAMS, init=replace(init, alpha=0.0, beta=0.0), frozen=frozen)
-        same_model = fit_histogram(hist, BEAMS, init=replace(init, beta=0.0), frozen=frozen)
-        assert zero.converged and zero.iterations < 500
-        assert zero.params.amplitude == pytest.approx(
-            same_model.params.amplitude, abs=same_model.errors["amplitude"]
-        )
-        # With beta free as well, the zero start finds the chain start's fit.
-        free = ("sigma_t",)
-        zero = fit_histogram(hist, BEAMS, init=replace(init, alpha=0.0, beta=0.0), frozen=free)
-        default = fit_histogram(hist, BEAMS, init=init, frozen=free)
-        assert zero.converged
-        assert zero.params.amplitude == pytest.approx(
-            default.params.amplitude, abs=default.errors["amplitude"]
-        )
+        held = ("beta", "sigma_t")
+        cases = [
+            # beta held at 0.
+            (replace(init, alpha=0.0, beta=0.0), replace(init, beta=0.0), held),
+            # beta held at its chain value, where the zero start once
+            # stopped at a false minimum near 4 um.
+            (replace(init, alpha=0.0), init, held),
+            # beta free as well: the chain start's fit.
+            (replace(init, alpha=0.0, beta=0.0), init, ("sigma_t",)),
+        ]
+        for start, reference_start, frozen in cases:
+            zero = fit_histogram(hist, BEAMS, init=start, frozen=frozen)
+            reference = fit_histogram(hist, BEAMS, init=reference_start, frozen=frozen)
+            assert zero.converged and zero.iterations < 500
+            assert zero.params.amplitude == pytest.approx(
+                reference.params.amplitude, abs=reference.errors["amplitude"]
+            )
 
     def test_wrap_phase_convention(self):
         assert wrap_phase(math.pi) == pytest.approx(math.pi)
