@@ -6,13 +6,14 @@ boundaries (config files, reports).
 
 import math
 
-from scipy.constants import (
-    atomic_mass as ATOMIC_MASS_UNIT,
-    c as SPEED_OF_LIGHT,
-    elementary_charge as ELEMENTARY_CHARGE,
-    hbar as HBAR,
-    k as BOLTZMANN,
-)
+# CODATA 2022 values as scipy.constants 1.17 gives them (atomic_mass, c,
+# elementary_charge, hbar, k); written out so that importing the package
+# does not import scipy.  A test pins them against scipy.constants.
+ATOMIC_MASS_UNIT = 1.66053906892e-27  # kg
+SPEED_OF_LIGHT = 299792458.0  # m/s
+ELEMENTARY_CHARGE = 1.602176634e-19  # C
+HBAR = 1.0545718176461565e-34  # J s
+BOLTZMANN = 1.380649e-23  # J/K
 
 __all__ = [
     "ATOMIC_MASS_UNIT",

@@ -667,7 +667,8 @@ def run_campaign(kind: str, config: RunConfig, seed: int | None = None):
     if kind == "lower-bound":
         # The two searches share no state, and their step loops hold the
         # interpreter lock, so they run in forked processes; spawned ones
-        # would import numpy and scipy again, which costs more than it saves.
+        # would import numpy and the package again (about 0.3 s each), which
+        # costs more than it saves.
         unsqueezed, squeezed = _run_concurrently(
             partial(_search, config, seed), (False, True), processes=True
         )

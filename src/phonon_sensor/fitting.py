@@ -35,8 +35,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
-from scipy.optimize import least_squares
 
 from .constants import TWO_PI
 from .fileio import optional, read_header_file, write_header_file
@@ -152,9 +150,28 @@ def circular_smear(
     n_fine = profile.shape[-1]
     if _smear_is_identity(period, n_fine, sigma_t):
         return np.zeros_like(profile) if width_derivative else profile
+    fft = _scipy_fft()
     n_fft, kernel_spectrum = _kernel_spectrum(period, n_fine, sigma_t, width_derivative)
-    linear = scipy.fft.irfft(scipy.fft.rfft(profile, n_fft) * kernel_spectrum, n_fft)
+    linear = fft.irfft(fft.rfft(profile, n_fft) * kernel_spectrum, n_fft)
     return linear[..., :n_fine] + linear[..., n_fine : 2 * n_fine]
+
+
+@lru_cache(maxsize=1)
+def _scipy_fft():
+    """scipy.fft, imported on first use, so that importing the package
+    does not import scipy.
+
+    The first call also frees one 1 MB block.  glibc's malloc serves blocks
+    below its mmap threshold from the heap and raises that threshold to the
+    size of the largest mapped block freed.  Without the raise, the smear's
+    FFT buffers (100-280 kB a call) are mapped and faulted in anew on every
+    call: a jittered-recovery round took 118k minor faults against 20
+    (glibc 2.36, 2-core VM).
+    """
+    import scipy.fft
+
+    bytearray(1 << 20)
+    return scipy.fft
 
 
 def _smear_is_identity(period: float, n_fine: int, sigma_t: float) -> bool:
@@ -183,8 +200,9 @@ def _kernel_spectrum(
         kernel = (dk - kernel / kernel.sum() * dk.sum()) / kernel.sum()
     else:
         kernel /= kernel.sum()
-    n_fft = scipy.fft.next_fast_len(2 * n_fine, real=True)
-    spectrum = scipy.fft.rfft(kernel, n_fft)
+    fft = _scipy_fft()
+    n_fft = fft.next_fast_len(2 * n_fine, real=True)
+    spectrum = fft.rfft(kernel, n_fft)
     spectrum.flags.writeable = False
     return n_fft, spectrum
 
@@ -281,7 +299,7 @@ def _is_flat(counts: np.ndarray) -> bool:
 
 def _correlation_length(n: int) -> int:
     """Smallest 5-smooth length that holds a linear correlation of n bins."""
-    return scipy.fft.next_fast_len(2 * n, real=True)
+    return _scipy_fft().next_fast_len(2 * n, real=True)
 
 
 @lru_cache(maxsize=8)
@@ -300,6 +318,7 @@ def _template_bank(
     the spectrum read-only and ``n_fft`` the correlation length of
     :func:`_correlation_length`; templates of zero norm are left out.
     """
+    fft = _scipy_fft()
     bank = []
     for amp in np.linspace(*amplitude_range, n_amplitudes):
         template = model_curve(
@@ -309,7 +328,7 @@ def _template_bank(
         norm = math.sqrt(float(np.sum(template**2)))
         if norm == 0:
             continue
-        template_conj = np.conj(scipy.fft.rfft(template, _correlation_length(len(template))))
+        template_conj = np.conj(fft.rfft(template, _correlation_length(len(template))))
         template_conj.flags.writeable = False
         bank.append((amp, norm, template_conj))
     return tuple(bank)
@@ -344,7 +363,8 @@ def initial_guess(
 
     n = len(signal)
     n_fft = _correlation_length(n)
-    spectrum = scipy.fft.rfft(signal, n_fft)
+    fft = _scipy_fft()
+    spectrum = fft.rfft(signal, n_fft)
     best = None
     bank = _template_bank(
         tuple(beams),
@@ -358,7 +378,7 @@ def initial_guess(
     for amp, norm, template_conj in bank:
         # Circular cross-correlation over all bin shifts at once: the
         # linear one, with its negative lags folded back onto the period.
-        linear = scipy.fft.irfft(spectrum * template_conj, n_fft)
+        linear = fft.irfft(spectrum * template_conj, n_fft)
         corr = linear[:n] + linear[n_fft - n :]
         shift = int(np.argmax(corr))
         score = corr[shift] / norm
@@ -466,6 +486,8 @@ def fit_histogram(
     column is 0, so a free sigma_t that starts there (at 0, say) keeps
     its start value.
     """
+    from scipy.optimize import least_squares
+
     if hist.total_counts == 0:
         raise NoModulationError("empty histogram")
     counts = hist.counts.astype(float)

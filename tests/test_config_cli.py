@@ -508,6 +508,29 @@ class TestCli:
             data = yaml.safe_load(fh)
         assert config_hash(config_from_dict(data)) == config_hash(default_config())
 
+    def test_cheap_paths_import_no_scipy(self, tmp_path):
+        # Only the fit, the jitter smear and the squeeze sweep need scipy,
+        # and they import it when first used; a fresh interpreter that runs
+        # none of them must not load it.
+        script = f"""
+import sys
+from phonon_sensor.cli import main
+from phonon_sensor.config import load_config
+
+load_config({SHIPPED_CONFIG!r})
+out = {str(tmp_path)!r}
+assert main(["write-config", "--out", out + "/default.yaml"]) == 0
+assert main(["campaign", "calibrate", "--out", out]) == 0
+assert main(["campaign", "no-such-campaign", "--out", out]) == 1
+assert main(["fit", out + "/calibrate.json", "--out", out + "/r.txt"]) == 2
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+
     def test_console_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "phonon_sensor.cli", "--help"],

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import constants as scipy_constants
 
-from phonon_sensor import physics
+from phonon_sensor import constants, physics
 from phonon_sensor.constants import DEFAULT_AXIAL_FREQUENCY, HBAR, TWO_PI
 from phonon_sensor.physics import (
     DriveConfig,
@@ -56,6 +57,17 @@ GOLDEN_PAIR = {
 # Same oracle for the friction rates at the default beam pair.
 GOLDEN_ZETA_RED = 1949.0375717277336
 GOLDEN_ZETA_BLUE = -23945.828448325327
+
+
+class TestConstants:
+    def test_literals_equal_scipy_constants(self):
+        # Written out so the package imports no scipy; equal, not close, so
+        # that every derived float stays bit-identical.
+        assert constants.ATOMIC_MASS_UNIT == scipy_constants.atomic_mass
+        assert constants.SPEED_OF_LIGHT == scipy_constants.c
+        assert constants.ELEMENTARY_CHARGE == scipy_constants.elementary_charge
+        assert constants.HBAR == scipy_constants.hbar
+        assert constants.BOLTZMANN == scipy_constants.k
 
 
 class TestTypes:
