@@ -30,7 +30,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Campaign grids, trial counts and seeds."""
+    """Campaign grids, trial counts and seeds; campaigns read them from here alone."""
 
     seed: int = 20260809
     reference_phase: float = 0.03  # rad, stop-reference offset of the TAC
@@ -113,7 +113,7 @@ class RunConfig:
     @property
     def amplitude_per_force(self) -> float:
         """Locked-oscillator amplitude response, 1/(m zeta w_z), in m/N."""
-        return 1.0 / (self.noise.mass * self.noise.damping * self.trap.secular_z)
+        return 1.0 / (self.trap.mass * self.noise.damping * self.trap.secular_z)
 
 
 def default_config() -> RunConfig:
@@ -295,9 +295,6 @@ def config_from_dict(data: dict) -> RunConfig:
                 _update(template, _collect(entry, _BEAM_SCHEMA, f"physics.beams[{i}]"))
                 for i, entry in enumerate(beams)
             )
-        # The thermal bath moves the ion's mass, which has one key: mass_amu.
-        mass = changes.get("trap", config.trap).mass
-        changes["noise"] = replace(changes.get("noise", config.noise), mass=mass)
         return replace(config, **changes)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -36,7 +36,6 @@ from .constants import (
     BOLTZMANN,
     DEFAULT_DAMPING_RATE,
     DOPPLER_TEMPERATURE,
-    ION_MASS,
     TWO_PI,
 )
 from .physics import (
@@ -70,23 +69,21 @@ class QuadraturePath:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Thermal bath and effective damping of the locked oscillator."""
+    """Thermal bath and effective damping of the locked oscillator; the
+    oscillator's mass is the trap's (:attr:`TrapConfig.mass`)."""
 
     temperature: float = DOPPLER_TEMPERATURE  # K
     damping: float = DEFAULT_DAMPING_RATE  # 1/s
-    mass: float = ION_MASS  # kg
 
     def __post_init__(self):
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.damping < 0:
             raise ValueError("damping must be >= 0")
-        if self.mass <= 0:
-            raise ValueError("mass must be > 0")
 
-    def force_spectral_density(self) -> float:
+    def force_spectral_density(self, mass: float) -> float:
         """Two-sided spectral density 2 m zeta k_B T of each slow component."""
-        return 2.0 * self.mass * self.damping * BOLTZMANN * self.temperature
+        return 2.0 * mass * self.damping * BOLTZMANN * self.temperature
 
 
 @dataclass(frozen=True)
@@ -160,7 +157,7 @@ def integrate_langevin(
 
     # Slow thermal quadrature forces, refreshed once per oscillation period.
     refresh = max(1, int(round(period / dt)))
-    sigma_f = math.sqrt(noise.force_spectral_density() / (refresh * dt))
+    sigma_f = math.sqrt(noise.force_spectral_density(mass) / (refresh * dt))
 
     beams = tuple(beams)
 
@@ -262,8 +259,8 @@ def _envelope_paths(
     if n_steps < 1:
         raise ValueError("duration shorter than one step")
 
-    denom = 2.0 * noise.mass * trap.secular_z
-    diffusion = noise.force_spectral_density() / denom**2  # white-noise intensity
+    denom = 2.0 * trap.mass * trap.secular_z
+    diffusion = noise.force_spectral_density(trap.mass) / denom**2  # white-noise intensity
     lam_x = 0.5 * noise.damping * (1.0 + modulation)
     lam_y = 0.5 * noise.damping * (1.0 - modulation)
     mean_y = drive.force / (denom * lam_y)
@@ -316,18 +313,12 @@ def stationary_mean_displacement(
     modulation = _squeeze_modulation(drive)
     if modulation >= 1.0:
         raise InstabilityError("g cos(2 phi) >= 1")
-    return drive.force / (
-        noise.mass * noise.damping * trap.secular_z * (1.0 - modulation)
-    )
+    return drive.force / (trap.mass * noise.damping * trap.secular_z * (1.0 - modulation))
 
 
-def thermal_quadrature_variance(drive: DriveConfig, noise: NoiseModel) -> float:
+def thermal_quadrature_variance(trap: TrapConfig, drive: DriveConfig, noise: NoiseModel) -> float:
     """Unsqueezed stationary variance k_B T / (2 m w_i^2) of each quadrature."""
-    return (
-        BOLTZMANN
-        * noise.temperature
-        / (2.0 * noise.mass * drive.injection_frequency**2)
-    )
+    return BOLTZMANN * noise.temperature / (2.0 * trap.mass * drive.injection_frequency**2)
 
 
 def _locked_phase_spreads(
@@ -386,7 +377,7 @@ def _locked_phase_spreads(
     if not drives or len(drives) != len(seeds):
         raise ValueError("need at least one drive and one seed per drive")
 
-    torque_scale = 2.0 * noise.mass * trap.secular_z * operating_amplitude
+    torque_scale = 2.0 * trap.mass * trap.secular_z * operating_amplitude
     lock_rates = [drive.force / torque_scale for drive in drives]
     n_steps = int(round(duration / dt))
     if n_steps < 2:
@@ -402,7 +393,7 @@ def _locked_phase_spreads(
         # The squeeze drive redistributes quadrature fluctuations; the phase
         # quadrature carries the variance ratio of the frequency-doubled drive.
         ratio = squeeze_variance_ratio(drive.effective_gain, drive.squeeze_phase)
-        diffusion = ratio * noise.force_spectral_density() / (2.0 * torque_scale**2)
+        diffusion = ratio * noise.force_spectral_density(trap.mass) / (2.0 * torque_scale**2)
         sqrt_2d_dt.append(math.sqrt(2.0 * diffusion * dt))
         if electrode:
             force_rms = electric_noise.rms_voltage * drive.force_per_volt

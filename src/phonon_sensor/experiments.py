@@ -67,6 +67,12 @@ REFERENCE_SLOPE = 0.9979e-9 / 1e-24  # m/N
 # trials of 10 000 periods take about 3 MB.
 ENVELOPE_BATCH = 8
 
+SQUEEZE_BOOTSTRAP = 200  # resamples behind each squeeze point's error bar
+
+# Locked-phase step of the lower-bound search, in s.  The critical voltage
+# depends on it until the electrode force is integrated exactly (ROADMAP 3).
+LOWER_BOUND_STEP = 2e-4
+
 
 class RunRecordError(ValueError):
     """Corrupt, tampered or incompatible run record."""
@@ -79,7 +85,6 @@ class CalibrationRecord:
     amplitude_per_force: float  # m/N
     free_running_amplitude: float  # m
     r_squared: float
-    residuals: tuple[float, ...]  # m, one per voltage
 
 
 @dataclass(frozen=True)
@@ -184,13 +189,11 @@ def _true_amplitude(config: RunConfig, voltage: float) -> float:
 def _expected_lock_spread(config: RunConfig, voltage: float) -> float:
     """Small-signal locked phase spread sqrt(D / w_L) of the phase model."""
     drive = replace(config.drive, injection_voltage=voltage)
-    torque_scale = (
-        2.0 * config.noise.mass * config.trap.secular_z * config.free_running_amplitude
-    )
+    torque_scale = 2.0 * config.trap.mass * config.trap.secular_z * config.free_running_amplitude
     lock_rate = drive.force / torque_scale
     if lock_rate == 0:
         return math.inf
-    diffusion = config.noise.force_spectral_density() / (2.0 * torque_scale**2)
+    diffusion = config.noise.force_spectral_density(config.trap.mass) / (2.0 * torque_scale**2)
     en = config.electric_noise
     force_rms = en.rms_voltage * drive.force_per_volt
     diffusion += (force_rms**2 / 2.0) * en.correlation_time / torque_scale**2
@@ -264,15 +267,11 @@ def _recover_amplitudes(config: RunConfig, amplitude: float, seeds) -> list[floa
     return amplitudes
 
 
-def amplitude_sweep(
-    config: RunConfig,
-    voltages=None,
-    trials: int | None = None,
-    seed: int | None = None,
-):
+def amplitude_sweep(config: RunConfig, seed: int | None = None):
     """Fit the oscillation amplitude across injection voltages and regress.
 
-    Runs dynamics -> photon pipeline -> fit for each voltage and trial,
+    Runs dynamics -> photon pipeline -> fit for each voltage of
+    ``experiment.amplitude_voltages`` and each of ``amplitude_trials`` trials,
     regresses the fitted amplitude on voltage and reports the slope, the
     zero-voltage intercept (free-running amplitude) and regression quality.
     Voltages that fail the lock criterion, or keep no converged fit, are
@@ -282,12 +281,8 @@ def amplitude_sweep(
     converge (``dropped``).
     """
     exp = config.experiment
-    voltages = list(exp.amplitude_voltages if voltages is None else voltages)
-    trials = exp.amplitude_trials if trials is None else trials
+    voltages, trials = exp.amplitude_voltages, exp.amplitude_trials
     seed = exp.seed if seed is None else seed
-    if len(set(voltages)) < 3:
-        raise ValueError("need at least three distinct voltages for the regression")
-
     seeds = _spawn_seeds(seed, len(voltages) * trials)
     rows = []
     kept_v, kept_a = [], []
@@ -339,37 +334,28 @@ def amplitude_sweep(
         amplitude_per_force=slope / force_per_volt,
         free_running_amplitude=intercept,
         r_squared=r_squared,
-        residuals=tuple(float(x) for x in (a - predicted)),
     )
     return record, rows
 
 
-def squeeze_sweep(
-    config: RunConfig,
-    points=None,
-    trials: int | None = None,
-    periods: int | None = None,
-    seed: int | None = None,
-    n_bootstrap: int = 200,
-):
+def squeeze_sweep(config: RunConfig, points=None, seed: int | None = None):
     """Relative quadrature variance across the squeeze (gain, phase) grid.
 
-    Simulates the rotating-frame envelope per grid point, normalizes the
+    Simulates the rotating-frame envelope per grid point, ``squeeze_trials``
+    trials of ``squeeze_periods`` injection periods each, normalizes the
     displaced-quadrature variance by the unsqueezed baseline, and overlays
     the closed-form variance ratio.  Bootstrap resampling of trials supplies
     the error bars.  Grid points with g cos(2 phi) >= 1 are flagged as
-    unstable and skipped.
+    unstable and skipped.  The grid is ``squeeze_gains`` x ``squeeze_phases``
+    unless ``points`` lists (gain, phase) pairs: the one way to sweep another
+    grid, or a gain above 1, which the config rejects and the sweep flags.
     """
     exp = config.experiment
     if points is None:
         points = [(g, p) for g in exp.squeeze_gains for p in exp.squeeze_phases]
-    trials = exp.squeeze_trials if trials is None else trials
-    periods = exp.squeeze_periods if periods is None else periods
+    trials = exp.squeeze_trials
     seed = exp.seed if seed is None else seed
-    if trials < 1:
-        raise ValueError("squeeze sweep needs at least one trial per point")
-
-    duration = periods * TWO_PI / config.drive.injection_frequency
+    duration = exp.squeeze_periods * TWO_PI / config.drive.injection_frequency
     base_drive = replace(
         config.drive, injection_voltage=0.0, squeeze_gain=0.0, squeeze_enabled=False
     )
@@ -437,8 +423,8 @@ def squeeze_sweep(
             row["theory_ratio_x"] = 1.0 / (1.0 + modulation)
         var_y, var_x = next(variances)
         ratio = var_y.mean() / base_mean
-        boots = np.empty(n_bootstrap)
-        for b in range(n_bootstrap):
+        boots = np.empty(SQUEEZE_BOOTSTRAP)
+        for b in range(SQUEEZE_BOOTSTRAP):
             num = rng.choice(var_y, trials).mean()
             den = rng.choice(base_y, trials).mean()
             boots[b] = num / den
@@ -447,38 +433,27 @@ def squeeze_sweep(
         if modulation > -1.0:
             row["sim_ratio_x"] = float(var_x.mean() / base_x.mean())
         rows.append(row)
-    summary = {
-        "baseline_variance_m2": float(base_mean),
-        "thermal_variance_m2": thermal_quadrature_variance(config.drive, config.noise),
-    }
-    return rows, summary
+    thermal = thermal_quadrature_variance(config.trap, config.drive, config.noise)
+    return rows, {"baseline_variance_m2": float(base_mean), "thermal_variance_m2": thermal}
 
 
 def lower_bound_search(
-    config: RunConfig,
-    voltages=None,
-    trials: int | None = None,
-    squeeze: bool = False,
-    seed: int | None = None,
+    config: RunConfig, squeeze: bool = False, seed: int | None = None
 ) -> LowerBoundResult:
     """Smallest locking voltage at 90% success probability.
 
-    The injection-locked phase model runs ``trials`` independent 10-second
-    trials against thermal plus electrode noise at every grid voltage, the
-    whole grid in one stepping loop with one generator per voltage; the
-    critical voltage is where the locked fraction crosses 0.9, interpolated
-    linearly in log-voltage between the bracketing grid points.  Squeezing
-    applies the frequency-doubled drive at full gain and the phase that
-    squeezes the phase quadrature (the 3 dB configuration).
+    The injection-locked phase model runs ``lower_bound_trials`` independent
+    trials of one gate time against thermal plus electrode noise at every
+    voltage of ``lower_bound_voltages``, the whole grid in one stepping loop
+    with one generator per voltage; the critical voltage is where the locked
+    fraction crosses 0.9, interpolated linearly in log-voltage between the
+    bracketing grid points.  Squeezing applies the frequency-doubled drive
+    at full gain and the phase that squeezes the phase quadrature (the 3 dB
+    configuration).
     """
     exp = config.experiment
-    voltages = list(exp.lower_bound_voltages if voltages is None else voltages)
-    trials = exp.lower_bound_trials if trials is None else trials
+    voltages, trials = exp.lower_bound_voltages, exp.lower_bound_trials
     seed = exp.seed if seed is None else seed
-    if trials < 20:
-        raise ValueError("lower-bound protocol needs >= 20 trials per voltage")
-    if sorted(voltages) != voltages:
-        raise ValueError("voltage grid must be ascending")
 
     drive_template = replace(
         config.drive,
@@ -493,7 +468,7 @@ def lower_bound_search(
         drives,
         config.noise,
         config.pipeline.gate_time,
-        2e-4,
+        LOWER_BOUND_STEP,
         _spawn_seeds(seed + (1 if squeeze else 0), len(voltages)),
         config.electric_noise,
         config.free_running_amplitude,
@@ -516,7 +491,7 @@ def lower_bound_search(
     critical_voltage = math.exp(log_vc)
 
     return LowerBoundResult(
-        voltages=tuple(voltages),
+        voltages=voltages,
         lock_probability=tuple(probabilities),
         trials=trials,
         critical_voltage=critical_voltage,
@@ -525,30 +500,20 @@ def lower_bound_search(
     )
 
 
-def sensitivity_campaign(
-    config: RunConfig,
-    repetitions: int | None = None,
-    voltage: float | None = None,
-    seed: int | None = None,
-):
+def sensitivity_campaign(config: RunConfig, seed: int | None = None) -> SensitivityReport:
     """Empirical sensitivity from repeated pipeline fits at one voltage.
 
-    The scatter of the fitted amplitude over the repetitions gives delta_A;
-    the total measurement time is repetitions times the gate time; the
-    amplitude-per-force slope comes from the locked-oscillator response.
-    The reference formula evaluation is reported alongside, and the report
-    counts the repetitions dropped as flat or unconverged.  The report
-    also holds the Cramer-Rao bound of one gate's amplitude, the scatter
-    an efficient fit would reach.
+    The fits run ``experiment.repetitions`` gates at the drive's injection
+    voltage.  The scatter of the fitted amplitude over the repetitions
+    gives delta_A; the total measurement time is repetitions times the
+    gate time; the amplitude-per-force slope comes from the
+    locked-oscillator response.  The report counts the repetitions dropped
+    as flat or unconverged, and holds the Cramer-Rao bound of one gate's
+    amplitude, the scatter an efficient fit would reach.
     """
-    exp = config.experiment
-    repetitions = exp.repetitions if repetitions is None else repetitions
-    voltage = config.drive.injection_voltage if voltage is None else voltage
-    seed = exp.seed if seed is None else seed
-    if repetitions < 2:
-        raise ValueError("need at least two repetitions")
-
-    amplitude = _true_amplitude(config, voltage)
+    repetitions = config.experiment.repetitions
+    seed = config.experiment.seed if seed is None else seed
+    amplitude = _true_amplitude(config, config.drive.injection_voltage)
     fitted = _recover_amplitudes(config, amplitude, _spawn_seeds(seed, repetitions))
     if len(fitted) < 2:
         raise ValueError("not enough converged fits for a scatter estimate")
@@ -556,7 +521,7 @@ def sensitivity_campaign(
     delta_a = float(np.std(fitted, ddof=1))
     tau = repetitions * config.pipeline.gate_time
     slope = config.amplitude_per_force
-    report = SensitivityReport(
+    return SensitivityReport(
         delta_a=delta_a,
         tau=tau,
         repetitions=repetitions,
@@ -565,14 +530,6 @@ def sensitivity_campaign(
         dropped=repetitions - len(fitted),
         delta_a_crb=_amplitude_crb(config, amplitude),
     )
-    reference = SensitivityReport(
-        delta_a=REFERENCE_DELTA_A,
-        tau=REFERENCE_TAU,
-        repetitions=repetitions,
-        slope=REFERENCE_SLOPE,
-        sensitivity=sensitivity(REFERENCE_DELTA_A, REFERENCE_TAU, REFERENCE_SLOPE),
-    )
-    return report, reference
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +636,8 @@ def run_campaign(kind: str, config: RunConfig, seed: int | None = None):
             / squeezed["critical_voltage_mv"],
         }
     if kind == "sensitivity":
-        report, reference = sensitivity_campaign(config, seed=seed)
+        report = sensitivity_campaign(config, seed=seed)
+        reference = sensitivity(REFERENCE_DELTA_A, REFERENCE_TAU, REFERENCE_SLOPE)
         return {
             "delta_a_nm": report.delta_a * 1e9,
             "delta_a_crb_nm": report.delta_a_crb * 1e9,
@@ -689,6 +647,6 @@ def run_campaign(kind: str, config: RunConfig, seed: int | None = None):
             "dropped": report.dropped,
             "slope_nm_per_yn": report.slope * 1e9 * 1e-24,
             "sensitivity_yn_per_sqrt_hz": report.sensitivity * 1e24,
-            "reference_sensitivity_yn_per_sqrt_hz": reference.sensitivity * 1e24,
+            "reference_sensitivity_yn_per_sqrt_hz": reference * 1e24,
         }
     raise ValueError(f"unknown campaign {kind!r}")

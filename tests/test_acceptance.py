@@ -143,7 +143,7 @@ def test_criterion_04_fluctuation_dissipation():
 
     noise = CONFIG.noise
     drive = DriveConfig()
-    target = thermal_quadrature_variance(drive, noise)
+    target = thermal_quadrature_variance(CONFIG.trap, drive, noise)
     xs, ys = [], []
     for seed in range(60):
         path = integrate_quadratures(

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import os
 import string
@@ -24,6 +25,7 @@ from phonon_sensor.config import (
     save_config,
 )
 from phonon_sensor.constants import TWO_PI
+from phonon_sensor.dynamics import NoiseModel, thermal_quadrature_variance
 from phonon_sensor.fitting import load_fit_report
 from phonon_sensor.photons import TacHistogram, load_histogram, save_histogram
 
@@ -93,6 +95,18 @@ class TestConfigIO:
         cfg = config_from_dict({"pipeline": {"snr": 3.5}})
         assert cfg.pipeline.snr == 3.5
         assert cfg.pipeline.efficiency == default_config().pipeline.efficiency
+
+    def test_mass_reaches_the_thermal_bath(self):
+        # The bath has no mass of its own: it moves the trap's ion.
+        base = default_config()
+        heavy = config_from_dict({"physics": {"trap": {"mass_amu": 43.0}}})
+        assert heavy.amplitude_per_force == pytest.approx(
+            base.amplitude_per_force * 40 / 43, rel=1e-12
+        )
+        variance = thermal_quadrature_variance(heavy.trap, heavy.drive, heavy.noise)
+        default = thermal_quadrature_variance(base.trap, base.drive, base.noise)
+        assert variance == pytest.approx(default * 40 / 43, rel=1e-12)
+        assert "mass" not in {field.name for field in dataclasses.fields(NoiseModel)}
 
     def test_malformed_yaml_rejected(self, tmp_path):
         path = tmp_path / "broken.yaml"

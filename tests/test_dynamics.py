@@ -121,7 +121,7 @@ class TestLangevinQuadratureAgreement:
             TRAP, BEAMS, drive, THERMAL, 800 * PERIOD, seed=11, n_trajectories=256
         )
         del vs
-        target_var = thermal_quadrature_variance(drive, THERMAL)
+        target_var = thermal_quadrature_variance(TRAP, drive, THERMAL)
         target_mean = stationary_mean_displacement(TRAP, drive, THERMAL)
         burn = len(times) // 4
         # Demodulate 32 trajectories at a time, which keeps only the
@@ -151,8 +151,8 @@ def oracle_quadratures(drive, noise, n_periods, seed, start=None):
     """
     rng = np.random.default_rng(seed)
     dt = TWO_PI / drive.injection_frequency
-    denom = 2.0 * noise.mass * TRAP.secular_z
-    diffusion = noise.force_spectral_density() / denom**2
+    denom = 2.0 * TRAP.mass * TRAP.secular_z
+    diffusion = noise.force_spectral_density(TRAP.mass) / denom**2
     modulation = drive.effective_gain * math.cos(2.0 * drive.squeeze_phase)
     lam_x = 0.5 * noise.damping * (1.0 + modulation)
     lam_y = 0.5 * noise.damping * (1.0 - modulation)
@@ -191,7 +191,7 @@ class TestQuadratures:
 
     def test_thermal_variance_matches_formula(self):
         # Stationary var(X), var(Y) -> k_B T / (2 m w^2) within 5%.
-        target = thermal_quadrature_variance(IDLE, THERMAL)
+        target = thermal_quadrature_variance(TRAP, IDLE, THERMAL)
         xs, ys = [], []
         for seed in range(20):
             path = integrate_quadratures(
@@ -209,7 +209,7 @@ class TestQuadratures:
         drive = DriveConfig(
             squeeze_gain=0.9, squeeze_phase=math.pi / 2, squeeze_enabled=True
         )
-        target = thermal_quadrature_variance(drive, THERMAL)
+        target = thermal_quadrature_variance(TRAP, drive, THERMAL)
         ys = [
             integrate_quadratures(
                 TRAP, drive, THERMAL, 10000 * PERIOD, seed=seed, stationary_start=True
@@ -235,7 +235,7 @@ class TestQuadratures:
         ss_tot = np.sum((means - np.mean(means)) ** 2)
         assert 1 - ss_res / ss_tot > 0.999
         assert coeffs[0] == pytest.approx(
-            1 / (THERMAL.mass * THERMAL.damping * TRAP.secular_z), rel=0.02
+            1 / (TRAP.mass * THERMAL.damping * TRAP.secular_z), rel=0.02
         )
 
     def test_instability_raises_both_sides(self):
@@ -397,10 +397,10 @@ def oracle_phase(drive, seed, n_steps, dt, electric_noise, n_trials):
     """
     rng = np.random.default_rng(seed)
     electrode = electric_noise.rms_voltage > 0
-    torque_scale = 2.0 * THERMAL.mass * TRAP.secular_z * OPERATING_AMPLITUDE
+    torque_scale = 2.0 * TRAP.mass * TRAP.secular_z * OPERATING_AMPLITUDE
     lock_rate = drive.force / torque_scale
     ratio = squeeze_variance_ratio(drive.effective_gain, drive.squeeze_phase)
-    diffusion = ratio * THERMAL.force_spectral_density() / (2.0 * torque_scale**2)
+    diffusion = ratio * THERMAL.force_spectral_density(TRAP.mass) / (2.0 * torque_scale**2)
     kick_scale = math.sqrt(2.0 * diffusion * dt)
     if electrode:
         force_rms = electric_noise.rms_voltage * drive.force_per_volt
@@ -562,9 +562,9 @@ class TestTypes:
             integrate_quadratures(
                 TRAP, IDLE, NoiseModel(temperature=0.0, damping=0.0), 100 * PERIOD
             )
-        spectral = THERMAL.force_spectral_density()
+        spectral = THERMAL.force_spectral_density(TRAP.mass)
         assert spectral == pytest.approx(
-            2 * THERMAL.mass * THERMAL.damping * BOLTZMANN * THERMAL.temperature
+            2 * TRAP.mass * THERMAL.damping * BOLTZMANN * THERMAL.temperature
         )
 
     def test_circular_std_extremes(self):

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from phonon_sensor import experiments
-from phonon_sensor.config import canonicalize, config_from_dict, default_config, load_config
+from phonon_sensor.config import (
+    ConfigError,
+    canonicalize,
+    config_from_dict,
+    default_config,
+    load_config,
+)
 from phonon_sensor.experiments import (
     REFERENCE_DELTA_A,
     REFERENCE_SLOPE,
@@ -33,6 +39,11 @@ from phonon_sensor.experiments import (
 CONFIG = default_config()
 TRAP = CONFIG.trap
 SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+
+
+def with_experiment(config, **fields):
+    """``config`` with the given campaign settings of its experiment section."""
+    return replace(config, experiment=replace(config.experiment, **fields))
 
 
 def traced_peak(fn) -> int:
@@ -119,21 +130,23 @@ class TestAmplitudeSweep:
         assert all(row["locked"] for row in rows)
 
     def test_internal_consistency_identity(self):
-        record, _ = amplitude_sweep(CONFIG, trials=2, seed=7)
+        record, _ = amplitude_sweep(with_experiment(CONFIG, amplitude_trials=2), seed=7)
         assert record.amplitude_per_force * record.force_per_volt == pytest.approx(
             record.amplitude_per_volt, rel=1e-12
         )
 
     def test_degenerate_grid_rejected(self):
-        with pytest.raises(ValueError):
-            amplitude_sweep(CONFIG, voltages=[5e-3], trials=1)
-        with pytest.raises(ValueError):
-            amplitude_sweep(CONFIG, voltages=[5e-3, 5e-3, 5e-3], trials=1)
+        with pytest.raises(ConfigError, match="three distinct voltages"):
+            with_experiment(CONFIG, amplitude_voltages=(5e-3,))
+        with pytest.raises(ConfigError, match="three distinct voltages"):
+            with_experiment(CONFIG, amplitude_voltages=(5e-3, 5e-3, 5e-3))
 
     def test_unlockable_voltage_excluded_with_warning(self, caplog):
-        voltages = [1e-7, 5e-3, 10e-3, 15e-3]
+        config = with_experiment(
+            CONFIG, amplitude_voltages=(1e-7, 5e-3, 10e-3, 15e-3), amplitude_trials=2
+        )
         with caplog.at_level("WARNING"):
-            record, rows = amplitude_sweep(CONFIG, voltages=voltages, trials=2, seed=3)
+            record, rows = amplitude_sweep(config, seed=3)
         assert "fails the lock criterion" in caplog.text
         assert rows[0]["locked"] is False
         assert record.r_squared > 0.99
@@ -142,11 +155,16 @@ class TestAmplitudeSweep:
         # 1 s gates with 0.45 us jitter leave both 5 mV histograms too flat
         # to fit at the default seed.
         config = config_from_dict(
-            {"pipeline": {"gate_time_s": 1.0, "timing_jitter_us": 0.45}}
+            {
+                "pipeline": {"gate_time_s": 1.0, "timing_jitter_us": 0.45},
+                "experiment": {
+                    "amplitude_voltages_mv": [5.0, 12.5, 15.0, 18.25],
+                    "amplitude_trials": 2,
+                },
+            }
         )
-        voltages = [5e-3, 12.5e-3, 15e-3, 18.25e-3]
         with caplog.at_level("WARNING"):
-            _, rows = amplitude_sweep(config, voltages=voltages, trials=2)
+            _, rows = amplitude_sweep(config)
         assert "no converged fits at 5 mV" in caplog.text
         assert [row["voltage_mv"] for row in rows] == pytest.approx([5.0, 12.5, 15.0, 18.25])
         first = rows[0]
@@ -157,7 +175,8 @@ class TestAmplitudeSweep:
 
 class TestSqueezeSweep:
     def test_matches_variance_law_within_bootstrap_errors(self):
-        rows, _ = squeeze_sweep(CONFIG, trials=25, periods=4000, seed=11)
+        config = with_experiment(CONFIG, squeeze_trials=25, squeeze_periods=4000)
+        rows, _ = squeeze_sweep(config, seed=11)
         for row in rows:
             assert row["stable"]
             diff = abs(row["sim_ratio_y"] - row["theory_ratio_y"])
@@ -165,26 +184,28 @@ class TestSqueezeSweep:
 
     def test_monotone_toward_half_along_squeeze_axis(self):
         points = [(g, math.pi / 2) for g in (0.0, 0.3, 0.6, 0.9)]
-        rows, _ = squeeze_sweep(CONFIG, points=points, trials=20, periods=4000, seed=13)
+        config = with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=4000)
+        rows, _ = squeeze_sweep(config, points=points, seed=13)
         ratios = [row["sim_ratio_y"] for row in rows]
         assert all(np.diff(ratios) < 0)
         assert ratios[-1] == pytest.approx(1 / 1.9, abs=0.06)
 
     def test_needs_a_trial(self):
-        with pytest.raises(ValueError, match="at least one trial"):
-            squeeze_sweep(CONFIG, points=[(0.3, 0.0)], trials=0, periods=500, seed=13)
+        with pytest.raises(ConfigError, match="trial counts must be >= 1"):
+            with_experiment(CONFIG, squeeze_trials=0)
 
     def test_antisqueezed_point(self):
-        rows, _ = squeeze_sweep(
-            CONFIG, points=[(0.9, 0.0)], trials=20, periods=6000, seed=17
-        )
+        config = with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=6000)
+        rows, _ = squeeze_sweep(config, points=[(0.9, 0.0)], seed=17)
         assert rows[0]["theory_ratio_y"] == pytest.approx(10.0, rel=1e-12)
         assert rows[0]["sim_ratio_y"] == pytest.approx(10.0, rel=0.25)
 
     def test_unstable_point_flagged(self, caplog):
         with caplog.at_level("WARNING"):
             rows, _ = squeeze_sweep(
-                CONFIG, points=[(1.0, 0.0)], trials=20, periods=1000, seed=19
+                with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=1000),
+                points=[(1.0, 0.0)],
+                seed=19,
             )
         assert rows[0]["stable"] is False
         assert math.isnan(rows[0]["sim_ratio_y"])
@@ -192,8 +213,9 @@ class TestSqueezeSweep:
 
 @pytest.fixture(scope="module")
 def lower_bound_results():
-    off = lower_bound_search(CONFIG, trials=24, squeeze=False, seed=23)
-    on = lower_bound_search(CONFIG, trials=24, squeeze=True, seed=23)
+    config = with_experiment(CONFIG, lower_bound_trials=24)
+    off = lower_bound_search(config, squeeze=False, seed=23)
+    on = lower_bound_search(config, squeeze=True, seed=23)
     return off, on
 
 
@@ -234,16 +256,16 @@ class TestLowerBound:
 
     def test_noiseless_lock_everywhere_is_unbracketed(self):
         quiet = replace(
-            CONFIG,
+            with_experiment(CONFIG, lower_bound_trials=20),
             noise=replace(CONFIG.noise, temperature=1e-9),
             electric_noise=replace(CONFIG.electric_noise, rms_voltage=0.0),
         )
         with pytest.raises(ValueError, match="not bracketed"):
-            lower_bound_search(quiet, trials=20, squeeze=False, seed=29)
+            lower_bound_search(quiet, squeeze=False, seed=29)
 
     def test_too_few_trials_rejected(self):
-        with pytest.raises(ValueError):
-            lower_bound_search(CONFIG, trials=10, squeeze=False)
+        with pytest.raises(ConfigError, match=">= 20 trials"):
+            with_experiment(CONFIG, lower_bound_trials=10)
 
     def test_default_search_memory_is_bounded(self):
         # Lock is judged while the phase is stepped, so no psi[step, trial]
@@ -305,11 +327,15 @@ class TestConcurrency:
         assert self.lower_bound_record() == pooled
 
     def test_worker_error_ends_every_thread(self):
-        # A zero duration passes squeeze_sweep and fails in every envelope
-        # batch, so the error is raised inside the workers.
+        # A zero damping rate passes squeeze_sweep and fails in every
+        # envelope batch, so the error is raised inside the workers.
         before = threading.active_count()
-        with pytest.raises(ValueError, match="duration must be > 0"):
-            squeeze_sweep(CONFIG, points=[(0.3, 0.0)], trials=20, periods=0, seed=43)
+        undamped = replace(
+            with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=500),
+            noise=replace(CONFIG.noise, damping=0.0),
+        )
+        with pytest.raises(ValueError, match="positive damping rate"):
+            squeeze_sweep(undamped, points=[(0.3, 0.0)], seed=43)
         assert threading.active_count() == before
         # Without thermal or electrode noise every voltage locks, so both
         # searches raise inside their worker processes.
@@ -329,11 +355,12 @@ class TestConcurrency:
         # Two unstable points between stable ones: the warnings keep the
         # grid order, and the shared bootstrap generator its draw order.
         points = [(0.3, 0.0), (1.2, 0.0), (0.6, math.pi / 2), (1.0, 0.0), (0.9, 0.4)]
+        config = with_experiment(CONFIG, squeeze_trials=10, squeeze_periods=500)
 
         def sweep():
             caplog.clear()
             with caplog.at_level("WARNING", logger="phonon_sensor.experiments"):
-                result = squeeze_sweep(CONFIG, points=points, trials=10, periods=500, seed=43)
+                result = squeeze_sweep(config, points=points, seed=43)
             return json.dumps(result), [record.getMessage() for record in caplog.records]
 
         pooled, pooled_log = sweep()
@@ -381,9 +408,12 @@ class TestFixedSeedOutputs:
 
     def test_lower_bound_lock_fractions(self):
         # The benchmark's smoke settings: 2 s gates, 20 trials, shipped grid.
-        short = replace(CONFIG, pipeline=replace(CONFIG.pipeline, gate_time=2.0))
-        off = lower_bound_search(short, trials=20, squeeze=False, seed=37)
-        on = lower_bound_search(short, trials=20, squeeze=True, seed=37)
+        short = replace(
+            with_experiment(CONFIG, lower_bound_trials=20),
+            pipeline=replace(CONFIG.pipeline, gate_time=2.0),
+        )
+        off = lower_bound_search(short, squeeze=False, seed=37)
+        on = lower_bound_search(short, squeeze=True, seed=37)
         assert list(off.lock_probability) == [0.0] * 7 + [0.35, 0.9, 1.0, 1.0, 1.0]
         assert list(on.lock_probability) == (
             [0.0, 0.05, 0.0, 0.0, 0.3, 0.6] + [1.0] * 6
@@ -391,10 +421,8 @@ class TestFixedSeedOutputs:
 
     def test_squeeze_ratios(self):
         rows, _ = squeeze_sweep(
-            CONFIG,
+            with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=2000),
             points=[(0.9, math.pi / 2), (0.5, 0.0)],
-            trials=20,
-            periods=2000,
             seed=41,
         )
         ratios = [row["sim_ratio_y"] for row in rows]
@@ -403,12 +431,13 @@ class TestFixedSeedOutputs:
 
 class TestSensitivityCampaign:
     def test_empirical_and_reference_reports(self):
-        report, reference = sensitivity_campaign(CONFIG, repetitions=8, seed=31)
+        report = sensitivity_campaign(with_experiment(CONFIG, repetitions=8), seed=31)
         assert report.tau == 8 * CONFIG.pipeline.gate_time
         assert report.sensitivity == pytest.approx(
             report.delta_a * math.sqrt(report.tau) / report.slope, rel=1e-12
         )
-        assert reference.sensitivity == pytest.approx(336.1e-24, rel=1e-3)
+        reference = sensitivity(REFERENCE_DELTA_A, REFERENCE_TAU, REFERENCE_SLOPE)
+        assert reference == pytest.approx(336.1e-24, rel=1e-3)
         assert report.dropped == 0
         # The bound depends on no seed: 48.3 nm at the default 24.446 um.
         assert report.delta_a_crb == pytest.approx(48.32e-9, rel=1e-3)
@@ -417,6 +446,7 @@ class TestSensitivityCampaign:
     def test_record_carries_the_bound(self):
         config = config_from_dict({"experiment": {"repetitions": 3}})
         results = run_campaign("sensitivity", config, 31)
+        assert results["reference_sensitivity_yn_per_sqrt_hz"] == pytest.approx(336.1, rel=1e-3)
         assert results["delta_a_crb_nm"] == pytest.approx(48.32, rel=1e-3)
         assert results["delta_a_over_crb"] == pytest.approx(
             results["delta_a_nm"] / results["delta_a_crb_nm"], rel=1e-12
@@ -470,9 +500,7 @@ class TestRunRecords:
             load_run(path)
 
     def test_rerun_reproduces_bit_identical_results(self, tmp_path):
-        config = replace(
-            CONFIG, experiment=replace(CONFIG.experiment, amplitude_trials=2)
-        )
+        config = with_experiment(CONFIG, amplitude_trials=2)
         seed = 37
         results = run_campaign("sweep-amplitude", config, seed)
         record = make_run_record("sweep-amplitude", config, seed, results)
