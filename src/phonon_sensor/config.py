@@ -197,6 +197,10 @@ def _schema() -> dict:
 
 
 _SCHEMA = _schema()
+# Rows held to > 0 although their field admits 0: the dynamics also run
+# undamped, but the campaigns' response and envelope models divide by the
+# damping rate.
+_POSITIVE_ROWS = {row for row in FIELDS if row[1] == "damping_rate_per_s"}
 _BEAM_SCHEMA = {row[0]: row for row in BEAM_FIELDS}
 
 
@@ -256,10 +260,12 @@ def _collect(node, schema: dict, where: str) -> dict:
 
 def _update(owner, values: dict):
     """``owner`` with the fields of {row: YAML value}, typed like its own."""
-    return replace(
-        owner,
-        **{r[-2]: _to_si(v, getattr(owner, r[-2]), r[-2], r[-1]) for r, v in values.items()},
-    )
+    fields = {}
+    for row, value in values.items():
+        fields[row[-2]] = _to_si(value, getattr(owner, row[-2]), row[-2], row[-1])
+        if row in _POSITIVE_ROWS and not fields[row[-2]] > 0:
+            raise ConfigError(f"{row[0]}.{row[1]} must be > 0, got {value!r}")
+    return replace(owner, **fields)
 
 
 def config_to_dict(config: RunConfig) -> dict:

@@ -21,8 +21,11 @@ the Jacobian, and :func:`fisher_information` builds the Cramer-Rao bound
 from the same columns.
 
 What depends only on the binning, never on the counts, is built once per
-binning and reused read-only: the initial guess's zero-phase template bank
-and the spectrum of the Gaussian dispersion kernel.  The circular smear is
+binning and reused read-only: the bin edges and widths, the profile
+cells' centres and edges, the spectrum of the Gaussian dispersion kernel,
+and the initial guess's zero-phase template bank, whose conjugate spectra
+form one 2-D array so that a single inverse FFT correlates a histogram
+with every template.  The circular smear is
 one real linear convolution of a fast (5-smooth) FFT length, folded back
 onto the period, so a profile grid with a large prime factor never takes
 the slow prime-length FFT path.
@@ -38,7 +41,7 @@ import numpy as np
 
 from .constants import TWO_PI
 from .fileio import optional, read_header_file, write_header_file
-from .photons import TacHistogram, bin_edges
+from .photons import TacHistogram, bin_grid
 from .physics import total_scattering_rate
 
 PARAM_NAMES = ("amplitude", "phase", "alpha", "beta", "sigma_t")
@@ -110,8 +113,7 @@ def model_profile(
     are smeared with the same kernel; the sigma_t row is the rate smeared
     with the kernel's derivative in its width.
     """
-    h = period / n_fine
-    centers = (np.arange(n_fine) + 0.5) * h
+    centers, _ = _fine_grid(period, n_fine)
     doppler = [name for name in ("amplitude", "phase") if name in free]
     rate = total_scattering_rate(
         beams, params.amplitude, params.phase, omega_i, centers, bool(doppler)
@@ -207,6 +209,17 @@ def _kernel_spectrum(
     return n_fft, spectrum
 
 
+@lru_cache(maxsize=8)
+def _fine_grid(period: float, n_fine: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only centres and edges of n_fine uniform profile cells over
+    the period."""
+    h = period / n_fine
+    centers = (np.arange(n_fine) + 0.5) * h
+    edges = np.arange(n_fine + 1) * h
+    centers.flags.writeable = edges.flags.writeable = False
+    return centers, edges
+
+
 def _bin_integrals(profile: np.ndarray, period: float, edges: np.ndarray) -> np.ndarray:
     """Integral of the piecewise-constant profile between consecutive
     edges, row by row for a 2-D profile."""
@@ -215,10 +228,11 @@ def _bin_integrals(profile: np.ndarray, period: float, edges: np.ndarray) -> np.
     cum = np.zeros(profile.shape[:-1] + (n_fine + 1,))
     np.cumsum(profile, axis=-1, out=cum[..., 1:])
     cum[..., 1:] *= h
-    fine_edges = np.arange(n_fine + 1) * h
-    if cum.ndim == 1:
-        return np.diff(np.interp(edges, fine_edges, cum))
-    return np.diff([np.interp(edges, fine_edges, row) for row in cum])
+    _, fine_edges = _fine_grid(period, n_fine)
+    at_edges = np.empty(profile.shape[:-1] + edges.shape)
+    for row, out in zip(cum.reshape(-1, n_fine + 1), at_edges.reshape(-1, len(edges))):
+        out[:] = np.interp(edges, fine_edges, row)
+    return np.diff(at_edges)
 
 
 def model_curve(
@@ -241,9 +255,8 @@ def model_curve(
     the amplitude, phase and sigma_t columns are alpha times the bin
     integrals of the profile's derivatives (:func:`model_profile`).
     """
-    edges = bin_edges(period, bin_width)
-    n_fine = fine_factor * (len(edges) - 1)
-    widths = np.diff(edges)
+    edges, widths = bin_grid(period, bin_width)
+    n_fine = fine_factor * len(widths)
     integrals = _bin_integrals(
         model_profile(params, beams, omega_i, period, n_fine, free), period, edges
     )
@@ -314,12 +327,13 @@ def _template_bank(
 ) -> tuple:
     """Zero-phase, zero-mean templates over the amplitude grid, in grid order.
 
-    Each entry is ``(amplitude, norm, conj(rfft(template, n_fft)))`` with
-    the spectrum read-only and ``n_fft`` the correlation length of
-    :func:`_correlation_length`; templates of zero norm are left out.
+    The bank is ``(amplitudes, norms, spectra)``, read-only, with row k of
+    ``spectra`` the conjugate ``rfft`` of template k on the correlation
+    length of :func:`_correlation_length`; templates of zero norm are left
+    out.
     """
     fft = _scipy_fft()
-    bank = []
+    amplitudes, norms, templates = [], [], []
     for amp in np.linspace(*amplitude_range, n_amplitudes):
         template = model_curve(
             FitModelParams(amp, 0.0, 1.0, 0.0, sigma_t), beams, omega_i, period, bin_width
@@ -328,10 +342,17 @@ def _template_bank(
         norm = math.sqrt(float(np.sum(template**2)))
         if norm == 0:
             continue
-        template_conj = np.conj(fft.rfft(template, _correlation_length(len(template))))
-        template_conj.flags.writeable = False
-        bank.append((amp, norm, template_conj))
-    return tuple(bank)
+        amplitudes.append(amp)
+        norms.append(norm)
+        templates.append(template)
+    n_fft = _correlation_length(len(bin_grid(period, bin_width)[1]))
+    spectra = np.empty((len(templates), n_fft // 2 + 1), complex)
+    for row, template in zip(spectra, templates):
+        row[:] = np.conj(fft.rfft(template, n_fft))
+    bank = (np.array(amplitudes), np.array(norms), spectra)
+    for array in bank:
+        array.flags.writeable = False
+    return bank
 
 
 def initial_guess(
@@ -355,7 +376,7 @@ def initial_guess(
     if _is_flat(counts):
         raise NoModulationError("histogram is flat; nothing to fit")
 
-    widths = np.diff(hist.bin_edges)
+    _, widths = bin_grid(hist.period, hist.bin_width)
     full = widths >= hist.bin_width * (1 - 1e-9)
     beta_guess = max(0.0, float(np.partition(counts[full], 2)[:3].mean()))
     signal = counts - beta_guess * widths / hist.bin_width
@@ -365,8 +386,7 @@ def initial_guess(
     n_fft = _correlation_length(n)
     fft = _scipy_fft()
     spectrum = fft.rfft(signal, n_fft)
-    best = None
-    bank = _template_bank(
+    amplitudes, norms, template_conj = _template_bank(
         tuple(beams),
         omega_i,
         hist.period,
@@ -375,18 +395,16 @@ def initial_guess(
         tuple(amplitude_range),
         n_amplitudes,
     )
-    for amp, norm, template_conj in bank:
-        # Circular cross-correlation over all bin shifts at once: the
-        # linear one, with its negative lags folded back onto the period.
-        linear = fft.irfft(spectrum * template_conj, n_fft)
-        corr = linear[:n] + linear[n_fft - n :]
-        shift = int(np.argmax(corr))
-        score = corr[shift] / norm
-        if best is None or score > best[0]:
-            best = (score, amp, shift)
-    if best is None:
+    if not len(amplitudes):
         raise NoModulationError("no usable template correlation")
-    _, amp, shift = best
+    # Circular cross-correlation with every template over all bin shifts
+    # at once: the linear one, with its negative lags folded back onto the
+    # period.  The first highest score wins.
+    linear = fft.irfft(spectrum * template_conj, n_fft)
+    corr = linear[:, :n] + linear[:, n_fft - n :]
+    shifts = np.argmax(corr, axis=1)
+    best = int(np.argmax(corr[np.arange(len(shifts)), shifts] / norms))
+    amp, shift = amplitudes[best], int(shifts[best])
 
     # data(i) ~ template(i - shift): the pattern moved right by `shift`
     # bins, i.e. the phase decreased by shift * bin * omega.

@@ -9,6 +9,13 @@ total, then its split over the bins after the timing jitter's circular
 smear, then uniform background at the signal count over the
 signal-to-background ratio.  No arrival time is drawn.
 
+What depends only on the binning is built once per binning and shared
+read-only: the bin edges and widths (:func:`bin_grid`).  What depends only
+on the amplitude is built once per amplitude: :func:`folded_law` keeps the
+law of the last (beams, amplitude, phase, frequency, pipeline) it was asked
+for, read-only, so every gate a campaign draws at one amplitude, and the
+Cramer-Rao bound at that amplitude, share one law.
+
 The per-photon path (thinning by :func:`sample_arrivals`, Gaussian
 :func:`apply_time_jitter`, folding by :func:`tac_fold`) is kept as the
 oracle the binned law is checked against.  The emitted rate is the
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,10 +85,20 @@ def expected_bin_count(period: float, bin_width: float) -> int:
     return int(math.ceil(period / bin_width - 1e-9))
 
 
-def bin_edges(period: float, bin_width: float) -> np.ndarray:
-    """TAC bin edges over one period; the last bin may be partial."""
+@lru_cache(maxsize=8)
+def bin_grid(period: float, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only TAC bin edges and widths over one period; the last bin
+    may be partial."""
     edges = np.arange(expected_bin_count(period, bin_width) + 1) * bin_width
-    return np.minimum(edges, period)
+    edges = np.minimum(edges, period)
+    widths = np.diff(edges)
+    edges.flags.writeable = widths.flags.writeable = False
+    return edges, widths
+
+
+def bin_edges(period: float, bin_width: float) -> np.ndarray:
+    """Read-only TAC bin edges over one period (:func:`bin_grid`)."""
+    return bin_grid(period, bin_width)[0]
 
 
 def sample_arrivals(
@@ -174,12 +192,21 @@ def folded_law(
     share of the partial one.  The total is that of the unsmeared rate; the
     bin means are those after the timing jitter, whose circular smear moves
     counts between bins and keeps their sum up to rounding.
+
+    The law of the last arguments is kept, with read-only arrays, so the
+    gates drawn in a row at one amplitude build it once.
     """
+    return _folded_law(tuple(beams), amplitude, phase, omega_i, pipeline)
+
+
+@lru_cache(maxsize=1)
+def _folded_law(
+    beams: tuple, amplitude: float, phase: float, omega_i: float, pipeline: PipelineConfig
+) -> tuple[float, np.ndarray, np.ndarray]:
     from .fitting import FitModelParams, _bin_integrals, circular_smear, model_profile
 
     period = TWO_PI / omega_i
-    edges = bin_edges(period, pipeline.bin_width)
-    widths = np.diff(edges)
+    edges, widths = bin_grid(period, pipeline.bin_width)
     n_periods, rest = divmod(pipeline.gate_time, period)
     gate_share = n_periods * widths + np.clip(rest - edges[:-1], 0.0, widths)
 
@@ -191,7 +218,9 @@ def folded_law(
     )
     folded = pipeline.efficiency * rate * weight
     smeared = circular_smear(folded, period, pipeline.timing_jitter)
-    return float(folded.sum()) * h, _bin_integrals(smeared, period, edges), gate_share
+    signal_means = _bin_integrals(smeared, period, edges)
+    signal_means.flags.writeable = gate_share.flags.writeable = False
+    return float(folded.sum()) * h, signal_means, gate_share
 
 
 def synthesize_histogram(

@@ -228,6 +228,8 @@ def invalid_dict(kind, draw):
         data["pipeline"]["gate_time_s"] = draw(NON_POSITIVE)
     elif kind == "bin-width":
         data["pipeline"]["bin_width_ns"] = draw(NON_POSITIVE)
+    elif kind == "damping":
+        data["physics"]["noise"]["damping_rate_per_s"] = draw(NON_POSITIVE)
     elif kind == "bin-width-over-period":
         # The folding period at the default 186.02 kHz is 5375.8 ns.
         data["pipeline"]["bin_width_ns"] = draw(st.floats(5376.0, 1e12))
@@ -295,6 +297,7 @@ INVALID_KINDS = (
     "frequency",
     "gate-time",
     "bin-width",
+    "damping",
     "bin-width-over-period",
     "jitter-over-half-period",
     "free-running-amplitude",
@@ -490,6 +493,16 @@ class TestCli:
         assert "not bracketed" in capsys.readouterr().err
         assert not (out / "lower-bound.json").exists()
 
+    @pytest.mark.parametrize("kind", ["sweep-amplitude", "sensitivity", "sweep-squeeze"])
+    def test_zero_damping_exits_1(self, kind, tmp_path, capsys):
+        # The campaigns divide by the damping rate; the loader rejects 0.
+        cfg = tmp_path / "undamped.yaml"
+        cfg.write_text("physics:\n  noise:\n    damping_rate_per_s: 0.0\n")
+        out = tmp_path / "runs"
+        assert run_cli(["campaign", kind, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "physics.noise.damping_rate_per_s must be > 0" in capsys.readouterr().err
+        assert not (out / f"{kind}.json").exists()
+
     def test_unknown_campaign_usage_error(self):
         assert run_cli(["campaign", "no-such-campaign", "--out", "/tmp/x"]) == 1
 
@@ -525,7 +538,10 @@ class TestCli:
     def test_cheap_paths_import_no_scipy(self, tmp_path):
         # Only the fit, the jitter smear and the squeeze sweep need scipy,
         # and they import it when first used; a fresh interpreter that runs
-        # none of them must not load it.
+        # none of them must not load it.  The lower-bound run uses 2 s gates
+        # and 20 trials, which still bracket the transition.
+        short = tmp_path / "short.yaml"
+        short.write_text("pipeline:\n  gate_time_s: 2.0\nexperiment:\n  lower_bound_trials: 20\n")
         script = f"""
 import sys
 from phonon_sensor.cli import main
@@ -535,6 +551,7 @@ load_config({SHIPPED_CONFIG!r})
 out = {str(tmp_path)!r}
 assert main(["write-config", "--out", out + "/default.yaml"]) == 0
 assert main(["campaign", "calibrate", "--out", out]) == 0
+assert main(["campaign", "lower-bound", "--config", {str(short)!r}, "--out", out]) == 0
 assert main(["campaign", "no-such-campaign", "--out", out]) == 1
 assert main(["fit", out + "/calibrate.json", "--out", out + "/r.txt"]) == 2
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))

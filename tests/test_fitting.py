@@ -11,6 +11,7 @@ from phonon_sensor import fitting
 from phonon_sensor.constants import DEFAULT_AXIAL_FREQUENCY, TWO_PI
 from phonon_sensor.fitting import (
     DEFAULT_FROZEN,
+    MODEL_FINE_FACTOR,
     PARAM_NAMES,
     FitModelParams,
     NoModulationError,
@@ -29,6 +30,7 @@ from phonon_sensor.photons import (
     PipelineConfig,
     TacHistogram,
     bin_edges,
+    bin_grid,
     folded_law,
     synthesize_histogram,
 )
@@ -361,7 +363,8 @@ class TestCaches:
 
     def test_cached_arrays_are_read_only(self):
         bank = fitting._template_bank(BEAMS, OMEGA, PERIOD, 10e-9, 0.2e-6, (12e-6, 32e-6), 24)
-        _, _, template_conj = bank[0]
+        _, _, spectra = bank
+        template_conj = spectra[0]
         with pytest.raises(ValueError):
             template_conj[0] = 0.0
         _, spectrum = fitting._kernel_spectrum(PERIOD, 4304, 0.2e-6)
@@ -377,7 +380,45 @@ class TestCaches:
             while rest % factor == 0:
                 rest //= factor
         assert rest == 1
-        assert all(len(template_conj) == n_fft // 2 + 1 for _, _, template_conj in bank)
+        _, _, spectra = bank
+        assert all(len(template_conj) == n_fft // 2 + 1 for template_conj in spectra)
+
+    def test_bank_is_one_read_only_array_per_field(self):
+        amplitudes, norms, spectra = fitting._template_bank(
+            BEAMS, OMEGA, PERIOD, 13e-9, 0.2e-6, (15e-6, 30e-6), 7
+        )
+        assert list(amplitudes) == list(np.linspace(15e-6, 30e-6, 7))
+        assert norms.shape == (7,) and np.all(norms > 0)
+        assert spectra.shape == (7, fitting._correlation_length(414) // 2 + 1)
+        for array in (amplitudes, norms, spectra):
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("bin_width", [10e-9, 13e-9])
+    def test_grids_are_built_once_per_binning_read_only(self, bin_width):
+        edges, widths = bin_grid(PERIOD, bin_width)
+        assert bin_grid(PERIOD, bin_width)[0] is edges
+        assert bin_edges(PERIOD, bin_width) is edges
+        n_bins = math.ceil(PERIOD / bin_width)
+        expected = np.minimum(np.arange(n_bins + 1) * bin_width, PERIOD)
+        assert np.array_equal(edges, expected)
+        assert np.array_equal(widths, np.diff(expected))
+        n_fine = MODEL_FINE_FACTOR * n_bins
+        centers, fine_edges = fitting._fine_grid(PERIOD, n_fine)
+        h = PERIOD / n_fine
+        assert np.array_equal(centers, (np.arange(n_fine) + 0.5) * h)
+        assert np.array_equal(fine_edges, np.arange(n_fine + 1) * h)
+        for array in (edges, widths, centers, fine_edges):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_bin_integrals_of_rows_match_each_row(self):
+        rng = np.random.default_rng(5)
+        profile = rng.uniform(size=(3, 8 * 414))
+        edges = bin_edges(PERIOD, 13e-9)
+        stacked = fitting._bin_integrals(profile, PERIOD, edges)
+        for row, integrals in zip(profile, stacked):
+            assert np.array_equal(fitting._bin_integrals(row, PERIOD, edges), integrals)
 
     @pytest.mark.parametrize("sigma_t", [0.2e-6, 0.8e-6])
     def test_jittered_profile_matches_inline_kernel_fft(self, sigma_t):
