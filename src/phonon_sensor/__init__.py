@@ -13,14 +13,7 @@ cli          command-line entry point
 """
 
 from .config import RunConfig, default_config, load_config, save_config
-from .dynamics import (
-    ElectricNoise,
-    NoiseModel,
-    QuadraturePath,
-    demodulate,
-    integrate_langevin,
-    integrate_quadratures,
-)
+from .dynamics import ElectricNoise, NoiseModel, QuadraturePath, integrate_quadratures
 from .fitting import (
     FitModelParams,
     FitResult,
@@ -29,13 +22,7 @@ from .fitting import (
     initial_guess,
     model_curve,
 )
-from .photons import (
-    PipelineConfig,
-    TacHistogram,
-    sample_arrivals,
-    synthesize_histogram,
-    tac_fold,
-)
+from .photons import PipelineConfig, TacHistogram, synthesize_histogram
 from .physics import (
     DriveConfig,
     EfficiencyChain,

@@ -49,11 +49,12 @@ def _cmd_simulate(args) -> int:
     config = _load_config_arg(args.config)
     if args.seed is not None:
         config = _override_seed(config, args.seed)
-    amplitude = (
-        args.amplitude * 1e-6
-        if args.amplitude is not None
-        else experiments._true_amplitude(config, config.drive.injection_voltage)
-    )
+    if args.amplitude is None:
+        amplitude = experiments._true_amplitude(config, config.drive.injection_voltage)
+    elif math.isfinite(args.amplitude) and args.amplitude >= 0:
+        amplitude = args.amplitude * 1e-6
+    else:
+        raise ConfigError(f"--amplitude must be finite and >= 0, got {args.amplitude}")
     _progress(
         f"simulate: A = {amplitude * 1e6:.3f} um, seed = {config.experiment.seed}"
     )
@@ -89,6 +90,8 @@ def _cmd_fit(args) -> int:
     unknown = set(frozen) - set(PARAM_NAMES)
     if unknown:
         raise ConfigError(f"unknown parameters in --freeze: {sorted(unknown)}")
+    if set(frozen) == set(PARAM_NAMES):
+        raise ConfigError("--freeze must leave at least one parameter free")
     if args.init is None:
         init = experiments.fit_init(config, hist)
     else:

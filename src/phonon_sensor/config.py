@@ -48,6 +48,8 @@ class ExperimentConfig:
     repetitions: int = 50  # measurement repetitions of the sensitivity run
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.amplitude_trials < 1 or self.squeeze_trials < 1:
             raise ConfigError("trial counts must be >= 1")
         if self.squeeze_periods < 1:

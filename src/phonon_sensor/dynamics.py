@@ -1,11 +1,7 @@
 """Stochastic time-domain simulation of the locked oscillator.
 
-Three complementary integrators:
+Two integrators:
 
-* :func:`integrate_langevin` - the full second-order equation of motion with
-  thermal forcing, parametric (squeeze) modulation and optionally the
-  saturable radiation-pressure force that produces the self-sustained limit
-  cycle; it cross-checks the envelope model.
 * :func:`integrate_quadratures` - the linearized rotating-frame envelope
   equations for the in-phase/quadrature components, integrated with exact
   Gaussian transition steps (no step-size bias); :func:`_envelope_paths`
@@ -23,6 +19,11 @@ Thermal forcing follows the narrowband decomposition
 f(t) = f_x(t) cos(w t) + f_y(t) sin(w t) with slowly varying white Gaussian
 components of spectral density 2 m zeta k_B T, which makes the stationary
 quadrature variances equal k_B T / (2 m w^2).
+
+The full second-order Langevin equation and the demodulation of its
+trajectories into quadratures are not part of the twin: they live in the
+test suite's oracles (``tests/oracles.py``), which check the envelope
+model against them.
 """
 
 from __future__ import annotations
@@ -43,11 +44,8 @@ from .physics import (
     InstabilityError,
     TrapConfig,
     squeeze_variance_ratio,
-    total_radiation_pressure_force,
 )
 
-MIN_STEPS_PER_PERIOD = 50
-DEFAULT_STEPS_PER_PERIOD = 200
 PHASE_CHUNK = 500  # locked-phase steps whose normals are drawn at once
 
 
@@ -107,94 +105,6 @@ class ElectricNoise:
 
 def _squeeze_modulation(drive: DriveConfig) -> float:
     return drive.effective_gain * math.cos(2.0 * drive.squeeze_phase)
-
-
-def integrate_langevin(
-    trap: TrapConfig,
-    beams,
-    drive: DriveConfig,
-    noise: NoiseModel,
-    duration: float,
-    dt: float | None = None,
-    seed: int = 0,
-    nonlinear: bool = False,
-    initial_position: float = 0.0,
-    initial_velocity: float = 0.0,
-    n_trajectories: int = 1,
-):
-    """Integrate the driven, damped, parametrically modulated oscillator.
-
-    Linear mode uses the constant friction rate of ``noise``; the nonlinear
-    mode replaces it with the saturable radiation-pressure force of the beam
-    pair, which self-amplifies small motion into a stable limit cycle.
-    Steps ``n_trajectories`` independent runs together and returns
-    ``(times, z[step, traj], v[step, traj])``.  Deterministic for a given
-    seed.
-    """
-    omega_i = drive.injection_frequency
-    period = TWO_PI / trap.secular_z
-    if dt is None:
-        dt = period / DEFAULT_STEPS_PER_PERIOD
-    if dt > period / MIN_STEPS_PER_PERIOD:
-        raise ValueError(
-            f"dt = {dt:.3e} s too coarse; need <= {period / MIN_STEPS_PER_PERIOD:.3e} s"
-        )
-    if duration <= 0:
-        raise ValueError("duration must be > 0")
-    if not nonlinear and _squeeze_modulation(drive) >= 1.0:
-        raise InstabilityError(
-            "g cos(2 phi) >= 1: parametric drive exceeds the linear damping"
-        )
-
-    rng = np.random.default_rng(seed)
-    n_steps = int(round(duration / dt))
-    mass = trap.mass
-    zeta = noise.damping
-    wz2 = trap.secular_z**2
-    par_coeff = drive.effective_gain * zeta * trap.secular_z
-    two_phi = 2.0 * drive.squeeze_phase
-    force_amp = drive.force
-
-    # Slow thermal quadrature forces, refreshed once per oscillation period.
-    refresh = max(1, int(round(period / dt)))
-    sigma_f = math.sqrt(noise.force_spectral_density(mass) / (refresh * dt))
-
-    beams = tuple(beams)
-
-    def accel(z, v, t, fx, fy):
-        a = -(wz2 + par_coeff * math.sin(2.0 * omega_i * t + two_phi)) * z
-        if nonlinear:
-            a = a + total_radiation_pressure_force(beams, v) / mass
-        else:
-            a = a - zeta * v
-        thermal = fx * math.cos(omega_i * t) + fy * math.sin(omega_i * t)
-        return a + (force_amp * math.sin(omega_i * t) + thermal) / mass
-
-    shape = (n_trajectories,)
-    z = np.full(shape, initial_position, dtype=float)
-    v = np.full(shape, initial_velocity, dtype=float)
-    fx = np.zeros(shape)
-    fy = np.zeros(shape)
-
-    times = np.arange(n_steps + 1) * dt
-    zs = np.empty((n_steps + 1, n_trajectories))
-    vs = np.empty((n_steps + 1, n_trajectories))
-    zs[0], vs[0] = z, v
-
-    for i in range(n_steps):
-        t = i * dt
-        if i % refresh == 0 and sigma_f > 0:
-            fx = rng.normal(0.0, sigma_f, shape)
-            fy = rng.normal(0.0, sigma_f, shape)
-        a1 = accel(z, v, t, fx, fy)
-        z_new = z + v * dt + 0.5 * a1 * dt * dt
-        v_pred = v + a1 * dt
-        a2 = accel(z_new, v_pred, t + dt, fx, fy)
-        v = v + 0.5 * (a1 + a2) * dt
-        z = z_new
-        zs[i + 1], vs[i + 1] = z, v
-
-    return times, zs, vs
 
 
 def integrate_quadratures(
@@ -457,48 +367,6 @@ def _locked_phase_spreads(
     return spread.reshape(n_drives, n_trials)
 
 
-def demodulate(
-    times: np.ndarray, positions: np.ndarray, omega_i: float, window: float
-) -> tuple[np.ndarray, QuadraturePath]:
-    """Sliding in-phase/quadrature projection of positions along axis 0.
-
-    X(t) = (2/w) integral of z sin(w_i s) ds over the window centered on t,
-    and likewise with cos for Y.  The window is rounded to an integer number
-    of oscillation periods, which makes the projection exact for a pure
-    sinusoid.  ``positions`` may be one trajectory ``z[step]`` or several
-    ``z[step, traj]``; X and Y then have the same trailing axes.  Returns
-    ``(centers, path)``, the window center times and the projections.
-    """
-    period = TWO_PI / omega_i
-    if window < period:
-        raise ValueError("window must cover at least one oscillation period")
-    if len(times) < 2:
-        raise ValueError("trajectory too short")
-    dt = float(times[1] - times[0])
-    n_window = int(round(round(window / period) * period / dt))
-    if n_window >= len(times):
-        raise ValueError("window longer than trajectory")
-
-    z = np.asarray(positions)
-    angle = np.reshape(omega_i * times, (-1,) + (1,) * (z.ndim - 1))
-    width = n_window * dt
-
-    def project(reference):
-        # Trapezoid cumulative integral, then window sums by difference.
-        f = z * reference
-        cum = np.cumsum(0.5 * (f[1:] + f[:-1]) * dt, axis=0)
-        del f  # one array fewer alive while the window sums are formed
-        out = cum[n_window - 1 :].copy()
-        out[1:] -= cum[:-n_window]
-        out *= 2.0 / width
-        return out
-
-    x = project(np.sin(angle))
-    y = project(np.cos(angle))
-    centers = 0.5 * (times[n_window:] + times[:-n_window])
-    return centers, QuadraturePath(x, y)
-
-
 def _spread(phasor_sum, count: int) -> np.ndarray:
     """Circular standard deviation sqrt(-2 ln R) from the sum of ``count``
     unit phasors exp(i psi), with R = |sum| / count; inf where R <= 1e-12."""
@@ -506,10 +374,3 @@ def _spread(phasor_sum, count: int) -> np.ndarray:
     with np.errstate(divide="ignore"):
         spread = np.sqrt(np.maximum(-2.0 * np.log(resultant), 0.0))
     return np.where(resultant > 1e-12, spread, np.inf)
-
-
-def circular_std(phases: np.ndarray) -> float:
-    """Circular standard deviation sqrt(-2 ln R) of a phase sample."""
-    if len(phases) == 0:
-        raise ValueError("empty phase sample")
-    return float(_spread(np.exp(1j * np.asarray(phases)).sum(), len(phases)))

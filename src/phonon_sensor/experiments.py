@@ -46,13 +46,7 @@ from .fitting import (
     initial_guess,
 )
 from .photons import expected_bin_count, folded_law, synthesize_histogram
-from .physics import (
-    DriveConfig,
-    InstabilityError,
-    TrapConfig,
-    squeeze_variance_ratio,
-    static_force,
-)
+from .physics import TrapConfig, squeeze_variance_ratio, static_force
 
 log = logging.getLogger(__name__)
 
@@ -204,14 +198,14 @@ def fit_init(config: RunConfig, hist):
     """Fit start of a histogram taken under ``config``: the template-matched
     amplitude, the reference phase, detection-chain alpha/beta and jitter."""
     pipe = config.pipeline
-    guess = initial_guess(
+    amplitude, _ = initial_guess(
         hist, config.beams, config.drive.injection_frequency, sigma_t=pipe.timing_jitter
     )
     return chain_init_params(
         hist,
         pipe.efficiency,
         pipe.snr,
-        amplitude=guess.amplitude,
+        amplitude=amplitude,
         phase=config.experiment.reference_phase,
         sigma_t=pipe.timing_jitter,
     )

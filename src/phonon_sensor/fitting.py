@@ -362,13 +362,14 @@ def initial_guess(
     amplitude_range: tuple[float, float] = (12e-6, 32e-6),
     sigma_t: float = 0.0,
     n_amplitudes: int = 24,
-) -> FitModelParams:
-    """Coarse starting point from template matching.
+) -> tuple[float, float]:
+    """Coarse ``(amplitude, phase)`` from template matching.
 
-    The offset comes from the histogram floor, the phase from the circular
-    cross-correlation peak against a zero-phase template, and the amplitude
-    from a 1-D grid scored by the same correlation (the grid resolves the
-    growth of the second peak with amplitude).
+    The histogram floor is taken off as an offset; the phase comes from the
+    circular cross-correlation peak against a zero-phase template, and the
+    amplitude from a 1-D grid scored by the same correlation (the grid
+    resolves the growth of the second peak with amplitude).  The scale and
+    offset of a fit start come from :func:`derive_alpha_beta`.
     """
     if omega_i is None:
         omega_i = TWO_PI / hist.period
@@ -378,8 +379,8 @@ def initial_guess(
 
     _, widths = bin_grid(hist.period, hist.bin_width)
     full = widths >= hist.bin_width * (1 - 1e-9)
-    beta_guess = max(0.0, float(np.partition(counts[full], 2)[:3].mean()))
-    signal = counts - beta_guess * widths / hist.bin_width
+    floor = max(0.0, float(np.partition(counts[full], 2)[:3].mean()))
+    signal = counts - floor * widths / hist.bin_width
     signal -= signal.mean()
 
     n = len(signal)
@@ -408,26 +409,7 @@ def initial_guess(
 
     # data(i) ~ template(i - shift): the pattern moved right by `shift`
     # bins, i.e. the phase decreased by shift * bin * omega.
-    phase = wrap_phase(-shift * hist.bin_width * omega_i)
-
-    rate_template = model_curve(
-        FitModelParams(amp, phase, 1.0, 0.0, sigma_t),
-        beams,
-        omega_i,
-        hist.period,
-        hist.bin_width,
-    )
-    denom = float(np.sum(rate_template * widths / hist.bin_width))
-    alpha = max(
-        1e-12, float(np.sum(counts - beta_guess * widths / hist.bin_width)) / denom
-    )
-    return FitModelParams(
-        amplitude=float(amp),
-        phase=phase,
-        alpha=alpha,
-        beta=beta_guess,
-        sigma_t=sigma_t,
-    )
+    return float(amp), wrap_phase(-shift * hist.bin_width * omega_i)
 
 
 def _fit_bounds(period: float) -> dict[str, tuple[float, float]]:
@@ -480,7 +462,7 @@ def _deviance_residuals(curve, counts, n_log_n) -> tuple[np.ndarray, np.ndarray]
 def fit_histogram(
     hist: TacHistogram,
     beams,
-    init: FitModelParams | None = None,
+    init: FitModelParams,
     frozen: tuple[str, ...] = DEFAULT_FROZEN,
     omega_i: float | None = None,
     max_evaluations: int = 500,
@@ -492,10 +474,12 @@ def fit_histogram(
     chi-square) by least squares on the signed deviance residuals
     ``sign(n - m) sqrt(2 (m - n + n ln(n/m)))``, with ``n ln(n/m) = 0`` at
     ``n = 0``; unlike count weights, it does not pull the model toward
-    low-count bins.  ``frozen`` names parameters held at their initial
-    values.  Convergence follows the relative-residual (1e-8) and step-norm
-    (1e-10) thresholds; running out of evaluations flags the result
-    instead of raising.  The result's ``residual`` is the deviance.
+    low-count bins.  The caller builds the start ``init``, as
+    :func:`chain_init_params` does from a guessed amplitude and phase;
+    ``frozen`` names parameters held at their start values.  Convergence
+    follows the relative-residual (1e-8) and step-norm (1e-10) thresholds;
+    running out of evaluations flags the result instead of raising.  The
+    result's ``residual`` is the deviance.
 
     Each evaluation is one model pass that also yields the exact Jacobian
     columns.  Every start value must be finite and inside the searched
@@ -516,8 +500,6 @@ def fit_histogram(
     unknown = set(frozen) - set(PARAM_NAMES)
     if unknown:
         raise ValueError(f"unknown frozen parameters: {sorted(unknown)}")
-    if init is None:
-        init = initial_guess(hist, beams, omega_i)
     check_start(init, hist.period)
 
     free = tuple(name for name in PARAM_NAMES if name not in frozen)

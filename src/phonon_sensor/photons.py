@@ -16,13 +16,13 @@ law of the last (beams, amplitude, phase, frequency, pipeline) it was asked
 for, read-only, so every gate a campaign draws at one amplitude, and the
 Cramer-Rao bound at that amplitude, share one law.
 
-The per-photon path (thinning by :func:`sample_arrivals`, Gaussian
-:func:`apply_time_jitter`, folding by :func:`tac_fold`) is kept as the
-oracle the binned law is checked against.  The emitted rate is the
-two-beam scattering rate exactly as the rate formula states it; the
-detected photon budget of the shipped defaults then reproduces the
-reference count chain (about 1.25e7 emitted in 10 s at 22 um amplitude,
-about 5.3e4 detected at 0.28% efficiency and SNR 2).
+The per-photon path (thinning of arrival times, Gaussian timing jitter,
+folding modulo the period) lives in the test suite's oracles
+(``tests/oracles.py``), which check the binned law against it.  The
+emitted rate is the two-beam scattering rate exactly as the rate formula
+states it; the detected photon budget of the shipped defaults then
+reproduces the reference count chain (about 1.25e7 emitted in 10 s at
+22 um amplitude, about 5.3e4 detected at 0.28% efficiency and SNR 2).
 """
 
 from __future__ import annotations
@@ -99,58 +99,6 @@ def bin_grid(period: float, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
 def bin_edges(period: float, bin_width: float) -> np.ndarray:
     """Read-only TAC bin edges over one period (:func:`bin_grid`)."""
     return bin_grid(period, bin_width)[0]
-
-
-def sample_arrivals(
-    rate_fn, gate_time: float, rate_max: float, seed: int | None = None
-) -> np.ndarray:
-    """Sorted arrival times of an inhomogeneous Poisson process, by thinning.
-
-    ``rate_fn`` maps time (array) to a rate in photons/s and must be bounded
-    by ``rate_max``.  Candidates are proposed uniformly at the bound rate
-    and accepted with probability rate/bound.
-    """
-    if gate_time <= 0:
-        raise ValueError("gate_time must be > 0")
-    if not np.isfinite(rate_max) or rate_max < 0:
-        raise ValueError(f"rate bound must be finite and >= 0, got {rate_max}")
-    if rate_max == 0.0:
-        return np.empty(0)
-
-    rng = np.random.default_rng(seed)
-    n_candidates = rng.poisson(rate_max * gate_time)
-    t_cand = rng.uniform(0.0, gate_time, n_candidates)
-    rates = np.asarray(rate_fn(t_cand))
-    if np.any(rates < 0):
-        raise ValueError("rate_fn returned a negative rate")
-    if np.any(rates > rate_max * (1 + 1e-9)):
-        raise ValueError("rate_fn exceeds the supplied bound; thinning is biased")
-    return np.sort(t_cand[rng.uniform(0.0, rate_max, n_candidates) < rates])
-
-
-def apply_time_jitter(times: np.ndarray, sigma: float, seed: int | None = None) -> np.ndarray:
-    """Gaussian timing jitter of the stop reference.
-
-    Models the time dispersion of the arrival-time electronics.  The times
-    are not wrapped or re-sorted: folding modulo the period makes the
-    jittered histogram the circular Gaussian convolution of the unjittered
-    one.
-    """
-    rng = np.random.default_rng(seed)
-    return times + rng.normal(0.0, sigma, len(times))
-
-
-def tac_fold(
-    times: np.ndarray, period: float, bin_width: float, gate_time: float
-) -> TacHistogram:
-    """Fold arrivals modulo the period into TAC bins of the given width."""
-    if period <= 0:
-        raise ValueError("period must be > 0")
-    if not 0 < bin_width <= period:
-        raise ValueError("need 0 < bin_width <= period")
-    n_bins = expected_bin_count(period, bin_width)
-    idx = np.minimum((np.mod(times, period) / bin_width).astype(np.int64), n_bins - 1)
-    return TacHistogram(bin_width, period, np.bincount(idx, minlength=n_bins), gate_time)
 
 
 @dataclass(frozen=True)

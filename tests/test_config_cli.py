@@ -26,7 +26,7 @@ from phonon_sensor.config import (
 )
 from phonon_sensor.constants import TWO_PI
 from phonon_sensor.dynamics import NoiseModel, thermal_quadrature_variance
-from phonon_sensor.fitting import load_fit_report
+from phonon_sensor.fitting import PARAM_NAMES, load_fit_report
 from phonon_sensor.photons import TacHistogram, load_histogram, save_histogram
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -268,6 +268,8 @@ def invalid_dict(kind, draw):
         gains.insert(draw(st.integers(0, len(gains))), gain)
     elif kind == "squeeze-periods":
         data["experiment"]["squeeze_periods"] = draw(st.integers(max_value=0))
+    elif kind == "negative-seed":
+        data["experiment"]["seed"] = draw(st.integers(max_value=-1))
     elif kind == "unknown-key":
         node = _node(data, draw(st.sampled_from(SECTIONS)))
         key = draw(st.text(string.ascii_lowercase + "_", min_size=1).filter(lambda k: k not in node))
@@ -308,6 +310,7 @@ INVALID_KINDS = (
     "empty-squeeze-grid",
     "squeeze-gain-outside-unit-interval",
     "squeeze-periods",
+    "negative-seed",
     "unknown-key",
     "non-mapping",
     "empty-beams",
@@ -502,6 +505,30 @@ class TestCli:
         assert run_cli(["campaign", kind, "--config", str(cfg), "--out", str(out)]) == 1
         assert "physics.noise.damping_rate_per_s must be > 0" in capsys.readouterr().err
         assert not (out / f"{kind}.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--seed", "-1"],
+            ["campaign", "calibrate", "--seed", "-1"],
+            ["simulate", "--amplitude=-5"],
+            ["simulate", "--amplitude=nan"],
+            ["simulate", "--amplitude=inf"],
+        ],
+    )
+    def test_bad_argument_exits_1_and_writes_nothing(self, argv, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli([*argv, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_fit_freezing_every_parameter_exits_1(self, tmp_path, capsys):
+        hist_path = tmp_path / "hist.txt"
+        assert run_cli(["simulate", "--out", str(hist_path), "--seed", "13"]) == 0
+        out = tmp_path / "fit.txt"
+        argv = ["fit", str(hist_path), "--freeze", ",".join(PARAM_NAMES), "--out", str(out)]
+        assert run_cli(argv) == 1
+        assert "at least one parameter free" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_campaign_usage_error(self):
         assert run_cli(["campaign", "no-such-campaign", "--out", "/tmp/x"]) == 1

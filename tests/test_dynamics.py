@@ -12,9 +12,6 @@ from phonon_sensor.dynamics import (
     PHASE_CHUNK,
     _envelope_paths,
     _locked_phase_spreads,
-    circular_std,
-    demodulate,
-    integrate_langevin,
     integrate_quadratures,
     stationary_mean_displacement,
     thermal_quadrature_variance,
@@ -26,6 +23,8 @@ from phonon_sensor.physics import (
     default_beams,
     squeeze_variance_ratio,
 )
+
+from oracles import circular_std, demodulate, integrate_langevin
 
 TRAP = TrapConfig()
 BEAMS = default_beams()

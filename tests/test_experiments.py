@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phonon_sensor import experiments
+from phonon_sensor import experiments, fitting
 from phonon_sensor.config import (
     ConfigError,
     canonicalize,
@@ -36,6 +36,8 @@ from phonon_sensor.experiments import (
     sensitivity_campaign,
     squeeze_sweep,
 )
+from phonon_sensor.photons import synthesize_histogram
+
 CONFIG = default_config()
 TRAP = CONFIG.trap
 SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
@@ -171,6 +173,26 @@ class TestAmplitudeSweep:
         assert first["locked"] is True
         assert math.isnan(first["amplitude_um"]) and math.isnan(first["amplitude_err_um"])
         assert (first["trials"], first["dropped"]) == (0, 2)
+
+
+class TestFitInit:
+    def test_warm_start_makes_no_model_pass(self, monkeypatch):
+        # Alpha and beta come from the detection chain, so once the template
+        # bank is cached the start is built without a model curve.
+        config = config_from_dict({"pipeline": {"gate_time_s": 1.0}})
+        omega_i, pipe = config.drive.injection_frequency, config.pipeline
+        hist = synthesize_histogram(config.beams, 22e-6, 0.03, omega_i, pipe, seed=5)
+        warm = experiments.fit_init(config, hist)
+        calls = []
+        curve = fitting.model_curve
+
+        def counting_curve(*args, **kwargs):
+            calls.append(args)
+            return curve(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "model_curve", counting_curve)
+        assert experiments.fit_init(config, hist) == warm
+        assert calls == []
 
 
 class TestSqueezeSweep:

@@ -50,13 +50,13 @@ def synth(amplitude, phase, seed, pipe=PIPE):
 
 
 def fit_with_chain_init(hist, pipe=PIPE, **kwargs):
-    guess = initial_guess(hist, BEAMS)
+    amplitude, phase = initial_guess(hist, BEAMS)
     init = chain_init_params(
         hist,
         pipe.efficiency,
         pipe.snr,
-        amplitude=guess.amplitude,
-        phase=guess.phase,
+        amplitude=amplitude,
+        phase=phase,
         sigma_t=pipe.timing_jitter,
     )
     return fit_histogram(hist, BEAMS, init=init, **kwargs)
@@ -247,9 +247,9 @@ class TestInitialGuess:
     def test_guess_quality(self):
         for seed, (amp, phase) in enumerate([REF_CASE_A, REF_CASE_B]):
             hist = synth(amp, phase, seed=40 + seed)
-            guess = initial_guess(hist, BEAMS)
-            assert abs(guess.amplitude - amp) / amp < 0.20
-            assert abs(wrap_phase(guess.phase - phase)) < 0.3
+            guess_amplitude, guess_phase = initial_guess(hist, BEAMS)
+            assert abs(guess_amplitude - amp) / amp < 0.20
+            assert abs(wrap_phase(guess_phase - phase)) < 0.3
 
     def test_flat_histogram_rejected(self):
         rng = np.random.default_rng(3)
@@ -271,15 +271,18 @@ class TestInitialGuess:
             counts=np.round(curve * 50).astype(int),
             gate_time=10.0,
         )
-        guess = initial_guess(hist, BEAMS, amplitude_range=(12e-6, 32e-6), n_amplitudes=21)
+        amplitude, phase = initial_guess(
+            hist, BEAMS, amplitude_range=(12e-6, 32e-6), n_amplitudes=21
+        )
         # 21 points over [12, 32] um puts 24 um exactly on the grid.
-        assert guess.amplitude == pytest.approx(24e-6, abs=1e-9)
-        assert abs(wrap_phase(guess.phase)) < 0.05
+        assert amplitude == pytest.approx(24e-6, abs=1e-9)
+        assert abs(wrap_phase(phase)) < 0.05
 
 
 def per_template_guess(hist, beams, amplitude_range=(12e-6, 32e-6), sigma_t=0.0, n_amplitudes=24):
-    """The initial guess with every template built per histogram, as before
-    the template bank; the flat-histogram check is left out."""
+    """The initial guess's (amplitude, phase) with every template built per
+    histogram, as before the template bank; the flat-histogram check is
+    left out."""
     omega_i = TWO_PI / hist.period
     counts = hist.counts.astype(float)
     widths = np.diff(hist.bin_edges)
@@ -303,13 +306,7 @@ def per_template_guess(hist, beams, amplitude_range=(12e-6, 32e-6), sigma_t=0.0,
         if best is None or score > best[0]:
             best = (score, amp, shift)
     _, amp, shift = best
-    phase = wrap_phase(-shift * hist.bin_width * omega_i)
-    rate_template = model_curve(
-        FitModelParams(amp, phase, 1.0, 0.0, sigma_t), beams, omega_i, hist.period, hist.bin_width
-    )
-    denom = float(np.sum(rate_template * widths / hist.bin_width))
-    alpha = max(1e-12, float(np.sum(counts - beta_guess * widths / hist.bin_width)) / denom)
-    return FitModelParams(float(amp), phase, alpha, beta_guess, sigma_t)
+    return float(amp), wrap_phase(-shift * hist.bin_width * omega_i)
 
 
 def clear_caches():
@@ -318,8 +315,8 @@ def clear_caches():
 
 
 def assert_same_params(got, expected):
-    for name in PARAM_NAMES:
-        assert getattr(got, name) == getattr(expected, name), name
+    for name, g, e in zip(("amplitude", "phase"), got, expected, strict=True):
+        assert g == e, name
 
 
 # 5375.8 ns / 13 ns leaves a partial last bin.
@@ -551,10 +548,8 @@ class TestFit:
 
     def test_single_parameter_fit(self):
         hist = synth(*REF_CASE_A, seed=4100)
-        guess = initial_guess(hist, BEAMS)
-        init = chain_init_params(
-            hist, PIPE.efficiency, PIPE.snr, guess.amplitude, REF_CASE_A[1]
-        )
+        amplitude, _ = initial_guess(hist, BEAMS)
+        init = chain_init_params(hist, PIPE.efficiency, PIPE.snr, amplitude, REF_CASE_A[1])
         result = fit_histogram(
             hist, BEAMS, init=init, frozen=("phase", "alpha", "beta", "sigma_t")
         )
@@ -569,15 +564,13 @@ class TestFit:
             counts=rng.poisson(80.0, 538),
             gate_time=10.0,
         )
+        init = FitModelParams(*REF_CASE_A, 5.2e-5, 33.2, 0.0)
         with pytest.raises(NoModulationError):
-            fit_histogram(flat, BEAMS)
+            fit_histogram(flat, BEAMS, init)
 
     def test_non_convergence_flagged_not_raised(self):
         hist = synth(*REF_CASE_A, seed=4200)
-        guess = initial_guess(hist, BEAMS)
-        init = chain_init_params(
-            hist, PIPE.efficiency, PIPE.snr, guess.amplitude, guess.phase
-        )
+        init = chain_init_params(hist, PIPE.efficiency, PIPE.snr, *initial_guess(hist, BEAMS))
         result = fit_histogram(hist, BEAMS, init=init, max_evaluations=2)
         assert not result.converged
 
@@ -588,8 +581,7 @@ class TestFit:
         # model from the chain start's alpha.
         pipe = PipelineConfig(gate_time=1.0)
         hist = synth(*REF_CASE_A, seed=5, pipe=pipe)
-        guess = initial_guess(hist, BEAMS)
-        init = chain_init_params(hist, pipe.efficiency, pipe.snr, guess.amplitude, guess.phase)
+        init = chain_init_params(hist, pipe.efficiency, pipe.snr, *initial_guess(hist, BEAMS))
         held = ("beta", "sigma_t")
         cases = [
             # beta held at 0.
@@ -734,8 +726,7 @@ class TestExactJacobian:
 
     def test_default_fit_calls_the_model_once_per_evaluation(self, monkeypatch):
         hist = synth(*REF_CASE_A, seed=1000)
-        guess = initial_guess(hist, BEAMS)
-        init = chain_init_params(hist, PIPE.efficiency, PIPE.snr, guess.amplitude, guess.phase)
+        init = chain_init_params(hist, PIPE.efficiency, PIPE.snr, *initial_guess(hist, BEAMS))
         calls = []
         curve = fitting.model_curve
 
