@@ -16,9 +16,10 @@ The model's derivatives are exact: the rate's closed-form derivatives in
 amplitude and phase come from the pass that forms the rate, and the smear
 and the bin integrals are linear, so they carry over column by column;
 sigma_t's column smears the rate with the kernel's width derivative.  The
-fit passes these columns, chain-ruled through the deviance residuals, as
-the Jacobian, and :func:`fisher_information` builds the Cramer-Rao bound
-from the same columns.
+fit is a Levenberg-Marquardt loop of its own on these columns,
+chain-ruled through the deviance residuals, so it needs no scipy solver;
+:func:`fisher_information` builds the Cramer-Rao bound from the same
+columns.
 
 What depends only on the binning, never on the counts, is built once per
 binning and reused read-only: the bin edges and widths, the profile
@@ -476,20 +477,27 @@ def fit_histogram(
     ``n = 0``; unlike count weights, it does not pull the model toward
     low-count bins.  The caller builds the start ``init``, as
     :func:`chain_init_params` does from a guessed amplitude and phase;
-    ``frozen`` names parameters held at their start values.  Convergence
-    follows the relative-residual (1e-8) and step-norm (1e-10) thresholds;
-    running out of evaluations flags the result instead of raising.  The
-    result's ``residual`` is the deviance.
+    ``frozen`` names parameters held at their start values.  The result's
+    ``residual`` is the deviance.
 
-    Each evaluation is one model pass that also yields the exact Jacobian
-    columns.  Every start value must be finite and inside the searched
-    range (:func:`check_start`), or a ValueError names it.  While sigma_t
-    is at most half a profile cell the smear is the identity and its
-    column is 0, so a free sigma_t that starts there (at 0, say) keeps
-    its start value.
+    The solver is Levenberg-Marquardt with Marquardt's diag(J^T J)
+    scaling (More, 1978): damping falls tenfold after an accepted step and
+    rises tenfold after a rejected one, trial points are clipped onto the
+    searched range, and a step is accepted when the deviance does not
+    rise.  The fit has converged when an accepted step lowers the deviance
+    by at most 1e-8 of it, or a step's scaled length is at most 1e-10 of
+    the parameters'.  Running out of ``max_evaluations`` flags the result
+    instead of raising; ``iterations`` counts the evaluations.  Each
+    evaluation is one model pass that also yields the exact Jacobian
+    columns, and the errors come from pinv(J^T J) times the deviance per
+    degree of freedom.
+
+    Every start value must be finite and inside the searched range
+    (:func:`check_start`), or a ValueError names it.  While sigma_t is at
+    most half a profile cell the smear is the identity and its column is
+    0, so a free sigma_t that starts there (at 0, say) keeps its start
+    value.
     """
-    from scipy.optimize import least_squares
-
     if hist.total_counts == 0:
         raise NoModulationError("empty histogram")
     counts = hist.counts.astype(float)
@@ -509,83 +517,71 @@ def fit_histogram(
         free = tuple(name for name in free if name != "sigma_t")
     if not free:
         raise ValueError("at least one parameter must be free")
-    bounds = _fit_bounds(hist.period)
+    bounds = np.array([_fit_bounds(hist.period)[name] for name in free]).T
 
     # n ln n, taken as 0 at n = 0.
     n_log_n = counts * np.log(np.where(counts > 0, counts, 1.0))
 
-    scales = {
-        "amplitude": 1e-6,
-        "phase": 0.1,
-        "beta": max(init.beta, 1.0),
-        "sigma_t": max(init.sigma_t, hist.bin_width),
-    }
-    if "alpha" in free:
-        # The alpha that puts every count under the start's profile; a start
-        # alpha of 0 would give no scale.  It is also the start of a free
-        # alpha that starts at 0, where the amplitude and phase columns
-        # vanish and the first steps would move alpha alone.
+    if "alpha" in free and init.alpha == 0:
+        # At alpha = 0 the amplitude and phase columns vanish, and the first
+        # steps would move alpha alone.  Start instead at the alpha that puts
+        # every count under the start's profile.
         unit = replace(init, alpha=1.0, beta=0.0)
         rate = model_curve(unit, beams, omega_i, hist.period, hist.bin_width)
-        scales["alpha"] = counts.sum() / rate.sum()
-        if init.alpha == 0:
-            init = replace(init, alpha=scales["alpha"])
+        init = replace(init, alpha=counts.sum() / rate.sum())
 
     def build(vector) -> FitModelParams:
-        values = dict(zip(PARAM_NAMES, (float(v) for v in init.as_array())))
-        values.update(zip(free, (float(v) for v in vector)))
-        values["amplitude"] = max(values["amplitude"], 0.0)
-        return FitModelParams(**values)
+        return replace(init, **dict(zip(free, map(float, vector))))
 
-    # One model pass gives the residuals and the columns; least_squares
-    # asks for the Jacobian only at the point it evaluated last.
-    last = {}
+    def evaluate(vector) -> tuple[np.ndarray, np.ndarray, float]:
+        """Residuals, Jacobian and deviance from one model pass."""
+        curve, columns = model_curve(
+            build(vector), beams, omega_i, hist.period, hist.bin_width, free=free
+        )
+        residuals, slope = _deviance_residuals(curve, counts, n_log_n)
+        return residuals, slope[:, None] * columns, float(residuals @ residuals)
 
-    def evaluate(vector) -> dict:
-        key = vector.tobytes()
-        if last.get("key") != key:
-            curve, columns = model_curve(
-                build(vector), beams, omega_i, hist.period, hist.bin_width, free=free
-            )
-            residuals, slope = _deviance_residuals(curve, counts, n_log_n)
-            last.update(key=key, residuals=residuals, jac=slope[:, None] * columns)
-        return last
+    # Levenberg-Marquardt; zero columns keep a scale of 1.
+    x = np.array([getattr(init, name) for name in free])
+    residuals, jac, deviance = evaluate(x)
+    nfev, damping, converged = 1, 1e-3, False
+    while nfev < max_evaluations and not converged:
+        jtj = jac.T @ jac
+        scale = np.diag(jtj).copy()
+        scale[scale == 0] = 1.0
+        step = np.linalg.solve(jtj + damping * np.diag(scale), -(jac.T @ residuals))
+        trial = np.clip(x + step, *bounds)
+        root = np.sqrt(scale)
+        converged = np.linalg.norm(root * (trial - x)) <= 1e-10 * np.linalg.norm(root * x)
+        if converged:
+            break
+        trial_residuals, trial_jac, trial_deviance = evaluate(trial)
+        nfev += 1
+        if not trial_deviance <= deviance:
+            damping *= 10.0
+            continue
+        converged = deviance - trial_deviance <= 1e-8 * deviance
+        x, residuals, jac, deviance = trial, trial_residuals, trial_jac, trial_deviance
+        damping /= 10.0
 
-    x0 = [getattr(init, name) for name in free]
-    result = least_squares(
-        lambda vector: evaluate(vector)["residuals"],
-        x0,
-        jac=lambda vector: evaluate(vector)["jac"],
-        bounds=([bounds[n][0] for n in free], [bounds[n][1] for n in free]),
-        x_scale=[scales[n] for n in free],
-        ftol=1e-8,
-        xtol=1e-10,
-        gtol=1e-12,
-        max_nfev=max_evaluations,
-        method="trf",
-    )
-
-    converged = result.status > 0
-    params = build(result.x)
+    params = build(x)
     params = replace(params, phase=wrap_phase(params.phase))
 
     dof = max(len(counts) - len(free), 1)
-    scale2 = 2.0 * result.cost / dof
     errors = {name: 0.0 for name in PARAM_NAMES}
     try:
-        jtj_inv = np.linalg.pinv(result.jac.T @ result.jac)
-        sigma = np.sqrt(np.maximum(np.diag(jtj_inv) * scale2, 0.0))
-        for name, err in zip(free, sigma):
-            errors[name] = float(err)
+        jtj_inv = np.linalg.pinv(jac.T @ jac)
+        sigma = np.sqrt(np.maximum(np.diag(jtj_inv) * deviance / dof, 0.0))
+        errors.update(zip(free, (float(err) for err in sigma)))
     except np.linalg.LinAlgError:
         converged = False
 
     return FitResult(
         params=params,
         errors=errors,
-        residual=float(2.0 * result.cost),
+        residual=deviance,
         converged=bool(converged),
-        iterations=int(result.nfev),
+        iterations=nfev,
         frozen=tuple(frozen),
     )
 

@@ -76,10 +76,6 @@ class TacHistogram:
     def total_counts(self) -> int:
         return int(self.counts.sum())
 
-    @property
-    def bin_edges(self) -> np.ndarray:
-        return bin_edges(self.period, self.bin_width)
-
 
 def expected_bin_count(period: float, bin_width: float) -> int:
     return int(math.ceil(period / bin_width - 1e-9))
@@ -94,11 +90,6 @@ def bin_grid(period: float, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
     widths = np.diff(edges)
     edges.flags.writeable = widths.flags.writeable = False
     return edges, widths
-
-
-def bin_edges(period: float, bin_width: float) -> np.ndarray:
-    """Read-only TAC bin edges over one period (:func:`bin_grid`)."""
-    return bin_grid(period, bin_width)[0]
 
 
 @dataclass(frozen=True)

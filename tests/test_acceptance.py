@@ -19,10 +19,7 @@ from phonon_sensor.experiments import (
     amplitude_sweep,
     load_run,
     lower_bound_search,
-    make_run_record,
-    persist_run,
     rerun_record,
-    run_campaign,
     sensitivity,
 )
 from phonon_sensor.fitting import (

@@ -589,6 +589,30 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
 
+    def test_fit_paths_import_no_scipy_optimize(self, tmp_path):
+        # The fit solves its own least squares; neither a sweep's fits nor
+        # the CLI fit may load scipy.optimize (and scipy.linalg with it).
+        short = tmp_path / "short.yaml"
+        short.write_text(
+            "pipeline:\n  gate_time_s: 1.0\n"
+            "experiment:\n  amplitude_voltages_mv: [5.0, 10.0, 15.0]\n  amplitude_trials: 2\n"
+        )
+        script = f"""
+import sys
+from phonon_sensor.cli import main
+
+out = {str(tmp_path)!r}
+assert main(["campaign", "sweep-amplitude", "--config", {str(short)!r}, "--out", out]) == 0
+assert main(["simulate", "--out", out + "/hist.txt", "--seed", "3"]) == 0
+assert main(["fit", out + "/hist.txt", "--out", out + "/fit.txt"]) == 0
+print(sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.linalg"))))
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+
     def test_console_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "phonon_sensor.cli", "--help"],

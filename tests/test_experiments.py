@@ -416,8 +416,8 @@ class TestFixedSeedOutputs:
     # numbers on purpose updates the digest and says so.
     DEFAULT_RECORD_SHA256 = {
         "lower-bound": "ee6717ea29d11fb1314f7e8c9e83bea2f2d9cd22c193a6bd4f36fb67af18004d",
-        "sensitivity": "20d6a3c7890402f93b10b7ca1d9df0c195380c6042d2e8f060668625e5f7dd26",
-        "sweep-amplitude": "c2fbbc8932b62051c4aeb107dbd3b97ee85ed219bb57b2505d2484a1c4b5a424",
+        "sensitivity": "b049ec38f2bb73a884256ec590df9d08ad0bf4a6649371676111677ad3c1e7fb",
+        "sweep-amplitude": "8e28db59c9b4ddc841be1eb868d8fb7f3c60a4d7f22235d2b6455e3a3160665a",
         "sweep-squeeze": "6445a80f2ef27fd964564179e414278c9522ccd8e9b171311c06e814edd427ca",
     }
 

@@ -29,12 +29,13 @@ from phonon_sensor.fitting import (
 from phonon_sensor.photons import (
     PipelineConfig,
     TacHistogram,
-    bin_edges,
     bin_grid,
     folded_law,
     synthesize_histogram,
 )
 from phonon_sensor.physics import LaserBeam, default_beams, total_scattering_rate
+
+from oracles import least_squares_fit
 
 BEAMS = default_beams()
 OMEGA = DEFAULT_AXIAL_FREQUENCY
@@ -285,7 +286,7 @@ def per_template_guess(hist, beams, amplitude_range=(12e-6, 32e-6), sigma_t=0.0,
     left out."""
     omega_i = TWO_PI / hist.period
     counts = hist.counts.astype(float)
-    widths = np.diff(hist.bin_edges)
+    widths = np.diff(bin_grid(hist.period, hist.bin_width)[0])
     full = widths >= hist.bin_width * (1 - 1e-9)
     beta_guess = max(0.0, float(np.partition(counts[full], 2)[:3].mean()))
     signal = counts - beta_guess * widths / hist.bin_width
@@ -394,7 +395,6 @@ class TestCaches:
     def test_grids_are_built_once_per_binning_read_only(self, bin_width):
         edges, widths = bin_grid(PERIOD, bin_width)
         assert bin_grid(PERIOD, bin_width)[0] is edges
-        assert bin_edges(PERIOD, bin_width) is edges
         n_bins = math.ceil(PERIOD / bin_width)
         expected = np.minimum(np.arange(n_bins + 1) * bin_width, PERIOD)
         assert np.array_equal(edges, expected)
@@ -412,7 +412,7 @@ class TestCaches:
     def test_bin_integrals_of_rows_match_each_row(self):
         rng = np.random.default_rng(5)
         profile = rng.uniform(size=(3, 8 * 414))
-        edges = bin_edges(PERIOD, 13e-9)
+        edges = bin_grid(PERIOD, 13e-9)[0]
         stacked = fitting._bin_integrals(profile, PERIOD, edges)
         for row, integrals in zip(profile, stacked):
             assert np.array_equal(fitting._bin_integrals(row, PERIOD, edges), integrals)
@@ -607,6 +607,37 @@ class TestFit:
         assert wrap_phase(0.1) == pytest.approx(0.1)
 
 
+class TestAgainstTrustRegion:
+    """The package's Levenberg-Marquardt loop against scipy's trust-region
+    solver on the same deviance, columns, bounds and thresholds."""
+
+    @pytest.mark.parametrize(
+        "pipe, frozen",
+        [
+            (PIPE, DEFAULT_FROZEN),
+            (PipelineConfig(gate_time=1.0, timing_jitter=0.2e-6), DEFAULT_FROZEN),
+            (PIPE, ()),
+        ],
+        ids=["10s-gates", "1s-gates-jittered", "five-parameters"],
+    )
+    def test_same_fit_as_least_squares(self, pipe, frozen):
+        for seed in range(6):
+            hist = synth(*REF_CASE_A, seed=7100 + seed, pipe=pipe)
+            amplitude, phase = initial_guess(hist, BEAMS, sigma_t=pipe.timing_jitter)
+            init = chain_init_params(
+                hist, pipe.efficiency, pipe.snr, amplitude, phase, sigma_t=pipe.timing_jitter
+            )
+            result = fit_histogram(hist, BEAMS, init, frozen=frozen)
+            reference = least_squares_fit(hist, BEAMS, init, frozen=frozen)
+            assert result.converged == reference.converged
+            assert abs(result.amplitude - reference.amplitude) <= (
+                1e-3 * reference.errors["amplitude"]
+            )
+            assert abs(wrap_phase(result.phase - reference.phase)) <= (
+                1e-3 * reference.errors["phase"]
+            )
+
+
 class TestDeviance:
     def test_squared_residuals_sum_to_the_deviance(self):
         # A 0.3 s gate leaves many bins empty; they enter as n ln(n/m) = 0.
@@ -651,7 +682,7 @@ class TestExactJacobian:
     @pytest.mark.parametrize("sigma_t", [0.0, 0.2e-6])
     def test_columns_match_central_differences(self, sigma_t):
         # 5375.8 ns over 10 ns bins: 538 bins, the last one partial.
-        widths = np.diff(bin_edges(PERIOD, 10e-9))
+        widths = np.diff(bin_grid(PERIOD, 10e-9)[0])
         assert len(widths) == 538 and widths[-1] < 10e-9
         params = FitModelParams(*REF_CASE_A, 5.2e-5, 33.2, sigma_t)
         curve, columns = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9, free=PARAM_NAMES)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import constants as scipy_constants
 
-from phonon_sensor import constants, physics
+from phonon_sensor import constants
 from phonon_sensor.constants import DEFAULT_AXIAL_FREQUENCY, HBAR, TWO_PI
 from phonon_sensor.physics import (
     DriveConfig,
