@@ -203,6 +203,9 @@ _SCHEMA = _schema()
 # undamped, but the campaigns' response and envelope models divide by the
 # damping rate.
 _POSITIVE_ROWS = {row for row in FIELDS if row[1] == "damping_rate_per_s"}
+# Rows that admit an infinity, where the type gives it a meaning: a
+# background-free pipeline.  Every other float must be finite.
+_INFINITE_ROWS = {row for row in FIELDS if row[1] == "snr"}
 _BEAM_SCHEMA = {row[0]: row for row in BEAM_FIELDS}
 
 
@@ -220,9 +223,10 @@ def _to_yaml(value, field, scale):
     return _round12(value if scale == 1 else value / scale)
 
 
-def _to_si(value, default, field, scale):
+def _to_si(value, default, field, scale, allow_inf=False):
     """YAML value -> SI value of the type of the field's default; rejects a
-    NaN, a non-boolean flag and a boolean or fractional count."""
+    NaN, an infinity unless ``allow_inf``, a non-boolean flag and a boolean
+    or fractional count."""
     if isinstance(default, tuple):
         return tuple(_to_si(v, 0.0, field, scale) for v in value)
     if isinstance(default, bool):
@@ -237,6 +241,8 @@ def _to_si(value, default, field, scale):
         number = float(value)
         if math.isnan(number):
             raise ConfigError(f"{field} must be a number, got NaN")
+        if math.isinf(number) and not allow_inf:
+            raise ConfigError(f"{field} must be finite, got {value!r}")
         return TWO_PI / (number * scale) if field == "wave_number" else number * scale
     return type(default)(value)
 
@@ -264,7 +270,9 @@ def _update(owner, values: dict):
     """``owner`` with the fields of {row: YAML value}, typed like its own."""
     fields = {}
     for row, value in values.items():
-        fields[row[-2]] = _to_si(value, getattr(owner, row[-2]), row[-2], row[-1])
+        fields[row[-2]] = _to_si(
+            value, getattr(owner, row[-2]), row[-2], row[-1], row in _INFINITE_ROWS
+        )
         if row in _POSITIVE_ROWS and not fields[row[-2]] > 0:
             raise ConfigError(f"{row[0]}.{row[1]} must be > 0, got {value!r}")
     return replace(owner, **fields)

@@ -192,9 +192,9 @@ def _envelope_paths(
     # The exact transition is the AR(1) recursion u[n] = decay u[n-1] + kick,
     # evaluated as an IIR filter along rows that hold the start value in
     # column 0 and the kicks after it, so the filter's output is the path
-    # itself.  Like every scipy module the package uses, scipy.signal is
-    # imported by its user, here: on its own it costs 0.9-1.6 s, because
-    # it pulls in scipy.stats.
+    # itself.  scipy.signal is the only scipy module the package uses, so
+    # it is imported here, by its one user: on its own it costs 0.9-1.6 s,
+    # because it pulls in scipy.stats.
     from scipy.signal import lfilter
 
     paths = np.empty((2, len(seeds), n_steps + 1))

@@ -17,7 +17,7 @@ amplitude and phase come from the pass that forms the rate, and the smear
 and the bin integrals are linear, so they carry over column by column;
 sigma_t's column smears the rate with the kernel's width derivative.  The
 fit is a Levenberg-Marquardt loop of its own on these columns,
-chain-ruled through the deviance residuals, so it needs no scipy solver;
+chain-ruled through the deviance residuals;
 :func:`fisher_information` builds the Cramer-Rao bound from the same
 columns.
 
@@ -29,7 +29,8 @@ form one 2-D array so that a single inverse FFT correlates a histogram
 with every template.  The circular smear is
 one real linear convolution of a fast (5-smooth) FFT length, folded back
 onto the period, so a profile grid with a large prime factor never takes
-the slow prime-length FFT path.
+the slow prime-length FFT path.  The FFTs are numpy's, and the fast
+length is computed here, so fitting imports no scipy module.
 """
 
 from __future__ import annotations
@@ -153,28 +154,43 @@ def circular_smear(
     n_fine = profile.shape[-1]
     if _smear_is_identity(period, n_fine, sigma_t):
         return np.zeros_like(profile) if width_derivative else profile
-    fft = _scipy_fft()
+    fft = _fft()
     n_fft, kernel_spectrum = _kernel_spectrum(period, n_fine, sigma_t, width_derivative)
     linear = fft.irfft(fft.rfft(profile, n_fft) * kernel_spectrum, n_fft)
     return linear[..., :n_fine] + linear[..., n_fine : 2 * n_fine]
 
 
 @lru_cache(maxsize=1)
-def _scipy_fft():
-    """scipy.fft, imported on first use, so that importing the package
-    does not import scipy.
+def _fft():
+    """numpy.fft, imported on first use, so that importing the package
+    loads no FFT module.
 
     The first call also frees one 1 MB block.  glibc's malloc serves blocks
     below its mmap threshold from the heap and raises that threshold to the
     size of the largest mapped block freed.  Without the raise, the smear's
     FFT buffers (100-280 kB a call) are mapped and faulted in anew on every
-    call: a jittered-recovery round took 118k minor faults against 20
-    (glibc 2.36, 2-core VM).
+    call: a warm jittered-recovery round took 46k minor faults against 15
+    (numpy 2.4, glibc 2.36, 2-core VM).
     """
-    import scipy.fft
+    import numpy.fft
 
     bytearray(1 << 20)
-    return scipy.fft
+    return numpy.fft
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth length 2^a 3^b 5^c of at least n >= 1, as
+    ``scipy.fft.next_fast_len(n, real=True)`` gives it."""
+    best = 1 << (n - 1).bit_length()
+    power5 = 1
+    while power5 < best:
+        power35 = power5
+        while power35 < best:
+            # The smallest power of two that lifts power35 to at least n.
+            best = min(best, power35 << (-(-n // power35) - 1).bit_length())
+            power35 *= 3
+        power5 *= 5
+    return best
 
 
 def _smear_is_identity(period: float, n_fine: int, sigma_t: float) -> bool:
@@ -203,8 +219,8 @@ def _kernel_spectrum(
         kernel = (dk - kernel / kernel.sum() * dk.sum()) / kernel.sum()
     else:
         kernel /= kernel.sum()
-    fft = _scipy_fft()
-    n_fft = fft.next_fast_len(2 * n_fine, real=True)
+    fft = _fft()
+    n_fft = _next_fast_len(2 * n_fine)
     spectrum = fft.rfft(kernel, n_fft)
     spectrum.flags.writeable = False
     return n_fft, spectrum
@@ -313,7 +329,7 @@ def _is_flat(counts: np.ndarray) -> bool:
 
 def _correlation_length(n: int) -> int:
     """Smallest 5-smooth length that holds a linear correlation of n bins."""
-    return _scipy_fft().next_fast_len(2 * n, real=True)
+    return _next_fast_len(2 * n)
 
 
 @lru_cache(maxsize=8)
@@ -333,7 +349,7 @@ def _template_bank(
     length of :func:`_correlation_length`; templates of zero norm are left
     out.
     """
-    fft = _scipy_fft()
+    fft = _fft()
     amplitudes, norms, templates = [], [], []
     for amp in np.linspace(*amplitude_range, n_amplitudes):
         template = model_curve(
@@ -354,6 +370,18 @@ def _template_bank(
     for array in bank:
         array.flags.writeable = False
     return bank
+
+
+def _circular_correlation(signal: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """Circular cross-correlation of ``signal`` with every template of a
+    bank, row by row over all bin shifts at once: the linear one on the
+    :func:`_correlation_length`, with its negative lags folded back onto
+    the period.  ``spectra`` holds the templates' conjugate spectra."""
+    n = len(signal)
+    n_fft = _correlation_length(n)
+    fft = _fft()
+    linear = fft.irfft(fft.rfft(signal, n_fft) * spectra, n_fft)
+    return linear[:, :n] + linear[:, n_fft - n :]
 
 
 def initial_guess(
@@ -384,10 +412,6 @@ def initial_guess(
     signal = counts - floor * widths / hist.bin_width
     signal -= signal.mean()
 
-    n = len(signal)
-    n_fft = _correlation_length(n)
-    fft = _scipy_fft()
-    spectrum = fft.rfft(signal, n_fft)
     amplitudes, norms, template_conj = _template_bank(
         tuple(beams),
         omega_i,
@@ -399,12 +423,9 @@ def initial_guess(
     )
     if not len(amplitudes):
         raise NoModulationError("no usable template correlation")
-    # Circular cross-correlation with every template over all bin shifts
-    # at once: the linear one, with its negative lags folded back onto the
-    # period.  The first highest score wins.
-    linear = fft.irfft(spectrum * template_conj, n_fft)
-    corr = linear[:, :n] + linear[:, n_fft - n :]
+    corr = _circular_correlation(signal, template_conj)
     shifts = np.argmax(corr, axis=1)
+    # The first highest score wins.
     best = int(np.argmax(corr[np.arange(len(shifts)), shifts] / norms))
     amp, shift = amplitudes[best], int(shifts[best])
 

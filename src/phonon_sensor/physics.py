@@ -33,7 +33,10 @@ class InstabilityError(ValueError):
 
 
 def _require_finite(name, value):
-    if not np.all(np.isfinite(value)):
+    # A Python float (np.float64 is one) takes the scalar test: 0.1 us
+    # against numpy's 5 us, on two scalars of every model pass.
+    finite = math.isfinite(value) if isinstance(value, float) else np.all(np.isfinite(value))
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 

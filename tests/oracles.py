@@ -4,7 +4,9 @@ The full Langevin equation (:func:`integrate_langevin`), demodulated into
 quadratures, checks the envelope model, and :func:`circular_std` the
 locked-phase spreads.  The per-photon path (thinning, timing jitter,
 folding) checks the binned photon law, and scipy's trust-region solver
-(:func:`least_squares_fit`) the package's own fit loop.
+(:func:`least_squares_fit`) the package's own fit loop.  The smear and
+the template correlation on ``scipy.fft`` (:func:`scipy_circular_smear`,
+:func:`scipy_circular_correlation`) check the fit's numpy FFTs.
 """
 
 from __future__ import annotations
@@ -322,3 +324,40 @@ def least_squares_fit(
         iterations=int(result.nfev),
         frozen=tuple(frozen),
     )
+
+
+def scipy_circular_smear(
+    profile: np.ndarray, period: float, sigma_t: float, width_derivative: bool = False
+) -> np.ndarray:
+    """:func:`phonon_sensor.fitting.circular_smear` of a kernel wider than
+    half a cell, on ``scipy.fft`` and its ``next_fast_len``: the unit-sum
+    Gaussian (or its sigma_t derivative) on the profile grid, convolved on
+    a 5-smooth length of at least twice the grid, upper half folded back."""
+    import scipy.fft
+
+    n_fine = profile.shape[-1]
+    offsets = np.arange(n_fine) * (period / n_fine)
+    offsets = np.where(offsets > period / 2, offsets - period, offsets)
+    kernel = np.exp(-0.5 * (offsets / sigma_t) ** 2)
+    if width_derivative:
+        dk = kernel * offsets**2 / sigma_t**3
+        kernel = (dk - kernel / kernel.sum() * dk.sum()) / kernel.sum()
+    else:
+        kernel /= kernel.sum()
+    n_fft = scipy.fft.next_fast_len(2 * n_fine, real=True)
+    spectrum = scipy.fft.rfft(profile, n_fft) * scipy.fft.rfft(kernel, n_fft)
+    linear = scipy.fft.irfft(spectrum, n_fft)
+    return linear[..., :n_fine] + linear[..., n_fine : 2 * n_fine]
+
+
+def scipy_circular_correlation(signal: np.ndarray, templates: np.ndarray) -> np.ndarray:
+    """Circular cross-correlation of ``signal`` with each row of
+    ``templates`` over all shifts, on ``scipy.fft``: the linear one on a
+    5-smooth length of at least twice the signal, negative lags folded back."""
+    import scipy.fft
+
+    n = len(signal)
+    n_fft = scipy.fft.next_fast_len(2 * n, real=True)
+    conj = np.conj(scipy.fft.rfft(templates, n_fft))
+    linear = scipy.fft.irfft(scipy.fft.rfft(signal, n_fft) * conj, n_fft)
+    return linear[:, :n] + linear[:, n_fft - n :]

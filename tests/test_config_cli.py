@@ -279,13 +279,16 @@ def invalid_dict(kind, draw):
         _set(data, draw(st.sampled_from(SECTIONS[1:])), value)
     elif kind == "empty-beams":
         data["physics"]["beams"] = []
-    elif kind == "nan":
-        path = draw(st.sampled_from(FLOAT_KEYS))
+    elif kind in ("nan", "infinite"):
+        # snr is the one float row where an infinity means something.
+        keys = FLOAT_KEYS if kind == "nan" else [p for p in FLOAT_KEYS if p != ("pipeline", "snr")]
+        bad = math.nan if kind == "nan" else draw(st.sampled_from([math.inf, -math.inf]))
+        path = draw(st.sampled_from(keys))
         value = _node(data, path)
         if isinstance(value, list):
-            value[draw(st.integers(0, len(value) - 1))] = math.nan
+            value[draw(st.integers(0, len(value) - 1))] = bad
         else:
-            _set(data, path, math.nan)
+            _set(data, path, bad)
     elif kind == "non-boolean":
         text = st.sampled_from(["false", "true", "no", "yes", "0", "1"])
         _set(data, draw(st.sampled_from(BOOL_KEYS)), draw(st.one_of(text, st.integers(0, 1))))
@@ -315,6 +318,7 @@ INVALID_KINDS = (
     "non-mapping",
     "empty-beams",
     "nan",
+    "infinite",
     "non-boolean",
     "non-integer",
 )
@@ -563,10 +567,10 @@ class TestCli:
         assert config_hash(config_from_dict(data)) == config_hash(default_config())
 
     def test_cheap_paths_import_no_scipy(self, tmp_path):
-        # Only the fit, the jitter smear and the squeeze sweep need scipy,
-        # and they import it when first used; a fresh interpreter that runs
-        # none of them must not load it.  The lower-bound run uses 2 s gates
-        # and 20 trials, which still bracket the transition.
+        # Only the squeeze sweep needs scipy, and it imports scipy.signal
+        # when first used; a fresh interpreter that runs no sweep must not
+        # load it.  The lower-bound run uses 2 s gates and 20 trials, which
+        # still bracket the transition.
         short = tmp_path / "short.yaml"
         short.write_text("pipeline:\n  gate_time_s: 2.0\nexperiment:\n  lower_bound_trials: 20\n")
         script = f"""
@@ -590,22 +594,32 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         assert result.stdout.splitlines()[-1] == "[]"
 
     def test_fit_paths_import_no_scipy_optimize(self, tmp_path):
-        # The fit solves its own least squares; neither a sweep's fits nor
-        # the CLI fit may load scipy.optimize (and scipy.linalg with it).
-        short = tmp_path / "short.yaml"
-        short.write_text(
-            "pipeline:\n  gate_time_s: 1.0\n"
-            "experiment:\n  amplitude_voltages_mv: [5.0, 10.0, 15.0]\n  amplitude_trials: 2\n"
+        # The fit solves its own least squares and takes its FFTs from
+        # numpy; neither the recovery campaigns' fits and jitter smears, with
+        # and without jitter, nor simulate and the CLI fit may load any scipy
+        # module.
+        plain = "pipeline:\n  gate_time_s: 1.0\n"
+        experiment = (
+            "experiment:\n  amplitude_voltages_mv: [5.0, 10.0, 15.0]\n"
+            "  amplitude_trials: 2\n  repetitions: 3\n"
         )
+        jittered = plain + "  timing_jitter_us: 0.2\n"
+        configs = []
+        for name, pipeline in (("plain", plain), ("jittered", jittered)):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(pipeline + experiment)
+            configs.append(str(path))
         script = f"""
 import sys
 from phonon_sensor.cli import main
 
 out = {str(tmp_path)!r}
-assert main(["campaign", "sweep-amplitude", "--config", {str(short)!r}, "--out", out]) == 0
+for config in {configs!r}:
+    for kind in ("sweep-amplitude", "sensitivity"):
+        assert main(["campaign", kind, "--config", config, "--out", out]) == 0
 assert main(["simulate", "--out", out + "/hist.txt", "--seed", "3"]) == 0
 assert main(["fit", out + "/hist.txt", "--out", out + "/fit.txt"]) == 0
-print(sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.linalg"))))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=120

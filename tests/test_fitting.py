@@ -35,7 +35,7 @@ from phonon_sensor.photons import (
 )
 from phonon_sensor.physics import LaserBeam, default_beams, total_scattering_rate
 
-from oracles import least_squares_fit
+from oracles import least_squares_fit, scipy_circular_correlation, scipy_circular_smear
 
 BEAMS = default_beams()
 OMEGA = DEFAULT_AXIAL_FREQUENCY
@@ -437,6 +437,62 @@ class TestCaches:
                 rtol=0,
                 atol=1e-12 * expected.max(),
             )
+
+
+class TestFftAgainstScipy:
+    """The fit's numpy FFTs and 5-smooth lengths give what scipy.fft gives,
+    bit for bit, at the campaigns' FFT lengths."""
+
+    def test_fast_length_matches_scipy(self):
+        import scipy.fft
+
+        mismatches = [
+            n
+            for n in range(1, 2**16 + 1)
+            if fitting._next_fast_len(n) != scipy.fft.next_fast_len(n, real=True)
+        ]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("width_derivative", [False, True])
+    def test_smear_is_bit_equal_at_8640(self, width_derivative):
+        n_fine = MODEL_FINE_FACTOR * 538
+        assert fitting._next_fast_len(2 * n_fine) == 8640
+        centers, _ = fitting._fine_grid(PERIOD, n_fine)
+        profile = np.stack(
+            [
+                total_scattering_rate(BEAMS, amplitude, phase, OMEGA, centers)
+                for amplitude, phase in (REF_CASE_A, REF_CASE_B, (15e-6, -2.0))
+            ]
+        )
+        clear_caches()
+        for _ in range(2):  # cold, then warm
+            smeared = fitting.circular_smear(profile, PERIOD, 0.2e-6, width_derivative)
+            expected = scipy_circular_smear(profile, PERIOD, 0.2e-6, width_derivative)
+            assert np.array_equal(smeared, expected)
+
+    @pytest.mark.parametrize("sigma_t", [0.0, 0.2e-6])
+    def test_template_correlation_is_bit_equal_at_1080(self, sigma_t):
+        assert fitting._correlation_length(538) == 1080
+        pipe = PipelineConfig(gate_time=1.0, timing_jitter=sigma_t)
+        hist = synth(*REF_CASE_B, seed=73, pipe=pipe)
+        assert hist.n_bins == 538
+        signal = hist.counts - hist.counts.mean()
+        amplitudes, _, spectra = fitting._template_bank(
+            BEAMS, OMEGA, PERIOD, 10e-9, sigma_t, (12e-6, 32e-6), 24
+        )
+        templates = np.array(
+            [
+                model_curve(
+                    FitModelParams(amp, 0.0, 1.0, 0.0, sigma_t), BEAMS, OMEGA, PERIOD, 10e-9
+                )
+                for amp in amplitudes
+            ]
+        )
+        templates -= templates.mean(axis=1, keepdims=True)
+        assert np.array_equal(
+            fitting._circular_correlation(signal, spectra),
+            scipy_circular_correlation(signal, templates),
+        )
 
 
 class TestFit:

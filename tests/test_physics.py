@@ -153,6 +153,8 @@ class TestScatteringRate:
             ((RED, -1e-6, 0.0, OMEGA, 0.0), "amplitude must be >= 0"),
             ((RED, np.nan, 0.0, OMEGA, 0.0), "amplitude must be finite"),
             ((RED, 1e-6, np.inf, OMEGA, t), "phase must be finite"),
+            ((RED, 1e-6, np.float64(np.nan), OMEGA, t), "phase must be finite"),
+            ((RED, 1e-6, np.array(np.nan), OMEGA, t), "phase must be finite"),
             ((RED, 1e-6, 0.0, OMEGA, np.inf), "t must be finite"),
             ((RED, 1e-6, 0.0, OMEGA, np.array([0.0, np.nan])), "t must be finite"),
             ((RED, 1e-6, 0.0, 0.0, t), "omega_i must be > 0"),
