@@ -23,10 +23,15 @@ columns.
 
 What depends only on the binning, never on the counts, is built once per
 binning and reused read-only: the bin edges and widths, the profile
-cells' centres and edges, the spectrum of the Gaussian dispersion kernel,
-and the initial guess's zero-phase template bank, whose conjugate spectra
-form one 2-D array so that a single inverse FFT correlates a histogram
-with every template.  The circular smear is
+cells' centres and edges, the table of cos w t and sin w t on those
+centres (from which the rate forms its Doppler phase w t + phi by angle
+addition), the spectrum of the Gaussian dispersion kernel, and the
+initial guess's zero-phase template bank, whose conjugate spectra form
+one 2-D array so that a single inverse FFT correlates a histogram with
+every template.  What depends on the profile's shape but not on alpha
+or beta, the bin integrals of the profile and of its derivative rows, is
+kept read-only for the last few shapes, so fits that share a start form
+it once.  The circular smear is
 one real linear convolution of a fast (5-smooth) FFT length, folded back
 onto the period, so a profile grid with a large prime factor never takes
 the slow prime-length FFT path.  The FFTs are numpy's, and the fast
@@ -44,7 +49,7 @@ import numpy as np
 from .constants import TWO_PI
 from .fileio import optional, read_header_file, write_header_file
 from .photons import TacHistogram, bin_grid
-from .physics import total_scattering_rate
+from .physics import _require_finite, total_scattering_rate
 
 PARAM_NAMES = ("amplitude", "phase", "alpha", "beta", "sigma_t")
 DEFAULT_FROZEN = ("alpha", "beta", "sigma_t")
@@ -105,7 +110,13 @@ def wrap_phase(phi: float) -> float:
 
 
 def model_profile(
-    params: FitModelParams, beams, omega_i: float, period: float, n_fine: int, free=()
+    params: FitModelParams,
+    beams,
+    omega_i: float,
+    period: float,
+    n_fine: int,
+    free=(),
+    table=None,
 ) -> np.ndarray:
     """Smeared periodic rate profile on n_fine uniform cells over the period.
 
@@ -114,11 +125,15 @@ def model_profile(
     sigma_t.  The smear is linear, so the rate's closed-form derivatives
     are smeared with the same kernel; the sigma_t row is the rate smeared
     with the kernel's derivative in its width.
+
+    ``table`` is the grid's :func:`_doppler_table`, which the fit's model
+    passes give so that the rate forms its Doppler phase by angle
+    addition; without it the rate takes the phase directly.
     """
     centers, _ = _fine_grid(period, n_fine)
     doppler = [name for name in ("amplitude", "phase") if name in free]
     rate = total_scattering_rate(
-        beams, params.amplitude, params.phase, omega_i, centers, bool(doppler)
+        beams, params.amplitude, params.phase, omega_i, centers, bool(doppler), table
     )
     if not free:
         return circular_smear(rate, period, params.sigma_t)
@@ -237,6 +252,21 @@ def _fine_grid(period: float, n_fine: int) -> tuple[np.ndarray, np.ndarray]:
     return centers, edges
 
 
+@lru_cache(maxsize=8)
+def _doppler_table(omega_i: float, period: float, n_fine: int) -> tuple:
+    """Read-only cos w t and sin w t on the centres of n_fine uniform
+    profile cells over the period, from which the scattering rate forms
+    its Doppler phase w t + phi by angle addition.  The centres are
+    checked finite here, once, and not on each rate pass."""
+    centers, _ = _fine_grid(period, n_fine)
+    _require_finite("t", centers)
+    angle = omega_i * centers
+    table = np.cos(angle), np.sin(angle)
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
 def _bin_integrals(profile: np.ndarray, period: float, edges: np.ndarray) -> np.ndarray:
     """Integral of the piecewise-constant profile between consecutive
     edges, row by row for a 2-D profile."""
@@ -270,21 +300,54 @@ def model_curve(
     curve's exact derivative in parameter ``free[j]``.  The alpha and beta
     columns are the rate integrals and the bin widths over the bin width;
     the amplitude, phase and sigma_t columns are alpha times the bin
-    integrals of the profile's derivatives (:func:`model_profile`).
+    integrals of the profile's derivatives (:func:`model_profile`).  Those
+    integrals do not depend on alpha or beta and are kept
+    (:func:`_shape_integrals`); the scaling is applied fresh on each call.
     """
-    edges, widths = bin_grid(period, bin_width)
-    n_fine = fine_factor * len(widths)
-    integrals = _bin_integrals(
-        model_profile(params, beams, omega_i, period, n_fine, free), period, edges
+    shape_free = tuple(name for name in ("amplitude", "phase", "sigma_t") if name in free)
+    shape = (params.amplitude, params.phase, params.sigma_t)
+    integrals = _shape_integrals(
+        tuple(beams), *shape, omega_i, period, bin_width, fine_factor, shape_free
     )
-    rate = integrals[0] if free else integrals
+    _, widths = bin_grid(period, bin_width)
+    rate = integrals[0] if shape_free else integrals
     curve = params.alpha * rate / bin_width + params.beta * widths / bin_width
     if not free:
         return curve
     columns = {"alpha": rate / bin_width, "beta": widths / bin_width}
-    shape_params = [name for name in ("amplitude", "phase", "sigma_t") if name in free]
-    columns.update(zip(shape_params, params.alpha * integrals[1:] / bin_width))
+    columns.update(zip(shape_free, params.alpha * integrals[1:] / bin_width))
     return curve, np.column_stack([columns[name] for name in free])
+
+
+@lru_cache(maxsize=16)
+def _shape_integrals(
+    beams: tuple,
+    amplitude: float,
+    phase: float,
+    sigma_t: float,
+    omega_i: float,
+    period: float,
+    bin_width: float,
+    fine_factor: int,
+    free: tuple,
+) -> np.ndarray:
+    """Read-only bin integrals of the smeared profile, then (with ``free``)
+    of its derivative rows in those shape parameters, as
+    :func:`model_profile` stacks them.
+
+    They hold no alpha or beta, so the fits that share a start (the
+    template amplitude, the reference phase and sigma_t, equal across a
+    campaign's gates) form the start's profile once; the last 16 are
+    kept.
+    """
+    edges, widths = bin_grid(period, bin_width)
+    n_fine = fine_factor * len(widths)
+    params = FitModelParams(amplitude, phase, 1.0, 0.0, sigma_t)
+    table = _doppler_table(omega_i, period, n_fine)
+    profile = model_profile(params, beams, omega_i, period, n_fine, free, table)
+    integrals = _bin_integrals(profile, period, edges)
+    integrals.flags.writeable = False
+    return integrals
 
 
 def fisher_information(

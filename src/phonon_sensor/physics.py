@@ -230,12 +230,20 @@ def scattering_rate_max(beam: LaserBeam, amplitude: float, omega_i: float) -> fl
     return (gamma * s / (4.0 * math.pi)) / (1.0 + s + 4.0 * ratio**2)
 
 
-def total_scattering_rate(beams, amplitude, phase, omega_i, t, derivatives=False):
+def total_scattering_rate(beams, amplitude, phase, omega_i, t, derivatives=False, table=None):
     """Sum of per-beam scattering rates (see ``scattering_rate``).
 
     The inputs are checked and the Doppler cosine is formed once for all
     beams; each beam's Lorentzian is then evaluated in place.  A scalar
     ``t`` gives a scalar.
+
+    ``table`` is ``(cos w t, sin w t)`` on the times ``t``, which a caller
+    that evaluates the rate on one time grid many times builds once (and
+    checks finite then).  With it, cos(w t + phi) and sin(w t + phi) come
+    by angle addition from the table and the phase's cosine and sine, four
+    multiplies and two adds per time in place of two libm calls, and ``t``
+    is not checked again.  Without it they come from ``w t + phi``
+    directly.  Both forms round at the level of ``w t + phi`` itself.
 
     With ``derivatives`` the result is ``(rate, d rate/d amplitude,
     d rate/d phase)``, formed in the same pass.  With theta = w t + phi,
@@ -251,18 +259,29 @@ def total_scattering_rate(beams, amplitude, phase, omega_i, t, derivatives=False
         raise ValueError(f"amplitude must be >= 0, got {amplitude}")
     _require_finite("amplitude", amplitude)
     _require_finite("phase", phase)
-    _require_finite("t", t)
     _require_frequency(omega_i)
-    t = np.asarray(t)
-    cosine = np.multiply(t, omega_i, out=np.empty(t.shape))
-    cosine += phase
+    if table is None:
+        _require_finite("t", t)
+        t = np.asarray(t)
+        cosine = np.multiply(t, omega_i, out=np.empty(t.shape))
+        cosine += phase
+        if derivatives:
+            sine = np.sin(cosine)
+        np.cos(cosine, out=cosine)
+    else:
+        cos_wt, sin_wt = table
+        cos_phi, sin_phi = math.cos(phase), math.sin(phase)
+        cosine = cos_wt * cos_phi
+        cosine -= sin_wt * sin_phi
+        if derivatives:
+            sine = sin_wt * cos_phi
+            sine += cos_wt * sin_phi
+    shape = cosine.shape
     if derivatives:
-        sine = np.sin(cosine)
-        common = np.zeros(t.shape)
-        ratio = np.empty(t.shape)
-    np.cos(cosine, out=cosine)
-    total = np.zeros(t.shape)
-    rate = np.empty(t.shape)
+        common = np.zeros(shape)
+        ratio = np.empty(shape)
+    total = np.zeros(shape)
+    rate = np.empty(shape)
     for beam in beams:
         s, gamma = beam.saturation, beam.linewidth
         peak = gamma * s / (4.0 * math.pi)

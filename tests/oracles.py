@@ -6,7 +6,9 @@ locked-phase spreads.  The per-photon path (thinning, timing jitter,
 folding) checks the binned photon law, and scipy's trust-region solver
 (:func:`least_squares_fit`) the package's own fit loop.  The smear and
 the template correlation on ``scipy.fft`` (:func:`scipy_circular_smear`,
-:func:`scipy_circular_correlation`) check the fit's numpy FFTs.
+:func:`scipy_circular_correlation`) check the fit's numpy FFTs, and the
+rate with its Doppler phase taken directly (:func:`direct_scattering_rate`)
+the rate's angle addition from a table.
 """
 
 from __future__ import annotations
@@ -361,3 +363,24 @@ def scipy_circular_correlation(signal: np.ndarray, templates: np.ndarray) -> np.
     conj = np.conj(scipy.fft.rfft(templates, n_fft))
     linear = scipy.fft.irfft(scipy.fft.rfft(signal, n_fft) * conj, n_fft)
     return linear[:, :n] + linear[:, n_fft - n :]
+
+
+def direct_scattering_rate(beams, amplitude, phase, omega_i, t):
+    """Summed scattering rate and its derivatives in amplitude and phase,
+    ``(rate, d/dA, d/dphi)``, with cos and sin of theta = w t + phi taken
+    by ``np.cos`` and ``np.sin`` of theta itself, beam by beam:
+    rate = (Gamma s/4pi) / D with D = 1 + s + 4 x^2 and
+    x = (Delta - k w A cos theta)/Gamma, so d rate/d cos theta =
+    8 (Gamma s/4pi) x k w A / (Gamma D^2)."""
+    theta = omega_i * np.asarray(t) + phase
+    cosine, sine = np.cos(theta), np.sin(theta)
+    rate = np.zeros(theta.shape)
+    slope = np.zeros(theta.shape)  # d rate / d (A cos theta)
+    for beam in beams:
+        s, gamma, k = beam.saturation, beam.linewidth, beam.wave_number
+        peak = gamma * s / (4.0 * math.pi)
+        x = (beam.detuning - k * omega_i * amplitude * cosine) / gamma
+        denominator = 1.0 + s + 4.0 * x**2
+        rate += peak / denominator
+        slope += 8.0 * peak * x * k * omega_i / (gamma * denominator**2)
+    return rate, slope * cosine, -amplitude * slope * sine

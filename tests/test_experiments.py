@@ -416,8 +416,8 @@ class TestFixedSeedOutputs:
     # numbers on purpose updates the digest and says so.
     DEFAULT_RECORD_SHA256 = {
         "lower-bound": "ee6717ea29d11fb1314f7e8c9e83bea2f2d9cd22c193a6bd4f36fb67af18004d",
-        "sensitivity": "b049ec38f2bb73a884256ec590df9d08ad0bf4a6649371676111677ad3c1e7fb",
-        "sweep-amplitude": "8e28db59c9b4ddc841be1eb868d8fb7f3c60a4d7f22235d2b6455e3a3160665a",
+        "sensitivity": "13c3c423dd699ec196cd48731ea53b910df3624075e3f267f94cf5f537c1ec5c",
+        "sweep-amplitude": "42175edd45fe5b52be8825027e0694df1cbd299c03d80c389155a706d83ba50c",
         "sweep-squeeze": "6445a80f2ef27fd964564179e414278c9522ccd8e9b171311c06e814edd427ca",
     }
 

@@ -35,7 +35,12 @@ from phonon_sensor.photons import (
 )
 from phonon_sensor.physics import LaserBeam, default_beams, total_scattering_rate
 
-from oracles import least_squares_fit, scipy_circular_correlation, scipy_circular_smear
+from oracles import (
+    direct_scattering_rate,
+    least_squares_fit,
+    scipy_circular_correlation,
+    scipy_circular_smear,
+)
 
 BEAMS = default_beams()
 OMEGA = DEFAULT_AXIAL_FREQUENCY
@@ -313,6 +318,8 @@ def per_template_guess(hist, beams, amplitude_range=(12e-6, 32e-6), sigma_t=0.0,
 def clear_caches():
     fitting._template_bank.cache_clear()
     fitting._kernel_spectrum.cache_clear()
+    fitting._doppler_table.cache_clear()
+    fitting._shape_integrals.cache_clear()
 
 
 def assert_same_params(got, expected):
@@ -437,6 +444,154 @@ class TestCaches:
                 rtol=0,
                 atol=1e-12 * expected.max(),
             )
+
+
+class TestDopplerTable:
+    """The fit's rate passes take cos(w t + phi) and sin(w t + phi) by angle
+    addition from a table of cos w t and sin w t on the profile grid."""
+
+    @pytest.mark.parametrize("bin_width", [10e-9, 13e-9])
+    @pytest.mark.parametrize("amplitude", [1e-6, 21.677e-6, 32e-6])
+    def test_table_rate_matches_the_direct_rate(self, bin_width, amplitude):
+        n_fine = MODEL_FINE_FACTOR * len(bin_grid(PERIOD, bin_width)[1])
+        centers, _ = fitting._fine_grid(PERIOD, n_fine)
+        table = fitting._doppler_table(OMEGA, PERIOD, n_fine)
+        phases = [*np.linspace(-2 * math.pi, 2 * math.pi, 9), 0.03, -1.234, 5.4321]
+        for phase in phases:
+            got = total_scattering_rate(BEAMS, amplitude, phase, OMEGA, centers, True, table)
+            expected = direct_scattering_rate(BEAMS, amplitude, phase, OMEGA, centers)
+            np.testing.assert_allclose(got[0], expected[0], rtol=1e-13, atol=0)
+            for row, direct in zip(got[1:], expected[1:]):
+                scale = np.abs(direct).max()
+                np.testing.assert_allclose(row, direct, rtol=0, atol=1e-13 * scale)
+            # Without derivatives the rate is the same bits.
+            rate = total_scattering_rate(BEAMS, amplitude, phase, OMEGA, centers, False, table)
+            assert np.array_equal(rate, got[0])
+
+    @pytest.mark.parametrize("bin_width", [10e-9, 13e-9])
+    def test_table_is_built_once_per_binning_read_only(self, bin_width):
+        clear_caches()
+        for amplitude, phase in (REF_CASE_A, REF_CASE_B):
+            params = FitModelParams(amplitude, phase, 1.0, 0.0, 0.2e-6)
+            model_curve(params, BEAMS, OMEGA, PERIOD, bin_width, free=("amplitude", "phase"))
+            model_curve(params, BEAMS, OMEGA, PERIOD, bin_width)
+        info = fitting._doppler_table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        n_fine = MODEL_FINE_FACTOR * len(bin_grid(PERIOD, bin_width)[1])
+        cosine, sine = table = fitting._doppler_table(OMEGA, PERIOD, n_fine)
+        assert fitting._doppler_table(OMEGA, PERIOD, n_fine) is table
+        centers, _ = fitting._fine_grid(PERIOD, n_fine)
+        assert np.array_equal(cosine, np.cos(OMEGA * centers))
+        assert np.array_equal(sine, np.sin(OMEGA * centers))
+        for array in table:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_grid_is_checked_finite_when_the_table_is_built(self):
+        with pytest.raises(ValueError, match="t must be finite"):
+            fitting._doppler_table(OMEGA, math.nan, 8)
+
+
+class TestShapeCache:
+    """The bin integrals of the profile and its derivative rows hold no
+    alpha or beta and are kept, so fits that share a start form it once."""
+
+    FREE = ("amplitude", "phase")
+    BASE = dict(amplitude=21.677e-6, phase=0.03, sigma_t=0.2e-6)
+
+    def test_fits_from_one_start_evaluate_its_rate_once(self, monkeypatch):
+        start = []
+        rate = fitting.total_scattering_rate
+
+        def counting_rate(beams, amplitude, phase, omega_i, t, *rest):
+            start.append((amplitude, phase))
+            return rate(beams, amplitude, phase, omega_i, t, *rest)
+
+        pipe = PipelineConfig(gate_time=1.0, timing_jitter=0.2e-6)
+        hists = [synth(*REF_CASE_A, seed=seed, pipe=pipe) for seed in (81, 82)]
+        assert not np.array_equal(hists[0].counts, hists[1].counts)
+        inits = [
+            chain_init_params(h, pipe.efficiency, pipe.snr, 21.0e-6, 0.03, pipe.timing_jitter)
+            for h in hists
+        ]
+        assert inits[0].beta != inits[1].beta
+        clear_caches()
+        monkeypatch.setattr(fitting, "total_scattering_rate", counting_rate)
+        results = [fit_histogram(h, BEAMS, init) for h, init in zip(hists, inits)]
+        assert all(result.converged for result in results)
+        assert start.count((21.0e-6, 0.03)) == 1
+        assert len(start) == sum(result.iterations for result in results) - 1
+        # The kept start gives the fit that a cold start gives.
+        monkeypatch.undo()
+        clear_caches()
+        assert fit_histogram(hists[1], BEAMS, inits[1]) == results[1]
+
+    def test_kept_arrays_are_read_only_and_results_are_fresh(self):
+        clear_caches()
+        params = FitModelParams(**self.BASE, alpha=1e-4, beta=3.0)
+        curve, columns = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9, free=self.FREE)
+        expected = curve.copy(), columns.copy()
+        curve[:] = 0.0
+        columns[:] = 0.0
+        again = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9, free=self.FREE)
+        assert all(map(np.array_equal, again, expected))
+        assert fitting._shape_integrals.cache_info().hits == 1
+        integrals = fitting._shape_integrals(
+            BEAMS, *self.BASE.values(), OMEGA, PERIOD, 10e-9, MODEL_FINE_FACTOR, self.FREE
+        )
+        assert integrals.shape == (3, 538)
+        assert not integrals.flags.writeable
+        with pytest.raises(ValueError):
+            integrals[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "amplitude",
+            "phase",
+            "sigma_t",
+            "beams",
+            "omega_i",
+            "period",
+            "bin_width",
+            "fine_factor",
+            "free",
+        ],
+    )
+    def test_each_key_field_keeps_its_own_entry(self, field):
+        # A model pass that differs from a kept one in a single key field
+        # gives what a cold cache gives, not the kept entry.
+        base = {
+            "params": FitModelParams(**self.BASE, alpha=1e-4, beta=3.0),
+            "beams": BEAMS,
+            "omega_i": OMEGA,
+            "period": PERIOD,
+            "bin_width": 10e-9,
+            "fine_factor": MODEL_FINE_FACTOR,
+            "free": self.FREE,
+        }
+        red, _ = BEAMS
+        changes = {
+            "amplitude": {"params": replace(base["params"], amplitude=24.462e-6)},
+            "phase": {"params": replace(base["params"], phase=0.3)},
+            "sigma_t": {"params": replace(base["params"], sigma_t=0.4e-6)},
+            "beams": {"beams": (red, LaserBeam(TWO_PI * 40e6, 0.4))},
+            "omega_i": {"omega_i": 1.01 * OMEGA},
+            "period": {"period": 1.01 * PERIOD},
+            "bin_width": {"bin_width": 13e-9},
+            "fine_factor": {"fine_factor": 4},
+            "free": {"free": ("amplitude", "phase", "sigma_t")},
+        }
+        variant = {**base, **changes[field]}
+        clear_caches()
+        kept = model_curve(**base)
+        warm = model_curve(**variant)
+        clear_caches()
+        cold = model_curve(**variant)
+        assert all(map(np.array_equal, warm, cold))
+        assert fitting._shape_integrals.cache_info().misses == 1
+        assert not all(map(np.array_equal, kept, cold))
 
 
 class TestFftAgainstScipy:

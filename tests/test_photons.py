@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 
@@ -341,6 +342,30 @@ class TestStageSpans:
     def test_sampler_keeps_the_parameters_the_benchmark_reads(self):
         parameters = inspect.signature(sample_arrivals).parameters
         assert {"gate_time", "rate_max"} <= set(parameters)
+
+
+class TestDrawnCountsPinned:
+    """The counts drawn at the shipped defaults, pinned bit for bit: a change
+    of the rate's arithmetic may move the law at rounding level, and must
+    not move a drawn count."""
+
+    DIGESTS = {
+        0.0: "5f49b02bc7236ad15dbe09310d3286c04c5e19b81514dad9b3dd1c1342c59e37",
+        0.2: "a75a5efa24f0067134cb92135b87460f9fc09028842249c2c862bf8dd2c52df1",
+    }
+
+    @pytest.mark.parametrize("jitter_us", sorted(DIGESTS))
+    def test_counts_sha256(self, jitter_us):
+        config = config_from_dict({"pipeline": {"timing_jitter_us": jitter_us}})
+        omega_i, phase = config.drive.injection_frequency, config.experiment.reference_phase
+        digest = hashlib.sha256()
+        for amplitude in (15e-6, 21.677e-6, 28e-6):
+            for seed in range(1, 6):
+                hist = synthesize_histogram(
+                    config.beams, amplitude, phase, omega_i, config.pipeline, seed=seed
+                )
+                digest.update(hist.counts.astype("<i8").tobytes())
+        assert digest.hexdigest() == self.DIGESTS[jitter_us]
 
 
 class TestLawCache:
