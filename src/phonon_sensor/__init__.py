@@ -4,7 +4,7 @@ Modules
 -------
 physics      closed-form kernels (scattering, damping, forces, squeezing law)
 dynamics     stochastic integrators and the locked-phase spread
-photons      Monte Carlo photon pipeline and TAC histograms
+photons      TAC histograms drawn from their exact binned photon law
 fitting      amplitude/phase recovery from histograms
 experiments  measurement campaigns and run records
 config       declarative YAML run configuration

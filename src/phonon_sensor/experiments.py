@@ -1,9 +1,10 @@
 """Measurement campaigns: calibration, sensitivity, squeezing and the
 smallest-force (lock lower-bound) search, plus persistent run records.
 
-Each campaign function is pure given (config, seed) and returns plain
-result objects plus row dicts ready for CSV emission; persistence is
-checksummed JSON that reproduces bit-identical results on re-run.
+Each campaign function is pure given (config, seed) and returns the
+``results`` its run record holds: a JSON-ready dict of unit-suffixed
+values, with row dicts ready for CSV emission; persistence is checksummed
+JSON that reproduces bit-identical results on re-run.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -70,40 +71,6 @@ LOWER_BOUND_STEP = 2e-4
 
 class RunRecordError(ValueError):
     """Corrupt, tampered or incompatible run record."""
-
-
-@dataclass(frozen=True)
-class CalibrationRecord:
-    force_per_volt: float  # N/V
-    amplitude_per_volt: float  # m/V
-    amplitude_per_force: float  # m/N
-    free_running_amplitude: float  # m
-    r_squared: float
-
-
-@dataclass(frozen=True)
-class SensitivityReport:
-    delta_a: float  # m
-    tau: float  # s
-    repetitions: int
-    slope: float  # m/N
-    sensitivity: float  # N/sqrt(Hz)
-    dropped: int = 0  # repetitions whose histogram was flat or whose fit did not converge
-    delta_a_crb: float = math.nan  # m, Cramer-Rao bound of one gate's amplitude
-
-    @property
-    def delta_a_over_crb(self) -> float:
-        return self.delta_a / self.delta_a_crb
-
-
-@dataclass(frozen=True)
-class LowerBoundResult:
-    voltages: tuple[float, ...]
-    lock_probability: tuple[float, ...]
-    trials: int
-    critical_voltage: float
-    critical_force: float
-    squeezing_enabled: bool
 
 
 def calibrate_force(trap: TrapConfig, dc_measurements) -> float:
@@ -266,8 +233,9 @@ def amplitude_sweep(config: RunConfig, seed: int | None = None):
 
     Runs dynamics -> photon pipeline -> fit for each voltage of
     ``experiment.amplitude_voltages`` and each of ``amplitude_trials`` trials,
-    regresses the fitted amplitude on voltage and reports the slope, the
-    zero-voltage intercept (free-running amplitude) and regression quality.
+    regresses the fitted amplitude on voltage and returns the rows, the
+    slope per volt and per force, the zero-voltage intercept (free-running
+    amplitude) and the regression's R^2.
     Voltages that fail the lock criterion, or keep no converged fit, are
     excluded from the regression with a warning; their rows stay, with a
     NaN amplitude.  Each row counts the fits it kept (``trials``) and the
@@ -321,15 +289,13 @@ def amplitude_sweep(config: RunConfig, seed: int | None = None):
     ss_tot = float(np.sum((a - a.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
 
-    force_per_volt = config.drive.force_per_volt
-    record = CalibrationRecord(
-        force_per_volt=force_per_volt,
-        amplitude_per_volt=slope,
-        amplitude_per_force=slope / force_per_volt,
-        free_running_amplitude=intercept,
-        r_squared=r_squared,
-    )
-    return record, rows
+    return {
+        "rows": rows,
+        "amplitude_per_volt_nm_per_mv": slope * 1e9 * 1e-3,
+        "amplitude_per_force_nm_per_yn": slope / config.drive.force_per_volt * 1e9 * 1e-24,
+        "free_running_amplitude_um": intercept * 1e6,
+        "r_squared": r_squared,
+    }
 
 
 def squeeze_sweep(config: RunConfig, points=None, seed: int | None = None):
@@ -428,12 +394,10 @@ def squeeze_sweep(config: RunConfig, points=None, seed: int | None = None):
             row["sim_ratio_x"] = float(var_x.mean() / base_x.mean())
         rows.append(row)
     thermal = thermal_quadrature_variance(config.trap, config.drive, config.noise)
-    return rows, {"baseline_variance_m2": float(base_mean), "thermal_variance_m2": thermal}
+    return {"rows": rows, "baseline_variance_m2": float(base_mean), "thermal_variance_m2": thermal}
 
 
-def lower_bound_search(
-    config: RunConfig, squeeze: bool = False, seed: int | None = None
-) -> LowerBoundResult:
+def lower_bound_search(config: RunConfig, squeeze: bool = False, seed: int | None = None):
     """Smallest locking voltage at 90% success probability.
 
     The injection-locked phase model runs ``lower_bound_trials`` independent
@@ -443,7 +407,9 @@ def lower_bound_search(
     fraction crosses 0.9, interpolated linearly in log-voltage between the
     bracketing grid points.  Squeezing applies the frequency-doubled drive
     at full gain and the phase that squeezes the phase quadrature (the 3 dB
-    configuration).
+    configuration).  Returns the search's section of the lower-bound record:
+    the voltage grid, the locked fraction at each voltage, the trial count,
+    and the critical voltage and force.
     """
     exp = config.experiment
     voltages, trials = exp.lower_bound_voltages, exp.lower_bound_trials
@@ -484,26 +450,26 @@ def lower_bound_search(
     log_vc = math.log(v1) + (0.9 - p1) * (math.log(v2) - math.log(v1)) / (p2 - p1)
     critical_voltage = math.exp(log_vc)
 
-    return LowerBoundResult(
-        voltages=voltages,
-        lock_probability=tuple(probabilities),
-        trials=trials,
-        critical_voltage=critical_voltage,
-        critical_force=critical_voltage * config.drive.force_per_volt,
-        squeezing_enabled=squeeze,
-    )
+    return {
+        "voltages_mv": [v * 1e3 for v in voltages],
+        "lock_probability": probabilities,
+        "trials": trials,
+        "critical_voltage_mv": critical_voltage * 1e3,
+        "critical_force_yn": critical_voltage * config.drive.force_per_volt * 1e24,
+    }
 
 
-def sensitivity_campaign(config: RunConfig, seed: int | None = None) -> SensitivityReport:
+def sensitivity_campaign(config: RunConfig, seed: int | None = None):
     """Empirical sensitivity from repeated pipeline fits at one voltage.
 
     The fits run ``experiment.repetitions`` gates at the drive's injection
     voltage.  The scatter of the fitted amplitude over the repetitions
     gives delta_A; the total measurement time is repetitions times the
     gate time; the amplitude-per-force slope comes from the
-    locked-oscillator response.  The report counts the repetitions dropped
-    as flat or unconverged, and holds the Cramer-Rao bound of one gate's
-    amplitude, the scatter an efficient fit would reach.
+    locked-oscillator response.  The results count the repetitions dropped
+    as flat or unconverged, and hold the Cramer-Rao bound of one gate's
+    amplitude, the scatter an efficient fit would reach, and the published
+    evaluation's reference sensitivity.
     """
     repetitions = config.experiment.repetitions
     seed = config.experiment.seed if seed is None else seed
@@ -515,15 +481,19 @@ def sensitivity_campaign(config: RunConfig, seed: int | None = None) -> Sensitiv
     delta_a = float(np.std(fitted, ddof=1))
     tau = repetitions * config.pipeline.gate_time
     slope = config.amplitude_per_force
-    return SensitivityReport(
-        delta_a=delta_a,
-        tau=tau,
-        repetitions=repetitions,
-        slope=slope,
-        sensitivity=sensitivity(delta_a, tau, slope),
-        dropped=repetitions - len(fitted),
-        delta_a_crb=_amplitude_crb(config, amplitude),
-    )
+    delta_a_crb = _amplitude_crb(config, amplitude)
+    reference = sensitivity(REFERENCE_DELTA_A, REFERENCE_TAU, REFERENCE_SLOPE)
+    return {
+        "delta_a_nm": delta_a * 1e9,
+        "delta_a_crb_nm": delta_a_crb * 1e9,
+        "delta_a_over_crb": delta_a / delta_a_crb,
+        "tau_s": tau,
+        "repetitions": repetitions,
+        "dropped": repetitions - len(fitted),
+        "slope_nm_per_yn": slope * 1e9 * 1e-24,
+        "sensitivity_yn_per_sqrt_hz": sensitivity(delta_a, tau, slope) * 1e24,
+        "reference_sensitivity_yn_per_sqrt_hz": reference * 1e24,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +553,8 @@ def rerun_record(record: dict) -> dict:
 
 def _search(config: RunConfig, seed: int, squeeze: bool) -> dict:
     """One lower-bound search, as the lower-bound record holds it."""
-    res = lower_bound_search(config, squeeze=squeeze, seed=seed)
-    return {
-        "voltages_mv": [v * 1e3 for v in res.voltages],
-        "lock_probability": list(res.lock_probability),
-        "trials": res.trials,
-        "critical_voltage_mv": res.critical_voltage * 1e3,
-        "critical_force_yn": res.critical_force * 1e24,
-    }
+    # Pickled by name, it finds the search as a module global: a wrapper set there need not pickle.
+    return lower_bound_search(config, squeeze=squeeze, seed=seed)
 
 
 def run_campaign(kind: str, config: RunConfig, seed: int | None = None):
@@ -604,17 +568,9 @@ def run_campaign(kind: str, config: RunConfig, seed: int | None = None):
             "static_force_zn_at_12um_3v": static_force(config.trap, 12e-6) * 1e21,
         }
     if kind == "sweep-amplitude":
-        record, rows = amplitude_sweep(config, seed=seed)
-        return {
-            "rows": rows,
-            "amplitude_per_volt_nm_per_mv": record.amplitude_per_volt * 1e9 * 1e-3,
-            "amplitude_per_force_nm_per_yn": record.amplitude_per_force * 1e9 * 1e-24,
-            "free_running_amplitude_um": record.free_running_amplitude * 1e6,
-            "r_squared": record.r_squared,
-        }
+        return amplitude_sweep(config, seed=seed)
     if kind == "sweep-squeeze":
-        rows, summary = squeeze_sweep(config, seed=seed)
-        return {"rows": rows, **summary}
+        return squeeze_sweep(config, seed=seed)
     if kind == "lower-bound":
         # The two searches share no state, and their step loops hold the
         # interpreter lock, so they run in forked processes; spawned ones
@@ -630,17 +586,5 @@ def run_campaign(kind: str, config: RunConfig, seed: int | None = None):
             / squeezed["critical_voltage_mv"],
         }
     if kind == "sensitivity":
-        report = sensitivity_campaign(config, seed=seed)
-        reference = sensitivity(REFERENCE_DELTA_A, REFERENCE_TAU, REFERENCE_SLOPE)
-        return {
-            "delta_a_nm": report.delta_a * 1e9,
-            "delta_a_crb_nm": report.delta_a_crb * 1e9,
-            "delta_a_over_crb": report.delta_a_over_crb,
-            "tau_s": report.tau,
-            "repetitions": report.repetitions,
-            "dropped": report.dropped,
-            "slope_nm_per_yn": report.slope * 1e9 * 1e-24,
-            "sensitivity_yn_per_sqrt_hz": report.sensitivity * 1e24,
-            "reference_sensitivity_yn_per_sqrt_hz": reference * 1e24,
-        }
+        return sensitivity_campaign(config, seed=seed)
     raise ValueError(f"unknown campaign {kind!r}")

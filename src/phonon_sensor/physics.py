@@ -61,14 +61,6 @@ class LaserBeam:
         if self.linewidth <= 0:
             raise ValueError(f"linewidth must be > 0, got {self.linewidth}")
 
-    @property
-    def is_red(self) -> bool:
-        return self.detuning < 0
-
-    @property
-    def is_blue(self) -> bool:
-        return self.detuning > 0
-
 
 def default_beams() -> tuple[LaserBeam, LaserBeam]:
     """The red/blue beam pair used by all shipped defaults."""
@@ -127,10 +119,6 @@ class DriveConfig:
     def force(self) -> float:
         """Injection force amplitude F = V * (N/V calibration slope)."""
         return self.injection_voltage * self.force_per_volt
-
-    @property
-    def squeeze_frequency(self) -> float:
-        return 2.0 * self.injection_frequency
 
     @property
     def effective_gain(self) -> float:
@@ -192,12 +180,8 @@ def solid_angle_fraction(na: float) -> float:
     return (1.0 - math.sqrt(1.0 - na * na)) / 2.0
 
 
-def collection_efficiency(chain: EfficiencyChain, measured: float | None = None) -> float:
-    """Product of the chain factors, or a measured override when given."""
-    if measured is not None:
-        if not 0.0 < measured <= 1.0:
-            raise ValueError(f"measured efficiency must be in (0, 1], got {measured}")
-        return measured
+def collection_efficiency(chain: EfficiencyChain) -> float:
+    """Product of the chain factors."""
     eta = 1.0
     for _, value in chain.factors:
         eta *= value

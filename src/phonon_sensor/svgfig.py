@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from .fileio import atomic_write_text
+
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
@@ -169,5 +171,4 @@ class LinePlot:
             )
 
         parts.append("</svg>")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(parts) + "\n")
+        atomic_write_text(path, "\n".join(parts) + "\n")

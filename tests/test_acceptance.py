@@ -248,9 +248,9 @@ def test_criterion_07_sensitivity_formula():
 
 
 def test_criterion_08_calibration_consistency():
-    record, _ = amplitude_sweep(CONFIG, seed=80_000)
-    slope_nm_mv = record.amplitude_per_volt * 1e9 * 1e-3
-    ratio_nm_yn = record.amplitude_per_force * 1e9 * 1e-24
+    results = amplitude_sweep(CONFIG, seed=80_000)
+    slope_nm_mv = results["amplitude_per_volt_nm_per_mv"]
+    ratio_nm_yn = results["amplitude_per_force_nm_per_yn"]
     slope_ok = abs(slope_nm_mv - 362.1) / 362.1 < 0.03
     ratio_ok = abs(ratio_nm_yn - 0.9979) / 0.9979 < 0.01
     ok = slope_ok and ratio_ok
@@ -259,7 +259,7 @@ def test_criterion_08_calibration_consistency():
         ok,
         f"dA/dV = {slope_nm_mv:.1f} nm/mV (vs 362.1, 3%), "
         f"dA/dF = {ratio_nm_yn:.4f} nm/yN (vs 0.9979, 1%), "
-        f"intercept = {record.free_running_amplitude * 1e6:.3f} um",
+        f"intercept = {results['free_running_amplitude_um']:.3f} um",
     )
 
 
@@ -268,8 +268,8 @@ def test_criterion_09_lower_bound_protocol():
     on = lower_bound_search(CONFIG, squeeze=True, seed=90_000)
 
     def monotone(res):
-        probs = np.array(res.lock_probability)
-        n = res.trials
+        probs = np.array(res["lock_probability"])
+        n = res["trials"]
         for i in range(len(probs) - 1):
             sigma = math.sqrt(
                 max(probs[i] * (1 - probs[i]), 0.25 / n) / n
@@ -281,20 +281,20 @@ def test_criterion_09_lower_bound_protocol():
 
     mono_ok = monotone(off) and monotone(on)
     bracket_ok = (
-        min(off.lock_probability) < 0.9 <= max(off.lock_probability)
-        and min(on.lock_probability) < 0.9 <= max(on.lock_probability)
+        min(off["lock_probability"]) < 0.9 <= max(off["lock_probability"])
+        and min(on["lock_probability"]) < 0.9 <= max(on["lock_probability"])
     )
-    ratio = off.critical_voltage / on.critical_voltage
+    ratio = off["critical_voltage_mv"] / on["critical_voltage_mv"]
     ratio_ok = 1.5 <= ratio <= 2.5
     ok = mono_ok and bracket_ok and ratio_ok
     report(
         "criterion 9 (lower-bound protocol)",
         ok,
-        f"Vc = {off.critical_voltage * 1e3:.3f} mV (off) / "
-        f"{on.critical_voltage * 1e3:.3f} mV (3 dB squeeze), ratio {ratio:.2f} "
+        f"Vc = {off['critical_voltage_mv']:.3f} mV (off) / "
+        f"{on['critical_voltage_mv']:.3f} mV (3 dB squeeze), ratio {ratio:.2f} "
         f"(need 2.0 +/- 0.5); monotone={mono_ok}, bracketed={bracket_ok}; "
-        f"critical force {off.critical_force * 1e24:.0f} -> "
-        f"{on.critical_force * 1e24:.0f} yN",
+        f"critical force {off['critical_force_yn']:.0f} -> "
+        f"{on['critical_force_yn']:.0f} yN",
     )
 
 

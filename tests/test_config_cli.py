@@ -28,6 +28,7 @@ from phonon_sensor.constants import TWO_PI
 from phonon_sensor.dynamics import NoiseModel, thermal_quadrature_variance
 from phonon_sensor.fitting import PARAM_NAMES, load_fit_report
 from phonon_sensor.photons import TacHistogram, load_histogram, save_histogram
+from phonon_sensor.svgfig import LinePlot
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED_CONFIG = os.path.join(REPO_ROOT, "configs", "default.yaml")
@@ -553,6 +554,18 @@ class TestCli:
         assert (dir_a / "calibrate.json").read_bytes() == (
             dir_b / "calibrate.json"
         ).read_bytes()
+
+    def test_failed_svg_write_keeps_the_old_figure(self, tmp_path):
+        # A lone surrogate cannot be encoded as UTF-8, so the write fails
+        # after the figure is formatted.
+        path = tmp_path / "plot.svg"
+        path.write_text("old figure\n", encoding="utf-8")
+        plot = LinePlot("\ud800", "x", "y")
+        plot.add("series", [0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(UnicodeEncodeError):
+            plot.write(path)
+        assert path.read_text(encoding="utf-8") == "old figure\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_output_directory_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PHONON_SENSOR_OUTDIR", str(tmp_path / "env_dir"))

@@ -119,22 +119,25 @@ class TestSensitivityFormula:
 
 class TestAmplitudeSweep:
     def test_recovers_configured_linear_response(self):
-        record, rows = amplitude_sweep(CONFIG, seed=101)
+        results = amplitude_sweep(CONFIG, seed=101)
         # Configured response: force_per_volt * amplitude_per_force.
         expected_slope = CONFIG.drive.force_per_volt * CONFIG.amplitude_per_force
-        assert record.amplitude_per_volt == pytest.approx(expected_slope, rel=0.03)
-        assert record.free_running_amplitude == pytest.approx(
-            CONFIG.free_running_amplitude, rel=0.02
+        assert results["amplitude_per_volt_nm_per_mv"] == pytest.approx(
+            expected_slope * 1e9 * 1e-3, rel=0.03
         )
-        assert record.r_squared > 0.999
+        assert results["free_running_amplitude_um"] == pytest.approx(
+            CONFIG.free_running_amplitude * 1e6, rel=0.02
+        )
+        assert results["r_squared"] > 0.999
         # Slope ratio check: about 0.9979 nm/yN within 1%.
-        assert record.amplitude_per_force == pytest.approx(0.9979e15, rel=0.01)
-        assert all(row["locked"] for row in rows)
+        assert results["amplitude_per_force_nm_per_yn"] == pytest.approx(0.9979, rel=0.01)
+        assert all(row["locked"] for row in results["rows"])
 
     def test_internal_consistency_identity(self):
-        record, _ = amplitude_sweep(with_experiment(CONFIG, amplitude_trials=2), seed=7)
-        assert record.amplitude_per_force * record.force_per_volt == pytest.approx(
-            record.amplitude_per_volt, rel=1e-12
+        results = amplitude_sweep(with_experiment(CONFIG, amplitude_trials=2), seed=7)
+        per_force = results["amplitude_per_force_nm_per_yn"] * 1e-9 / 1e-24
+        assert per_force * CONFIG.drive.force_per_volt == pytest.approx(
+            results["amplitude_per_volt_nm_per_mv"] * 1e-9 / 1e-3, rel=1e-12
         )
 
     def test_degenerate_grid_rejected(self):
@@ -148,10 +151,10 @@ class TestAmplitudeSweep:
             CONFIG, amplitude_voltages=(1e-7, 5e-3, 10e-3, 15e-3), amplitude_trials=2
         )
         with caplog.at_level("WARNING"):
-            record, rows = amplitude_sweep(config, seed=3)
+            results = amplitude_sweep(config, seed=3)
         assert "fails the lock criterion" in caplog.text
-        assert rows[0]["locked"] is False
-        assert record.r_squared > 0.99
+        assert results["rows"][0]["locked"] is False
+        assert results["r_squared"] > 0.99
 
     def test_voltage_without_converged_fits_keeps_its_row(self, caplog):
         # 1 s gates with 0.45 us jitter leave both 5 mV histograms too flat
@@ -166,7 +169,7 @@ class TestAmplitudeSweep:
             }
         )
         with caplog.at_level("WARNING"):
-            _, rows = amplitude_sweep(config)
+            rows = amplitude_sweep(config)["rows"]
         assert "no converged fits at 5 mV" in caplog.text
         assert [row["voltage_mv"] for row in rows] == pytest.approx([5.0, 12.5, 15.0, 18.25])
         first = rows[0]
@@ -198,7 +201,7 @@ class TestFitInit:
 class TestSqueezeSweep:
     def test_matches_variance_law_within_bootstrap_errors(self):
         config = with_experiment(CONFIG, squeeze_trials=25, squeeze_periods=4000)
-        rows, _ = squeeze_sweep(config, seed=11)
+        rows = squeeze_sweep(config, seed=11)["rows"]
         for row in rows:
             assert row["stable"]
             diff = abs(row["sim_ratio_y"] - row["theory_ratio_y"])
@@ -207,7 +210,7 @@ class TestSqueezeSweep:
     def test_monotone_toward_half_along_squeeze_axis(self):
         points = [(g, math.pi / 2) for g in (0.0, 0.3, 0.6, 0.9)]
         config = with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=4000)
-        rows, _ = squeeze_sweep(config, points=points, seed=13)
+        rows = squeeze_sweep(config, points=points, seed=13)["rows"]
         ratios = [row["sim_ratio_y"] for row in rows]
         assert all(np.diff(ratios) < 0)
         assert ratios[-1] == pytest.approx(1 / 1.9, abs=0.06)
@@ -218,17 +221,17 @@ class TestSqueezeSweep:
 
     def test_antisqueezed_point(self):
         config = with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=6000)
-        rows, _ = squeeze_sweep(config, points=[(0.9, 0.0)], seed=17)
+        rows = squeeze_sweep(config, points=[(0.9, 0.0)], seed=17)["rows"]
         assert rows[0]["theory_ratio_y"] == pytest.approx(10.0, rel=1e-12)
         assert rows[0]["sim_ratio_y"] == pytest.approx(10.0, rel=0.25)
 
     def test_unstable_point_flagged(self, caplog):
         with caplog.at_level("WARNING"):
-            rows, _ = squeeze_sweep(
+            rows = squeeze_sweep(
                 with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=1000),
                 points=[(1.0, 0.0)],
                 seed=19,
-            )
+            )["rows"]
         assert rows[0]["stable"] is False
         assert math.isnan(rows[0]["sim_ratio_y"])
 
@@ -248,8 +251,8 @@ class TestLowerBound:
 
     def test_probability_monotone_within_counting_noise(self, results):
         for res in results:
-            probs = np.array(res.lock_probability)
-            n = res.trials
+            probs = np.array(res["lock_probability"])
+            n = res["trials"]
             for i in range(len(probs) - 1):
                 sigma = math.sqrt(
                     max(probs[i] * (1 - probs[i]), 0.25 / n) / n
@@ -259,21 +262,21 @@ class TestLowerBound:
 
     def test_critical_point_bracketed(self, results):
         for res in results:
-            below = [p for v, p in zip(res.voltages, res.lock_probability) if v < res.critical_voltage]
-            above = [p for v, p in zip(res.voltages, res.lock_probability) if v > res.critical_voltage]
+            grid = list(zip(res["voltages_mv"], res["lock_probability"]))
+            below = [p for v, p in grid if v < res["critical_voltage_mv"]]
+            above = [p for v, p in grid if v > res["critical_voltage_mv"]]
             assert below and max(below) < 0.9
             assert above and min(above) >= 0.9
 
     def test_squeezing_halves_critical_voltage(self, results):
         off, on = results
-        ratio = off.critical_voltage / on.critical_voltage
+        ratio = off["critical_voltage_mv"] / on["critical_voltage_mv"]
         assert 1.5 <= ratio <= 2.5
-        assert on.squeezing_enabled and not off.squeezing_enabled
 
     def test_critical_force_uses_configured_slope(self, results):
         off, _ = results
-        assert off.critical_force == pytest.approx(
-            off.critical_voltage * CONFIG.drive.force_per_volt, rel=1e-12
+        assert off["critical_force_yn"] == pytest.approx(
+            off["critical_voltage_mv"] * 1e-3 * CONFIG.drive.force_per_volt * 1e24, rel=1e-12
         )
 
     def test_noiseless_lock_everywhere_is_unbracketed(self):
@@ -329,8 +332,8 @@ class TestConcurrency:
         config = canonicalize(self.SHORT)
         for key, squeeze in (("unsqueezed", False), ("squeezed", True)):
             serial = lower_bound_search(config, squeeze=squeeze, seed=37)
-            assert results[key]["lock_probability"] == list(serial.lock_probability)
-            assert results[key]["critical_voltage_mv"] == serial.critical_voltage * 1e3
+            assert results[key]["lock_probability"] == serial["lock_probability"]
+            assert results[key]["critical_voltage_mv"] == serial["critical_voltage_mv"]
         # The record's bytes do not depend on the pool.
         pooled = self.lower_bound_record(results)
         monkeypatch.setattr(experiments, "_available_cpus", lambda: 1)
@@ -438,34 +441,35 @@ class TestFixedSeedOutputs:
         )
         off = lower_bound_search(short, squeeze=False, seed=37)
         on = lower_bound_search(short, squeeze=True, seed=37)
-        assert list(off.lock_probability) == [0.0] * 7 + [0.35, 0.9, 1.0, 1.0, 1.0]
-        assert list(on.lock_probability) == (
+        assert off["lock_probability"] == [0.0] * 7 + [0.35, 0.9, 1.0, 1.0, 1.0]
+        assert on["lock_probability"] == (
             [0.0, 0.05, 0.0, 0.0, 0.3, 0.6] + [1.0] * 6
         )
 
     def test_squeeze_ratios(self):
-        rows, _ = squeeze_sweep(
+        rows = squeeze_sweep(
             with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=2000),
             points=[(0.9, math.pi / 2), (0.5, 0.0)],
             seed=41,
-        )
+        )["rows"]
         ratios = [row["sim_ratio_y"] for row in rows]
         assert ratios == pytest.approx([0.5362266307392819, 1.7833302851049535], rel=1e-12)
 
 
 class TestSensitivityCampaign:
     def test_empirical_and_reference_reports(self):
-        report = sensitivity_campaign(with_experiment(CONFIG, repetitions=8), seed=31)
-        assert report.tau == 8 * CONFIG.pipeline.gate_time
-        assert report.sensitivity == pytest.approx(
-            report.delta_a * math.sqrt(report.tau) / report.slope, rel=1e-12
+        results = sensitivity_campaign(with_experiment(CONFIG, repetitions=8), seed=31)
+        assert results["tau_s"] == 8 * CONFIG.pipeline.gate_time
+        assert results["sensitivity_yn_per_sqrt_hz"] == pytest.approx(
+            results["delta_a_nm"] * math.sqrt(results["tau_s"]) / results["slope_nm_per_yn"],
+            rel=1e-12,
         )
         reference = sensitivity(REFERENCE_DELTA_A, REFERENCE_TAU, REFERENCE_SLOPE)
         assert reference == pytest.approx(336.1e-24, rel=1e-3)
-        assert report.dropped == 0
+        assert results["dropped"] == 0
         # The bound depends on no seed: 48.3 nm at the default 24.446 um.
-        assert report.delta_a_crb == pytest.approx(48.32e-9, rel=1e-3)
-        assert report.delta_a_over_crb == report.delta_a / report.delta_a_crb
+        assert results["delta_a_crb_nm"] == pytest.approx(48.32, rel=1e-3)
+        assert results["delta_a_over_crb"] == results["delta_a_nm"] / results["delta_a_crb_nm"]
 
     def test_record_carries_the_bound(self):
         config = config_from_dict({"experiment": {"repetitions": 3}})

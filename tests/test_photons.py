@@ -1,6 +1,8 @@
 import hashlib
 import inspect
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -344,6 +346,70 @@ class TestStageSpans:
         assert {"gate_time", "rate_max"} <= set(parameters)
 
 
+class TestCampaignSpans:
+    """The benchmark times each campaign by wrapping its function on the
+    ``experiments`` module, so ``run_campaign`` must look each one up there
+    when it runs, and its results must survive a JSON round trip."""
+
+    SMALL = config_from_dict(
+        {
+            "pipeline": {"gate_time_s": 1.0},
+            "experiment": {
+                "amplitude_voltages_mv": [5.0, 10.0, 15.0],
+                "amplitude_trials": 1,
+                "squeeze_trials": 2,
+                "squeeze_periods": 500,
+                "lower_bound_trials": 20,
+                "repetitions": 3,
+            },
+        }
+    )
+    # The benchmark's smoke settings: 2 s gates, 20 trials, shipped grid.
+    SMOKE = config_from_dict(
+        {"pipeline": {"gate_time_s": 2.0}, "experiment": {"lower_bound_trials": 20}}
+    )
+    CAMPAIGNS = {
+        "sweep-amplitude": ("amplitude_sweep", 1),
+        "sweep-squeeze": ("squeeze_sweep", 1),
+        "lower-bound": ("lower_bound_search", 2),
+        "sensitivity": ("sensitivity_campaign", 1),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CAMPAIGNS))
+    def test_campaign_resolves_through_module_global(self, monkeypatch, tmp_path, kind):
+        # The calls are logged to a file, as the lower-bound searches run in
+        # forked worker processes.
+        name, expected = self.CAMPAIGNS[kind]
+        log = tmp_path / "calls.log"
+        campaign = getattr(experiments, name)
+
+        def counting_campaign(*args, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(name + "\n")
+            return campaign(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counting_campaign)
+        experiments.run_campaign(kind, self.SMALL)
+        assert log.read_text(encoding="utf-8").split() == [name] * expected
+
+    def test_forked_search_takes_a_wrapper_that_cannot_pickle(self, monkeypatch):
+        unwrapped = experiments.run_campaign("lower-bound", self.SMOKE, seed=37)
+        search = experiments.lower_bound_search
+
+        def local_search(*args, **kwargs):
+            return search(*args, **kwargs)
+
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            pickle.dumps(local_search)
+        monkeypatch.setattr(experiments, "lower_bound_search", local_search)
+        assert experiments.run_campaign("lower-bound", self.SMOKE, seed=37) == unwrapped
+
+    @pytest.mark.parametrize("kind", ["calibrate", *sorted(CAMPAIGNS)])
+    def test_results_survive_a_json_round_trip(self, kind):
+        results = experiments.run_campaign(kind, self.SMALL)
+        assert json.loads(json.dumps(results)) == results
+
+
 class TestDrawnCountsPinned:
     """The counts drawn at the shipped defaults, pinned bit for bit: a change
     of the rate's arithmetic may move the law at rounding level, and must
@@ -392,7 +458,7 @@ class TestLawCache:
     def test_default_sweep_builds_one_law_per_locked_voltage(self):
         config = config_from_dict({})
         photons._folded_law.cache_clear()
-        _, rows = experiments.amplitude_sweep(config)
+        rows = experiments.amplitude_sweep(config)["rows"]
         locked = sum(row["locked"] for row in rows)
         assert locked == len(config.experiment.amplitude_voltages)
         info = photons._folded_law.cache_info()

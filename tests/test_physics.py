@@ -79,10 +79,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             LaserBeam(detuning=0.0, saturation=1.0, linewidth=-1.0)
 
-    def test_beam_color_convention(self):
-        assert RED.is_red and not RED.is_blue
-        assert BLUE.is_blue and not BLUE.is_red
-
     def test_trap_defaults_match_measured_frequencies(self):
         assert TRAP.secular_z / TWO_PI == pytest.approx(186.02e3)
         assert TRAP.secular_x / TWO_PI == pytest.approx(680.4e3)
@@ -94,10 +90,9 @@ class TestTypes:
         with pytest.raises(ValueError):
             TrapConfig(secular_z=-1.0)
 
-    def test_drive_force_and_squeeze_frequency(self):
+    def test_drive_force(self):
         drive = DriveConfig(injection_voltage=1e-3)
         assert drive.force == pytest.approx(362.8e-24, rel=1e-12)
-        assert drive.squeeze_frequency == 2.0 * drive.injection_frequency
 
     def test_drive_validation(self):
         with pytest.raises(ValueError):
@@ -365,16 +360,11 @@ class TestCollectionEfficiency:
         eta = collection_efficiency(default_efficiency_chain())
         assert eta == pytest.approx(0.0025, abs=1e-4)
 
-    def test_measured_override(self):
-        assert collection_efficiency(default_efficiency_chain(), measured=0.0028) == 0.0028
-
     def test_factor_validation(self):
         with pytest.raises(ValueError):
             EfficiencyChain(solid_angle=0.0)
         with pytest.raises(ValueError):
             EfficiencyChain(solid_angle=0.5, detector=1.2)
-        with pytest.raises(ValueError):
-            collection_efficiency(default_efficiency_chain(), measured=0.0)
 
     def test_solid_angle_formula(self):
         assert solid_angle_fraction(1.0) == pytest.approx(0.5)
