@@ -316,10 +316,15 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
+# libyaml's parser where PyYAML has it: the pure-Python one takes about six
+# times as long on the shipped config.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return config_from_dict(data or {})

@@ -6,14 +6,19 @@ one value per line.  None is written as ``-`` and floats by ``repr``.
 from __future__ import annotations
 
 import os
-import tempfile
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write a text file in one step: a temp file beside it, then a rename."""
+    """Write a text file in one step: a temp file beside it, then a rename.
+
+    The temp file is created exclusively, with mode 0o666 less the umask
+    as ``open(path, "w")`` creates a file, so the written file gets the
+    mode a plain write would give it.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -23,15 +23,17 @@ columns.
 
 What depends only on the binning, never on the counts, is built once per
 binning and reused read-only: the bin edges and widths, the profile
-cells' centres and edges, the table of cos w t and sin w t on those
-centres (from which the rate forms its Doppler phase w t + phi by angle
-addition), the spectrum of the Gaussian dispersion kernel, and the
-initial guess's zero-phase template bank, whose conjugate spectra form
-one 2-D array so that a single inverse FFT correlates a histogram with
-every template.  What depends on the profile's shape but not on alpha
-or beta, the bin integrals of the profile and of its derivative rows, is
-kept read-only for the last few shapes, so fits that share a start form
-it once.  The circular smear is
+cells' centres, the table of cos w t and sin w t on those centres (from
+which the rate forms its Doppler phase w t + phi by angle addition), the
+table of the cells each TAC bin touches and the time each spends inside
+it (through which the fit and the photon sampler's binned law integrate
+a profile over the bins), the spectrum of the Gaussian dispersion
+kernel, and the initial guess's zero-phase template bank, whose
+conjugate spectra form one 2-D array so that a single inverse FFT
+correlates a histogram with every template.  What depends on the
+profile's shape but not on alpha or beta, the bin integrals of the
+profile and of its derivative rows, is kept read-only for the last few
+shapes, so fits that share a start form it once.  The circular smear is
 one real linear convolution of a fast (5-smooth) FFT length, folded back
 onto the period, so a profile grid with a large prime factor never takes
 the slow prime-length FFT path.  The FFTs are numpy's, and the fast
@@ -130,7 +132,7 @@ def model_profile(
     passes give so that the rate forms its Doppler phase by angle
     addition; without it the rate takes the phase directly.
     """
-    centers, _ = _fine_grid(period, n_fine)
+    centers = _fine_grid(period, n_fine)
     doppler = [name for name in ("amplitude", "phase") if name in free]
     rate = total_scattering_rate(
         beams, params.amplitude, params.phase, omega_i, centers, bool(doppler), table
@@ -242,14 +244,11 @@ def _kernel_spectrum(
 
 
 @lru_cache(maxsize=8)
-def _fine_grid(period: float, n_fine: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only centres and edges of n_fine uniform profile cells over
-    the period."""
-    h = period / n_fine
-    centers = (np.arange(n_fine) + 0.5) * h
-    edges = np.arange(n_fine + 1) * h
-    centers.flags.writeable = edges.flags.writeable = False
-    return centers, edges
+def _fine_grid(period: float, n_fine: int) -> np.ndarray:
+    """Read-only centres of n_fine uniform profile cells over the period."""
+    centers = (np.arange(n_fine) + 0.5) * (period / n_fine)
+    centers.flags.writeable = False
+    return centers
 
 
 @lru_cache(maxsize=8)
@@ -258,7 +257,7 @@ def _doppler_table(omega_i: float, period: float, n_fine: int) -> tuple:
     profile cells over the period, from which the scattering rate forms
     its Doppler phase w t + phi by angle addition.  The centres are
     checked finite here, once, and not on each rate pass."""
-    centers, _ = _fine_grid(period, n_fine)
+    centers = _fine_grid(period, n_fine)
     _require_finite("t", centers)
     angle = omega_i * centers
     table = np.cos(angle), np.sin(angle)
@@ -267,19 +266,33 @@ def _doppler_table(omega_i: float, period: float, n_fine: int) -> tuple:
     return table
 
 
-def _bin_integrals(profile: np.ndarray, period: float, edges: np.ndarray) -> np.ndarray:
-    """Integral of the piecewise-constant profile between consecutive
-    edges, row by row for a 2-D profile."""
-    n_fine = profile.shape[-1]
-    h = period / n_fine
-    cum = np.zeros(profile.shape[:-1] + (n_fine + 1,))
-    np.cumsum(profile, axis=-1, out=cum[..., 1:])
-    cum[..., 1:] *= h
-    _, fine_edges = _fine_grid(period, n_fine)
-    at_edges = np.empty(profile.shape[:-1] + edges.shape)
-    for row, out in zip(cum.reshape(-1, n_fine + 1), at_edges.reshape(-1, len(edges))):
-        out[:] = np.interp(edges, fine_edges, row)
-    return np.diff(at_edges)
+@lru_cache(maxsize=8)
+def _bin_weights(period: float, n_fine: int, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(index, overlap)`` of shape (n_bins, K): the profile
+    cells each TAC bin touches, and the time each of them spends inside
+    the bin, with 0 in the padding.  K is the most cells any bin touches.
+
+    The edges are taken in units of cells, so a cell inside a bin weighs
+    exactly one cell width and only the two cells a bin edge cuts carry
+    the rounding of that edge.
+    """
+    edges, _ = bin_grid(period, bin_width)
+    at = edges / period * n_fine
+    first = np.floor(at[:-1]).astype(np.intp)
+    stop = np.ceil(at[1:]).astype(np.intp)
+    cells = first[:, None] + np.arange(int(np.max(stop - first)))
+    inside = np.minimum(cells + 1, at[1:, None]) - np.maximum(cells, at[:-1, None])
+    overlap = np.maximum(inside, 0.0) * (period / n_fine)
+    index = np.minimum(cells, n_fine - 1)
+    index.flags.writeable = overlap.flags.writeable = False
+    return index, overlap
+
+
+def _bin_integrals(profile: np.ndarray, period: float, bin_width: float) -> np.ndarray:
+    """Integral of the piecewise-constant profile over each TAC bin, row
+    by row for a 2-D profile, from the binning's :func:`_bin_weights`."""
+    index, overlap = _bin_weights(period, profile.shape[-1], bin_width)
+    return np.einsum("...bk,bk->...b", np.take(profile, index, axis=-1), overlap)
 
 
 def model_curve(
@@ -340,12 +353,11 @@ def _shape_integrals(
     campaign's gates) form the start's profile once; the last 16 are
     kept.
     """
-    edges, widths = bin_grid(period, bin_width)
-    n_fine = fine_factor * len(widths)
+    n_fine = fine_factor * len(bin_grid(period, bin_width)[1])
     params = FitModelParams(amplitude, phase, 1.0, 0.0, sigma_t)
     table = _doppler_table(omega_i, period, n_fine)
     profile = model_profile(params, beams, omega_i, period, n_fine, free, table)
-    integrals = _bin_integrals(profile, period, edges)
+    integrals = _bin_integrals(profile, period, bin_width)
     integrals.flags.writeable = False
     return integrals
 

@@ -157,7 +157,7 @@ def _folded_law(
     )
     folded = pipeline.efficiency * rate * weight
     smeared = circular_smear(folded, period, pipeline.timing_jitter)
-    signal_means = _bin_integrals(smeared, period, edges)
+    signal_means = _bin_integrals(smeared, period, pipeline.bin_width)
     signal_means.flags.writeable = gate_share.flags.writeable = False
     return float(folded.sum()) * h, signal_means, gate_share
 

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import os
+import stat
 import string
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from phonon_sensor import experiments
 from phonon_sensor.cli import main
 from phonon_sensor.config import (
+    _YAML_LOADER,
     ConfigError,
     RunConfig,
     config_from_dict,
@@ -74,6 +76,12 @@ class TestConfigIO:
         loaded = load_config(path)
         assert isinstance(loaded, RunConfig)
         assert config_hash(loaded) == config_hash(default_config())
+
+    def test_libyaml_reads_the_shipped_config_as_pure_python_does(self):
+        assert _YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        with open(SHIPPED_CONFIG, encoding="utf-8") as fh:
+            text = fh.read()
+        assert yaml.load(text, Loader=_YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
 
     def test_dict_round_trip_idempotent(self):
         first = config_to_dict(default_config())
@@ -331,6 +339,12 @@ class TestConfigProperties:
     def test_dict_round_trip_is_identity(self, data):
         assert config_to_dict(config_from_dict(copy.deepcopy(data))) == data
 
+    @FEW
+    @given(perturbed_defaults())
+    def test_libyaml_and_pure_python_loaders_agree(self, data):
+        text = yaml.safe_dump(data, sort_keys=False)
+        assert yaml.load(text, Loader=_YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader) == data
+
     @pytest.mark.parametrize("kind", INVALID_KINDS)
     @FEW
     @given(draw=st.data())
@@ -566,6 +580,23 @@ class TestCli:
             plot.write(path)
         assert path.read_text(encoding="utf-8") == "old figure\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+    )
+    def test_outputs_get_the_mode_of_a_plain_write(self, tmp_path, monkeypatch, umask, mode):
+        monkeypatch.setenv("PHONON_SENSOR_OUTDIR", str(tmp_path))
+        plot = LinePlot("title", "x", "y")
+        plot.add("series", [0.0, 1.0], [0.0, 1.0])
+        previous = os.umask(umask)
+        try:
+            assert run_cli(["campaign", "calibrate"]) == 0
+            plot.write(tmp_path / "plot.svg")
+        finally:
+            os.umask(previous)
+        modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+        names = ("calibrate.json", "calibrate.csv", "calibrate-summary.txt", "plot.svg")
+        assert modes == dict.fromkeys(names, mode)
 
     def test_output_directory_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PHONON_SENSOR_OUTDIR", str(tmp_path / "env_dir"))

@@ -419,8 +419,8 @@ class TestFixedSeedOutputs:
     # numbers on purpose updates the digest and says so.
     DEFAULT_RECORD_SHA256 = {
         "lower-bound": "ee6717ea29d11fb1314f7e8c9e83bea2f2d9cd22c193a6bd4f36fb67af18004d",
-        "sensitivity": "13c3c423dd699ec196cd48731ea53b910df3624075e3f267f94cf5f537c1ec5c",
-        "sweep-amplitude": "42175edd45fe5b52be8825027e0694df1cbd299c03d80c389155a706d83ba50c",
+        "sensitivity": "171b693b89a65ee880eb378e737142c834d7ef65d6ec5c0a79b4e5db855bd121",
+        "sweep-amplitude": "09195216704e53320689e03b3545d4730a9f5259c12e9d5d2756b2fb4666e97f",
         "sweep-squeeze": "6445a80f2ef27fd964564179e414278c9522ccd8e9b171311c06e814edd427ca",
     }
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from phonon_sensor.fitting import (
     wrap_phase,
 )
 from phonon_sensor.photons import (
+    SAMPLER_FINE_FACTOR,
     PipelineConfig,
     TacHistogram,
     bin_grid,
@@ -37,6 +39,7 @@ from phonon_sensor.physics import LaserBeam, default_beams, total_scattering_rat
 
 from oracles import (
     direct_scattering_rate,
+    interp_bin_integrals,
     least_squares_fit,
     scipy_circular_correlation,
     scipy_circular_smear,
@@ -320,6 +323,7 @@ def clear_caches():
     fitting._kernel_spectrum.cache_clear()
     fitting._doppler_table.cache_clear()
     fitting._shape_integrals.cache_clear()
+    fitting._bin_weights.cache_clear()
 
 
 def assert_same_params(got, expected):
@@ -407,11 +411,10 @@ class TestCaches:
         assert np.array_equal(edges, expected)
         assert np.array_equal(widths, np.diff(expected))
         n_fine = MODEL_FINE_FACTOR * n_bins
-        centers, fine_edges = fitting._fine_grid(PERIOD, n_fine)
-        h = PERIOD / n_fine
-        assert np.array_equal(centers, (np.arange(n_fine) + 0.5) * h)
-        assert np.array_equal(fine_edges, np.arange(n_fine + 1) * h)
-        for array in (edges, widths, centers, fine_edges):
+        centers = fitting._fine_grid(PERIOD, n_fine)
+        assert fitting._fine_grid(PERIOD, n_fine) is centers
+        assert np.array_equal(centers, (np.arange(n_fine) + 0.5) * (PERIOD / n_fine))
+        for array in (edges, widths, centers):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
@@ -419,10 +422,9 @@ class TestCaches:
     def test_bin_integrals_of_rows_match_each_row(self):
         rng = np.random.default_rng(5)
         profile = rng.uniform(size=(3, 8 * 414))
-        edges = bin_grid(PERIOD, 13e-9)[0]
-        stacked = fitting._bin_integrals(profile, PERIOD, edges)
+        stacked = fitting._bin_integrals(profile, PERIOD, 13e-9)
         for row, integrals in zip(profile, stacked):
-            assert np.array_equal(fitting._bin_integrals(row, PERIOD, edges), integrals)
+            assert np.array_equal(fitting._bin_integrals(row, PERIOD, 13e-9), integrals)
 
     @pytest.mark.parametrize("sigma_t", [0.2e-6, 0.8e-6])
     def test_jittered_profile_matches_inline_kernel_fft(self, sigma_t):
@@ -446,6 +448,113 @@ class TestCaches:
             )
 
 
+def exact_bin_integrals(profile, period, bin_width):
+    """Bin integrals of a piecewise-constant profile in rational arithmetic,
+    on the float bin edges and the exact cell width period / n_fine."""
+    edges, _ = bin_grid(period, bin_width)
+    n_fine = len(profile)
+    h = Fraction(period) / n_fine
+    integrals = []
+    for start, stop in zip(map(Fraction, edges[:-1]), map(Fraction, edges[1:])):
+        cells = range(math.floor(start / h), min(math.ceil(stop / h), n_fine))
+        integrals.append(
+            sum(
+                Fraction(profile[j]) * (min(stop, (j + 1) * h) - max(start, j * h))
+                for j in cells
+            )
+        )
+    return np.array([float(value) for value in integrals])
+
+
+class TestBinWeights:
+    """The bin integrals come from a per-binning table of the profile cells
+    each TAC bin touches and the time each spends inside the bin."""
+
+    # 5375.8 ns / 13 ns leaves a partial last bin.
+    GRIDS = [
+        pytest.param(10e-9, MODEL_FINE_FACTOR, 10, id="fit-10ns"),
+        pytest.param(10e-9, SAMPLER_FINE_FACTOR, 34, id="sampler-10ns"),
+        pytest.param(13e-9, MODEL_FINE_FACTOR, 10, id="fit-13ns"),
+        pytest.param(13e-9, SAMPLER_FINE_FACTOR, 34, id="sampler-13ns"),
+    ]
+
+    @pytest.mark.parametrize("bin_width, fine_factor, touched", GRIDS)
+    def test_overlaps_sum_to_cell_and_bin_widths(self, bin_width, fine_factor, touched):
+        _, widths = bin_grid(PERIOD, bin_width)
+        n_fine = fine_factor * len(widths)
+        index, overlap = fitting._bin_weights(PERIOD, n_fine, bin_width)
+        assert index.shape == overlap.shape == (len(widths), touched)
+        assert index.min() >= 0 and index.max() == n_fine - 1
+        assert overlap.min() >= 0
+        per_cell = np.bincount(index.ravel(), overlap.ravel(), minlength=n_fine)
+        np.testing.assert_allclose(per_cell, PERIOD / n_fine, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(overlap.sum(axis=1), widths, rtol=1e-12, atol=0)
+        if bin_width == 13e-9:
+            assert widths[-1] < bin_width
+
+    @pytest.mark.parametrize("bin_width", [10e-9, 13e-9])
+    def test_table_is_built_once_per_binning_read_only(self, bin_width):
+        clear_caches()
+        for amplitude, phase in (REF_CASE_A, REF_CASE_B):
+            params = FitModelParams(amplitude, phase, 1.0, 0.0, 0.2e-6)
+            model_curve(params, BEAMS, OMEGA, PERIOD, bin_width, free=("amplitude", "phase"))
+            model_curve(params, BEAMS, OMEGA, PERIOD, bin_width)
+        info = fitting._bin_weights.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        n_fine = MODEL_FINE_FACTOR * len(bin_grid(PERIOD, bin_width)[1])
+        table = fitting._bin_weights(PERIOD, n_fine, bin_width)
+        assert fitting._bin_weights(PERIOD, n_fine, bin_width) is table
+        for array in table:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+        clear_caches()
+        assert fitting._bin_weights.cache_info().currsize == 0
+
+    # On the sampler's grid the oracle's own error reaches 1.3e-12 of the
+    # exact rational integral of the rate profile; the table's is 1.2e-13.
+    @pytest.mark.parametrize(
+        "bin_width, fine_factor, rtol",
+        [
+            (10e-9, MODEL_FINE_FACTOR, 1e-12),
+            (13e-9, MODEL_FINE_FACTOR, 1e-12),
+            (10e-9, SAMPLER_FINE_FACTOR, 2e-12),
+            (13e-9, SAMPLER_FINE_FACTOR, 2e-12),
+        ],
+    )
+    def test_integrals_match_the_interpolated_cumulative_sum(self, bin_width, fine_factor, rtol):
+        edges, widths = bin_grid(PERIOD, bin_width)
+        n_fine = fine_factor * len(widths)
+        rate = model_profile(
+            FitModelParams(*REF_CASE_A, 1.0, 0.0, 0.2e-6), BEAMS, OMEGA, PERIOD, n_fine
+        )
+        # The oracle's cumulative sums err on the scale of the whole period's
+        # integral, so a relative comparison takes bins of like size.
+        random = np.random.default_rng(6).uniform(0.5, 1.5, size=(2, n_fine))
+        profile = np.vstack([rate, random])
+        np.testing.assert_allclose(
+            fitting._bin_integrals(profile, PERIOD, bin_width),
+            interp_bin_integrals(profile, PERIOD, edges),
+            rtol=rtol,
+            atol=0,
+        )
+
+    # 0.4 us and 0.37 us bins: 14 and 15 bins, the last one partial; then
+    # the sampler's grid at 10 ns bins, where the oracle errs by 1.3e-12.
+    @pytest.mark.parametrize(
+        "bin_width, fine_factor",
+        [(0.4e-6, MODEL_FINE_FACTOR), (0.37e-6, MODEL_FINE_FACTOR), (10e-9, SAMPLER_FINE_FACTOR)],
+    )
+    def test_integrals_match_the_exact_rational_integral(self, bin_width, fine_factor):
+        n_fine = fine_factor * len(bin_grid(PERIOD, bin_width)[1])
+        params = FitModelParams(*REF_CASE_A, 1.0, 0.0, 0.2e-6)
+        profile = model_profile(params, BEAMS, OMEGA, PERIOD, n_fine)
+        expected = exact_bin_integrals(profile, PERIOD, bin_width)
+        np.testing.assert_allclose(
+            fitting._bin_integrals(profile, PERIOD, bin_width), expected, rtol=2e-13, atol=0
+        )
+
+
 class TestDopplerTable:
     """The fit's rate passes take cos(w t + phi) and sin(w t + phi) by angle
     addition from a table of cos w t and sin w t on the profile grid."""
@@ -454,7 +563,7 @@ class TestDopplerTable:
     @pytest.mark.parametrize("amplitude", [1e-6, 21.677e-6, 32e-6])
     def test_table_rate_matches_the_direct_rate(self, bin_width, amplitude):
         n_fine = MODEL_FINE_FACTOR * len(bin_grid(PERIOD, bin_width)[1])
-        centers, _ = fitting._fine_grid(PERIOD, n_fine)
+        centers = fitting._fine_grid(PERIOD, n_fine)
         table = fitting._doppler_table(OMEGA, PERIOD, n_fine)
         phases = [*np.linspace(-2 * math.pi, 2 * math.pi, 9), 0.03, -1.234, 5.4321]
         for phase in phases:
@@ -480,7 +589,7 @@ class TestDopplerTable:
         n_fine = MODEL_FINE_FACTOR * len(bin_grid(PERIOD, bin_width)[1])
         cosine, sine = table = fitting._doppler_table(OMEGA, PERIOD, n_fine)
         assert fitting._doppler_table(OMEGA, PERIOD, n_fine) is table
-        centers, _ = fitting._fine_grid(PERIOD, n_fine)
+        centers = fitting._fine_grid(PERIOD, n_fine)
         assert np.array_equal(cosine, np.cos(OMEGA * centers))
         assert np.array_equal(sine, np.sin(OMEGA * centers))
         for array in table:
@@ -612,7 +721,7 @@ class TestFftAgainstScipy:
     def test_smear_is_bit_equal_at_8640(self, width_derivative):
         n_fine = MODEL_FINE_FACTOR * 538
         assert fitting._next_fast_len(2 * n_fine) == 8640
-        centers, _ = fitting._fine_grid(PERIOD, n_fine)
+        centers = fitting._fine_grid(PERIOD, n_fine)
         profile = np.stack(
             [
                 total_scattering_rate(BEAMS, amplitude, phase, OMEGA, centers)
