@@ -15,28 +15,6 @@ ELEMENTARY_CHARGE = 1.602176634e-19  # C
 HBAR = 1.0545718176461565e-34  # J s
 BOLTZMANN = 1.380649e-23  # J/K
 
-__all__ = [
-    "ATOMIC_MASS_UNIT",
-    "SPEED_OF_LIGHT",
-    "ELEMENTARY_CHARGE",
-    "HBAR",
-    "BOLTZMANN",
-    "TWO_PI",
-    "DEFAULT_LINEWIDTH",
-    "RESONANCE_FREQUENCY",
-    "DEFAULT_WAVE_NUMBER",
-    "ION_MASS",
-    "DEFAULT_AXIAL_FREQUENCY",
-    "DEFAULT_RADIAL_FREQUENCY_X",
-    "DEFAULT_RADIAL_FREQUENCY_Y",
-    "DEFAULT_DRIFT_RATE",
-    "DEFAULT_FORCE_PER_VOLT",
-    "DEFAULT_AMPLITUDE_PER_FORCE",
-    "DEFAULT_DAMPING_RATE",
-    "DEFAULT_FREE_RUNNING_AMPLITUDE",
-    "DOPPLER_TEMPERATURE",
-]
-
 TWO_PI = 2.0 * math.pi
 
 # 397-nm cooling transition of a single Ca-40 ion.

@@ -148,7 +148,12 @@ def _true_amplitude(config: RunConfig, voltage: float) -> float:
 
 
 def _expected_lock_spread(config: RunConfig, voltage: float) -> float:
-    """Small-signal locked phase spread sqrt(D / w_L) of the phase model."""
+    """Small-signal locked phase spread sqrt(D / w_L) of the phase model.
+
+    As in the locked-phase engine, the squeeze drive's quadrature variance
+    ratio scales both the thermal diffusion and the electrode force
+    variance.
+    """
     drive = replace(config.drive, injection_voltage=voltage)
     torque_scale = 2.0 * config.trap.mass * config.trap.secular_z * config.free_running_amplitude
     lock_rate = drive.force / torque_scale
@@ -158,6 +163,7 @@ def _expected_lock_spread(config: RunConfig, voltage: float) -> float:
     en = config.electric_noise
     force_rms = en.rms_voltage * drive.force_per_volt
     diffusion += (force_rms**2 / 2.0) * en.correlation_time / torque_scale**2
+    diffusion *= squeeze_variance_ratio(drive.effective_gain, drive.squeeze_phase)
     return math.sqrt(diffusion / lock_rate)
 
 
@@ -359,6 +365,11 @@ def squeeze_sweep(config: RunConfig, points=None, seed: int | None = None):
     rng = np.random.default_rng(seed)
     base_y, base_x = next(variances)
     base_mean = base_y.mean()
+    if not base_mean > 0:
+        raise ValueError(
+            "the unsqueezed baseline variance is 0 (no thermal noise), so no squeeze "
+            "ratio is defined"
+        )
 
     rows = []
     for gain, phase in points:

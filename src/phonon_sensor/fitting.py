@@ -21,23 +21,26 @@ chain-ruled through the deviance residuals;
 :func:`fisher_information` builds the Cramer-Rao bound from the same
 columns.
 
-What depends only on the binning, never on the counts, is built once per
-binning and reused read-only: the bin edges and widths, the profile
-cells' centres, the table of cos w t and sin w t on those centres (from
-which the rate forms its Doppler phase w t + phi by angle addition), the
-table of the cells each TAC bin touches and the time each spends inside
-it (through which the fit and the photon sampler's binned law integrate
-a profile over the bins), the spectrum of the Gaussian dispersion
-kernel, and the initial guess's zero-phase template bank, whose
-conjugate spectra form one 2-D array so that a single inverse FFT
-correlates a histogram with every template.  What depends on the
-profile's shape but not on alpha or beta, the bin integrals of the
-profile and of its derivative rows, is kept read-only for the last few
-shapes, so fits that share a start form it once.  The circular smear is
-one real linear convolution of a fast (5-smooth) FFT length, folded back
-onto the period, so a profile grid with a large prime factor never takes
-the slow prime-length FFT path.  The FFTs are numpy's, and the fast
-length is computed here, so fitting imports no scipy module.
+:func:`model_profile`, the rate on the profile cells smeared by the
+kernel, is the one forward model of the fit and of the photon sampler's
+binned law.  What depends only on the binning, never on the counts, is
+built once per binning and reused read-only: the bin edges and widths,
+the profile cells' centres, the table of cos w t and sin w t on those
+centres (from which every profile's rate forms its Doppler phase
+w t + phi by angle addition), the table of the cells each TAC bin
+touches and the time each spends inside it (through which the fit and
+the sampler integrate a profile over the bins), the spectrum of the
+Gaussian dispersion kernel, and the initial guess's zero-phase template
+bank over its fixed amplitude grid, whose conjugate spectra form one 2-D
+array so that a single inverse FFT correlates a histogram with every
+template.  What depends on the profile's shape but not on alpha or beta,
+the bin integrals of the profile and of its derivative rows, is kept
+read-only for the last few shapes, so fits that share a start form it
+once.  The circular smear is one real linear convolution of a fast
+(5-smooth) FFT length, folded back onto the period, so a profile grid
+with a large prime factor never takes the slow prime-length FFT path.
+The FFTs are numpy's, and the fast length is computed here, so fitting
+imports no scipy module.
 """
 
 from __future__ import annotations
@@ -112,39 +115,36 @@ def wrap_phase(phi: float) -> float:
 
 
 def model_profile(
-    params: FitModelParams,
     beams,
+    amplitude: float,
+    phase: float,
+    sigma_t: float,
     omega_i: float,
     period: float,
     n_fine: int,
     free=(),
-    table=None,
 ) -> np.ndarray:
     """Smeared periodic rate profile on n_fine uniform cells over the period.
+
+    The one forward model of the fit and the photon sampler; the rate forms
+    its Doppler phase by angle addition from the grid's ``_doppler_table``.
 
     With ``free`` the result is a stack: the profile, then its derivatives
     in those free parameters it depends on, in the order amplitude, phase,
     sigma_t.  The smear is linear, so the rate's closed-form derivatives
     are smeared with the same kernel; the sigma_t row is the rate smeared
     with the kernel's derivative in its width.
-
-    ``table`` is the grid's :func:`_doppler_table`, which the fit's model
-    passes give so that the rate forms its Doppler phase by angle
-    addition; without it the rate takes the phase directly.
     """
     centers = _fine_grid(period, n_fine)
+    table = _doppler_table(omega_i, period, n_fine)
     doppler = [name for name in ("amplitude", "phase") if name in free]
-    rate = total_scattering_rate(
-        beams, params.amplitude, params.phase, omega_i, centers, bool(doppler), table
-    )
+    rate = total_scattering_rate(beams, amplitude, phase, omega_i, centers, bool(doppler), table)
     if not free:
-        return circular_smear(rate, period, params.sigma_t)
+        return circular_smear(rate, period, sigma_t)
     rows = dict(zip(("rate", "amplitude", "phase"), rate)) if doppler else {"rate": rate}
-    stack = circular_smear(
-        np.stack([rows[name] for name in ("rate", *doppler)]), period, params.sigma_t
-    )
+    stack = circular_smear(np.stack([rows[name] for name in ("rate", *doppler)]), period, sigma_t)
     if "sigma_t" in free:
-        width = circular_smear(rows["rate"], period, params.sigma_t, width_derivative=True)
+        width = circular_smear(rows["rate"], period, sigma_t, width_derivative=True)
         stack = np.vstack([stack, width])
     return stack
 
@@ -301,7 +301,6 @@ def model_curve(
     omega_i: float,
     period: float,
     bin_width: float,
-    fine_factor: int = MODEL_FINE_FACTOR,
     free=(),
 ):
     """Expected counts per TAC bin for the given model parameters.
@@ -319,9 +318,7 @@ def model_curve(
     """
     shape_free = tuple(name for name in ("amplitude", "phase", "sigma_t") if name in free)
     shape = (params.amplitude, params.phase, params.sigma_t)
-    integrals = _shape_integrals(
-        tuple(beams), *shape, omega_i, period, bin_width, fine_factor, shape_free
-    )
+    integrals = _shape_integrals(tuple(beams), *shape, omega_i, period, bin_width, shape_free)
     _, widths = bin_grid(period, bin_width)
     rate = integrals[0] if shape_free else integrals
     curve = params.alpha * rate / bin_width + params.beta * widths / bin_width
@@ -341,7 +338,6 @@ def _shape_integrals(
     omega_i: float,
     period: float,
     bin_width: float,
-    fine_factor: int,
     free: tuple,
 ) -> np.ndarray:
     """Read-only bin integrals of the smeared profile, then (with ``free``)
@@ -353,10 +349,8 @@ def _shape_integrals(
     campaign's gates) form the start's profile once; the last 16 are
     kept.
     """
-    n_fine = fine_factor * len(bin_grid(period, bin_width)[1])
-    params = FitModelParams(amplitude, phase, 1.0, 0.0, sigma_t)
-    table = _doppler_table(omega_i, period, n_fine)
-    profile = model_profile(params, beams, omega_i, period, n_fine, free, table)
+    n_fine = MODEL_FINE_FACTOR * len(bin_grid(period, bin_width)[1])
+    profile = model_profile(beams, amplitude, phase, sigma_t, omega_i, period, n_fine, free)
     integrals = _bin_integrals(profile, period, bin_width)
     integrals.flags.writeable = False
     return integrals
@@ -414,10 +408,9 @@ def _template_bank(
     period: float,
     bin_width: float,
     sigma_t: float,
-    amplitude_range: tuple[float, float],
-    n_amplitudes: int,
 ) -> tuple:
-    """Zero-phase, zero-mean templates over the amplitude grid, in grid order.
+    """Zero-phase, zero-mean templates over the amplitude grid of 24
+    amplitudes evenly spaced over 12-32 um, in grid order.
 
     The bank is ``(amplitudes, norms, spectra)``, read-only, with row k of
     ``spectra`` the conjugate ``rfft`` of template k on the correlation
@@ -426,7 +419,7 @@ def _template_bank(
     """
     fft = _fft()
     amplitudes, norms, templates = [], [], []
-    for amp in np.linspace(*amplitude_range, n_amplitudes):
+    for amp in np.linspace(12e-6, 32e-6, 24):
         template = model_curve(
             FitModelParams(amp, 0.0, 1.0, 0.0, sigma_t), beams, omega_i, period, bin_width
         )
@@ -463,17 +456,16 @@ def initial_guess(
     hist: TacHistogram,
     beams,
     omega_i: float | None = None,
-    amplitude_range: tuple[float, float] = (12e-6, 32e-6),
     sigma_t: float = 0.0,
-    n_amplitudes: int = 24,
 ) -> tuple[float, float]:
     """Coarse ``(amplitude, phase)`` from template matching.
 
     The histogram floor is taken off as an offset; the phase comes from the
     circular cross-correlation peak against a zero-phase template, and the
-    amplitude from a 1-D grid scored by the same correlation (the grid
-    resolves the growth of the second peak with amplitude).  The scale and
-    offset of a fit start come from :func:`derive_alpha_beta`.
+    amplitude from a fixed grid of 24 amplitudes evenly spaced over
+    12-32 um, scored by the same correlation (the grid resolves the growth
+    of the second peak with amplitude).  The scale and offset of a fit
+    start come from :func:`derive_alpha_beta`.
     """
     if omega_i is None:
         omega_i = TWO_PI / hist.period
@@ -488,13 +480,7 @@ def initial_guess(
     signal -= signal.mean()
 
     amplitudes, norms, template_conj = _template_bank(
-        tuple(beams),
-        omega_i,
-        hist.period,
-        hist.bin_width,
-        sigma_t,
-        tuple(amplitude_range),
-        n_amplitudes,
+        tuple(beams), omega_i, hist.period, hist.bin_width, sigma_t
     )
     if not len(amplitudes):
         raise NoModulationError("no usable template correlation")

@@ -128,9 +128,10 @@ def folded_law(
 
     The gate holds ``floor(gate/T)`` full periods plus the partial period
     ``[0, gate mod T)``; each profile cell weighs the full periods plus its
-    share of the partial one.  The total is that of the unsmeared rate; the
-    bin means are those after the timing jitter, whose circular smear moves
-    counts between bins and keeps their sum up to rounding.
+    share of the partial one.  The rate on the cells is the fit's forward
+    model, ``fitting.model_profile``.  The total is that of the unsmeared
+    rate; the bin means are those after the timing jitter, whose circular
+    smear moves counts between bins and keeps their sum up to rounding.
 
     The law of the last arguments is kept, with read-only arrays, so the
     gates drawn in a row at one amplitude build it once.
@@ -142,7 +143,7 @@ def folded_law(
 def _folded_law(
     beams: tuple, amplitude: float, phase: float, omega_i: float, pipeline: PipelineConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    from .fitting import FitModelParams, _bin_integrals, circular_smear, model_profile
+    from .fitting import _bin_integrals, circular_smear, model_profile
 
     period = TWO_PI / omega_i
     edges, widths = bin_grid(period, pipeline.bin_width)
@@ -152,9 +153,7 @@ def _folded_law(
     n_fine = SAMPLER_FINE_FACTOR * len(widths)
     h = period / n_fine
     weight = n_periods + np.clip(rest / h - np.arange(n_fine), 0.0, 1.0)
-    rate = model_profile(
-        FitModelParams(amplitude, phase, 1.0, 0.0, 0.0), beams, omega_i, period, n_fine
-    )
+    rate = model_profile(beams, amplitude, phase, 0.0, omega_i, period, n_fine)
     folded = pipeline.efficiency * rate * weight
     smeared = circular_smear(folded, period, pipeline.timing_jitter)
     signal_means = _bin_integrals(smeared, period, pipeline.bin_width)

@@ -23,7 +23,6 @@ from phonon_sensor.experiments import (
     sensitivity,
 )
 from phonon_sensor.fitting import (
-    FitModelParams,
     chain_init_params,
     fit_histogram,
     initial_guess,
@@ -200,12 +199,11 @@ def test_criterion_06_phase_time_equivalence():
     # Exact model-profile identity for grid-commensurate shifts.
     n_fine = 4304
     h = PERIOD / n_fine
-    base_params = FitModelParams(21.677e-6, 0.028, 1.0, 0.0, 0.8e-6)
-    profile = model_profile(base_params, BEAMS, OMEGA, PERIOD, n_fine)
+    profile = model_profile(BEAMS, 21.677e-6, 0.028, 0.8e-6, OMEGA, PERIOD, n_fine)
     model_worst = 0.0
     for k in (3, 538, 2152):
-        shifted = FitModelParams(21.677e-6, 0.028 + k * h * OMEGA, 1.0, 0.0, 0.8e-6)
-        rolled = model_profile(shifted, BEAMS, OMEGA, PERIOD, n_fine)
+        shifted = 0.028 + k * h * OMEGA
+        rolled = model_profile(BEAMS, 21.677e-6, shifted, 0.8e-6, OMEGA, PERIOD, n_fine)
         err = np.max(
             np.abs(rolled - np.roll(profile, -k)) / np.maximum(np.abs(profile), 1e-300)
         )

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import dataclasses
+import io
 import math
 import os
 import stat
@@ -17,6 +19,8 @@ from phonon_sensor import experiments
 from phonon_sensor.cli import main
 from phonon_sensor.config import (
     _YAML_LOADER,
+    BEAM_FIELDS,
+    FIELDS,
     ConfigError,
     RunConfig,
     config_from_dict,
@@ -361,6 +365,64 @@ class TestConfigProperties:
             assert not os.path.exists(out)
 
 
+# The key path of every schema row: each FIELDS row, and each BEAM_FIELDS
+# row of the first beam.
+ROW_PATHS = [(*row[0].split("."), row[1]) for row in FIELDS] + [
+    ("physics", "beams", 0, row[0]) for row in BEAM_FIELDS
+]
+BOUNDARY_VALUES = [0.0, -1.0, 1e-30, 1e30, math.inf, -math.inf, math.nan]
+
+
+def _finite_leaves(node) -> bool:
+    """Whether every number in a nest of dicts and lists is finite."""
+    if isinstance(node, dict):
+        return all(_finite_leaves(value) for value in node.values())
+    if isinstance(node, list):
+        return all(map(_finite_leaves, node))
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+class TestExitCodeContract:
+    """One schema row at one boundary value, through the loader and the
+    cheap CLI paths: every exit is a documented code, none prints a
+    traceback, and a successful run reports only finite numbers."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(path=st.sampled_from(ROW_PATHS), value=st.sampled_from(BOUNDARY_VALUES))
+    def test_boundary_value_exits_with_a_documented_code(self, path, value):
+        data = copy.deepcopy(DEFAULT_DICT)
+        data["pipeline"]["gate_time_s"] = 1.0
+        if isinstance(_node(data, path), list):
+            _node(data, path)[0] = value
+        else:
+            _set(data, path, value)
+        try:
+            config_from_dict(copy.deepcopy(data))
+        except ConfigError:
+            pass  # the loader's one documented failure; any other fails the test
+        with tempfile.TemporaryDirectory() as tmp, io.StringIO() as err:
+            cfg, hist, report = (os.path.join(tmp, name) for name in ("c.yaml", "h.txt", "f.txt"))
+            with open(cfg, "w") as fh:
+                yaml.safe_dump(data, fh)
+            with contextlib.redirect_stderr(err):
+                codes = [
+                    main(["write-config", "--out", os.path.join(tmp, "default.yaml")]),
+                    main(["campaign", "calibrate", "--config", cfg, "--out", tmp]),
+                    main(["simulate", "--config", cfg, "--out", hist]),
+                ]
+                if codes[-1] == 0:
+                    codes.append(main(["fit", hist, "--config", cfg, "--out", report]))
+            assert set(codes) <= {0, 1, 2, 3}, err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if codes[1] == 0:
+                results = experiments.load_run(os.path.join(tmp, "calibrate.json"))["results"]
+                assert _finite_leaves(results), results
+            if codes[2:] == [0, 0]:
+                fit = load_fit_report(report)
+                numbers = [*fit.params.as_array(), *fit.errors.values(), fit.residual]
+                assert all(map(math.isfinite, numbers)), fit
+
+
 def run_cli(args):
     return main(list(args))
 
@@ -514,6 +576,20 @@ class TestCli:
         assert code == 2
         assert "not bracketed" in capsys.readouterr().err
         assert not (out / "lower-bound.json").exists()
+
+    def test_squeeze_sweep_without_thermal_noise_is_runtime_error(self, tmp_path, capsys):
+        # At zero temperature the unsqueezed envelope does not fluctuate, so
+        # every squeeze ratio would divide by a zero baseline variance.
+        cfg = tmp_path / "cold.yaml"
+        cfg.write_text(
+            "physics:\n  noise:\n    temperature_mk: 0.0\n"
+            "experiment:\n  squeeze_trials: 4\n  squeeze_periods: 200\n"
+        )
+        out = tmp_path / "runs"
+        code = run_cli(["campaign", "sweep-squeeze", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "baseline variance is 0" in capsys.readouterr().err
+        assert not (out / "sweep-squeeze.json").exists()
 
     @pytest.mark.parametrize("kind", ["sweep-amplitude", "sensitivity", "sweep-squeeze"])
     def test_zero_damping_exits_1(self, kind, tmp_path, capsys):

@@ -156,6 +156,19 @@ class TestAmplitudeSweep:
         assert results["rows"][0]["locked"] is False
         assert results["r_squared"] > 0.99
 
+    @pytest.mark.parametrize("phase, ratio", [(math.pi / 2, 1 / 1.9), (0.0, 10.0)])
+    def test_lock_spread_carries_the_squeeze_variance_ratio(self, phase, ratio):
+        # The locked-phase engine scales the thermal diffusion and the
+        # electrode force variance alike by 1/(1 - g cos 2 phi).
+        drive = replace(CONFIG.drive, squeeze_gain=0.9, squeeze_phase=phase, squeeze_enabled=True)
+        squeezed = replace(CONFIG, drive=drive)
+        assert CONFIG.electric_noise.rms_voltage > 0
+        for voltage in (0.2e-3, 5e-3):
+            plain = experiments._expected_lock_spread(CONFIG, voltage)
+            assert experiments._expected_lock_spread(squeezed, voltage) == pytest.approx(
+                math.sqrt(ratio) * plain, rel=1e-12
+            )
+
     def test_voltage_without_converged_fits_keeps_its_row(self, caplog):
         # 1 s gates with 0.45 us jitter leave both 5 mV histograms too flat
         # to fit at the default seed.

@@ -78,7 +78,8 @@ class TestModelCurve:
         # grid is good to ~1e-5; a denser grid converges to the oracle.
         params = FitModelParams(22e-6, 0.1, 1.0, 0.0, 0.0)
         curve = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9)
-        dense = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9, fine_factor=64)
+        fine = model_profile(BEAMS, 22e-6, 0.1, 0.0, OMEGA, PERIOD, 64 * 538)
+        dense = fitting._bin_integrals(fine, PERIOD, 10e-9) / 10e-9
         nodes, weights = np.polynomial.legendre.leggauss(24)
         for idx in (0, 100, 267, 400, 537):
             lo = idx * 10e-9
@@ -121,13 +122,11 @@ class TestModelCurve:
         # Advancing the phase by k fine cells rotates the profile by k.
         n_fine = 4304
         h = PERIOD / n_fine
-        base = FitModelParams(*REF_CASE_A, 1.0, 0.0, 0.8e-6)
-        profile = model_profile(base, BEAMS, OMEGA, PERIOD, n_fine)
+        amplitude, phase = REF_CASE_A
+        profile = model_profile(BEAMS, amplitude, phase, 0.8e-6, OMEGA, PERIOD, n_fine)
         for k in (1, 17, 215, 2152):
-            shifted = FitModelParams(
-                REF_CASE_A[0], REF_CASE_A[1] + k * h * OMEGA, 1.0, 0.0, 0.8e-6
-            )
-            rolled = model_profile(shifted, BEAMS, OMEGA, PERIOD, n_fine)
+            shifted = phase + k * h * OMEGA
+            rolled = model_profile(BEAMS, amplitude, shifted, 0.8e-6, OMEGA, PERIOD, n_fine)
             np.testing.assert_allclose(rolled, np.roll(profile, -k), rtol=1e-12)
 
     @pytest.mark.parametrize("n_fine", [97, 538, 4304])
@@ -136,7 +135,6 @@ class TestModelCurve:
         # O(n^2) oracle: profile[j] = sum_k kernel[k] * rate[(j - k) mod n],
         # with the unit-sum kernel on wrapped grid offsets.  97 is prime;
         # at sigma_t = period / 2 the kernel wraps round the whole period.
-        params = FitModelParams(*REF_CASE_A, 1.0, 0.0, sigma_t)
         h = PERIOD / n_fine
         centers = (np.arange(n_fine) + 0.5) * h
         rate = total_scattering_rate(BEAMS, *REF_CASE_A, OMEGA, centers)
@@ -147,7 +145,7 @@ class TestModelCurve:
         expected = np.zeros(n_fine)
         for k in range(n_fine):
             expected += kernel[k] * np.roll(rate, k)
-        profile = model_profile(params, BEAMS, OMEGA, PERIOD, n_fine)
+        profile = model_profile(BEAMS, *REF_CASE_A, sigma_t, OMEGA, PERIOD, n_fine)
         np.testing.assert_allclose(profile, expected, rtol=0, atol=1e-12 * expected.max())
 
         n_fft, spectrum = fitting._kernel_spectrum(PERIOD, n_fine, sigma_t)
@@ -204,12 +202,8 @@ class TestModelCurve:
         # resonance crossings plus the counter-propagating feature; the
         # published 0.8 us dispersion merges them into one broad maximum
         # whose height tracks the amplitude.
-        sharp = model_profile(
-            FitModelParams(*REF_CASE_A, 1.0, 0.0, 0.0), BEAMS, OMEGA, PERIOD, 4304
-        )
-        smeared = model_profile(
-            FitModelParams(*REF_CASE_A, 1.0, 0.0, 0.8e-6), BEAMS, OMEGA, PERIOD, 4304
-        )
+        sharp = model_profile(BEAMS, *REF_CASE_A, 0.0, OMEGA, PERIOD, 4304)
+        smeared = model_profile(BEAMS, *REF_CASE_A, 0.8e-6, OMEGA, PERIOD, 4304)
 
         def count_maxima(y):
             left, right = np.roll(y, 1), np.roll(y, -1)
@@ -227,9 +221,7 @@ class TestModelCurve:
         idx = int((math.pi - phase) / OMEGA % PERIOD / (PERIOD / n_fine)) % n_fine
         for sigma in (0.0, 0.8e-6):
             heights = [
-                model_profile(
-                    FitModelParams(a * 1e-6, phase, 1.0, 0.0, sigma), BEAMS, OMEGA, PERIOD, n_fine
-                )[idx]
+                model_profile(BEAMS, a * 1e-6, phase, sigma, OMEGA, PERIOD, n_fine)[idx]
                 for a in (18, 20, 22, 24, 26)
             ]
             assert all(np.diff(heights) > 0)
@@ -272,7 +264,9 @@ class TestInitialGuess:
             initial_guess(flat, BEAMS)
 
     def test_template_at_truth_recovers_grid_point(self):
-        truth = FitModelParams(24e-6, 0.0, 5.2e-5, 33.2, 0.0)
+        # The 15th of the 24 grid amplitudes over [12, 32] um, 24.174 um.
+        grid_point = np.linspace(12e-6, 32e-6, 24)[14]
+        truth = FitModelParams(grid_point, 0.0, 5.2e-5, 33.2, 0.0)
         curve = model_curve(truth, BEAMS, OMEGA, PERIOD, 10e-9)
         hist = TacHistogram(
             bin_width=10e-9,
@@ -280,15 +274,12 @@ class TestInitialGuess:
             counts=np.round(curve * 50).astype(int),
             gate_time=10.0,
         )
-        amplitude, phase = initial_guess(
-            hist, BEAMS, amplitude_range=(12e-6, 32e-6), n_amplitudes=21
-        )
-        # 21 points over [12, 32] um puts 24 um exactly on the grid.
-        assert amplitude == pytest.approx(24e-6, abs=1e-9)
+        amplitude, phase = initial_guess(hist, BEAMS)
+        assert amplitude == pytest.approx(grid_point, abs=1e-9)
         assert abs(wrap_phase(phase)) < 0.05
 
 
-def per_template_guess(hist, beams, amplitude_range=(12e-6, 32e-6), sigma_t=0.0, n_amplitudes=24):
+def per_template_guess(hist, beams, sigma_t=0.0):
     """The initial guess's (amplitude, phase) with every template built per
     histogram, as before the template bank; the flat-histogram check is
     left out."""
@@ -301,7 +292,7 @@ def per_template_guess(hist, beams, amplitude_range=(12e-6, 32e-6), sigma_t=0.0,
     signal -= signal.mean()
     spectrum = np.fft.rfft(signal)
     best = None
-    for amp in np.linspace(*amplitude_range, n_amplitudes):
+    for amp in np.linspace(12e-6, 32e-6, 24):
         template = model_curve(
             FitModelParams(amp, 0.0, 1.0, 0.0, sigma_t), beams, omega_i, hist.period, hist.bin_width
         )
@@ -333,24 +324,22 @@ def assert_same_params(got, expected):
 
 # 5375.8 ns / 13 ns leaves a partial last bin.
 CACHE_CASES = [
-    pytest.param(10e-9, 0.0, {}, id="sharp"),
-    pytest.param(10e-9, 0.2e-6, {}, id="jittered"),
-    pytest.param(13e-9, 0.2e-6, {}, id="partial-last-bin"),
-    pytest.param(
-        13e-9, 0.0, {"amplitude_range": (15e-6, 30e-6), "n_amplitudes": 7}, id="custom-grid"
-    ),
+    pytest.param(10e-9, 0.0, id="sharp"),
+    pytest.param(10e-9, 0.2e-6, id="jittered"),
+    pytest.param(13e-9, 0.2e-6, id="partial-last-bin"),
+    pytest.param(13e-9, 0.0, id="partial-last-bin-sharp"),
 ]
 
 
 class TestCaches:
-    @pytest.mark.parametrize("bin_width, sigma_t, grid", CACHE_CASES)
-    def test_initial_guess_matches_per_template_loop(self, bin_width, sigma_t, grid):
+    @pytest.mark.parametrize("bin_width, sigma_t", CACHE_CASES)
+    def test_initial_guess_matches_per_template_loop(self, bin_width, sigma_t):
         pipe = PipelineConfig(gate_time=1.0, bin_width=bin_width, timing_jitter=sigma_t)
         hist = synth(*REF_CASE_B, seed=71, pipe=pipe)
-        expected = per_template_guess(hist, BEAMS, sigma_t=sigma_t, **grid)
+        expected = per_template_guess(hist, BEAMS, sigma_t=sigma_t)
         clear_caches()
         for _ in range(2):  # cold, then warm
-            assert_same_params(initial_guess(hist, BEAMS, sigma_t=sigma_t, **grid), expected)
+            assert_same_params(initial_guess(hist, BEAMS, sigma_t=sigma_t), expected)
 
     def test_interleaved_keys_match_cold_results(self):
         red, _ = BEAMS
@@ -371,7 +360,7 @@ class TestCaches:
             assert_same_params(warm[k + len(cases)], cold)
 
     def test_cached_arrays_are_read_only(self):
-        bank = fitting._template_bank(BEAMS, OMEGA, PERIOD, 10e-9, 0.2e-6, (12e-6, 32e-6), 24)
+        bank = fitting._template_bank(BEAMS, OMEGA, PERIOD, 10e-9, 0.2e-6)
         _, _, spectra = bank
         template_conj = spectra[0]
         with pytest.raises(ValueError):
@@ -381,7 +370,7 @@ class TestCaches:
             spectrum[0] = 0.0
 
     def test_templates_correlate_on_a_fast_length(self):
-        bank = fitting._template_bank(BEAMS, OMEGA, PERIOD, 10e-9, 0.0, (12e-6, 32e-6), 24)
+        bank = fitting._template_bank(BEAMS, OMEGA, PERIOD, 10e-9, 0.0)
         n_fft = fitting._correlation_length(538)
         assert n_fft >= 2 * 538
         rest = n_fft
@@ -393,12 +382,10 @@ class TestCaches:
         assert all(len(template_conj) == n_fft // 2 + 1 for template_conj in spectra)
 
     def test_bank_is_one_read_only_array_per_field(self):
-        amplitudes, norms, spectra = fitting._template_bank(
-            BEAMS, OMEGA, PERIOD, 13e-9, 0.2e-6, (15e-6, 30e-6), 7
-        )
-        assert list(amplitudes) == list(np.linspace(15e-6, 30e-6, 7))
-        assert norms.shape == (7,) and np.all(norms > 0)
-        assert spectra.shape == (7, fitting._correlation_length(414) // 2 + 1)
+        amplitudes, norms, spectra = fitting._template_bank(BEAMS, OMEGA, PERIOD, 13e-9, 0.2e-6)
+        assert list(amplitudes) == list(np.linspace(12e-6, 32e-6, 24))
+        assert norms.shape == (24,) and np.all(norms > 0)
+        assert spectra.shape == (24, fitting._correlation_length(414) // 2 + 1)
         for array in (amplitudes, norms, spectra):
             assert not array.flags.writeable
 
@@ -428,11 +415,10 @@ class TestCaches:
 
     @pytest.mark.parametrize("sigma_t", [0.2e-6, 0.8e-6])
     def test_jittered_profile_matches_inline_kernel_fft(self, sigma_t):
-        params = FitModelParams(*REF_CASE_A, 1.0, 0.0, sigma_t)
         n_fine = 4304
         h = PERIOD / n_fine
         centers = (np.arange(n_fine) + 0.5) * h
-        rate = total_scattering_rate(BEAMS, params.amplitude, params.phase, OMEGA, centers)
+        rate = total_scattering_rate(BEAMS, *REF_CASE_A, OMEGA, centers)
         offsets = np.arange(n_fine) * h
         offsets = np.where(offsets > PERIOD / 2, offsets - PERIOD, offsets)
         kernel = np.exp(-0.5 * (offsets / sigma_t) ** 2)
@@ -441,7 +427,7 @@ class TestCaches:
         clear_caches()
         for _ in range(2):  # cold, then warm
             np.testing.assert_allclose(
-                model_profile(params, BEAMS, OMEGA, PERIOD, n_fine),
+                model_profile(BEAMS, *REF_CASE_A, sigma_t, OMEGA, PERIOD, n_fine),
                 expected,
                 rtol=0,
                 atol=1e-12 * expected.max(),
@@ -525,9 +511,7 @@ class TestBinWeights:
     def test_integrals_match_the_interpolated_cumulative_sum(self, bin_width, fine_factor, rtol):
         edges, widths = bin_grid(PERIOD, bin_width)
         n_fine = fine_factor * len(widths)
-        rate = model_profile(
-            FitModelParams(*REF_CASE_A, 1.0, 0.0, 0.2e-6), BEAMS, OMEGA, PERIOD, n_fine
-        )
+        rate = model_profile(BEAMS, *REF_CASE_A, 0.2e-6, OMEGA, PERIOD, n_fine)
         # The oracle's cumulative sums err on the scale of the whole period's
         # integral, so a relative comparison takes bins of like size.
         random = np.random.default_rng(6).uniform(0.5, 1.5, size=(2, n_fine))
@@ -547,8 +531,7 @@ class TestBinWeights:
     )
     def test_integrals_match_the_exact_rational_integral(self, bin_width, fine_factor):
         n_fine = fine_factor * len(bin_grid(PERIOD, bin_width)[1])
-        params = FitModelParams(*REF_CASE_A, 1.0, 0.0, 0.2e-6)
-        profile = model_profile(params, BEAMS, OMEGA, PERIOD, n_fine)
+        profile = model_profile(BEAMS, *REF_CASE_A, 0.2e-6, OMEGA, PERIOD, n_fine)
         expected = exact_bin_integrals(profile, PERIOD, bin_width)
         np.testing.assert_allclose(
             fitting._bin_integrals(profile, PERIOD, bin_width), expected, rtol=2e-13, atol=0
@@ -647,7 +630,7 @@ class TestShapeCache:
         assert all(map(np.array_equal, again, expected))
         assert fitting._shape_integrals.cache_info().hits == 1
         integrals = fitting._shape_integrals(
-            BEAMS, *self.BASE.values(), OMEGA, PERIOD, 10e-9, MODEL_FINE_FACTOR, self.FREE
+            BEAMS, *self.BASE.values(), OMEGA, PERIOD, 10e-9, self.FREE
         )
         assert integrals.shape == (3, 538)
         assert not integrals.flags.writeable
@@ -664,7 +647,6 @@ class TestShapeCache:
             "omega_i",
             "period",
             "bin_width",
-            "fine_factor",
             "free",
         ],
     )
@@ -677,7 +659,6 @@ class TestShapeCache:
             "omega_i": OMEGA,
             "period": PERIOD,
             "bin_width": 10e-9,
-            "fine_factor": MODEL_FINE_FACTOR,
             "free": self.FREE,
         }
         red, _ = BEAMS
@@ -689,7 +670,6 @@ class TestShapeCache:
             "omega_i": {"omega_i": 1.01 * OMEGA},
             "period": {"period": 1.01 * PERIOD},
             "bin_width": {"bin_width": 13e-9},
-            "fine_factor": {"fine_factor": 4},
             "free": {"free": ("amplitude", "phase", "sigma_t")},
         }
         variant = {**base, **changes[field]}
@@ -741,9 +721,7 @@ class TestFftAgainstScipy:
         hist = synth(*REF_CASE_B, seed=73, pipe=pipe)
         assert hist.n_bins == 538
         signal = hist.counts - hist.counts.mean()
-        amplitudes, _, spectra = fitting._template_bank(
-            BEAMS, OMEGA, PERIOD, 10e-9, sigma_t, (12e-6, 32e-6), 24
-        )
+        amplitudes, _, spectra = fitting._template_bank(BEAMS, OMEGA, PERIOD, 10e-9, sigma_t)
         templates = np.array(
             [
                 model_curve(

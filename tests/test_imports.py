@@ -1,7 +1,8 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every
+parameter of a package function is read in its body.
 
-The package's ``__init__.py`` imports names only to re-export them, so it
-is not checked.
+The package's ``__init__.py`` imports names only to re-export them, so its
+imports are not checked.
 """
 
 import ast
@@ -15,6 +16,7 @@ SOURCES = sorted(
     for path in [*(ROOT / "src" / "phonon_sensor").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     if path.name != "__init__.py"
 )
+PACKAGE = sorted((ROOT / "src" / "phonon_sensor").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +41,49 @@ def test_every_import_is_used(path):
 def test_check_finds_an_unused_import():
     source = "import os\nimport math\nfrom json import dumps, loads\nprint(math.pi, dumps)\n"
     assert unused_imports(source) == ["os (line 1)", "loads (line 3)"]
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of each function and lambda that its body never reads;
+    an augmented assignment reads its target."""
+    unused = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = set()
+        for sub in (sub for statement in body for sub in ast.walk(statement)):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.id)
+            elif isinstance(sub, ast.AugAssign) and isinstance(sub.target, ast.Name):
+                read.add(sub.target.id)
+        name = getattr(node, "name", "lambda")
+        unused += [f"{name}.{p.arg} (line {node.lineno})" for p in params if p.arg not in read]
+    return unused
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_every_parameter_is_read(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_an_unused_parameter():
+    source = (
+        "def f(a, b, *rest, c=1, **options):\n"
+        "    b += 1\n"
+        "    return [a for _ in rest]\n"
+        "g = lambda x, y: x\n"
+        "def h(self):\n"
+        "    def inner(z):\n"
+        "        return self\n"
+        "    return inner\n"
+    )
+    assert unused_parameters(source) == [
+        "f.c (line 1)",
+        "f.options (line 1)",
+        "lambda.y (line 4)",
+        "inner.z (line 6)",
+    ]
