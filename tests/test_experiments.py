@@ -19,6 +19,7 @@ from phonon_sensor.config import (
     default_config,
     load_config,
 )
+from phonon_sensor.constants import TWO_PI
 from phonon_sensor.experiments import (
     REFERENCE_DELTA_A,
     REFERENCE_SLOPE,
@@ -36,7 +37,7 @@ from phonon_sensor.experiments import (
     sensitivity_campaign,
     squeeze_sweep,
 )
-from phonon_sensor.photons import synthesize_histogram
+from phonon_sensor.photons import TacHistogram, folded_law, synthesize_histogram
 
 CONFIG = default_config()
 TRAP = CONFIG.trap
@@ -467,6 +468,51 @@ class TestFixedSeedOutputs:
         )["rows"]
         ratios = [row["sim_ratio_y"] for row in rows]
         assert ratios == pytest.approx([0.5362266307392819, 1.7833302851049535], rel=1e-12)
+
+
+class TestAsimovBias:
+    """The campaign fit's bias from the Asimov histogram, the one equal to
+    its expected counts (Cowan, Cranmer, Gross & Vitells, EPJ C 71, 1554,
+    2011): its fit is the estimator's large-sample centre, with no noise
+    and no seed, and must lie well inside the Cramer-Rao bound."""
+
+    @pytest.mark.parametrize("gate_time", [1.0, 10.0])
+    @pytest.mark.parametrize("jitter_us", [0.0, 0.2])
+    @pytest.mark.parametrize("amplitude", [15e-6, 21.677e-6, 28e-6])
+    def test_fit_of_expected_counts_is_within_a_tenth_of_the_bound(
+        self, monkeypatch, gate_time, jitter_us, amplitude
+    ):
+        # The flatness check weighs a histogram against Poisson scatter,
+        # which an Asimov histogram lacks: at 1 s and 0.2 us its noiseless
+        # chi-square against flat falls below the threshold.  For the same
+        # reason template matching cannot start it, so the fit starts at
+        # the truth.
+        monkeypatch.setattr(fitting, "_is_flat", lambda counts: False)
+        config = config_from_dict(
+            {"pipeline": {"gate_time_s": gate_time, "timing_jitter_us": jitter_us}}
+        )
+        pipe, beams = config.pipeline, config.beams
+        omega_i, phase = config.drive.injection_frequency, config.experiment.reference_phase
+        mean_signal, signal_means, gate_share = folded_law(beams, amplitude, phase, omega_i, pipe)
+        expected = signal_means + mean_signal / pipe.snr * gate_share / gate_share.sum()
+        hist = TacHistogram(
+            pipe.bin_width, TWO_PI / omega_i, np.zeros(len(expected)), pipe.gate_time
+        )
+        hist.counts = expected
+        init = fitting.chain_init_params(
+            hist, pipe.efficiency, pipe.snr, amplitude, phase, pipe.timing_jitter
+        )
+        result = fitting.fit_histogram(hist, beams, init, omega_i=omega_i)
+        assert result.converged
+        free = ["amplitude", "phase"]
+        info = fitting.fisher_information(
+            init, beams, omega_i, hist.period, pipe.bin_width, free
+        )
+        phase_crb = math.sqrt(np.linalg.inv(info)[1, 1])
+        assert abs(result.amplitude - amplitude) < 0.1 * experiments._amplitude_crb(
+            config, amplitude
+        )
+        assert abs(fitting.wrap_phase(result.phase - phase)) < 0.1 * phase_crb
 
 
 class TestSensitivityCampaign:
