@@ -50,6 +50,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not abs(self.reference_phase) <= TWO_PI:  # the phases the fit searches
+            raise ConfigError("reference_phase_rad must lie in [-2 pi, 2 pi]")
         if self.amplitude_trials < 1 or self.squeeze_trials < 1:
             raise ConfigError("trial counts must be >= 1")
         if self.squeeze_periods < 1:

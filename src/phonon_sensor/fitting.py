@@ -23,13 +23,13 @@ columns.
 
 :func:`model_profile`, the rate on the profile cells smeared by the
 kernel, is the one forward model of the fit and of the photon sampler's
-binned law.  What depends only on the binning, never on the counts, is
-built once per binning and reused read-only: the bin edges and widths,
-the profile cells' centres, the table of cos w t and sin w t on those
-centres (from which every profile's rate forms its Doppler phase
-w t + phi by angle addition), the table of the cells each TAC bin
-touches and the time each spends inside it (through which the fit and
-the sampler integrate a profile over the bins), the spectrum of the
+binned law, on one grid.  What depends only on the binning, never on the
+counts, is built once per binning and reused read-only: the bin edges
+and widths, the profile cells' centres, the table of cos w t and sin w t
+on those centres (from which every profile's rate forms its Doppler
+phase w t + phi by angle addition), the table of the cells each TAC bin
+reads and their weights (through which the fit and the sampler integrate
+a piecewise quadratic profile over the bins), the spectrum of the
 Gaussian dispersion kernel, and the initial guess's zero-phase template
 bank over its fixed amplitude grid, whose conjugate spectra form one 2-D
 array so that a single inverse FFT correlates a histogram with every
@@ -58,7 +58,7 @@ from .physics import _require_finite, total_scattering_rate
 
 PARAM_NAMES = ("amplitude", "phase", "alpha", "beta", "sigma_t")
 DEFAULT_FROZEN = ("alpha", "beta", "sigma_t")
-# Profile cells per TAC bin of the fit model.
+# Profile cells per TAC bin of the fit model and of the photon sampler.
 MODEL_FINE_FACTOR = 8
 
 
@@ -267,32 +267,40 @@ def _doppler_table(omega_i: float, period: float, n_fine: int) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def _bin_weights(period: float, n_fine: int, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(index, overlap)`` of shape (n_bins, K): the profile
-    cells each TAC bin touches, and the time each of them spends inside
-    the bin, with 0 in the padding.  K is the most cells any bin touches.
+def _bin_weights(period: float, n_fine: int, bin_width: float, stop=math.inf) -> tuple:
+    """Read-only ``(index, weight)`` of shape (n_bins, K + 2): the cells each
+    TAC bin reads, with the bin edges clipped at ``stop``, and their
+    weights, 0 in the padding.  K is the most cells a bin touches.
 
-    The edges are taken in units of cells, so a cell inside a bin weighs
-    exactly one cell width and only the two cells a bin edge cuts carry
-    the rounding of that edge.
+    The weights integrate exactly the piecewise quadratic through each
+    cell's centre value and its two neighbours' (wrapping around the
+    period).  On the part [a, b] of a cell inside a bin, in cell units from
+    its centre, the cell weighs b - a - (b^3 - a^3)/3 and its right and
+    left neighbours (b^3 - a^3)/6 +- (b^2 - a^2)/4; a whole cell weighs
+    11/12 on itself and 1/24 on each neighbour.
     """
     edges, _ = bin_grid(period, bin_width)
-    at = edges / period * n_fine
+    at = np.minimum(edges, stop) / period * n_fine
     first = np.floor(at[:-1]).astype(np.intp)
-    stop = np.ceil(at[1:]).astype(np.intp)
-    cells = first[:, None] + np.arange(int(np.max(stop - first)))
-    inside = np.minimum(cells + 1, at[1:, None]) - np.maximum(cells, at[:-1, None])
-    overlap = np.maximum(inside, 0.0) * (period / n_fine)
-    index = np.minimum(cells, n_fine - 1)
-    index.flags.writeable = overlap.flags.writeable = False
-    return index, overlap
+    cells = first[:, None] - 1 + np.arange(int(np.max(np.ceil(at[1:]) - first)) + 2)
+    lo = np.clip(at[:-1, None] - cells, 0.0, 1.0)
+    hi = np.clip(at[1:, None] - cells, 0.0, 1.0)
+    a, b, width = lo - 0.5, hi - 0.5, hi - lo
+    d2, d3 = width * (b + a), width * (a * a + a * b + b * b)
+    weight = width - d3 / 3
+    weight[:, 1:] += d3[:, :-1] / 6 + d2[:, :-1] / 4
+    weight[:, :-1] += d3[:, 1:] / 6 - d2[:, 1:] / 4
+    weight *= period / n_fine
+    index = cells % n_fine
+    index.flags.writeable = weight.flags.writeable = False
+    return index, weight
 
 
-def _bin_integrals(profile: np.ndarray, period: float, bin_width: float) -> np.ndarray:
-    """Integral of the piecewise-constant profile over each TAC bin, row
+def _bin_integrals(profile: np.ndarray, period: float, bin_width: float, stop=math.inf):
+    """Integral of the profile over each TAC bin clipped at ``stop``, row
     by row for a 2-D profile, from the binning's :func:`_bin_weights`."""
-    index, overlap = _bin_weights(period, profile.shape[-1], bin_width)
-    return np.einsum("...bk,bk->...b", np.take(profile, index, axis=-1), overlap)
+    index, weight = _bin_weights(period, profile.shape[-1], bin_width, stop)
+    return np.einsum("...bk,bk->...b", np.take(profile, index, axis=-1), weight)
 
 
 def model_curve(

@@ -5,9 +5,10 @@ scattering rate times the detection efficiency (applied once).  Folded
 modulo the oscillation period, its counts in the TAC bins are independent
 Poisson variates whose means integrate that rate over the gate, so
 :func:`synthesize_histogram` draws the folded counts directly: the signal
-total, then its split over the bins after the timing jitter's circular
-smear, then uniform background at the signal count over the
-signal-to-background ratio.  No arrival time is drawn.
+total, then its split over the bins (the full periods after the timing
+jitter's circular smear, the partial one unjittered), then uniform
+background at the signal count over the signal-to-background ratio.  No
+arrival time is drawn.
 
 What depends only on the binning is built once per binning and shared
 read-only: the bin edges and widths (:func:`bin_grid`).  What depends only
@@ -115,11 +116,6 @@ class PipelineConfig:
             raise ValueError(f"snr must be > 0, got {self.snr}")
 
 
-# Profile cells per TAC bin of the sampler's law: finer than the fit's
-# model grid, so simulated data never come from the fitted model itself.
-SAMPLER_FINE_FACTOR = 32
-
-
 def folded_law(
     beams, amplitude: float, phase: float, omega_i: float, pipeline: PipelineConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -127,11 +123,12 @@ def folded_law(
     mean signal count per TAC bin, and the time per bin the gate folds in.
 
     The gate holds ``floor(gate/T)`` full periods plus the partial period
-    ``[0, gate mod T)``; each profile cell weighs the full periods plus its
-    share of the partial one.  The rate on the cells is the fit's forward
-    model, ``fitting.model_profile``.  The total is that of the unsmeared
-    rate; the bin means are those after the timing jitter, whose circular
-    smear moves counts between bins and keeps their sum up to rounding.
+    ``[0, gate mod T)``.  The rate is the fit's forward model,
+    ``fitting.model_profile``, on the fit's grid and bin weights.  The full
+    periods' bin means are those after the timing jitter, whose circular
+    smear keeps their sum up to rounding; the partial period's are the
+    unsmeared rate over the bins clipped at ``gate mod T``, unjittered as
+    the background is.  The total is the sum of the bin means.
 
     The law of the last arguments is kept, with read-only arrays, so the
     gates drawn in a row at one amplitude build it once.
@@ -143,22 +140,23 @@ def folded_law(
 def _folded_law(
     beams: tuple, amplitude: float, phase: float, omega_i: float, pipeline: PipelineConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    from .fitting import _bin_integrals, circular_smear, model_profile
+    from .fitting import MODEL_FINE_FACTOR, _bin_integrals, circular_smear, model_profile
 
     period = TWO_PI / omega_i
     edges, widths = bin_grid(period, pipeline.bin_width)
     n_periods, rest = divmod(pipeline.gate_time, period)
     gate_share = n_periods * widths + np.clip(rest - edges[:-1], 0.0, widths)
 
-    n_fine = SAMPLER_FINE_FACTOR * len(widths)
-    h = period / n_fine
-    weight = n_periods + np.clip(rest / h - np.arange(n_fine), 0.0, 1.0)
+    n_fine = MODEL_FINE_FACTOR * len(widths)
     rate = model_profile(beams, amplitude, phase, 0.0, omega_i, period, n_fine)
-    folded = pipeline.efficiency * rate * weight
-    smeared = circular_smear(folded, period, pipeline.timing_jitter)
-    signal_means = _bin_integrals(smeared, period, pipeline.bin_width)
+    smeared = circular_smear(rate, period, pipeline.timing_jitter)
+    signal_means = n_periods * _bin_integrals(smeared, period, pipeline.bin_width)
+    signal_means += _bin_integrals(rate, period, pipeline.bin_width, rest)
+    signal_means *= pipeline.efficiency
+    # With a bin or two per period, the rule can dip below 0 on a short cut.
+    np.maximum(signal_means, 0.0, out=signal_means)
     signal_means.flags.writeable = gate_share.flags.writeable = False
-    return float(folded.sum()) * h, signal_means, gate_share
+    return float(signal_means.sum()), signal_means, gate_share
 
 
 def synthesize_histogram(

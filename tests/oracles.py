@@ -365,22 +365,6 @@ def scipy_circular_correlation(signal: np.ndarray, templates: np.ndarray) -> np.
     return linear[:, :n] + linear[:, n_fft - n :]
 
 
-def interp_bin_integrals(profile: np.ndarray, period: float, edges: np.ndarray) -> np.ndarray:
-    """Integral of the piecewise-constant profile between consecutive
-    edges, row by row for a 2-D profile: its cumulative sum, interpolated
-    at the edges one row at a time."""
-    n_fine = profile.shape[-1]
-    h = period / n_fine
-    cum = np.zeros(profile.shape[:-1] + (n_fine + 1,))
-    np.cumsum(profile, axis=-1, out=cum[..., 1:])
-    cum[..., 1:] *= h
-    fine_edges = np.arange(n_fine + 1) * h
-    at_edges = np.empty(profile.shape[:-1] + edges.shape)
-    for row, out in zip(cum.reshape(-1, n_fine + 1), at_edges.reshape(-1, len(edges))):
-        out[:] = np.interp(edges, fine_edges, row)
-    return np.diff(at_edges)
-
-
 def direct_scattering_rate(beams, amplitude, phase, omega_i, t):
     """Summed scattering rate and its derivatives in amplitude and phase,
     ``(rate, d/dA, d/dphi)``, with cos and sin of theta = w t + phi taken

@@ -281,6 +281,10 @@ def invalid_dict(kind, draw):
         gains.insert(draw(st.integers(0, len(gains))), gain)
     elif kind == "squeeze-periods":
         data["experiment"]["squeeze_periods"] = draw(st.integers(max_value=0))
+    elif kind == "reference-phase-outside-fit-range":
+        # The fit searches phases in [-2 pi, 2 pi]; 2 pi = 6.28319.
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        data["experiment"]["reference_phase_rad"] = sign * draw(st.floats(6.2832, 1e30))
     elif kind == "negative-seed":
         data["experiment"]["seed"] = draw(st.integers(max_value=-1))
     elif kind == "unknown-key":
@@ -326,6 +330,7 @@ INVALID_KINDS = (
     "empty-squeeze-grid",
     "squeeze-gain-outside-unit-interval",
     "squeeze-periods",
+    "reference-phase-outside-fit-range",
     "negative-seed",
     "unknown-key",
     "non-mapping",
@@ -600,6 +605,20 @@ class TestCli:
         assert run_cli(["campaign", kind, "--config", str(cfg), "--out", str(out)]) == 1
         assert "physics.noise.damping_rate_per_s must be > 0" in capsys.readouterr().err
         assert not (out / f"{kind}.json").exists()
+
+    @pytest.mark.parametrize("phase", ["7.0", "-7.0", "1.0e+30"])
+    def test_reference_phase_outside_the_fit_range_exits_1_at_load(self, phase, tmp_path, capsys):
+        # The fit starts at the reference phase and searches [-2 pi, 2 pi], so
+        # every command rejects the config before the sampler runs.
+        hist_path = tmp_path / "hist.txt"
+        assert run_cli(["simulate", "--out", str(hist_path), "--seed", "3"]) == 0
+        cfg = tmp_path / "phase.yaml"
+        cfg.write_text(f"experiment:\n  reference_phase_rad: {phase}\n")
+        out = tmp_path / "out"
+        for argv in (["simulate"], ["fit", str(hist_path)], ["campaign", "sensitivity"]):
+            assert run_cli([*argv, "--config", str(cfg), "--out", str(out)]) == 1, argv
+            assert "reference_phase_rad must lie in [-2 pi, 2 pi]" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -433,8 +433,8 @@ class TestFixedSeedOutputs:
     # numbers on purpose updates the digest and says so.
     DEFAULT_RECORD_SHA256 = {
         "lower-bound": "ee6717ea29d11fb1314f7e8c9e83bea2f2d9cd22c193a6bd4f36fb67af18004d",
-        "sensitivity": "171b693b89a65ee880eb378e737142c834d7ef65d6ec5c0a79b4e5db855bd121",
-        "sweep-amplitude": "09195216704e53320689e03b3545d4730a9f5259c12e9d5d2756b2fb4666e97f",
+        "sensitivity": "5d3bc5ec42752d0d44699c112d7d011eab6a8c8869dad8bb4e1bc9586ab8b31e",
+        "sweep-amplitude": "df45d5a2f4b5490a7f2a6c346712385d20b04d4f0984ecabf634e645201933d1",
         "sweep-squeeze": "6445a80f2ef27fd964564179e414278c9522ccd8e9b171311c06e814edd427ca",
     }
 

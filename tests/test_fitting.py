@@ -28,7 +28,6 @@ from phonon_sensor.fitting import (
     wrap_phase,
 )
 from phonon_sensor.photons import (
-    SAMPLER_FINE_FACTOR,
     PipelineConfig,
     TacHistogram,
     bin_grid,
@@ -39,7 +38,6 @@ from phonon_sensor.physics import LaserBeam, default_beams, total_scattering_rat
 
 from oracles import (
     direct_scattering_rate,
-    interp_bin_integrals,
     least_squares_fit,
     scipy_circular_correlation,
     scipy_circular_smear,
@@ -434,47 +432,58 @@ class TestCaches:
             )
 
 
-def exact_bin_integrals(profile, period, bin_width):
-    """Bin integrals of a piecewise-constant profile in rational arithmetic,
-    on the float bin edges and the exact cell width period / n_fine."""
-    edges, _ = bin_grid(period, bin_width)
+def exact_bin_integrals(profile, period, bin_width, stop=math.inf):
+    """Bin integrals, with the edges clipped at ``stop``, of the piecewise
+    quadratic through each cell's centre value and its two neighbours'
+    (wrapping around the period), in rational arithmetic on the float bin
+    edges and the exact cell width period / n_fine."""
+    edges = np.minimum(bin_grid(period, bin_width)[0], stop)
     n_fine = len(profile)
     h = Fraction(period) / n_fine
+    f = [Fraction(value) for value in profile]
     integrals = []
-    for start, stop in zip(map(Fraction, edges[:-1]), map(Fraction, edges[1:])):
-        cells = range(math.floor(start / h), min(math.ceil(stop / h), n_fine))
-        integrals.append(
-            sum(
-                Fraction(profile[j]) * (min(stop, (j + 1) * h) - max(start, j * h))
-                for j in cells
-            )
-        )
+    for start, end in zip(map(Fraction, edges[:-1]), map(Fraction, edges[1:])):
+        total = Fraction(0)
+        for j in range(math.floor(start / h), min(math.ceil(end / h), n_fine)):
+            # The cell's part of the bin, in cell units from its centre.
+            a = max(start / h, j) - j - Fraction(1, 2)
+            b = min(end / h, j + 1) - j - Fraction(1, 2)
+            left, centre, right = f[j - 1], f[j], f[(j + 1) % n_fine]
+            slope, curvature = (right - left) / 2, right - 2 * centre + left
+            total += centre * (b - a) + slope * (b**2 - a**2) / 2 + curvature * (b**3 - a**3) / 6
+        integrals.append(total * h)
     return np.array([float(value) for value in integrals])
 
 
 class TestBinWeights:
     """The bin integrals come from a per-binning table of the profile cells
-    each TAC bin touches and the time each spends inside the bin."""
+    each TAC bin reads and their weights: the exact integral of the
+    piecewise quadratic through each cell's centre value and its two
+    neighbours'."""
 
-    # 5375.8 ns / 13 ns leaves a partial last bin.
+    # 5375.8 ns / 13 ns leaves a partial last bin.  The fit reads the
+    # whole period; the sampler also reads the bins clipped at a gate's
+    # partial period, here that of a gate of whole and half periods.
     GRIDS = [
-        pytest.param(10e-9, MODEL_FINE_FACTOR, 10, id="fit-10ns"),
-        pytest.param(10e-9, SAMPLER_FINE_FACTOR, 34, id="sampler-10ns"),
-        pytest.param(13e-9, MODEL_FINE_FACTOR, 10, id="fit-13ns"),
-        pytest.param(13e-9, SAMPLER_FINE_FACTOR, 34, id="sampler-13ns"),
+        pytest.param(10e-9, math.inf, id="fit-10ns"),
+        pytest.param(10e-9, PERIOD / 2, id="sampler-10ns"),
+        pytest.param(13e-9, math.inf, id="fit-13ns"),
+        pytest.param(13e-9, PERIOD / 2, id="sampler-13ns"),
     ]
 
-    @pytest.mark.parametrize("bin_width, fine_factor, touched", GRIDS)
-    def test_overlaps_sum_to_cell_and_bin_widths(self, bin_width, fine_factor, touched):
-        _, widths = bin_grid(PERIOD, bin_width)
-        n_fine = fine_factor * len(widths)
-        index, overlap = fitting._bin_weights(PERIOD, n_fine, bin_width)
-        assert index.shape == overlap.shape == (len(widths), touched)
-        assert index.min() >= 0 and index.max() == n_fine - 1
-        assert overlap.min() >= 0
-        per_cell = np.bincount(index.ravel(), overlap.ravel(), minlength=n_fine)
-        np.testing.assert_allclose(per_cell, PERIOD / n_fine, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(overlap.sum(axis=1), widths, rtol=1e-12, atol=0)
+    @pytest.mark.parametrize("bin_width, stop", GRIDS)
+    def test_overlaps_sum_to_cell_and_bin_widths(self, bin_width, stop):
+        edges, widths = bin_grid(PERIOD, bin_width)
+        n_fine = MODEL_FINE_FACTOR * len(widths)
+        index, weight = fitting._bin_weights(PERIOD, n_fine, bin_width, stop)
+        # Ten cells touched, and their two outer neighbours.
+        assert index.shape == weight.shape == (len(widths), 12)
+        assert index.min() == 0 and index.max() == n_fine - 1
+        clipped = np.diff(np.minimum(edges, stop))
+        np.testing.assert_allclose(weight.sum(axis=1), clipped, rtol=1e-12, atol=0)
+        if stop == math.inf:
+            per_cell = np.bincount(index.ravel(), weight.ravel(), minlength=n_fine)
+            np.testing.assert_allclose(per_cell, PERIOD / n_fine, rtol=1e-12, atol=0)
         if bin_width == 13e-9:
             assert widths[-1] < bin_width
 
@@ -497,45 +506,60 @@ class TestBinWeights:
         clear_caches()
         assert fitting._bin_weights.cache_info().currsize == 0
 
-    # On the sampler's grid the oracle's own error reaches 1.3e-12 of the
-    # exact rational integral of the rate profile; the table's is 1.2e-13.
-    @pytest.mark.parametrize(
-        "bin_width, fine_factor, rtol",
-        [
-            (10e-9, MODEL_FINE_FACTOR, 1e-12),
-            (13e-9, MODEL_FINE_FACTOR, 1e-12),
-            (10e-9, SAMPLER_FINE_FACTOR, 2e-12),
-            (13e-9, SAMPLER_FINE_FACTOR, 2e-12),
-        ],
-    )
-    def test_integrals_match_the_interpolated_cumulative_sum(self, bin_width, fine_factor, rtol):
-        edges, widths = bin_grid(PERIOD, bin_width)
-        n_fine = fine_factor * len(widths)
-        rate = model_profile(BEAMS, *REF_CASE_A, 0.2e-6, OMEGA, PERIOD, n_fine)
-        # The oracle's cumulative sums err on the scale of the whole period's
-        # integral, so a relative comparison takes bins of like size.
-        random = np.random.default_rng(6).uniform(0.5, 1.5, size=(2, n_fine))
-        profile = np.vstack([rate, random])
-        np.testing.assert_allclose(
-            fitting._bin_integrals(profile, PERIOD, bin_width),
-            interp_bin_integrals(profile, PERIOD, edges),
-            rtol=rtol,
-            atol=0,
-        )
-
     # 0.4 us and 0.37 us bins: 14 and 15 bins, the last one partial; then
-    # the sampler's grid at 10 ns bins, where the oracle errs by 1.3e-12.
+    # 32 cells per bin of 10 ns, a grid the rule integrates alike.
     @pytest.mark.parametrize(
         "bin_width, fine_factor",
-        [(0.4e-6, MODEL_FINE_FACTOR), (0.37e-6, MODEL_FINE_FACTOR), (10e-9, SAMPLER_FINE_FACTOR)],
+        [(0.4e-6, MODEL_FINE_FACTOR), (0.37e-6, MODEL_FINE_FACTOR), (10e-9, 32)],
     )
     def test_integrals_match_the_exact_rational_integral(self, bin_width, fine_factor):
         n_fine = fine_factor * len(bin_grid(PERIOD, bin_width)[1])
-        profile = model_profile(BEAMS, *REF_CASE_A, 0.2e-6, OMEGA, PERIOD, n_fine)
-        expected = exact_bin_integrals(profile, PERIOD, bin_width)
-        np.testing.assert_allclose(
-            fitting._bin_integrals(profile, PERIOD, bin_width), expected, rtol=2e-13, atol=0
-        )
+        rate = model_profile(BEAMS, *REF_CASE_A, 0.2e-6, OMEGA, PERIOD, n_fine)
+        random = np.random.default_rng(6).uniform(0.5, 1.5, size=n_fine)
+        got = fitting._bin_integrals(np.stack([rate, random]), PERIOD, bin_width)
+        for row, integrals in zip((rate, random), got):
+            expected = exact_bin_integrals(row, PERIOD, bin_width)
+            np.testing.assert_allclose(integrals, expected, rtol=2e-13, atol=0)
+
+    def test_clipped_integrals_match_the_exact_rational_integral(self):
+        n_fine = MODEL_FINE_FACTOR * 15
+        rate = model_profile(BEAMS, *REF_CASE_A, 0.0, OMEGA, PERIOD, n_fine)
+        got = fitting._bin_integrals(rate, PERIOD, 0.37e-6, PERIOD / 2)
+        expected = exact_bin_integrals(rate, PERIOD, 0.37e-6, PERIOD / 2)
+        assert np.all(expected[8:] == 0)
+        np.testing.assert_allclose(got, expected, rtol=2e-13, atol=0)
+
+    # The 8-cell midpoint rule erred by 5.7e-7, 1.8e-6, 1.8e-5, 1.6e-4 and
+    # 1.7e-3 of a bin width at 10 ns, and by more at 13 ns.
+    @pytest.mark.parametrize("bin_width", [10e-9, 13e-9])
+    @pytest.mark.parametrize(
+        "k, bound", [(1, 1e-11), (3, 1e-10), (10, 1e-8), (30, 1e-6), (100, 1e-4)]
+    )
+    def test_cosine_harmonics_match_their_closed_form(self, bin_width, k, bound):
+        edges, widths = bin_grid(PERIOD, bin_width)
+        centers = fitting._fine_grid(PERIOD, MODEL_FINE_FACTOR * len(widths))
+        profile = 1 + np.cos(TWO_PI * k * centers / PERIOD)
+        exact = widths + PERIOD / (TWO_PI * k) * np.diff(np.sin(TWO_PI * k * edges / PERIOD))
+        error = fitting._bin_integrals(profile, PERIOD, bin_width) - exact
+        assert np.max(np.abs(error) / widths) < bound
+
+    # Against the same rule on 256 cells per bin, at 28 um and no jitter;
+    # the 8-cell midpoint rule erred by 1.2e-5, 1.7e-5, 2.1e-4, 9.3e-4 and
+    # 6.1e-3 against its own 256-cell version.
+    @pytest.mark.parametrize(
+        "bin_width, bound",
+        [(10e-9, 1e-8), (13e-9, 1e-8), (50e-9, 1e-6), (100e-9, 2e-5), (400e-9, 1.5e-3)],
+    )
+    def test_rate_integrals_converge_to_a_fine_reference(self, bin_width, bound):
+        n_bins = len(bin_grid(PERIOD, bin_width)[1])
+
+        def integrals(cells_per_bin):
+            n_fine = cells_per_bin * n_bins
+            rate = model_profile(BEAMS, 28e-6, 0.03, 0.0, OMEGA, PERIOD, n_fine)
+            return fitting._bin_integrals(rate, PERIOD, bin_width)
+
+        reference = integrals(256)
+        assert np.max(np.abs(integrals(MODEL_FINE_FACTOR) / reference - 1)) < bound
 
 
 class TestDopplerTable:

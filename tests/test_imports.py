@@ -1,5 +1,6 @@
-"""Every name a module imports is used in that module, and every
-parameter of a package function is read in its body.
+"""Every name a module imports is used in that module, every parameter
+of a package function is read in its body, and every module-level
+UPPER_CASE name the package assigns is read somewhere in the package.
 
 The package's ``__init__.py`` imports names only to re-export them, so its
 imports are not checked.
@@ -87,3 +88,43 @@ def test_check_finds_an_unused_parameter():
         "lambda.y (line 4)",
         "inner.z (line 6)",
     ]
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """Module-level UPPER_CASE names assigned in any of ``sources`` (name to
+    source text) that none of them reads, by name or as an attribute."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            unread += [
+                f"{name}: {target.id} (line {node.lineno})"
+                for target in targets
+                if isinstance(target, ast.Name) and target.id.isupper() and target.id not in read
+            ]
+    return unread
+
+
+def test_every_module_constant_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert unread_constants(sources) == []
+
+
+def test_check_finds_an_unread_constant():
+    sources = {
+        "a.py": "LIMIT = 3\nSTEP: int = 2\n_KEYS = ()\nname = 1\ndef f():\n    LOCAL = 1\n",
+        "b.py": "from . import a\nSIZE = a.LIMIT\nprint(_KEYS, SIZE)\n",
+    }
+    assert unread_constants(sources) == ["a.py: STEP (line 2)"]

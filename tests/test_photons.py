@@ -131,6 +131,16 @@ class TestBinnedLaw:
         assert gate_share.sum() == pytest.approx(pipe.gate_time, rel=1e-12)
 
 
+    def test_short_cut_of_a_coarse_grid_keeps_the_means_non_negative(self):
+        # Two bins of 3 us: a gate 11 ns past the first bin edge cuts one of
+        # the 16 profile cells, where the quadratic through the 40 um rate
+        # dips below 0.
+        pipe = PipelineConfig(bin_width=3e-6, gate_time=3.0112e-6)
+        total, means, _ = folded_law(BEAMS, 40e-6, 2.0, OMEGA, pipe)
+        assert means[1] == 0.0 and total == means[0] > 0
+        assert synthesize_histogram(BEAMS, 40e-6, 2.0, OMEGA, pipe, seed=1).counts[1] == 0
+
+
 class TestTacFold:
     def test_exact_folding(self):
         t = PERIOD * np.array([0.25, 1.25, 2.25])
@@ -339,7 +349,7 @@ class TestStageSpans:
 
         calls["rate_points"] = 0
         synthesize_histogram(BEAMS, 22e-6, 0.0, OMEGA, config.pipeline, seed=1)
-        assert calls["rate_points"] == photons.SAMPLER_FINE_FACTOR * 538
+        assert calls["rate_points"] == fitting.MODEL_FINE_FACTOR * 538
 
     def test_sampler_keeps_the_parameters_the_benchmark_reads(self):
         parameters = inspect.signature(sample_arrivals).parameters
