@@ -492,12 +492,13 @@ def sensitivity_campaign(config: RunConfig, seed: int | None = None):
     delta_a = float(np.std(fitted, ddof=1))
     tau = repetitions * config.pipeline.gate_time
     slope = config.amplitude_per_force
-    delta_a_crb = _amplitude_crb(config, amplitude)
+    # The ratio of the reported values, so that it is exactly their ratio.
+    delta_a_nm, delta_a_crb_nm = delta_a * 1e9, _amplitude_crb(config, amplitude) * 1e9
     reference = sensitivity(REFERENCE_DELTA_A, REFERENCE_TAU, REFERENCE_SLOPE)
     return {
-        "delta_a_nm": delta_a * 1e9,
-        "delta_a_crb_nm": delta_a_crb * 1e9,
-        "delta_a_over_crb": delta_a / delta_a_crb,
+        "delta_a_nm": delta_a_nm,
+        "delta_a_crb_nm": delta_a_crb_nm,
+        "delta_a_over_crb": delta_a_nm / delta_a_crb_nm,
         "tau_s": tau,
         "repetitions": repetitions,
         "dropped": repetitions - len(fitted),

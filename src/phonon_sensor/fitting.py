@@ -1,9 +1,9 @@
 """Poisson maximum-likelihood recovery of oscillation amplitude and phase
 from a TAC histogram.
 
-The model is the two-beam scattering rate, circularly convolved with a
-Gaussian time-dispersion kernel over the folding period, integrated into
-the TAC bins, scaled and offset:
+The model is the two-beam scattering rate, convolved with a Gaussian
+time dispersion and folded onto the period, integrated over the TAC bins,
+scaled and offset:
 
     counts(bin) = alpha * <smeared rate over bin> + beta * width_fraction
 
@@ -12,39 +12,33 @@ Amplitude and phase are the physical parameters; alpha, beta and the
 dispersion width sigma_t are nuisance parameters that default to the
 closed-form detection-chain values and stay frozen.
 
-The model's derivatives are exact: the rate's closed-form derivatives in
-amplitude and phase come from the pass that forms the rate, and the smear
-and the bin integrals are linear, so they carry over column by column;
-sigma_t's column smears the rate with the kernel's width derivative.  The
-fit is a Levenberg-Marquardt loop of its own on these columns,
-chain-ruled through the deviance residuals;
-:func:`fisher_information` builds the Cramer-Rao bound from the same
-columns.
+:func:`rate_integrals` is the one forward model of the fit and of the
+photon sampler's binned law, and it is exact: the rate is a cosine series
+in its Doppler phase w t + phi with closed-form coefficients, the
+dispersion multiplies harmonic n by exp(-(n w sigma_t)^2/2), and each bin
+integrates to a difference of the series' antiderivative at its edges.
+There is no grid, no quadrature and no FFT.  The model's derivatives are
+the same sums over other coefficients, so they are exact too.  The fit is
+a Levenberg-Marquardt loop of its own on these columns, chain-ruled
+through the deviance residuals; :func:`fisher_information` builds the
+Cramer-Rao bound from the same columns.
 
-:func:`model_profile`, the rate on the profile cells smeared by the
-kernel, is the one forward model of the fit and of the photon sampler's
-binned law, on one grid.  What depends only on the binning, never on the
-counts, is built once per binning and reused read-only: the bin edges
-and widths, the profile cells' centres, the table of cos w t and sin w t
-on those centres (from which every profile's rate forms its Doppler
-phase w t + phi by angle addition), the table of the cells each TAC bin
-reads and their weights (through which the fit and the sampler integrate
-a piecewise quadratic profile over the bins), the spectrum of the
-Gaussian dispersion kernel, and the initial guess's zero-phase template
-bank over its fixed amplitude grid, whose conjugate spectra form one 2-D
-array so that a single inverse FFT correlates a histogram with every
-template.  What depends on the profile's shape but not on alpha or beta,
-the bin integrals of the profile and of its derivative rows, is kept
+What depends only on the binning, never on the counts, is built once per
+binning and reused read-only: the bin edges and widths, the sines and
+cosines of the harmonics at the bin edges, and the initial guess's
+zero-phase template bank over its fixed amplitude grid, whose conjugate
+spectra form one 2-D array so that a single inverse FFT correlates a
+histogram with every template.  What depends on the model's shape but not
+on alpha or beta, the bin integrals and their derivative rows, is kept
 read-only for the last few shapes, so fits that share a start form it
-once.  The circular smear is one real linear convolution of a fast
-(5-smooth) FFT length, folded back onto the period, so a profile grid
-with a large prime factor never takes the slow prime-length FFT path.
-The FFTs are numpy's, and the fast length is computed here, so fitting
-imports no scipy module.
+once.  The correlation runs on a fast (5-smooth) FFT length; the FFTs are
+numpy's, and the fast length is computed here, so fitting imports no
+scipy module.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -54,12 +48,15 @@ import numpy as np
 from .constants import TWO_PI
 from .fileio import optional, read_header_file, write_header_file
 from .photons import TacHistogram, bin_grid
-from .physics import _require_finite, total_scattering_rate
+from .physics import _check_rate_arguments
 
 PARAM_NAMES = ("amplitude", "phase", "alpha", "beta", "sigma_t")
 DEFAULT_FROZEN = ("alpha", "beta", "sigma_t")
-# Profile cells per TAC bin of the fit model and of the photon sampler.
-MODEL_FINE_FACTOR = 8
+# The rate's cosine series is cut at the first harmonic whose bound,
+# relative to the largest, falls below the tolerance, and at most at the
+# cap, which bounds the cost of an absurd amplitude.
+HARMONIC_TOLERANCE = 2.0**-53
+HARMONIC_CAP = 4096
 
 
 class NoModulationError(ValueError):
@@ -114,67 +111,183 @@ def wrap_phase(phi: float) -> float:
     return wrapped
 
 
-def model_profile(
-    beams,
-    amplitude: float,
-    phase: float,
-    sigma_t: float,
-    omega_i: float,
-    period: float,
-    n_fine: int,
-    free=(),
-) -> np.ndarray:
-    """Smeared periodic rate profile on n_fine uniform cells over the period.
+def _harmonic_count(rho: float, width: float) -> int:
+    """Smallest n >= 1 at which rho^n exp(-(n width)^2/2) falls below
+    HARMONIC_TOLERANCE, at most HARMONIC_CAP."""
+    if rho == 0:
+        return 1
+    slope, curvature = -math.log(rho), 0.5 * width * width
+    depth = -math.log(HARMONIC_TOLERANCE)
+    # The positive root of curvature n^2 + slope n = depth.
+    root = math.sqrt(slope * slope + 4 * curvature * depth) + slope
+    return min(math.floor(2 * depth / root) + 1, HARMONIC_CAP) if root else HARMONIC_CAP
 
-    The one forward model of the fit and the photon sampler; the rate forms
-    its Doppler phase by angle addition from the grid's ``_doppler_table``.
 
-    With ``free`` the result is a stack: the profile, then its derivatives
-    in those free parameters it depends on, in the order amplitude, phase,
-    sigma_t.  The smear is linear, so the rate's closed-form derivatives
-    are smeared with the same kernel; the sigma_t row is the rate smeared
-    with the kernel's derivative in its width.
+def _rate_harmonics(beams: tuple, amplitude: float, omega_i: float, width: float, slope: bool):
+    """Cosine series of the summed rate in theta = w t + phi: ``(c_0, c)``,
+    with ``c[n - 1]`` the coefficient of cos n theta for n = 1..N, and
+    with ``slope`` also their derivatives in the amplitude.
+
+    A beam scatters K Im 1/(z - u cos theta), with the pole
+    z = Delta - i (Gamma/2) sqrt(1 + s), K = (Gamma s/4pi) Gamma/(2 sqrt(1 + s))
+    and u = k w A.  With w = sqrt(z^2 - u^2) on the root with
+    Re(w conj z) >= 0 and rho = u/(z + w), which is below 1 in modulus
+    and 0 at A = 0, 1/(z - u cos theta) = (1/w)(1 + 2 sum rho^n cos n theta)
+    (Gradshteyn & Ryzhik 1.447).  So c_0 = K Im 1/w, c_n = 2 K Im rho^n/w,
+    and d(rho^n/w)/du = n rho^(n-1) z/(w^2 (z + w)) + rho^n u/w^3.  N is
+    :func:`_harmonic_count` of the largest |rho| at the jitter's width
+    w sigma_t in phase.
     """
-    centers = _fine_grid(period, n_fine)
-    table = _doppler_table(omega_i, period, n_fine)
-    doppler = [name for name in ("amplitude", "phase") if name in free]
-    rate = total_scattering_rate(beams, amplitude, phase, omega_i, centers, bool(doppler), table)
-    if not free:
-        return circular_smear(rate, period, sigma_t)
-    rows = dict(zip(("rate", "amplitude", "phase"), rate)) if doppler else {"rate": rate}
-    stack = circular_smear(np.stack([rows[name] for name in ("rate", *doppler)]), period, sigma_t)
-    if "sigma_t" in free:
-        width = circular_smear(rows["rate"], period, sigma_t, width_derivative=True)
-        stack = np.vstack([stack, width])
-    return stack
+    c0 = dc0 = 0.0
+    rhos, weights = [], []
+    for beam in beams:
+        root = math.sqrt(1 + beam.saturation)
+        z = complex(beam.detuning, -0.5 * beam.linewidth * root)
+        scale = beam.linewidth**2 * beam.saturation / (8 * math.pi * root)
+        u = beam.wave_number * omega_i * amplitude
+        w = cmath.sqrt(z * z - u * u)
+        if (w * z.conjugate()).real < 0:
+            w = -w
+        rhos.append(u / (z + w))
+        c0 += scale * (1 / w).imag
+        chain = scale * beam.wave_number * omega_i
+        dc0 += chain * (u / w**3).imag
+        weights.append((2 * scale / w, 2 * chain * z / (w * w * (z + w)), 2 * chain * u / w**3))
+    n = _harmonic_count(max(map(abs, rhos)), width)
+    # powers[:, n] = rho^n, for n = 0..N.
+    powers = np.empty((len(rhos), n + 1), complex)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = np.array(rhos)[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    weights = np.array(weights).T
+    c = (weights[0] @ powers[:, 1:]).imag
+    if not slope:
+        return c0, c
+    dc = weights[1] @ powers[:, :-1]
+    dc *= np.arange(1, n + 1)
+    dc += weights[2] @ powers[:, 1:]
+    return c0, c, dc0, dc.imag
 
 
-def circular_smear(
-    profile: np.ndarray, period: float, sigma_t: float, width_derivative: bool = False
+def rate_integrals(
+    beams, amplitude, phase, sigma_t, omega_i, period, bin_width, free=(), stop=math.inf
 ) -> np.ndarray:
-    """Circular Gaussian convolution of a profile on uniform cells over the period.
+    """Integral over each TAC bin, its edges clipped at ``stop``, of the
+    rate convolved with a Gaussian of width sigma_t in time.
 
-    The Gaussian kernel is sampled on the same grid, normalized to unit sum
-    and applied by circular convolution, so the profile is covariant under
-    grid-commensurate time translations and keeps its sum.  The circular
-    convolution is computed as the linear one on a fast FFT length of at
-    least twice the grid, with its upper half folded back onto the period.
-    A kernel narrower than half a cell leaves the profile as it is.  A 2-D
-    ``profile`` is smeared row by row.
+    The one forward model of the fit and the photon sampler.  With theta =
+    w t + phi the rate is c_0 + sum c_n cos n theta (:func:`_rate_harmonics`),
+    and the Gaussian multiplies harmonic n by g_n = exp(-(n w sigma_t)^2/2):
+    folded onto the period, the wrapped normal of each photon's jitter.  A
+    bin [t_a, t_b] integrates to S(t_b) - S(t_a) + c_0 (t_b - t_a), with
+    S(t) = Im sum alpha_n e^(i n w t) (:func:`_edge_sums`) and alpha_n =
+    c_n g_n e^(i n phi)/(n w): no grid and no quadrature.
 
-    With ``width_derivative`` the result is the smeared profile's
-    derivative in sigma_t instead, which is 0 while the smear is the
-    identity.
+    With ``free`` the result is a stack: the integrals, then their exact
+    derivatives in those of amplitude, phase and sigma_t that ``free``
+    names, in that order: the same sums over the c_n's amplitude
+    derivatives, i n alpha_n, and -(n w)^2 sigma_t alpha_n, which is 0 at
+    sigma_t = 0.
     """
+    beams, amplitude = _check_rate_arguments(beams, amplitude, phase, omega_i)
     if sigma_t > period / 2:
         raise ValueError("sigma_t wider than half the period")
-    n_fine = profile.shape[-1]
-    if _smear_is_identity(period, n_fine, sigma_t):
-        return np.zeros_like(profile) if width_derivative else profile
-    fft = _fft()
-    n_fft, kernel_spectrum = _kernel_spectrum(period, n_fine, sigma_t, width_derivative)
-    linear = fft.irfft(fft.rfft(profile, n_fft) * kernel_spectrum, n_fft)
-    return linear[..., :n_fine] + linear[..., n_fine : 2 * n_fine]
+    width = omega_i * sigma_t
+    harmonics = _rate_harmonics(beams, amplitude, omega_i, width, "amplitude" in free)
+    c0, c = harmonics[:2]
+    n = np.arange(1, len(c) + 1)
+    turn = np.exp(n * (1j * phase))
+    turn /= n * omega_i
+    if width:
+        turn *= np.exp(-0.5 * (n * width) ** 2)
+    alpha = [c * turn]
+    if "amplitude" in free:
+        alpha.append(harmonics[3] * turn)
+    if "phase" in free:
+        alpha.append(1j * n * alpha[0])
+    if "sigma_t" in free:
+        alpha.append(-sigma_t * (n * omega_i) ** 2 * alpha[0])
+    edges, widths = bin_grid(period, bin_width)
+    if stop < edges[-1]:
+        widths = np.diff(np.minimum(edges, stop))
+    sums = _edge_sums(np.array(alpha), omega_i, period, bin_width, stop)
+    integrals = sums[:, 1:] - sums[:, :-1]
+    integrals[0] += c0 * widths
+    if "amplitude" in free:
+        integrals[1] += harmonics[2] * widths
+    return integrals if free else integrals[0]
+
+
+def _sin_cos(n: int, angles: np.ndarray) -> np.ndarray:
+    """Rows sin k x and cos k x for k = 1..n in turn, over the angles x:
+    shape (2 n, len(x)).  Each entry is formed alike whatever n is."""
+    theta = np.multiply.outer(np.arange(1, n + 1), angles)
+    table = np.empty((n, 2, len(angles)))
+    np.sin(theta, out=table[:, 0])
+    np.cos(theta, out=table[:, 1])
+    return table.reshape(2 * n, len(angles))
+
+
+class _EdgePhases:
+    """Read-only e^(i n w t) at a binning's edges, for n = 1..size.
+
+    The edges t_j = j h, j < n_bins, split as j = q R + r with R about
+    4 sqrt(n_bins): e^(i n w t_j) is the coarse factor ``coarse[q, n - 1]``
+    = e^(i n w q R h), 1 at q = 0, times the fine one, whose sin and cos
+    are rows 2n - 2 and 2n - 1 of ``fine``; its last column holds the last
+    edge (the period, clipped).  The tables grow at least twofold when a
+    pass asks for more harmonics; a pass that asks for fewer reads their
+    leading part, whose values do not depend on the size.
+    """
+
+    def __init__(self, omega_i: float, period: float, bin_width: float):
+        edges, widths = bin_grid(period, bin_width)
+        self.n_bins = len(widths)
+        fine_count = min(4 * math.isqrt(self.n_bins - 1) + 4, self.n_bins)
+        coarse_count = -(-self.n_bins // fine_count)
+        step = omega_i * bin_width
+        self.fine_angles = np.append(step * np.arange(fine_count), omega_i * edges[-1])
+        self.coarse_angles = step * fine_count * np.arange(coarse_count)
+        self.size = 0
+
+    def tables(self, n: int) -> tuple:
+        if n > self.size:
+            self.size = min(max(n, 2 * self.size), HARMONIC_CAP)
+            self.fine = _sin_cos(self.size, self.fine_angles)
+            coarse = _sin_cos(self.size, self.coarse_angles).reshape(self.size, 2, -1)
+            self.coarse = np.ascontiguousarray((coarse[:, 1] + 1j * coarse[:, 0]).T)
+            self.fine.flags.writeable = self.coarse.flags.writeable = False
+        return self.coarse[:, :n], self.fine[: 2 * n]
+
+
+# A binning's tables, built once and grown in place.
+_edge_phases = lru_cache(maxsize=8)(_EdgePhases)
+
+
+def _edge_sums(
+    alpha: np.ndarray, omega_i: float, period: float, bin_width: float, stop: float
+) -> np.ndarray:
+    """S_j = Im sum_n alpha[:, n - 1] e^(i n w t_j) at each TAC bin edge
+    t_j clipped at ``stop``, row by row: a complex product with the coarse
+    factors, then a real one with the fine table, as Im(x e^(i y)) =
+    Re x sin y + Im x cos y.  The first row's product is formed alone, so
+    its sums do not depend on the rows below it."""
+    n_rows, n = alpha.shape
+    phases = _edge_phases(omega_i, period, bin_width)
+    coarse, fine = phases.tables(n)
+    split = np.multiply(alpha[:, None, :], coarse, out=np.empty((n_rows, len(coarse), n), complex))
+    split = split.view(float)
+    products = np.empty((n_rows, len(coarse), fine.shape[1]))
+    np.matmul(split[0], fine, out=products[0])
+    if n_rows > 1:
+        np.matmul(split[1:].reshape(-1, 2 * n), fine, out=products[1:].reshape(-1, fine.shape[1]))
+    sums = np.empty((n_rows, phases.n_bins + 1))
+    sums[:, :-1] = products[:, :, :-1].reshape(n_rows, -1)[:, : phases.n_bins]
+    sums[:, -1] = products[:, 0, -1]
+    if stop < period:
+        cut = bin_grid(period, bin_width)[0] >= stop
+        sums[:, cut] = alpha.view(float) @ _sin_cos(n, np.array([omega_i * stop]))
+    return sums
 
 
 @lru_cache(maxsize=1)
@@ -184,10 +297,12 @@ def _fft():
 
     The first call also frees one 1 MB block.  glibc's malloc serves blocks
     below its mmap threshold from the heap and raises that threshold to the
-    size of the largest mapped block freed.  Without the raise, the smear's
-    FFT buffers (100-280 kB a call) are mapped and faulted in anew on every
-    call: a warm jittered-recovery round took 46k minor faults against 15
-    (numpy 2.4, glibc 2.36, 2-core VM).
+    size of the largest mapped block freed.  Without the raise, whether the
+    template correlation's buffers (about 200 kB a call) are mapped and
+    faulted in anew on every call depends on the heap's history: a warm
+    recovery round without jitter took 3106 minor faults in one build and
+    8 in another that differed from it only in a docstring, against 8
+    with the raise (numpy 2.4, glibc 2.36, 2-core VM).
     """
     import numpy.fft
 
@@ -210,99 +325,6 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _smear_is_identity(period: float, n_fine: int, sigma_t: float) -> bool:
-    """A kernel at most half a profile cell wide leaves the profile as it is."""
-    return sigma_t <= period / n_fine / 2
-
-
-@lru_cache(maxsize=8)
-def _kernel_spectrum(
-    period: float, n_fine: int, sigma_t: float, width_derivative: bool = False
-) -> tuple[int, np.ndarray]:
-    """Fast FFT length and read-only real spectrum of the smearing kernel.
-
-    The kernel is the unit-sum Gaussian on the profile grid with offsets
-    wrapped to (-period/2, period/2], zero-padded to ``n_fft``, the
-    smallest 5-smooth length of at least 2 n_fine.  With
-    ``width_derivative`` it is that kernel's derivative in sigma_t:
-    (dk - k_hat sum(dk)) / sum(k), with dk = k offsets^2 / sigma_t^3.
-    """
-    h = period / n_fine
-    offsets = np.arange(n_fine) * h
-    offsets = np.where(offsets > period / 2, offsets - period, offsets)
-    kernel = np.exp(-0.5 * (offsets / sigma_t) ** 2)
-    if width_derivative:
-        dk = kernel * offsets**2 / sigma_t**3
-        kernel = (dk - kernel / kernel.sum() * dk.sum()) / kernel.sum()
-    else:
-        kernel /= kernel.sum()
-    fft = _fft()
-    n_fft = _next_fast_len(2 * n_fine)
-    spectrum = fft.rfft(kernel, n_fft)
-    spectrum.flags.writeable = False
-    return n_fft, spectrum
-
-
-@lru_cache(maxsize=8)
-def _fine_grid(period: float, n_fine: int) -> np.ndarray:
-    """Read-only centres of n_fine uniform profile cells over the period."""
-    centers = (np.arange(n_fine) + 0.5) * (period / n_fine)
-    centers.flags.writeable = False
-    return centers
-
-
-@lru_cache(maxsize=8)
-def _doppler_table(omega_i: float, period: float, n_fine: int) -> tuple:
-    """Read-only cos w t and sin w t on the centres of n_fine uniform
-    profile cells over the period, from which the scattering rate forms
-    its Doppler phase w t + phi by angle addition.  The centres are
-    checked finite here, once, and not on each rate pass."""
-    centers = _fine_grid(period, n_fine)
-    _require_finite("t", centers)
-    angle = omega_i * centers
-    table = np.cos(angle), np.sin(angle)
-    for array in table:
-        array.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=8)
-def _bin_weights(period: float, n_fine: int, bin_width: float, stop=math.inf) -> tuple:
-    """Read-only ``(index, weight)`` of shape (n_bins, K + 2): the cells each
-    TAC bin reads, with the bin edges clipped at ``stop``, and their
-    weights, 0 in the padding.  K is the most cells a bin touches.
-
-    The weights integrate exactly the piecewise quadratic through each
-    cell's centre value and its two neighbours' (wrapping around the
-    period).  On the part [a, b] of a cell inside a bin, in cell units from
-    its centre, the cell weighs b - a - (b^3 - a^3)/3 and its right and
-    left neighbours (b^3 - a^3)/6 +- (b^2 - a^2)/4; a whole cell weighs
-    11/12 on itself and 1/24 on each neighbour.
-    """
-    edges, _ = bin_grid(period, bin_width)
-    at = np.minimum(edges, stop) / period * n_fine
-    first = np.floor(at[:-1]).astype(np.intp)
-    cells = first[:, None] - 1 + np.arange(int(np.max(np.ceil(at[1:]) - first)) + 2)
-    lo = np.clip(at[:-1, None] - cells, 0.0, 1.0)
-    hi = np.clip(at[1:, None] - cells, 0.0, 1.0)
-    a, b, width = lo - 0.5, hi - 0.5, hi - lo
-    d2, d3 = width * (b + a), width * (a * a + a * b + b * b)
-    weight = width - d3 / 3
-    weight[:, 1:] += d3[:, :-1] / 6 + d2[:, :-1] / 4
-    weight[:, :-1] += d3[:, 1:] / 6 - d2[:, 1:] / 4
-    weight *= period / n_fine
-    index = cells % n_fine
-    index.flags.writeable = weight.flags.writeable = False
-    return index, weight
-
-
-def _bin_integrals(profile: np.ndarray, period: float, bin_width: float, stop=math.inf):
-    """Integral of the profile over each TAC bin clipped at ``stop``, row
-    by row for a 2-D profile, from the binning's :func:`_bin_weights`."""
-    index, weight = _bin_weights(period, profile.shape[-1], bin_width, stop)
-    return np.einsum("...bk,bk->...b", np.take(profile, index, axis=-1), weight)
-
-
 def model_curve(
     params: FitModelParams,
     beams,
@@ -320,7 +342,7 @@ def model_curve(
     curve's exact derivative in parameter ``free[j]``.  The alpha and beta
     columns are the rate integrals and the bin widths over the bin width;
     the amplitude, phase and sigma_t columns are alpha times the bin
-    integrals of the profile's derivatives (:func:`model_profile`).  Those
+    integrals' derivatives (:func:`rate_integrals`).  Those
     integrals do not depend on alpha or beta and are kept
     (:func:`_shape_integrals`); the scaling is applied fresh on each call.
     """
@@ -348,18 +370,15 @@ def _shape_integrals(
     bin_width: float,
     free: tuple,
 ) -> np.ndarray:
-    """Read-only bin integrals of the smeared profile, then (with ``free``)
-    of its derivative rows in those shape parameters, as
-    :func:`model_profile` stacks them.
+    """Read-only :func:`rate_integrals`, with (for ``free``) their
+    derivative rows in those shape parameters.
 
     They hold no alpha or beta, so the fits that share a start (the
     template amplitude, the reference phase and sigma_t, equal across a
-    campaign's gates) form the start's profile once; the last 16 are
+    campaign's gates) form the start's integrals once; the last 16 are
     kept.
     """
-    n_fine = MODEL_FINE_FACTOR * len(bin_grid(period, bin_width)[1])
-    profile = model_profile(beams, amplitude, phase, sigma_t, omega_i, period, n_fine, free)
-    integrals = _bin_integrals(profile, period, bin_width)
+    integrals = rate_integrals(beams, amplitude, phase, sigma_t, omega_i, period, bin_width, free)
     integrals.flags.writeable = False
     return integrals
 
@@ -583,10 +602,8 @@ def fit_histogram(
     degree of freedom.
 
     Every start value must be finite and inside the searched range
-    (:func:`check_start`), or a ValueError names it.  While sigma_t is at
-    most half a profile cell the smear is the identity and its column is
-    0, so a free sigma_t that starts there (at 0, say) keeps its start
-    value.
+    (:func:`check_start`), or a ValueError names it.  The sigma_t column
+    is 0 at sigma_t = 0, so a free sigma_t that starts at 0 stays there.
     """
     if hist.total_counts == 0:
         raise NoModulationError("empty histogram")
@@ -601,9 +618,10 @@ def fit_histogram(
     check_start(init, hist.period)
 
     free = tuple(name for name in PARAM_NAMES if name not in frozen)
-    # While the smear is the identity its sigma_t column is 0, whatever the
-    # other parameters: a free sigma_t that starts there cannot move.
-    if _smear_is_identity(hist.period, MODEL_FINE_FACTOR * hist.n_bins, init.sigma_t):
+    # The model is even in sigma_t, so its sigma_t column is 0 at 0,
+    # whatever the other parameters: a free sigma_t that starts there
+    # cannot move.
+    if init.sigma_t == 0:
         free = tuple(name for name in free if name != "sigma_t")
     if not free:
         raise ValueError("at least one parameter must be free")

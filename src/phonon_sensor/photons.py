@@ -6,9 +6,11 @@ modulo the oscillation period, its counts in the TAC bins are independent
 Poisson variates whose means integrate that rate over the gate, so
 :func:`synthesize_histogram` draws the folded counts directly: the signal
 total, then its split over the bins (the full periods after the timing
-jitter's circular smear, the partial one unjittered), then uniform
-background at the signal count over the signal-to-background ratio.  No
-arrival time is drawn.
+jitter, the partial one unjittered), then uniform background at the
+signal count over the signal-to-background ratio.  No arrival time is
+drawn.  The bin means are exact: they come from the fit's forward model,
+``fitting.rate_integrals``, the rate's cosine series integrated in closed
+form over each bin.
 
 What depends only on the binning is built once per binning and shared
 read-only: the bin edges and widths (:func:`bin_grid`).  What depends only
@@ -123,12 +125,14 @@ def folded_law(
     mean signal count per TAC bin, and the time per bin the gate folds in.
 
     The gate holds ``floor(gate/T)`` full periods plus the partial period
-    ``[0, gate mod T)``.  The rate is the fit's forward model,
-    ``fitting.model_profile``, on the fit's grid and bin weights.  The full
-    periods' bin means are those after the timing jitter, whose circular
-    smear keeps their sum up to rounding; the partial period's are the
-    unsmeared rate over the bins clipped at ``gate mod T``, unjittered as
-    the background is.  The total is the sum of the bin means.
+    ``[0, gate mod T)``.  Both integrate the rate over the bins exactly,
+    through the fit's forward model ``fitting.rate_integrals``.  The full
+    periods' bin means are those after the timing jitter: each arrival
+    jittered by a Gaussian and folded, which multiplies harmonic n of the
+    rate by exp(-(n w sigma)^2/2) and keeps the sum.  The partial period's
+    are the rate with sigma = 0 over the bins clipped at ``gate mod T``,
+    unjittered as the background is.  The total is the sum of the bin
+    means.
 
     The law of the last arguments is kept, with read-only arrays, so the
     gates drawn in a row at one amplitude build it once.
@@ -140,20 +144,21 @@ def folded_law(
 def _folded_law(
     beams: tuple, amplitude: float, phase: float, omega_i: float, pipeline: PipelineConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    from .fitting import MODEL_FINE_FACTOR, _bin_integrals, circular_smear, model_profile
+    from .fitting import rate_integrals
 
     period = TWO_PI / omega_i
     edges, widths = bin_grid(period, pipeline.bin_width)
     n_periods, rest = divmod(pipeline.gate_time, period)
     gate_share = n_periods * widths + np.clip(rest - edges[:-1], 0.0, widths)
 
-    n_fine = MODEL_FINE_FACTOR * len(widths)
-    rate = model_profile(beams, amplitude, phase, 0.0, omega_i, period, n_fine)
-    smeared = circular_smear(rate, period, pipeline.timing_jitter)
-    signal_means = n_periods * _bin_integrals(smeared, period, pipeline.bin_width)
-    signal_means += _bin_integrals(rate, period, pipeline.bin_width, rest)
+    law = (beams, amplitude, phase)
+    signal_means = n_periods * rate_integrals(
+        *law, pipeline.timing_jitter, omega_i, period, pipeline.bin_width
+    )
+    signal_means += rate_integrals(*law, 0.0, omega_i, period, pipeline.bin_width, stop=rest)
     signal_means *= pipeline.efficiency
-    # With a bin or two per period, the rule can dip below 0 on a short cut.
+    # A cut a few ulp past a bin edge can round below 0 (-2.5e-16 counts),
+    # and past the harmonic cap (about 0.5 mm) the cut series can dip below 0.
     np.maximum(signal_means, 0.0, out=signal_means)
     signal_means.flags.writeable = gate_share.flags.writeable = False
     return float(signal_means.sum()), signal_means, gate_share

@@ -214,27 +214,9 @@ def scattering_rate_max(beam: LaserBeam, amplitude: float, omega_i: float) -> fl
     return (gamma * s / (4.0 * math.pi)) / (1.0 + s + 4.0 * ratio**2)
 
 
-def total_scattering_rate(beams, amplitude, phase, omega_i, t, derivatives=False, table=None):
-    """Sum of per-beam scattering rates (see ``scattering_rate``).
-
-    The inputs are checked and the Doppler cosine is formed once for all
-    beams; each beam's Lorentzian is then evaluated in place.  A scalar
-    ``t`` gives a scalar.
-
-    ``table`` is ``(cos w t, sin w t)`` on the times ``t``, which a caller
-    that evaluates the rate on one time grid many times builds once (and
-    checks finite then).  With it, cos(w t + phi) and sin(w t + phi) come
-    by angle addition from the table and the phase's cosine and sine, four
-    multiplies and two adds per time in place of two libm calls, and ``t``
-    is not checked again.  Without it they come from ``w t + phi``
-    directly.  Both forms round at the level of ``w t + phi`` itself.
-
-    With ``derivatives`` the result is ``(rate, d rate/d amplitude,
-    d rate/d phase)``, formed in the same pass.  With theta = w t + phi,
-    x = (Delta - k w A cos theta)/Gamma and D = 1 + s + 4 x^2, each beam
-    adds 8 (Gamma s/4pi) x k w / (Gamma D^2) to a common factor G; then
-    d/dA = G cos theta and d/dphi = -A G sin theta.
-    """
+def _check_rate_arguments(beams, amplitude, phase, omega_i) -> tuple[tuple, float]:
+    """Check the rate's arguments other than the times; return the beams
+    as a non-empty tuple and the amplitude as a float."""
     beams = tuple(beams)
     if not beams:
         raise ValueError("need at least one beam")
@@ -244,48 +226,34 @@ def total_scattering_rate(beams, amplitude, phase, omega_i, t, derivatives=False
     _require_finite("amplitude", amplitude)
     _require_finite("phase", phase)
     _require_frequency(omega_i)
-    if table is None:
-        _require_finite("t", t)
-        t = np.asarray(t)
-        cosine = np.multiply(t, omega_i, out=np.empty(t.shape))
-        cosine += phase
-        if derivatives:
-            sine = np.sin(cosine)
-        np.cos(cosine, out=cosine)
-    else:
-        cos_wt, sin_wt = table
-        cos_phi, sin_phi = math.cos(phase), math.sin(phase)
-        cosine = cos_wt * cos_phi
-        cosine -= sin_wt * sin_phi
-        if derivatives:
-            sine = sin_wt * cos_phi
-            sine += cos_wt * sin_phi
-    shape = cosine.shape
-    if derivatives:
-        common = np.zeros(shape)
-        ratio = np.empty(shape)
-    total = np.zeros(shape)
-    rate = np.empty(shape)
+    return beams, amplitude
+
+
+def total_scattering_rate(beams, amplitude, phase, omega_i, t):
+    """Sum of per-beam scattering rates (see ``scattering_rate``).
+
+    The inputs are checked and the Doppler cosine is formed once for all
+    beams; each beam's Lorentzian is then evaluated in place.  A scalar
+    ``t`` gives a scalar.
+    """
+    beams, amplitude = _check_rate_arguments(beams, amplitude, phase, omega_i)
+    _require_finite("t", t)
+    t = np.asarray(t)
+    cosine = np.multiply(t, omega_i, out=np.empty(t.shape))
+    cosine += phase
+    np.cos(cosine, out=cosine)
+    total = np.zeros(cosine.shape)
+    rate = np.empty(cosine.shape)
     for beam in beams:
         s, gamma = beam.saturation, beam.linewidth
-        peak = gamma * s / (4.0 * math.pi)
         np.multiply(cosine, beam.wave_number * omega_i * amplitude, out=rate)
         np.subtract(beam.detuning, rate, out=rate)
         rate /= gamma
-        if derivatives:
-            np.copyto(ratio, rate)
         np.square(rate, out=rate)
         rate *= 4.0
         rate += 1.0 + s
-        if derivatives:
-            ratio /= rate
-            ratio /= rate
-            ratio *= 8.0 * peak * beam.wave_number * omega_i / gamma
-            common += ratio
-        np.divide(peak, rate, out=rate)
+        np.divide(gamma * s / (4.0 * math.pi), rate, out=rate)
         total += rate
-    if derivatives:
-        return total, common * cosine, -amplitude * common * sine
     return total if total.ndim else total[()]
 
 

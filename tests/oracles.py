@@ -4,11 +4,12 @@ The full Langevin equation (:func:`integrate_langevin`), demodulated into
 quadratures, checks the envelope model, and :func:`circular_std` the
 locked-phase spreads.  The per-photon path (thinning, timing jitter,
 folding) checks the binned photon law, and scipy's trust-region solver
-(:func:`least_squares_fit`) the package's own fit loop.  The smear and
-the template correlation on ``scipy.fft`` (:func:`scipy_circular_smear`,
-:func:`scipy_circular_correlation`) check the fit's numpy FFTs, and the
-rate with its Doppler phase taken directly (:func:`direct_scattering_rate`)
-the rate's angle addition from a table.
+(:func:`least_squares_fit`) the package's own fit loop.  The template
+correlation on ``scipy.fft`` (:func:`scipy_circular_correlation`) checks
+the fit's numpy FFTs.  The rate and its amplitude derivative on a time
+grid (:func:`direct_scattering_rate`) check the rate's cosine series, and
+the rate convolved with the wrapped normal by quadrature
+(:func:`wrapped_gaussian_bin_means`) the series' jitter factors.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from phonon_sensor.constants import TWO_PI
 from phonon_sensor.dynamics import NoiseModel, QuadraturePath, _spread, _squeeze_modulation
 from phonon_sensor.fitting import (
     DEFAULT_FROZEN,
-    MODEL_FINE_FACTOR,
     PARAM_NAMES,
     FitModelParams,
     FitResult,
@@ -30,7 +30,6 @@ from phonon_sensor.fitting import (
     _deviance_residuals,
     _fit_bounds,
     _is_flat,
-    _smear_is_identity,
     check_start,
     model_curve,
     wrap_phase,
@@ -263,7 +262,7 @@ def least_squares_fit(
     check_start(init, hist.period)
 
     free = tuple(name for name in PARAM_NAMES if name not in frozen)
-    if _smear_is_identity(hist.period, MODEL_FINE_FACTOR * hist.n_bins, init.sigma_t):
+    if init.sigma_t == 0:
         free = tuple(name for name in free if name != "sigma_t")
     bounds = _fit_bounds(hist.period)
     n_log_n = counts * np.log(np.where(counts > 0, counts, 1.0))
@@ -328,30 +327,6 @@ def least_squares_fit(
     )
 
 
-def scipy_circular_smear(
-    profile: np.ndarray, period: float, sigma_t: float, width_derivative: bool = False
-) -> np.ndarray:
-    """:func:`phonon_sensor.fitting.circular_smear` of a kernel wider than
-    half a cell, on ``scipy.fft`` and its ``next_fast_len``: the unit-sum
-    Gaussian (or its sigma_t derivative) on the profile grid, convolved on
-    a 5-smooth length of at least twice the grid, upper half folded back."""
-    import scipy.fft
-
-    n_fine = profile.shape[-1]
-    offsets = np.arange(n_fine) * (period / n_fine)
-    offsets = np.where(offsets > period / 2, offsets - period, offsets)
-    kernel = np.exp(-0.5 * (offsets / sigma_t) ** 2)
-    if width_derivative:
-        dk = kernel * offsets**2 / sigma_t**3
-        kernel = (dk - kernel / kernel.sum() * dk.sum()) / kernel.sum()
-    else:
-        kernel /= kernel.sum()
-    n_fft = scipy.fft.next_fast_len(2 * n_fine, real=True)
-    spectrum = scipy.fft.rfft(profile, n_fft) * scipy.fft.rfft(kernel, n_fft)
-    linear = scipy.fft.irfft(spectrum, n_fft)
-    return linear[..., :n_fine] + linear[..., n_fine : 2 * n_fine]
-
-
 def scipy_circular_correlation(signal: np.ndarray, templates: np.ndarray) -> np.ndarray:
     """Circular cross-correlation of ``signal`` with each row of
     ``templates`` over all shifts, on ``scipy.fft``: the linear one on a
@@ -365,17 +340,41 @@ def scipy_circular_correlation(signal: np.ndarray, templates: np.ndarray) -> np.
     return linear[:, :n] + linear[:, n_fft - n :]
 
 
+def wrapped_gaussian_bin_means(
+    beams, amplitude, phase, omega_i, sigma, lo, hi, n_points=4096, n_nodes=16
+):
+    """Mean over each interval [lo, hi] of the summed rate convolved with the
+    normal of width ``sigma`` wrapped onto the period 2 pi / omega_i: the law
+    of arrivals jittered by that normal and folded.
+
+    The convolution is the trapezoid rule on ``n_points`` over the period,
+    which converges geometrically for a smooth periodic integrand, with the
+    wrapped density summed over 61 images; each interval takes ``n_nodes``
+    Gauss-Legendre nodes.
+    """
+    period = TWO_PI / omega_i
+    lag = np.arange(n_points) * (period / n_points)
+    images = np.arange(-30, 31)[:, None] * period
+    density = np.exp(-0.5 * ((lag + images) / sigma) ** 2).sum(axis=0)
+    weights_lag = density * (period / n_points) / (sigma * math.sqrt(TWO_PI))
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    means = []
+    for start, end in zip(lo, hi):
+        t = 0.5 * (end - start) * nodes + 0.5 * (end + start)
+        rate, _ = direct_scattering_rate(beams, amplitude, phase, omega_i, t[:, None] - lag)
+        means.append(0.5 * weights @ (rate @ weights_lag))
+    return np.array(means)
+
+
 def direct_scattering_rate(beams, amplitude, phase, omega_i, t):
-    """Summed scattering rate and its derivatives in amplitude and phase,
-    ``(rate, d/dA, d/dphi)``, with cos and sin of theta = w t + phi taken
-    by ``np.cos`` and ``np.sin`` of theta itself, beam by beam:
-    rate = (Gamma s/4pi) / D with D = 1 + s + 4 x^2 and
-    x = (Delta - k w A cos theta)/Gamma, so d rate/d cos theta =
-    8 (Gamma s/4pi) x k w A / (Gamma D^2)."""
-    theta = omega_i * np.asarray(t) + phase
-    cosine, sine = np.cos(theta), np.sin(theta)
-    rate = np.zeros(theta.shape)
-    slope = np.zeros(theta.shape)  # d rate / d (A cos theta)
+    """Summed scattering rate and its derivative in the amplitude,
+    ``(rate, d/dA)``, with cos theta = cos(w t + phi) taken by ``np.cos``
+    of theta itself, beam by beam: rate = (Gamma s/4pi) / D with
+    D = 1 + s + 4 x^2 and x = (Delta - k w A cos theta)/Gamma, so
+    d rate/dA = 8 (Gamma s/4pi) x k w cos theta / (Gamma D^2)."""
+    cosine = np.cos(omega_i * np.asarray(t) + phase)
+    rate = np.zeros(cosine.shape)
+    slope = np.zeros(cosine.shape)  # d rate / d (A cos theta)
     for beam in beams:
         s, gamma, k = beam.saturation, beam.linewidth, beam.wave_number
         peak = gamma * s / (4.0 * math.pi)
@@ -383,4 +382,4 @@ def direct_scattering_rate(beams, amplitude, phase, omega_i, t):
         denominator = 1.0 + s + 4.0 * x**2
         rate += peak / denominator
         slope += 8.0 * peak * x * k * omega_i / (gamma * denominator**2)
-    return rate, slope * cosine, -amplitude * slope * sine
+    return rate, slope * cosine

@@ -23,10 +23,11 @@ from phonon_sensor.experiments import (
     sensitivity,
 )
 from phonon_sensor.fitting import (
+    FitModelParams,
     chain_init_params,
     fit_histogram,
     initial_guess,
-    model_profile,
+    model_curve,
     wrap_phase,
 )
 from phonon_sensor.photons import PipelineConfig, synthesize_histogram
@@ -196,17 +197,17 @@ def test_criterion_06_phase_time_equivalence():
             worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
     kernel_ok = worst < 1e-12
 
-    # Exact model-profile identity for grid-commensurate shifts.
-    n_fine = 4304
-    h = PERIOD / n_fine
-    profile = model_profile(BEAMS, 21.677e-6, 0.028, 0.8e-6, OMEGA, PERIOD, n_fine)
+    # Exact model-curve identity for whole-bin shifts on a period of whole
+    # bins.
+    n_bins = 538
+    h = PERIOD / n_bins
+    base = FitModelParams(21.677e-6, 0.028, 1.0, 0.0, 0.8e-6)
+    curve = model_curve(base, BEAMS, OMEGA, PERIOD, h)
     model_worst = 0.0
-    for k in (3, 538, 2152):
-        shifted = 0.028 + k * h * OMEGA
-        rolled = model_profile(BEAMS, 21.677e-6, shifted, 0.8e-6, OMEGA, PERIOD, n_fine)
-        err = np.max(
-            np.abs(rolled - np.roll(profile, -k)) / np.maximum(np.abs(profile), 1e-300)
-        )
+    for k in (3, 67, 269):
+        shifted = FitModelParams(21.677e-6, 0.028 + k * h * OMEGA, 1.0, 0.0, 0.8e-6)
+        rolled = model_curve(shifted, BEAMS, OMEGA, PERIOD, h)
+        err = np.max(np.abs(rolled - np.roll(curve, -k)) / np.maximum(np.abs(curve), 1e-300))
         model_worst = max(model_worst, float(err))
     model_ok = model_worst < 1e-12
 

@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from phonon_sensor import fitting
 from phonon_sensor.constants import DEFAULT_AXIAL_FREQUENCY, TWO_PI
 from phonon_sensor.fitting import (
     DEFAULT_FROZEN,
-    MODEL_FINE_FACTOR,
     PARAM_NAMES,
     FitModelParams,
     NoModulationError,
@@ -23,7 +21,6 @@ from phonon_sensor.fitting import (
     initial_guess,
     load_fit_report,
     model_curve,
-    model_profile,
     save_fit_report,
     wrap_phase,
 )
@@ -40,7 +37,7 @@ from oracles import (
     direct_scattering_rate,
     least_squares_fit,
     scipy_circular_correlation,
-    scipy_circular_smear,
+    wrapped_gaussian_bin_means,
 )
 
 BEAMS = default_beams()
@@ -72,12 +69,9 @@ def fit_with_chain_init(hist, pipe=PIPE, **kwargs):
 class TestModelCurve:
     def test_delta_kernel_is_pure_binned_rate(self):
         # Independent oracle: Gauss-Legendre integration of the rate over a
-        # few bins, without any convolution machinery.  The default fine
-        # grid is good to ~1e-5; a denser grid converges to the oracle.
+        # few bins, without any series machinery.
         params = FitModelParams(22e-6, 0.1, 1.0, 0.0, 0.0)
         curve = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9)
-        fine = model_profile(BEAMS, 22e-6, 0.1, 0.0, OMEGA, PERIOD, 64 * 538)
-        dense = fitting._bin_integrals(fine, PERIOD, 10e-9) / 10e-9
         nodes, weights = np.polynomial.legendre.leggauss(24)
         for idx in (0, 100, 267, 400, 537):
             lo = idx * 10e-9
@@ -86,8 +80,7 @@ class TestModelCurve:
             integral = 0.5 * (hi - lo) * np.sum(
                 weights * total_scattering_rate(BEAMS, 22e-6, 0.1, OMEGA, t)
             )
-            assert curve[idx] == pytest.approx(integral / 10e-9, rel=2e-5)
-            assert dense[idx] == pytest.approx(integral / 10e-9, rel=5e-7)
+            assert curve[idx] == pytest.approx(integral / 10e-9, rel=1e-12)
 
     def test_zero_amplitude_flat(self):
         params = FitModelParams(0.0, 0.3, 1.0, 5.0, 0.0)
@@ -117,43 +110,30 @@ class TestModelCurve:
             model_curve(bad, BEAMS, OMEGA, PERIOD, 10e-9)
 
     def test_phase_translation_identity_exact(self):
-        # Advancing the phase by k fine cells rotates the profile by k.
-        n_fine = 4304
-        h = PERIOD / n_fine
-        amplitude, phase = REF_CASE_A
-        profile = model_profile(BEAMS, amplitude, phase, 0.8e-6, OMEGA, PERIOD, n_fine)
-        for k in (1, 17, 215, 2152):
-            shifted = phase + k * h * OMEGA
-            rolled = model_profile(BEAMS, amplitude, shifted, 0.8e-6, OMEGA, PERIOD, n_fine)
-            np.testing.assert_allclose(rolled, np.roll(profile, -k), rtol=1e-12)
+        # On a period of whole bins, advancing the phase by k bins rotates
+        # the curve by k bins.
+        bin_width = PERIOD / 538
+        base = FitModelParams(*REF_CASE_A, 1.0, 0.0, 0.8e-6)
+        curve = model_curve(base, BEAMS, OMEGA, PERIOD, bin_width)
+        for k in (1, 17, 215, 269):
+            shifted = replace(base, phase=base.phase + k * bin_width * OMEGA)
+            rolled = model_curve(shifted, BEAMS, OMEGA, PERIOD, bin_width)
+            np.testing.assert_allclose(rolled, np.roll(curve, -k), rtol=1e-12)
 
-    @pytest.mark.parametrize("n_fine", [97, 538, 4304])
+    # At sigma_t = period / 2 the wrapped normal wraps round the whole period.
     @pytest.mark.parametrize("sigma_t", [0.05e-6, 0.8e-6, PERIOD / 2])
-    def test_smear_matches_direct_circular_convolution(self, n_fine, sigma_t):
-        # O(n^2) oracle: profile[j] = sum_k kernel[k] * rate[(j - k) mod n],
-        # with the unit-sum kernel on wrapped grid offsets.  97 is prime;
-        # at sigma_t = period / 2 the kernel wraps round the whole period.
-        h = PERIOD / n_fine
-        centers = (np.arange(n_fine) + 0.5) * h
-        rate = total_scattering_rate(BEAMS, *REF_CASE_A, OMEGA, centers)
-        offsets = np.arange(n_fine) * h
-        offsets = np.where(offsets > PERIOD / 2, offsets - PERIOD, offsets)
-        kernel = np.exp(-0.5 * (offsets / sigma_t) ** 2)
-        kernel /= kernel.sum()
-        expected = np.zeros(n_fine)
-        for k in range(n_fine):
-            expected += kernel[k] * np.roll(rate, k)
-        profile = model_profile(BEAMS, *REF_CASE_A, sigma_t, OMEGA, PERIOD, n_fine)
-        np.testing.assert_allclose(profile, expected, rtol=0, atol=1e-12 * expected.max())
-
-        n_fft, spectrum = fitting._kernel_spectrum(PERIOD, n_fine, sigma_t)
-        assert n_fft >= 2 * n_fine
-        assert len(spectrum) == n_fft // 2 + 1
-        smooth = n_fft
-        for prime in (2, 3, 5):
-            while smooth % prime == 0:
-                smooth //= prime
-        assert smooth == 1
+    @pytest.mark.parametrize("amplitude", [12e-6, 21.677e-6, 32e-6])
+    def test_jitter_matches_a_direct_wrapped_gaussian_convolution(self, amplitude, sigma_t):
+        # The law of the per-photon path, which jitters each arrival and
+        # then folds it: the rate convolved with the wrapped normal.
+        params = FitModelParams(amplitude, 0.028, 1.0, 0.0, sigma_t)
+        curve = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9)
+        edges = bin_grid(PERIOD, 10e-9)[0]
+        bins = np.arange(0, 538, 23)
+        expected = wrapped_gaussian_bin_means(
+            BEAMS, amplitude, 0.028, OMEGA, sigma_t, edges[bins], edges[bins + 1]
+        )
+        np.testing.assert_allclose(curve[bins], expected, rtol=1e-12)
 
     @pytest.mark.parametrize("sigma_t", [0.0, 0.8e-6])
     @settings(max_examples=20, deadline=None)
@@ -196,33 +176,120 @@ class TestModelCurve:
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_reference_shape_regime(self):
-        # At the reference parameters the sharp profile carries the two
+        # At the reference parameters the sharp curve carries the two
         # resonance crossings plus the counter-propagating feature; the
         # published 0.8 us dispersion merges them into one broad maximum
         # whose height tracks the amplitude.
-        sharp = model_profile(BEAMS, *REF_CASE_A, 0.0, OMEGA, PERIOD, 4304)
-        smeared = model_profile(BEAMS, *REF_CASE_A, 0.8e-6, OMEGA, PERIOD, 4304)
+        bin_width = PERIOD / 4304
 
-        def count_maxima(y):
+        def count_maxima(sigma_t):
+            params = FitModelParams(*REF_CASE_A, 1.0, 0.0, sigma_t)
+            y = model_curve(params, BEAMS, OMEGA, PERIOD, bin_width)
             left, right = np.roll(y, 1), np.roll(y, -1)
             return int(np.count_nonzero((y > left) & (y >= right)))
 
-        assert count_maxima(sharp) == 3
-        assert count_maxima(smeared) == 1
+        assert count_maxima(0.0) == 3
+        assert count_maxima(0.8e-6) == 1
 
     def test_amplitude_diagnostic_monotone(self):
         # The second peak of the folded curve sits where the ion
         # counter-propagates fastest (omega t + phase = pi), as the
         # far-detuned beam nears its Doppler resonance; its height grows
         # with the amplitude, sharp or smeared.
-        n_fine, phase = 4096, 0.028
-        idx = int((math.pi - phase) / OMEGA % PERIOD / (PERIOD / n_fine)) % n_fine
+        n_bins, phase = 4096, 0.028
+        idx = int((math.pi - phase) / OMEGA % PERIOD / (PERIOD / n_bins)) % n_bins
         for sigma in (0.0, 0.8e-6):
             heights = [
-                model_profile(BEAMS, a * 1e-6, phase, sigma, OMEGA, PERIOD, n_fine)[idx]
+                model_curve(
+                    FitModelParams(a * 1e-6, phase, 1.0, 0.0, sigma),
+                    BEAMS,
+                    OMEGA,
+                    PERIOD,
+                    PERIOD / n_bins,
+                )[idx]
                 for a in (18, 20, 22, 24, 26)
             ]
             assert all(np.diff(heights) > 0)
+
+
+class TestRateHarmonics:
+    """The rate's closed-form cosine series, against its discrete Fourier
+    transform and the direct bin integrals."""
+
+    # At 0 the series is the constant and the first harmonic's slope alone.
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-6, 21.677e-6, 32e-6, 40e-6])
+    def test_coefficients_match_an_fft_of_the_rate(self, amplitude):
+        # On 2^14 points over the period, the FFT of the rate and of its
+        # amplitude derivative (phase 0) give c_n and dc_n/dA to rounding.
+        n_points = 2**14
+        t = np.arange(n_points) * (PERIOD / n_points)
+        rate, slope = direct_scattering_rate(BEAMS, amplitude, 0.0, OMEGA, t)
+        c0, c, dc0, dc = fitting._rate_harmonics(BEAMS, amplitude, OMEGA, 0.0, True)
+        assert len(c) < n_points // 2
+        for got0, got, row in ((c0, c, rate), (dc0, dc, slope)):
+            spectrum = np.fft.rfft(row) / n_points
+            scale = np.abs(spectrum).max()
+            assert got0 == pytest.approx(spectrum[0].real, rel=1e-12, abs=1e-14 * scale)
+            expected = 2 * spectrum[1 : len(got) + 1]
+            np.testing.assert_allclose(got, expected.real, rtol=1e-12, atol=1e-14 * scale)
+            # The series has no sine terms, and the FFT nothing past the cut.
+            assert np.abs(spectrum.imag).max() < 1e-14 * scale
+            assert np.abs(spectrum[len(got) + 1 :]).max() < 1e-14 * scale
+
+    @pytest.mark.parametrize(
+        "amplitude, width, expected",
+        [(0.0, 0.0, 1), (21.677e-6, 0.0, 172), (32e-6, 0.0, 270), (21.677e-6, 0.2e-6, 33)],
+    )
+    def test_harmonic_count(self, amplitude, width, expected):
+        c = fitting._rate_harmonics(BEAMS, amplitude, OMEGA, OMEGA * width, False)[1]
+        assert len(c) == expected
+
+    # A cut at 0.4 of the period leaves a 1 ns sliver of a 10 ns bin; one
+    # at 3.7 us falls on an edge of the 0.37 us bins; one at 1e-3 of the
+    # period cuts the first bin.
+    @pytest.mark.parametrize("stop", [0.4 * PERIOD, 10 * 0.37e-6, 1e-3 * PERIOD])
+    @pytest.mark.parametrize("bin_width", [10e-9, 0.37e-6, PERIOD])
+    def test_clipped_integrals_match_gauss_legendre(self, bin_width, stop):
+        # The sampler's partial period: the bins' edges clipped at a cut,
+        # exact to 1e-12 of a full bin; the bins past the cut are empty.
+        got = fitting.rate_integrals(BEAMS, *REF_CASE_A, 0.0, OMEGA, PERIOD, bin_width, stop=stop)
+        edges = np.minimum(bin_grid(PERIOD, bin_width)[0], stop)
+        nodes, weights = np.polynomial.legendre.leggauss(200)
+        expected = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+            rate = total_scattering_rate(BEAMS, *REF_CASE_A, OMEGA, t)
+            expected.append(0.5 * (hi - lo) * np.sum(weights * rate))
+        expected = np.array(expected)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * expected.max())
+        assert np.all(got[edges[:-1] >= stop] == 0)
+
+    @pytest.mark.parametrize(
+        "beams, args, message",
+        [
+            ((), (21.677e-6, 0.0, OMEGA), "need at least one beam"),
+            (BEAMS, (-1e-6, 0.0, OMEGA), "amplitude must be >= 0"),
+            (BEAMS, (math.nan, 0.0, OMEGA), "amplitude must be finite"),
+            (BEAMS, (21.677e-6, math.inf, OMEGA), "phase must be finite"),
+            (BEAMS, (21.677e-6, 0.0, 0.0), "omega_i must be > 0"),
+            (BEAMS, (21.677e-6, 0.0, math.nan), "omega_i must be > 0"),
+        ],
+    )
+    def test_rejects_bad_inputs(self, beams, args, message):
+        amplitude, phase, omega_i = args
+        with pytest.raises(ValueError, match=message):
+            fitting.rate_integrals(beams, amplitude, phase, 0.0, omega_i, PERIOD, 10e-9)
+
+    def test_an_absurd_amplitude_stays_finite_within_the_cap(self):
+        # At 1 m the series would need about 1e7 harmonics; it is cut at
+        # the cap, and the curve and the sampler's law stay finite.
+        c = fitting._rate_harmonics(BEAMS, 1.0, OMEGA, 0.0, False)[1]
+        assert len(c) == fitting.HARMONIC_CAP
+        params = FitModelParams(1.0, 0.3, 1.0, 0.0, 0.0)
+        curve, columns = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9, free=PARAM_NAMES)
+        assert np.all(np.isfinite(curve)) and np.all(np.isfinite(columns))
+        total, means, _ = folded_law(BEAMS, 1.0, 0.3, OMEGA, PIPE)
+        assert math.isfinite(total) and np.all(np.isfinite(means))
 
 
 class TestDeriveAlphaBeta:
@@ -309,10 +376,8 @@ def per_template_guess(hist, beams, sigma_t=0.0):
 
 def clear_caches():
     fitting._template_bank.cache_clear()
-    fitting._kernel_spectrum.cache_clear()
-    fitting._doppler_table.cache_clear()
     fitting._shape_integrals.cache_clear()
-    fitting._bin_weights.cache_clear()
+    fitting._edge_phases.cache_clear()
 
 
 def assert_same_params(got, expected):
@@ -363,9 +428,9 @@ class TestCaches:
         template_conj = spectra[0]
         with pytest.raises(ValueError):
             template_conj[0] = 0.0
-        _, spectrum = fitting._kernel_spectrum(PERIOD, 4304, 0.2e-6)
-        with pytest.raises(ValueError):
-            spectrum[0] = 0.0
+        for table in fitting._edge_phases(OMEGA, PERIOD, 10e-9).tables(8):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
     def test_templates_correlate_on_a_fast_length(self):
         bank = fitting._template_bank(BEAMS, OMEGA, PERIOD, 10e-9, 0.0)
@@ -395,218 +460,40 @@ class TestCaches:
         expected = np.minimum(np.arange(n_bins + 1) * bin_width, PERIOD)
         assert np.array_equal(edges, expected)
         assert np.array_equal(widths, np.diff(expected))
-        n_fine = MODEL_FINE_FACTOR * n_bins
-        centers = fitting._fine_grid(PERIOD, n_fine)
-        assert fitting._fine_grid(PERIOD, n_fine) is centers
-        assert np.array_equal(centers, (np.arange(n_fine) + 0.5) * (PERIOD / n_fine))
-        for array in (edges, widths, centers):
+        for array in (edges, widths):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
-    def test_bin_integrals_of_rows_match_each_row(self):
-        rng = np.random.default_rng(5)
-        profile = rng.uniform(size=(3, 8 * 414))
-        stacked = fitting._bin_integrals(profile, PERIOD, 13e-9)
-        for row, integrals in zip(profile, stacked):
-            assert np.array_equal(fitting._bin_integrals(row, PERIOD, 13e-9), integrals)
-
-    @pytest.mark.parametrize("sigma_t", [0.2e-6, 0.8e-6])
-    def test_jittered_profile_matches_inline_kernel_fft(self, sigma_t):
-        n_fine = 4304
-        h = PERIOD / n_fine
-        centers = (np.arange(n_fine) + 0.5) * h
-        rate = total_scattering_rate(BEAMS, *REF_CASE_A, OMEGA, centers)
-        offsets = np.arange(n_fine) * h
-        offsets = np.where(offsets > PERIOD / 2, offsets - PERIOD, offsets)
-        kernel = np.exp(-0.5 * (offsets / sigma_t) ** 2)
-        kernel /= kernel.sum()
-        expected = np.real(np.fft.ifft(np.fft.fft(rate) * np.fft.fft(kernel)))
-        clear_caches()
-        for _ in range(2):  # cold, then warm
-            np.testing.assert_allclose(
-                model_profile(BEAMS, *REF_CASE_A, sigma_t, OMEGA, PERIOD, n_fine),
-                expected,
-                rtol=0,
-                atol=1e-12 * expected.max(),
-            )
-
-
-def exact_bin_integrals(profile, period, bin_width, stop=math.inf):
-    """Bin integrals, with the edges clipped at ``stop``, of the piecewise
-    quadratic through each cell's centre value and its two neighbours'
-    (wrapping around the period), in rational arithmetic on the float bin
-    edges and the exact cell width period / n_fine."""
-    edges = np.minimum(bin_grid(period, bin_width)[0], stop)
-    n_fine = len(profile)
-    h = Fraction(period) / n_fine
-    f = [Fraction(value) for value in profile]
-    integrals = []
-    for start, end in zip(map(Fraction, edges[:-1]), map(Fraction, edges[1:])):
-        total = Fraction(0)
-        for j in range(math.floor(start / h), min(math.ceil(end / h), n_fine)):
-            # The cell's part of the bin, in cell units from its centre.
-            a = max(start / h, j) - j - Fraction(1, 2)
-            b = min(end / h, j + 1) - j - Fraction(1, 2)
-            left, centre, right = f[j - 1], f[j], f[(j + 1) % n_fine]
-            slope, curvature = (right - left) / 2, right - 2 * centre + left
-            total += centre * (b - a) + slope * (b**2 - a**2) / 2 + curvature * (b**3 - a**3) / 6
-        integrals.append(total * h)
-    return np.array([float(value) for value in integrals])
-
-
-class TestBinWeights:
-    """The bin integrals come from a per-binning table of the profile cells
-    each TAC bin reads and their weights: the exact integral of the
-    piecewise quadratic through each cell's centre value and its two
-    neighbours'."""
-
-    # 5375.8 ns / 13 ns leaves a partial last bin.  The fit reads the
-    # whole period; the sampler also reads the bins clipped at a gate's
-    # partial period, here that of a gate of whole and half periods.
-    GRIDS = [
-        pytest.param(10e-9, math.inf, id="fit-10ns"),
-        pytest.param(10e-9, PERIOD / 2, id="sampler-10ns"),
-        pytest.param(13e-9, math.inf, id="fit-13ns"),
-        pytest.param(13e-9, PERIOD / 2, id="sampler-13ns"),
-    ]
-
-    @pytest.mark.parametrize("bin_width, stop", GRIDS)
-    def test_overlaps_sum_to_cell_and_bin_widths(self, bin_width, stop):
-        edges, widths = bin_grid(PERIOD, bin_width)
-        n_fine = MODEL_FINE_FACTOR * len(widths)
-        index, weight = fitting._bin_weights(PERIOD, n_fine, bin_width, stop)
-        # Ten cells touched, and their two outer neighbours.
-        assert index.shape == weight.shape == (len(widths), 12)
-        assert index.min() == 0 and index.max() == n_fine - 1
-        clipped = np.diff(np.minimum(edges, stop))
-        np.testing.assert_allclose(weight.sum(axis=1), clipped, rtol=1e-12, atol=0)
-        if stop == math.inf:
-            per_cell = np.bincount(index.ravel(), weight.ravel(), minlength=n_fine)
-            np.testing.assert_allclose(per_cell, PERIOD / n_fine, rtol=1e-12, atol=0)
-        if bin_width == 13e-9:
-            assert widths[-1] < bin_width
-
     @pytest.mark.parametrize("bin_width", [10e-9, 13e-9])
-    def test_table_is_built_once_per_binning_read_only(self, bin_width):
+    def test_edge_phases_are_built_once_per_binning_and_grown(self, bin_width):
+        # Passes at rising amplitudes grow the one table of the binning;
+        # a pass that reads part of a grown table gives the cold result.
         clear_caches()
-        for amplitude, phase in (REF_CASE_A, REF_CASE_B):
-            params = FitModelParams(amplitude, phase, 1.0, 0.0, 0.2e-6)
-            model_curve(params, BEAMS, OMEGA, PERIOD, bin_width, free=("amplitude", "phase"))
-            model_curve(params, BEAMS, OMEGA, PERIOD, bin_width)
-        info = fitting._bin_weights.cache_info()
+        params = [FitModelParams(a, 0.3, 1.0, 0.0, 0.0) for a in (5e-6, 21.677e-6, 32e-6)]
+        warm = [model_curve(p, BEAMS, OMEGA, PERIOD, bin_width, free=("phase",)) for p in params]
+        info = fitting._edge_phases.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
-        n_fine = MODEL_FINE_FACTOR * len(bin_grid(PERIOD, bin_width)[1])
-        table = fitting._bin_weights(PERIOD, n_fine, bin_width)
-        assert fitting._bin_weights(PERIOD, n_fine, bin_width) is table
-        for array in table:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0, 0] = 0
-        clear_caches()
-        assert fitting._bin_weights.cache_info().currsize == 0
+        phases = fitting._edge_phases(OMEGA, PERIOD, bin_width)
+        assert phases.size >= 270
+        for p, kept in zip(params, warm):
+            clear_caches()
+            cold = model_curve(p, BEAMS, OMEGA, PERIOD, bin_width, free=("phase",))
+            assert all(map(np.array_equal, kept, cold))
 
-    # 0.4 us and 0.37 us bins: 14 and 15 bins, the last one partial; then
-    # 32 cells per bin of 10 ns, a grid the rule integrates alike.
-    @pytest.mark.parametrize(
-        "bin_width, fine_factor",
-        [(0.4e-6, MODEL_FINE_FACTOR), (0.37e-6, MODEL_FINE_FACTOR), (10e-9, 32)],
-    )
-    def test_integrals_match_the_exact_rational_integral(self, bin_width, fine_factor):
-        n_fine = fine_factor * len(bin_grid(PERIOD, bin_width)[1])
-        rate = model_profile(BEAMS, *REF_CASE_A, 0.2e-6, OMEGA, PERIOD, n_fine)
-        random = np.random.default_rng(6).uniform(0.5, 1.5, size=n_fine)
-        got = fitting._bin_integrals(np.stack([rate, random]), PERIOD, bin_width)
-        for row, integrals in zip((rate, random), got):
-            expected = exact_bin_integrals(row, PERIOD, bin_width)
-            np.testing.assert_allclose(integrals, expected, rtol=2e-13, atol=0)
-
-    def test_clipped_integrals_match_the_exact_rational_integral(self):
-        n_fine = MODEL_FINE_FACTOR * 15
-        rate = model_profile(BEAMS, *REF_CASE_A, 0.0, OMEGA, PERIOD, n_fine)
-        got = fitting._bin_integrals(rate, PERIOD, 0.37e-6, PERIOD / 2)
-        expected = exact_bin_integrals(rate, PERIOD, 0.37e-6, PERIOD / 2)
-        assert np.all(expected[8:] == 0)
-        np.testing.assert_allclose(got, expected, rtol=2e-13, atol=0)
-
-    # The 8-cell midpoint rule erred by 5.7e-7, 1.8e-6, 1.8e-5, 1.6e-4 and
-    # 1.7e-3 of a bin width at 10 ns, and by more at 13 ns.
-    @pytest.mark.parametrize("bin_width", [10e-9, 13e-9])
-    @pytest.mark.parametrize(
-        "k, bound", [(1, 1e-11), (3, 1e-10), (10, 1e-8), (30, 1e-6), (100, 1e-4)]
-    )
-    def test_cosine_harmonics_match_their_closed_form(self, bin_width, k, bound):
-        edges, widths = bin_grid(PERIOD, bin_width)
-        centers = fitting._fine_grid(PERIOD, MODEL_FINE_FACTOR * len(widths))
-        profile = 1 + np.cos(TWO_PI * k * centers / PERIOD)
-        exact = widths + PERIOD / (TWO_PI * k) * np.diff(np.sin(TWO_PI * k * edges / PERIOD))
-        error = fitting._bin_integrals(profile, PERIOD, bin_width) - exact
-        assert np.max(np.abs(error) / widths) < bound
-
-    # Against the same rule on 256 cells per bin, at 28 um and no jitter;
-    # the 8-cell midpoint rule erred by 1.2e-5, 1.7e-5, 2.1e-4, 9.3e-4 and
-    # 6.1e-3 against its own 256-cell version.
-    @pytest.mark.parametrize(
-        "bin_width, bound",
-        [(10e-9, 1e-8), (13e-9, 1e-8), (50e-9, 1e-6), (100e-9, 2e-5), (400e-9, 1.5e-3)],
-    )
-    def test_rate_integrals_converge_to_a_fine_reference(self, bin_width, bound):
-        n_bins = len(bin_grid(PERIOD, bin_width)[1])
-
-        def integrals(cells_per_bin):
-            n_fine = cells_per_bin * n_bins
-            rate = model_profile(BEAMS, 28e-6, 0.03, 0.0, OMEGA, PERIOD, n_fine)
-            return fitting._bin_integrals(rate, PERIOD, bin_width)
-
-        reference = integrals(256)
-        assert np.max(np.abs(integrals(MODEL_FINE_FACTOR) / reference - 1)) < bound
-
-
-class TestDopplerTable:
-    """The fit's rate passes take cos(w t + phi) and sin(w t + phi) by angle
-    addition from a table of cos w t and sin w t on the profile grid."""
-
-    @pytest.mark.parametrize("bin_width", [10e-9, 13e-9])
-    @pytest.mark.parametrize("amplitude", [1e-6, 21.677e-6, 32e-6])
-    def test_table_rate_matches_the_direct_rate(self, bin_width, amplitude):
-        n_fine = MODEL_FINE_FACTOR * len(bin_grid(PERIOD, bin_width)[1])
-        centers = fitting._fine_grid(PERIOD, n_fine)
-        table = fitting._doppler_table(OMEGA, PERIOD, n_fine)
-        phases = [*np.linspace(-2 * math.pi, 2 * math.pi, 9), 0.03, -1.234, 5.4321]
-        for phase in phases:
-            got = total_scattering_rate(BEAMS, amplitude, phase, OMEGA, centers, True, table)
-            expected = direct_scattering_rate(BEAMS, amplitude, phase, OMEGA, centers)
-            np.testing.assert_allclose(got[0], expected[0], rtol=1e-13, atol=0)
-            for row, direct in zip(got[1:], expected[1:]):
-                scale = np.abs(direct).max()
-                np.testing.assert_allclose(row, direct, rtol=0, atol=1e-13 * scale)
-            # Without derivatives the rate is the same bits.
-            rate = total_scattering_rate(BEAMS, amplitude, phase, OMEGA, centers, False, table)
-            assert np.array_equal(rate, got[0])
-
-    @pytest.mark.parametrize("bin_width", [10e-9, 13e-9])
-    def test_table_is_built_once_per_binning_read_only(self, bin_width):
-        clear_caches()
-        for amplitude, phase in (REF_CASE_A, REF_CASE_B):
-            params = FitModelParams(amplitude, phase, 1.0, 0.0, 0.2e-6)
-            model_curve(params, BEAMS, OMEGA, PERIOD, bin_width, free=("amplitude", "phase"))
-            model_curve(params, BEAMS, OMEGA, PERIOD, bin_width)
-        info = fitting._doppler_table.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-        n_fine = MODEL_FINE_FACTOR * len(bin_grid(PERIOD, bin_width)[1])
-        cosine, sine = table = fitting._doppler_table(OMEGA, PERIOD, n_fine)
-        assert fitting._doppler_table(OMEGA, PERIOD, n_fine) is table
-        centers = fitting._fine_grid(PERIOD, n_fine)
-        assert np.array_equal(cosine, np.cos(OMEGA * centers))
-        assert np.array_equal(sine, np.sin(OMEGA * centers))
-        for array in table:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0.0
-
-    def test_grid_is_checked_finite_when_the_table_is_built(self):
-        with pytest.raises(ValueError, match="t must be finite"):
-            fitting._doppler_table(OMEGA, math.nan, 8)
+    @pytest.mark.parametrize("bin_width", [10e-9, 13e-9, PERIOD])
+    def test_edge_sums_match_a_direct_sum(self, bin_width):
+        # The split of each edge's phase into a coarse and a fine factor
+        # against e^(i n w t) formed at each edge, clipped or not.
+        rng = np.random.default_rng(4)
+        alpha = rng.normal(size=(2, 40)) + 1j * rng.normal(size=(2, 40))
+        edges = bin_grid(PERIOD, bin_width)[0]
+        n = np.arange(1, 41)
+        for stop in (math.inf, 0.3 * PERIOD):
+            got = fitting._edge_sums(alpha, OMEGA, PERIOD, bin_width, stop)
+            at = np.minimum(edges, stop)
+            expected = (alpha @ np.exp(1j * OMEGA * np.multiply.outer(n, at))).imag
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(alpha).sum())
 
 
 class TestShapeCache:
@@ -618,11 +505,11 @@ class TestShapeCache:
 
     def test_fits_from_one_start_evaluate_its_rate_once(self, monkeypatch):
         start = []
-        rate = fitting.total_scattering_rate
+        rate = fitting.rate_integrals
 
-        def counting_rate(beams, amplitude, phase, omega_i, t, *rest):
+        def counting_rate(beams, amplitude, phase, *rest):
             start.append((amplitude, phase))
-            return rate(beams, amplitude, phase, omega_i, t, *rest)
+            return rate(beams, amplitude, phase, *rest)
 
         pipe = PipelineConfig(gate_time=1.0, timing_jitter=0.2e-6)
         hists = [synth(*REF_CASE_A, seed=seed, pipe=pipe) for seed in (81, 82)]
@@ -633,7 +520,7 @@ class TestShapeCache:
         ]
         assert inits[0].beta != inits[1].beta
         clear_caches()
-        monkeypatch.setattr(fitting, "total_scattering_rate", counting_rate)
+        monkeypatch.setattr(fitting, "rate_integrals", counting_rate)
         results = [fit_histogram(h, BEAMS, init) for h, init in zip(hists, inits)]
         assert all(result.converged for result in results)
         assert start.count((21.0e-6, 0.03)) == 1
@@ -720,23 +607,6 @@ class TestFftAgainstScipy:
             if fitting._next_fast_len(n) != scipy.fft.next_fast_len(n, real=True)
         ]
         assert mismatches == []
-
-    @pytest.mark.parametrize("width_derivative", [False, True])
-    def test_smear_is_bit_equal_at_8640(self, width_derivative):
-        n_fine = MODEL_FINE_FACTOR * 538
-        assert fitting._next_fast_len(2 * n_fine) == 8640
-        centers = fitting._fine_grid(PERIOD, n_fine)
-        profile = np.stack(
-            [
-                total_scattering_rate(BEAMS, amplitude, phase, OMEGA, centers)
-                for amplitude, phase in (REF_CASE_A, REF_CASE_B, (15e-6, -2.0))
-            ]
-        )
-        clear_caches()
-        for _ in range(2):  # cold, then warm
-            smeared = fitting.circular_smear(profile, PERIOD, 0.2e-6, width_derivative)
-            expected = scipy_circular_smear(profile, PERIOD, 0.2e-6, width_derivative)
-            assert np.array_equal(smeared, expected)
 
     @pytest.mark.parametrize("sigma_t", [0.0, 0.2e-6])
     def test_template_correlation_is_bit_equal_at_1080(self, sigma_t):
@@ -983,10 +853,6 @@ class TestDeviance:
         assert np.isfinite(result.residual)
 
 
-# Half a cell of the fit model's profile grid on the 10 ns binning.
-HALF_CELL = PERIOD / (fitting.MODEL_FINE_FACTOR * 538) / 2
-
-
 def nudged(params, name, sign):
     """``params`` with one parameter stepped by 1e-5 of its value (of a
     radian for the phase), and that step."""
@@ -1018,15 +884,17 @@ class TestExactJacobian:
                 columns[:, j], expected, rtol=1e-6, atol=1e-6 * np.abs(expected).max()
             )
 
-    def test_sigma_column_is_zero_while_the_smear_is_the_identity(self):
-        # Up to half a profile cell the kernel leaves the profile as it is,
-        # so the curve does not depend on sigma_t there.
+    def test_sigma_column_is_zero_at_zero(self):
+        # The jitter factor exp(-(n w sigma_t)^2/2) is even in sigma_t, so
+        # the curve is flat in sigma_t at 0 and its column there is 0.
         sharp = FitModelParams(*REF_CASE_A, 5.2e-5, 33.2, 0.0)
-        for sigma_t in (0.0, HALF_CELL):
-            params = replace(sharp, sigma_t=sigma_t)
-            curve, columns = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9, free=("sigma_t",))
-            np.testing.assert_array_equal(curve, model_curve(sharp, BEAMS, OMEGA, PERIOD, 10e-9))
-            assert not np.any(columns)
+        curve, columns = model_curve(sharp, BEAMS, OMEGA, PERIOD, 10e-9, free=("sigma_t",))
+        np.testing.assert_array_equal(curve, model_curve(sharp, BEAMS, OMEGA, PERIOD, 10e-9))
+        assert not np.any(columns)
+        tiny = replace(sharp, sigma_t=1e-12)
+        _, columns = model_curve(tiny, BEAMS, OMEGA, PERIOD, 10e-9, free=("sigma_t",))
+        slope = central_difference(replace(sharp, sigma_t=0.2e-6), "sigma_t")
+        assert 0 < np.abs(columns).max() < 1e-4 * np.abs(slope).max()
 
     def test_free_sigma_from_zero_stays_at_zero(self):
         hist = synth(*REF_CASE_A, seed=4000)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from phonon_sensor import experiments, fitting, photons
+from phonon_sensor import experiments, photons
 from phonon_sensor.config import config_from_dict
 from phonon_sensor.constants import DEFAULT_AXIAL_FREQUENCY, TWO_PI
 from phonon_sensor.photons import (
@@ -131,14 +131,31 @@ class TestBinnedLaw:
         assert gate_share.sum() == pytest.approx(pipe.gate_time, rel=1e-12)
 
 
-    def test_short_cut_of_a_coarse_grid_keeps_the_means_non_negative(self):
-        # Two bins of 3 us: a gate 11 ns past the first bin edge cuts one of
-        # the 16 profile cells, where the quadratic through the 40 um rate
-        # dips below 0.
-        pipe = PipelineConfig(bin_width=3e-6, gate_time=3.0112e-6)
+    def test_a_cut_just_past_a_bin_edge_keeps_the_means_non_negative(self):
+        # Two bins of 3 us and a gate one ulp past the first bin edge: the
+        # second bin's mean is the rate over 4e-22 s, which the difference
+        # of the series' sums at the two edges rounds to -2.5e-16.
+        pipe = PipelineConfig(bin_width=3e-6, gate_time=math.nextafter(3e-6, 1.0))
         total, means, _ = folded_law(BEAMS, 40e-6, 2.0, OMEGA, pipe)
-        assert means[1] == 0.0 and total == means[0] > 0
+        assert 0.0 <= means[1] < 1e-12 * means[0]
+        assert total == pytest.approx(means[0], rel=1e-12)
         assert synthesize_histogram(BEAMS, 40e-6, 2.0, OMEGA, pipe, seed=1).counts[1] == 0
+
+    def test_one_bin_per_period_and_a_short_gate(self):
+        # One bin per period and a gate of 0.92% of it, at 26.4 um: the
+        # bin's mean is the rate over the gate, which the 8-cell quadratic
+        # rule made negative.  Against 200-point Gauss-Legendre.
+        pipe = PipelineConfig(bin_width=PERIOD, gate_time=0.009196258873828023 * PERIOD)
+        amplitude, phase = 26.433433473707547e-6, 0.054568316071163636
+        total, means, _ = folded_law(BEAMS, amplitude, phase, OMEGA, pipe)
+        nodes, weights = np.polynomial.legendre.leggauss(200)
+        half = 0.5 * pipe.gate_time
+        rate = total_scattering_rate(BEAMS, amplitude, phase, OMEGA, half * (nodes + 1))
+        expected = pipe.efficiency * half * np.sum(weights * rate)
+        assert means[0] == pytest.approx(expected, rel=1e-13)
+        assert total == means[0]
+        hist = synthesize_histogram(BEAMS, amplitude, phase, OMEGA, pipe, seed=1)
+        assert hist.n_bins == 1
 
 
 class TestTacFold:
@@ -318,25 +335,19 @@ class TestValidation:
 
 
 class TestStageSpans:
-    """The benchmark times campaign histograms and the scattering rate by
-    wrapping these module attributes."""
+    """The benchmark times campaign histograms by wrapping this module
+    attribute."""
 
     @pytest.mark.parametrize("jitter", [0.0, 0.2e-6])
     def test_histogram_stages_resolve_through_module_globals(self, monkeypatch, jitter):
-        calls = {"synthesize_histogram": 0, "rate_points": 0}
+        calls = {"synthesize_histogram": 0}
         synthesize = experiments.synthesize_histogram
-        rate = fitting.total_scattering_rate
 
         def counting_synthesize(*args, **kwargs):
             calls["synthesize_histogram"] += 1
             return synthesize(*args, **kwargs)
 
-        def counting_rate(beams, amplitude, phase, omega_i, t, *derivatives):
-            calls["rate_points"] += np.size(t)
-            return rate(beams, amplitude, phase, omega_i, t, *derivatives)
-
         monkeypatch.setattr(experiments, "synthesize_histogram", counting_synthesize)
-        monkeypatch.setattr(fitting, "total_scattering_rate", counting_rate)
         # Histograms are drawn without arrival times: the per-photon stages
         # are test oracles, not part of the package.
         for name in ("sample_arrivals", "apply_time_jitter", "tac_fold"):
@@ -346,10 +357,6 @@ class TestStageSpans:
         )
         experiments._recover_amplitudes(config, 22e-6, [1, 2])
         assert calls["synthesize_histogram"] == 2
-
-        calls["rate_points"] = 0
-        synthesize_histogram(BEAMS, 22e-6, 0.0, OMEGA, config.pipeline, seed=1)
-        assert calls["rate_points"] == fitting.MODEL_FINE_FACTOR * 538
 
     def test_sampler_keeps_the_parameters_the_benchmark_reads(self):
         parameters = inspect.signature(sample_arrivals).parameters

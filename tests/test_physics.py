@@ -198,24 +198,6 @@ class TestScatteringRate:
         assert np.ndim(scalar) == 0 and not isinstance(scalar, np.ndarray)
         assert scalar == self.per_beam_sum(beams, 22e-6, 0.37, OMEGA, 1.3e-6)
 
-    @pytest.mark.parametrize("amplitude", [1e-6, 22e-6])
-    def test_derivatives_match_central_differences(self, amplitude):
-        # The pass that forms the derivatives returns the same rate bits.
-        beams = (RED, BLUE)
-        t = np.linspace(0.0, PERIOD, 997)
-
-        def rate(a, phi):
-            return total_scattering_rate(beams, a, phi, OMEGA, t)
-
-        got, d_amplitude, d_phase = total_scattering_rate(beams, amplitude, 0.37, OMEGA, t, True)
-        np.testing.assert_array_equal(got, rate(amplitude, 0.37))
-        da, dp = 1e-11, 1e-6
-        for exact, central in (
-            (d_amplitude, (rate(amplitude + da, 0.37) - rate(amplitude - da, 0.37)) / (2 * da)),
-            (d_phase, (rate(amplitude, 0.37 + dp) - rate(amplitude, 0.37 - dp)) / (2 * dp)),
-        ):
-            np.testing.assert_allclose(exact, central, rtol=0, atol=1e-8 * np.abs(central).max())
-
     @pytest.mark.parametrize("omega_i", [np.nan, np.inf, -np.inf])
     def test_non_finite_frequency_rejected(self, omega_i):
         # NaN fails "omega_i <= 0" as well as "omega_i > 0"; it must raise,
