@@ -221,10 +221,10 @@ def rate_integrals(
 def _sin_cos(n: int, angles: np.ndarray) -> np.ndarray:
     """Rows sin k x and cos k x for k = 1..n in turn, over the angles x:
     shape (2 n, len(x)).  Each entry is formed alike whatever n is."""
-    theta = np.multiply.outer(np.arange(1, n + 1), angles)
     table = np.empty((n, 2, len(angles)))
-    np.sin(theta, out=table[:, 0])
-    np.cos(theta, out=table[:, 1])
+    np.multiply.outer(np.arange(1, n + 1), angles, out=table[:, 1])
+    np.sin(table[:, 1], out=table[:, 0])
+    np.cos(table[:, 1], out=table[:, 1])
     return table.reshape(2 * n, len(angles))
 
 
