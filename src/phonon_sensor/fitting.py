@@ -208,7 +208,7 @@ def rate_integrals(
     if "sigma_t" in free:
         alpha.append(-sigma_t * (n * omega_i) ** 2 * alpha[0])
     edges, widths = bin_grid(period, bin_width)
-    if stop < edges[-1]:
+    if stop < period:
         widths = np.diff(np.minimum(edges, stop))
     sums = _edge_sums(np.array(alpha), omega_i, period, bin_width, stop)
     integrals = sums[:, 1:] - sums[:, :-1]
