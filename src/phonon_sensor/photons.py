@@ -157,8 +157,9 @@ def _folded_law(
     )
     signal_means += rate_integrals(*law, 0.0, omega_i, period, pipeline.bin_width, stop=rest)
     signal_means *= pipeline.efficiency
-    # A cut a few ulp past a bin edge can round below 0 (-2.5e-16 counts),
-    # and past the harmonic cap (about 0.5 mm) the cut series can dip below 0.
+    # A cut an ulp past a bin edge can round below 0 (-6.9e-19 counts in a
+    # test case), and past the harmonic cap (about 0.46 mm) the truncated
+    # series can dip below 0.
     np.maximum(signal_means, 0.0, out=signal_means)
     signal_means.flags.writeable = gate_share.flags.writeable = False
     return float(signal_means.sum()), signal_means, gate_share
