@@ -236,6 +236,33 @@ class TestRateHarmonics:
             assert np.abs(spectrum.imag).max() < 1e-14 * scale
             assert np.abs(spectrum[len(got) + 1 :]).max() < 1e-14 * scale
 
+    @pytest.mark.parametrize("amplitude", [1e-6, 21.677e-6, 32e-6])
+    def test_series_matches_the_direct_rate(self, amplitude):
+        # The cut series summed at random times and phases, off any grid,
+        # against the rate and its amplitude slope formed point by point.
+        t = np.random.default_rng(8).uniform(0.0, PERIOD, 997)
+        c0, c, dc0, dc = fitting._rate_harmonics(BEAMS, amplitude, OMEGA, 0.0, True)
+        n = np.arange(1, len(c) + 1)
+        for phase in (-2 * math.pi, -1.234, 0.03, 5.4321):
+            cosines = np.cos(np.multiply.outer(OMEGA * t + phase, n))
+            rate, slope = direct_scattering_rate(BEAMS, amplitude, phase, OMEGA, t)
+            np.testing.assert_allclose(c0 + cosines @ c, rate, rtol=1e-13, atol=0)
+            scale = np.abs(slope).max()
+            np.testing.assert_allclose(dc0 + cosines @ dc, slope, rtol=0, atol=1e-13 * scale)
+
+    # Up to the cap, where the edge tables' angles reach 4096 turns.
+    @pytest.mark.parametrize("k", [1, 10, 100, 1000, fitting.HARMONIC_CAP])
+    @pytest.mark.parametrize("bin_width", [10e-9, 13e-9])
+    def test_single_harmonics_match_their_closed_form(self, bin_width, k):
+        # cos k w t integrates over a bin to the difference of
+        # sin(k w t)/(k w) at its edges: the edge sums of one harmonic.
+        alpha = np.zeros((1, k), complex)
+        alpha[0, -1] = 1 / (k * OMEGA)
+        edges, widths = bin_grid(PERIOD, bin_width)
+        got = np.diff(fitting._edge_sums(alpha, OMEGA, PERIOD, bin_width, math.inf)[0])
+        exact = PERIOD / (TWO_PI * k) * np.diff(np.sin(TWO_PI * k * edges / PERIOD))
+        assert np.max(np.abs(got - exact) / widths) < 1e-12
+
     @pytest.mark.parametrize(
         "amplitude, width, expected",
         [(0.0, 0.0, 1), (21.677e-6, 0.0, 172), (32e-6, 0.0, 270), (21.677e-6, 0.2e-6, 33)],
