@@ -106,7 +106,7 @@ def _cmd_fit(args) -> int:
                 beta=beta,
                 sigma_t=sigma_t_us * 1e-6,
             )
-            check_start(init, hist.period)
+            check_start(init, hist.period, config.beams, omega_i)
         except ValueError as exc:
             raise ConfigError(
                 f"--init wants amplitude_um,phase,alpha,beta,sigma_t_us: {exc}"

@@ -43,7 +43,7 @@ from .fitting import (
     chain_init_params,
     derive_alpha_beta,
     fisher_information,
-    fit_histogram,
+    fit_histograms,
     initial_guess,
 )
 from .photons import expected_bin_count, folded_law, synthesize_histogram
@@ -61,6 +61,11 @@ REFERENCE_SLOPE = 0.9979e-9 / 1e-24  # m/N
 # so two sweep workers seldom hand the interpreter lock back and forth; 8
 # trials of 10 000 periods take about 3 MB.
 ENVELOPE_BATCH = 8
+
+# Histograms fitted per Levenberg-Marquardt loop by the recovery campaigns.
+# A stack forms its model passes, residuals and step algebra once per
+# iteration for all of its fits, which pays the per-call costs once.
+FIT_STACK = 16
 
 SQUEEZE_BOOTSTRAP = 200  # resamples behind each squeeze point's error bar
 
@@ -210,28 +215,36 @@ def _amplitude_crb(config: RunConfig, amplitude: float) -> float:
     return math.sqrt(np.linalg.inv(info)[j, j])
 
 
-def _recover_amplitudes(config: RunConfig, amplitude: float, seeds) -> list[float]:
-    """Synthesize one histogram per seed and fit it; the converged amplitudes.
+def _recover_amplitudes(config: RunConfig, trials) -> list[float | None]:
+    """Synthesize one histogram per ``(amplitude, seed)`` trial and fit it;
+    each trial's converged amplitude, or None for a dropped one.
 
-    A histogram too flat to fit (:class:`NoModulationError`) is dropped like
-    an unconverged fit.
+    Each histogram is guessed as it is drawn, and the fits run in stacks of
+    :data:`FIT_STACK` (:func:`fit_histograms`) in trial order, each stack
+    once it is full.  A histogram too flat to fit
+    (:class:`NoModulationError`) is dropped before stacking, and an
+    unconverged fit is dropped like it.
     """
     exp, pipe = config.experiment, config.pipeline
     omega_i = config.drive.injection_frequency
-    amplitudes = []
-    for seed in seeds:
+    fitted, stack = [None] * len(trials), []
+    for k, (amplitude, seed) in enumerate(trials):
         hist = synthesize_histogram(
             config.beams, amplitude, exp.reference_phase, omega_i, pipe, seed=seed
         )
         try:
-            init = fit_init(config, hist)
-            result = fit_histogram(hist, config.beams, init=init, omega_i=omega_i)
+            stack.append((k, hist, fit_init(config, hist)))
         except NoModulationError as exc:
             log.warning("trial dropped at %.4g um: %s", amplitude * 1e6, exc)
-            continue
-        if result.converged:
-            amplitudes.append(result.amplitude)
-    return amplitudes
+        # A stack is fitted once it is full, or at the last trial.
+        if stack and (len(stack) == FIT_STACK or k == len(trials) - 1):
+            hists, inits = [hist for _, hist, _ in stack], [init for _, _, init in stack]
+            results = fit_histograms(hists, config.beams, inits, omega_i=omega_i)
+            for (j, _, _), result in zip(stack, results):
+                if result.converged:
+                    fitted[j] = result.amplitude
+            stack = []
+    return fitted
 
 
 def amplitude_sweep(config: RunConfig, seed: int | None = None):
@@ -252,8 +265,7 @@ def amplitude_sweep(config: RunConfig, seed: int | None = None):
     voltages, trials = exp.amplitude_voltages, exp.amplitude_trials
     seed = exp.seed if seed is None else seed
     seeds = _spawn_seeds(seed, len(voltages) * trials)
-    rows = []
-    kept_v, kept_a = [], []
+    rows, locked, recoveries = [], [], []
     for i, voltage in enumerate(voltages):
         row = {
             "voltage_mv": voltage * 1e3,
@@ -272,7 +284,14 @@ def amplitude_sweep(config: RunConfig, seed: int | None = None):
             row["locked"] = False
             continue
         amp_true = _true_amplitude(config, voltage)
-        fits = _recover_amplitudes(config, amp_true, seeds[i * trials : (i + 1) * trials])
+        locked.append((row, voltage))
+        recoveries += [(amp_true, s) for s in seeds[i * trials : (i + 1) * trials]]
+
+    # The trials of every locked voltage are fitted together, in order.
+    fitted = _recover_amplitudes(config, recoveries)
+    kept_v, kept_a = [], []
+    for j, (row, voltage) in enumerate(locked):
+        fits = [a for a in fitted[j * trials : (j + 1) * trials] if a is not None]
         row["trials"], row["dropped"] = len(fits), trials - len(fits)
         if not fits:
             log.warning("no converged fits at %.3g mV; excluded", voltage * 1e3)
@@ -485,7 +504,8 @@ def sensitivity_campaign(config: RunConfig, seed: int | None = None):
     repetitions = config.experiment.repetitions
     seed = config.experiment.seed if seed is None else seed
     amplitude = _true_amplitude(config, config.drive.injection_voltage)
-    fitted = _recover_amplitudes(config, amplitude, _spawn_seeds(seed, repetitions))
+    trials = [(amplitude, s) for s in _spawn_seeds(seed, repetitions)]
+    fitted = [a for a in _recover_amplitudes(config, trials) if a is not None]
     if len(fitted) < 2:
         raise ValueError("not enough converged fits for a scatter estimate")
 

@@ -23,6 +23,12 @@ a Levenberg-Marquardt loop of its own on these columns, chain-ruled
 through the deviance residuals; :func:`fisher_information` builds the
 Cramer-Rao bound from the same columns.
 
+The loop runs a stack of fits in lockstep (:func:`fit_histograms`): one
+model pass with a leading fit axis, one set of residuals and one round of
+step algebra per iteration for every fit still running, with each fit's
+decisions and arithmetic its own, so a fit gives the result it gives
+alone; :func:`fit_histogram` is the stack of one.
+
 What depends only on the binning, never on the counts, is built once per
 binning and reused read-only: the bin edges and widths, the sines and
 cosines of the harmonics at the bin edges, and the initial guess's
@@ -38,7 +44,6 @@ scipy module.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -111,19 +116,52 @@ def wrap_phase(phi: float) -> float:
     return wrapped
 
 
-def _harmonic_count(rho: float, width: float) -> int:
-    """Smallest n >= 1 at which rho^n exp(-(n width)^2/2) falls below
-    HARMONIC_TOLERANCE, at most HARMONIC_CAP."""
-    if rho == 0:
-        return 1
-    slope, curvature = -math.log(rho), 0.5 * width * width
+def _harmonic_count(rho: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Smallest n >= 1 at which r^n exp(-(n width)^2/2) falls below
+    HARMONIC_TOLERANCE, with r the largest |rho| over the beams (rows), per
+    column, as floats and not capped: a longer series than HARMONIC_CAP
+    is cut."""
     depth = -math.log(HARMONIC_TOLERANCE)
-    # The positive root of curvature n^2 + slope n = depth.
-    root = math.sqrt(slope * slope + 4 * curvature * depth) + slope
-    return min(math.floor(2 * depth / root) + 1, HARMONIC_CAP) if root else HARMONIC_CAP
+    # Clipped into (0, 1), r = 0 gives a count of 1 and no slope is 0.
+    slope = -np.log(np.clip(np.abs(rho).max(axis=0), np.finfo(float).tiny, 1 - 2**-53))
+    # The positive root of (width^2/2) n^2 + slope n = depth.
+    root = np.sqrt(slope * slope + 2 * depth * width * width) + slope
+    return np.floor(2 * depth / root) + 1
 
 
-def _rate_harmonics(beams: tuple, amplitude: float, omega_i: float, width: float, slope: bool):
+@lru_cache(maxsize=8)
+def _beam_poles(beams: tuple) -> tuple:
+    """Per beam, as (beams, 1) columns: the pole z, the scale K and the
+    wave number k of :func:`_rate_harmonics`."""
+    detuning, linewidth, saturation, wave_number = (
+        np.array([[getattr(beam, name)] for beam in beams])
+        for name in ("detuning", "linewidth", "saturation", "wave_number")
+    )
+    root = np.sqrt(1 + saturation)
+    z = detuning - 0.5j * linewidth * root
+    scale = linewidth**2 * saturation / (8 * math.pi * root)
+    for array in (z, scale, wave_number):
+        array.flags.writeable = False
+    return z, scale, wave_number
+
+
+def _pole_ratios(beams: tuple, amplitude: np.ndarray, omega_i: float) -> tuple:
+    """u, w and rho of :func:`_rate_harmonics`, per beam (rows) and
+    amplitude (columns)."""
+    z, _, wave_number = _beam_poles(beams)
+    u = wave_number * omega_i * amplitude
+    w = np.sqrt(z * z - u * u)
+    w[(w * z.conj()).real < 0] *= -1
+    return u, w, u / (z + w)
+
+
+def _series_length(beams, amplitude, omega_i: float, width) -> np.ndarray:
+    """:func:`_harmonic_count` of each amplitude's series at the jitter's
+    width w sigma_t in phase, not capped."""
+    return _harmonic_count(_pole_ratios(tuple(beams), np.atleast_1d(amplitude), omega_i)[2], width)
+
+
+def _rate_harmonics(beams: tuple, amplitude, omega_i: float, width, slope: bool):
     """Cosine series of the summed rate in theta = w t + phi: ``(c_0, c)``,
     with ``c[n - 1]`` the coefficient of cos n theta for n = 1..N, and
     with ``slope`` also their derivatives in the amplitude.
@@ -136,37 +174,37 @@ def _rate_harmonics(beams: tuple, amplitude: float, omega_i: float, width: float
     (Gradshteyn & Ryzhik 1.447).  So c_0 = K Im 1/w, c_n = 2 K Im rho^n/w,
     and d(rho^n/w)/du = n rho^(n-1) z/(w^2 (z + w)) + rho^n u/w^3.  N is
     :func:`_harmonic_count` of the largest |rho| at the jitter's width
-    w sigma_t in phase.
+    w sigma_t in phase, at most HARMONIC_CAP.
+
+    ``amplitude`` and ``width`` may also be 1-D arrays, one entry per fit.
+    The result is then ``(N, c_0, c, ...)``: each fit's N, the c_0 of each
+    fit, and rows of c that run to the largest N, of which row i is read
+    to N[i].  Every entry is formed alone, whatever the other fits are.
     """
-    c0 = dc0 = 0.0
-    rhos, weights = [], []
-    for beam in beams:
-        root = math.sqrt(1 + beam.saturation)
-        z = complex(beam.detuning, -0.5 * beam.linewidth * root)
-        scale = beam.linewidth**2 * beam.saturation / (8 * math.pi * root)
-        u = beam.wave_number * omega_i * amplitude
-        w = cmath.sqrt(z * z - u * u)
-        if (w * z.conjugate()).real < 0:
-            w = -w
-        rhos.append(u / (z + w))
-        c0 += scale * (1 / w).imag
-        chain = scale * beam.wave_number * omega_i
-        dc0 += chain * (u / w**3).imag
-        weights.append((2 * scale / w, 2 * chain * z / (w * w * (z + w)), 2 * chain * u / w**3))
-    n = _harmonic_count(max(map(abs, rhos)), width)
-    # powers[:, n] = rho^n, for n = 0..N.
-    powers = np.empty((len(rhos), n + 1), complex)
-    powers[:, 0] = 1.0
-    powers[:, 1:] = np.array(rhos)[:, None]
-    np.cumprod(powers, axis=1, out=powers)
-    weights = np.array(weights).T
-    c = (weights[0] @ powers[:, 1:]).imag
-    if not slope:
-        return c0, c
-    dc = weights[1] @ powers[:, :-1]
-    dc *= np.arange(1, n + 1)
-    dc += weights[2] @ powers[:, 1:]
-    return c0, c, dc0, dc.imag
+    stacked = np.ndim(amplitude) > 0
+    amplitude = np.atleast_1d(amplitude)
+    z, scale, wave_number = _beam_poles(tuple(beams))
+    u, w, rho = _pole_ratios(tuple(beams), amplitude, omega_i)
+    counts = np.minimum(_harmonic_count(rho, width), HARMONIC_CAP).astype(int)
+    n = int(counts.max())
+    # powers[b, k, n] = rho^n of beam b and fit k, for n = 0..N.
+    powers = np.empty(rho.shape + (n + 1,), complex)
+    powers[..., 0] = 1.0
+    powers[..., 1:] = rho[..., None]
+    np.cumprod(powers, axis=-1, out=powers)
+    c0 = (scale * (1 / w).imag).sum(axis=0)
+    c = ((2 * scale / w)[..., None] * powers[..., 1:]).sum(axis=0).imag
+    series = [c0, c]
+    if slope:
+        chain = scale * wave_number * omega_i
+        cube = w**3
+        dc = ((2 * chain * z / (w * w * (z + w)))[..., None] * powers[..., :-1]).sum(axis=0)
+        dc *= np.arange(1, n + 1)
+        dc += ((2 * chain * u / cube)[..., None] * powers[..., 1:]).sum(axis=0)
+        series += [(chain * (u / cube).imag).sum(axis=0), dc.imag]
+    if stacked:
+        return (counts, *series)
+    return tuple(term[0] for term in series)
 
 
 def rate_integrals(
@@ -188,34 +226,55 @@ def rate_integrals(
     names, in that order: the same sums over the c_n's amplitude
     derivatives, i n alpha_n, and -(n w)^2 sigma_t alpha_n, which is 0 at
     sigma_t = 0.
+
+    ``amplitude``, ``phase`` and ``sigma_t`` may also be 1-D arrays of one
+    length, one entry per fit; the result then gains a leading fit axis.
+    Each fit keeps its own series length and its own edge sums, so its
+    integrals are those of a call with its values alone.
     """
-    beams, amplitude = _check_rate_arguments(beams, amplitude, phase, omega_i)
-    if sigma_t > period / 2:
+    stacked = np.ndim(amplitude) > 0
+    amplitude, phase, sigma_t = np.broadcast_arrays(
+        np.atleast_1d(amplitude), np.atleast_1d(phase), np.atleast_1d(sigma_t)
+    )
+    # NaN is the least of any array that holds one, so one check covers all.
+    beams, _ = _check_rate_arguments(beams, np.min(amplitude), phase, omega_i)
+    if np.any(sigma_t > period / 2):
         raise ValueError("sigma_t wider than half the period")
     width = omega_i * sigma_t
-    harmonics = _rate_harmonics(beams, amplitude, omega_i, width, "amplitude" in free)
-    c0, c = harmonics[:2]
-    n = np.arange(1, len(c) + 1)
-    turn = np.exp(n * (1j * phase))
+    counts, c0, c, *slopes = _rate_harmonics(beams, amplitude, omega_i, width, "amplitude" in free)
+    n = np.arange(1, c.shape[1] + 1)
+    turn = np.exp(n * (1j * phase[:, None]))
     turn /= n * omega_i
-    if width:
-        turn *= np.exp(-0.5 * (n * width) ** 2)
+    if np.any(width):
+        turn *= np.exp(-0.5 * (n * width[:, None]) ** 2)
     alpha = [c * turn]
     if "amplitude" in free:
-        alpha.append(harmonics[3] * turn)
+        alpha.append(slopes[1] * turn)
     if "phase" in free:
         alpha.append(1j * n * alpha[0])
     if "sigma_t" in free:
-        alpha.append(-sigma_t * (n * omega_i) ** 2 * alpha[0])
+        alpha.append(-sigma_t[:, None] * (n * omega_i) ** 2 * alpha[0])
+    alpha = np.stack(alpha, axis=1)
     edges, widths = bin_grid(period, bin_width)
     if stop < period:
         widths = np.diff(np.minimum(edges, stop))
-    sums = _edge_sums(np.array(alpha), omega_i, period, bin_width, stop)
-    integrals = sums[:, 1:] - sums[:, :-1]
-    integrals[0] += c0 * widths
+    integrals = np.empty(alpha.shape[:2] + widths.shape)
+    # Fits of one series length share calls, each of which forms every
+    # fit's products alone; a call takes at most about 2048 coefficient
+    # rows, which bounds its working arrays.
+    for count in sorted(set(counts.tolist())):
+        same = np.flatnonzero(counts == count)
+        per_call = max(1, 2048 // (alpha.shape[1] * count))
+        for first in range(0, len(same), per_call):
+            fits = same[first : first + per_call]
+            sums = _edge_sums(alpha[fits, :, :count], omega_i, period, bin_width, stop)
+            integrals[fits] = sums[..., 1:] - sums[..., :-1]
+    integrals[:, 0] += c0[:, None] * widths
     if "amplitude" in free:
-        integrals[1] += harmonics[2] * widths
-    return integrals if free else integrals[0]
+        integrals[:, 1] += slopes[0][:, None] * widths
+    if not free:
+        integrals = integrals[:, 0]
+    return integrals if stacked else integrals[0]
 
 
 def _sin_cos(n: int, angles: np.ndarray) -> np.ndarray:
@@ -267,27 +326,36 @@ _edge_phases = lru_cache(maxsize=8)(_EdgePhases)
 def _edge_sums(
     alpha: np.ndarray, omega_i: float, period: float, bin_width: float, stop: float
 ) -> np.ndarray:
-    """S_j = Im sum_n alpha[:, n - 1] e^(i n w t_j) at each TAC bin edge
+    """S_j = Im sum_n alpha[..., n - 1] e^(i n w t_j) at each TAC bin edge
     t_j clipped at ``stop``, row by row: a complex product with the coarse
     factors, then a real one with the fine table, as Im(x e^(i y)) =
     Re x sin y + Im x cos y.  The first row's product is formed alone, so
-    its sums do not depend on the rows below it."""
-    n_rows, n = alpha.shape
+    its sums do not depend on the rows below it.
+
+    ``alpha`` may carry a leading fit axis; each fit's products are then
+    formed alone, as a call with its rows alone forms them."""
+    stacked = alpha.ndim == 3
+    if not stacked:
+        alpha = alpha[None]
+    n_fits, n_rows, n = alpha.shape
     phases = _edge_phases(omega_i, period, bin_width)
     coarse, fine = phases.tables(n)
-    split = np.multiply(alpha[:, None, :], coarse, out=np.empty((n_rows, len(coarse), n), complex))
+    split = np.empty((n_fits, n_rows, len(coarse), n), complex)
+    np.multiply(alpha[:, :, None, :], coarse, out=split)
     split = split.view(float)
-    products = np.empty((n_rows, len(coarse), fine.shape[1]))
-    np.matmul(split[0], fine, out=products[0])
+    products = np.empty((n_fits, n_rows, len(coarse), fine.shape[1]))
+    np.matmul(split[:, 0], fine, out=products[:, 0])
     if n_rows > 1:
-        np.matmul(split[1:].reshape(-1, 2 * n), fine, out=products[1:].reshape(-1, fine.shape[1]))
-    sums = np.empty((n_rows, phases.n_bins + 1))
-    sums[:, :-1] = products[:, :, :-1].reshape(n_rows, -1)[:, : phases.n_bins]
-    sums[:, -1] = products[:, 0, -1]
+        rest = products[:, 1:].reshape(n_fits, -1, fine.shape[1])
+        np.matmul(split[:, 1:].reshape(n_fits, -1, 2 * n), fine, out=rest)
+    del split
+    sums = np.empty((n_fits, n_rows, phases.n_bins + 1))
+    sums[..., :-1] = products[..., :-1].reshape(n_fits, n_rows, -1)[..., : phases.n_bins]
+    sums[..., -1] = products[:, :, 0, -1]
     if stop < period:
         cut = bin_grid(period, bin_width)[0] >= stop
-        sums[:, cut] = alpha.view(float) @ _sin_cos(n, np.array([omega_i * stop]))
-    return sums
+        sums[..., cut] = alpha.view(float) @ _sin_cos(n, np.array([omega_i * stop]))
+    return sums if stacked else sums[0]
 
 
 @lru_cache(maxsize=1)
@@ -350,13 +418,31 @@ def model_curve(
     shape = (params.amplitude, params.phase, params.sigma_t)
     integrals = _shape_integrals(tuple(beams), *shape, omega_i, period, bin_width, shape_free)
     _, widths = bin_grid(period, bin_width)
-    rate = integrals[0] if shape_free else integrals
-    curve = params.alpha * rate / bin_width + params.beta * widths / bin_width
+    scales = np.array([params.alpha]), np.array([params.beta])
+    curve, rows = _scaled(integrals.reshape(1, -1, len(widths)), *scales, widths, bin_width, free)
     if not free:
-        return curve
-    columns = {"alpha": rate / bin_width, "beta": widths / bin_width}
-    columns.update(zip(shape_free, params.alpha * integrals[1:] / bin_width))
-    return curve, np.column_stack([columns[name] for name in free])
+        return curve[0]
+    return curve[0], np.ascontiguousarray(rows[0].T)
+
+
+def _scaled(integrals, alpha, beta, widths, bin_width, free) -> tuple:
+    """Curves of a stack of fits with scales ``alpha`` and offsets
+    ``beta``, from their bin integrals and derivative rows in the shape
+    parameters of ``free`` (:func:`rate_integrals`), and the rows of each
+    curve's derivatives in ``free``."""
+    shape_free = [name for name in ("amplitude", "phase", "sigma_t") if name in free]
+    rate = integrals[:, 0]
+    curve = alpha[:, None] * rate / bin_width + beta[:, None] * widths / bin_width
+    rows = np.empty((len(integrals), len(free), len(widths)))
+    for row, name in zip(rows.transpose(1, 0, 2), free):
+        if name == "alpha":
+            np.divide(rate, bin_width, out=row)
+        elif name == "beta":
+            row[:] = widths / bin_width
+        else:
+            np.multiply(alpha[:, None], integrals[:, 1 + shape_free.index(name)], out=row)
+            row /= bin_width
+    return curve, rows
 
 
 @lru_cache(maxsize=16)
@@ -487,7 +573,9 @@ def initial_guess(
 ) -> tuple[float, float]:
     """Coarse ``(amplitude, phase)`` from template matching.
 
-    The histogram floor is taken off as an offset; the phase comes from the
+    The histogram floor, the mean of its three lowest full bins, is taken
+    off as an offset, so a period of fewer than three full bins raises
+    :class:`NoModulationError`; the phase comes from the
     circular cross-correlation peak against a zero-phase template, and the
     amplitude from a fixed grid of 24 amplitudes evenly spaced over
     12-32 um, scored by the same correlation (the grid resolves the growth
@@ -496,12 +584,17 @@ def initial_guess(
     """
     if omega_i is None:
         omega_i = TWO_PI / hist.period
+    _, widths = bin_grid(hist.period, hist.bin_width)
+    full = widths >= hist.bin_width * (1 - 1e-9)
+    if np.count_nonzero(full) < 3:
+        raise NoModulationError(
+            f"full TAC bins in the period: {np.count_nonzero(full)}, fewer than the 3 "
+            "the initial guess's floor needs"
+        )
     counts = hist.counts.astype(float)
     if _is_flat(counts):
         raise NoModulationError("histogram is flat; nothing to fit")
 
-    _, widths = bin_grid(hist.period, hist.bin_width)
-    full = widths >= hist.bin_width * (1 - 1e-9)
     floor = max(0.0, float(np.partition(counts[full], 2)[:3].mean()))
     signal = counts - floor * widths / hist.bin_width
     signal -= signal.mean()
@@ -533,13 +626,28 @@ def _fit_bounds(period: float) -> dict[str, tuple[float, float]]:
     }
 
 
-def check_start(init: FitModelParams, period: float) -> None:
+def check_start(init: FitModelParams, period: float, beams, omega_i: float) -> None:
     """Raise a ValueError naming the first start value that is not finite
-    or lies outside the range the fit searches at this folding period."""
-    for name, (low, high) in _fit_bounds(period).items():
-        value = getattr(init, name)
-        if not (math.isfinite(value) and low <= value <= high):
-            raise ValueError(f"initial {name} = {value:g} outside [{low:g}, {high:g}]")
+    or lies outside the range the fit searches at this folding period, or
+    a start amplitude whose rate series HARMONIC_CAP would cut."""
+    _check_starts([init], period, beams, omega_i)
+
+
+def _check_starts(inits, period: float, beams, omega_i: float) -> None:
+    """:func:`check_start` of each start, with one series check for all."""
+    bounds = _fit_bounds(period)
+    for init in inits:
+        for name, (low, high) in bounds.items():
+            value = getattr(init, name)
+            if not (math.isfinite(value) and low <= value <= high):
+                raise ValueError(f"initial {name} = {value:g} outside [{low:g}, {high:g}]")
+    amplitudes = np.array([init.amplitude for init in inits])
+    widths = omega_i * np.array([init.sigma_t for init in inits])
+    cut = _series_length(beams, amplitudes, omega_i, widths) > HARMONIC_CAP
+    if cut.any():
+        raise ValueError(
+            f"initial amplitude = {amplitudes[cut][0]:g} needs more than {HARMONIC_CAP} harmonics"
+        )
 
 
 def _deviance_residuals(curve, counts, n_log_n) -> tuple[np.ndarray, np.ndarray]:
@@ -554,19 +662,34 @@ def _deviance_residuals(curve, counts, n_log_n) -> tuple[np.ndarray, np.ndarray]
     # An empty model bin gives a large but finite residual.
     curve = np.maximum(curve, np.finfo(float).tiny)
     gap = curve - counts
-    half_deviance = gap + n_log_n - counts * np.log(curve)
-    root = np.sqrt(2.0 * np.maximum(half_deviance, 0.0))
+    root = np.log(curve)
+    root *= counts
+    # root = sqrt(2 h), with h = (gap + n ln n) - n ln m.
+    np.subtract(gap + n_log_n, root, out=root)
+    np.maximum(root, 0.0, out=root)
+    root *= 2.0
+    np.sqrt(root, out=root)
     residuals = np.copysign(root, counts - curve)
 
-    near = np.abs(gap) < 0.5 * counts
-    slope = np.divide(np.abs(gap), root, out=np.zeros_like(gap), where=~near)
-    u = gap[near] / counts[near]
-    series = 1.0 + u / 3.0
-    ratio = np.divide(
-        np.abs(u), np.sqrt(2.0 * (u - np.log1p(u))), out=series, where=np.abs(u) >= 1e-6
-    )
-    slope[near] = np.sqrt(counts[near]) * ratio
-    return residuals, -slope / curve
+    # Each branch is formed on every bin and the other's values discarded.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = gap / counts
+        ratio = np.log1p(u)
+        np.subtract(u, ratio, out=ratio)
+        ratio *= 2.0
+        np.sqrt(ratio, out=ratio)
+        size = np.abs(u)
+        np.divide(size, ratio, out=ratio)
+        np.divide(u, 3.0, out=u)
+        u += 1.0
+        np.copyto(ratio, u, where=size < 1e-6)
+        np.abs(gap, out=gap)
+        slope = np.sqrt(counts, out=size)
+        slope *= ratio
+        far = ~(gap < 0.5 * counts)
+        np.copyto(slope, np.divide(gap, root, out=ratio), where=far)
+    slope /= curve
+    return residuals, np.negative(slope, out=slope)
 
 
 def fit_histogram(
@@ -593,105 +716,199 @@ def fit_histogram(
     scaling (More, 1978): damping falls tenfold after an accepted step and
     rises tenfold after a rejected one, trial points are clipped onto the
     searched range, and a step is accepted when the deviance does not
-    rise.  The fit has converged when an accepted step lowers the deviance
-    by at most 1e-8 of it, or a step's scaled length is at most 1e-10 of
-    the parameters'.  Running out of ``max_evaluations`` flags the result
-    instead of raising; ``iterations`` counts the evaluations.  Each
-    evaluation is one model pass that also yields the exact Jacobian
-    columns, and the errors come from pinv(J^T J) times the deviance per
-    degree of freedom.
+    rise.  A trial whose rate series HARMONIC_CAP would cut is rejected
+    unformed, as a rise is.  The fit has converged when an accepted step
+    lowers the deviance by at most 1e-8 of it, or a step's scaled length
+    is at most 1e-10 of the parameters'.  Running out of
+    ``max_evaluations`` flags the result instead of raising;
+    ``iterations`` counts the evaluations.  Each evaluation is one model
+    pass that also yields the exact Jacobian columns, and the errors come
+    from pinv(J^T J) times the deviance per degree of freedom.
 
     Every start value must be finite and inside the searched range
     (:func:`check_start`), or a ValueError names it.  The sigma_t column
     is 0 at sigma_t = 0, so a free sigma_t that starts at 0 stays there.
+
+    This is the stack of one of :func:`fit_histograms`, whose fits give
+    the results they give alone.
     """
-    if hist.total_counts == 0:
-        raise NoModulationError("empty histogram")
-    counts = hist.counts.astype(float)
-    if _is_flat(counts):
-        raise NoModulationError("histogram is flat; nothing to fit")
+    return fit_histograms([hist], beams, [init], frozen, omega_i, max_evaluations)[0]
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with the same row of ``b``."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _pseudo_inverses(matrices: np.ndarray) -> list:
+    """pinv of each matrix of a stack, or None for one whose SVD fails; a
+    failure leaves the others as the stack's pinv gives them."""
+    try:
+        return list(np.linalg.pinv(matrices))
+    except np.linalg.LinAlgError:
+        if len(matrices) == 1:
+            return [None]
+        return [inverse for matrix in matrices for inverse in _pseudo_inverses(matrix[None])]
+
+
+def fit_histograms(
+    hists,
+    beams,
+    inits,
+    frozen: tuple[str, ...] = DEFAULT_FROZEN,
+    omega_i: float | None = None,
+    max_evaluations: int = 500,
+) -> list[FitResult]:
+    """:func:`fit_histogram` of each histogram from its own start, as one
+    stack: the histograms share a binning, and their fits free the same
+    parameters.
+
+    The fits run one lockstep Levenberg-Marquardt loop.  Each iteration
+    forms the step algebra of every fit still running at once, and one
+    model pass (:func:`rate_integrals` with a fit axis) and one set of
+    deviance residuals for every trial point.  Damping, acceptance,
+    convergence, ``max_evaluations`` and ``iterations`` stay per fit, and
+    each fit's arithmetic is formed alone, so a fit's result equals that
+    of :func:`fit_histogram` on its histogram, whatever stack it is in.
+    The starts' bin integrals come from the kept ones
+    (:func:`_shape_integrals`), so fits that share a start form it once.
+    """
+    hists, inits = list(hists), list(inits)
+    if not hists or len(hists) != len(inits):
+        raise ValueError("need one start per histogram")
+    period, bin_width = hists[0].period, hists[0].bin_width
+    if any((hist.period, hist.bin_width) != (period, bin_width) for hist in hists):
+        raise ValueError("the histograms of a stack must share one binning")
+    counts = np.array([hist.counts for hist in hists], float)
+    for hist, row in zip(hists, counts):
+        if hist.total_counts == 0:
+            raise NoModulationError("empty histogram")
+        if _is_flat(row):
+            raise NoModulationError("histogram is flat; nothing to fit")
     if omega_i is None:
-        omega_i = TWO_PI / hist.period
+        omega_i = TWO_PI / period
     unknown = set(frozen) - set(PARAM_NAMES)
     if unknown:
         raise ValueError(f"unknown frozen parameters: {sorted(unknown)}")
-    check_start(init, hist.period)
+    beams = tuple(beams)
+    _check_starts(inits, period, beams, omega_i)
 
     free = tuple(name for name in PARAM_NAMES if name not in frozen)
     # The model is even in sigma_t, so its sigma_t column is 0 at 0,
     # whatever the other parameters: a free sigma_t that starts there
     # cannot move.
-    if init.sigma_t == 0:
+    if "sigma_t" in free and not all(init.sigma_t for init in inits):
+        if any(init.sigma_t for init in inits):
+            raise ValueError("the fits of a stack must free the same parameters")
         free = tuple(name for name in free if name != "sigma_t")
     if not free:
         raise ValueError("at least one parameter must be free")
-    bounds = np.array([_fit_bounds(hist.period)[name] for name in free]).T
+    bounds = np.array([_fit_bounds(period)[name] for name in free]).T
+    shape_free = tuple(name for name in ("amplitude", "phase", "sigma_t") if name in free)
+    _, widths = bin_grid(period, bin_width)
 
     # n ln n, taken as 0 at n = 0.
     n_log_n = counts * np.log(np.where(counts > 0, counts, 1.0))
 
-    if "alpha" in free and init.alpha == 0:
+    if "alpha" in free:
         # At alpha = 0 the amplitude and phase columns vanish, and the first
         # steps would move alpha alone.  Start instead at the alpha that puts
         # every count under the start's profile.
-        unit = replace(init, alpha=1.0, beta=0.0)
-        rate = model_curve(unit, beams, omega_i, hist.period, hist.bin_width)
-        init = replace(init, alpha=counts.sum() / rate.sum())
+        for k, init in enumerate(inits):
+            if init.alpha == 0:
+                unit = replace(init, alpha=1.0, beta=0.0)
+                rate = model_curve(unit, beams, omega_i, period, bin_width)
+                inits[k] = replace(init, alpha=counts[k].sum() / rate.sum())
 
-    def build(vector) -> FitModelParams:
-        return replace(init, **dict(zip(free, map(float, vector))))
+    # Each fit's parameters in PARAM_NAMES order; the free ones move.
+    params = np.array([init.as_array() for init in inits])
+    index = [PARAM_NAMES.index(name) for name in free]
 
-    def evaluate(vector) -> tuple[np.ndarray, np.ndarray, float]:
-        """Residuals, Jacobian and deviance from one model pass."""
-        curve, columns = model_curve(
-            build(vector), beams, omega_i, hist.period, hist.bin_width, free=free
-        )
-        residuals, slope = _deviance_residuals(curve, counts, n_log_n)
-        return residuals, slope[:, None] * columns, float(residuals @ residuals)
+    def evaluate(fits, at, first=False):
+        """J^T J, J^T r and the deviance of each of ``fits`` at its
+        parameter row in ``at``, from one model pass."""
+        amplitude, phase, alpha, beta, sigma_t = at.T.copy()
+        if first:
+            integrals = np.array(
+                [
+                    _shape_integrals(beams, *shape, omega_i, period, bin_width, shape_free)
+                    for shape in zip(amplitude, phase, sigma_t)
+                ]
+            )
+        else:
+            integrals = rate_integrals(
+                beams, amplitude, phase, sigma_t, omega_i, period, bin_width, shape_free
+            )
+        integrals = integrals.reshape(len(fits), -1, len(widths))
+        curve, jt = _scaled(integrals, alpha, beta, widths, bin_width, free)
+        del integrals
+        # Indexing by every fit would copy the counts.
+        which = fits if len(fits) < len(counts) else slice(None)
+        residuals, slope = _deviance_residuals(curve, counts[which], n_log_n[which])
+        jt *= slope[:, None, :]
+        return jt @ jt.transpose(0, 2, 1), jt @ residuals[:, :, None], _row_dots(residuals, residuals)
 
-    # Levenberg-Marquardt; zero columns keep a scale of 1.
-    x = np.array([getattr(init, name) for name in free])
-    residuals, jac, deviance = evaluate(x)
-    nfev, damping, converged = 1, 1e-3, False
-    while nfev < max_evaluations and not converged:
-        jtj = jac.T @ jac
-        scale = np.diag(jtj).copy()
-        scale[scale == 0] = 1.0
-        step = np.linalg.solve(jtj + damping * np.diag(scale), -(jac.T @ residuals))
-        trial = np.clip(x + step, *bounds)
-        root = np.sqrt(scale)
-        converged = np.linalg.norm(root * (trial - x)) <= 1e-10 * np.linalg.norm(root * x)
-        if converged:
+    # Levenberg-Marquardt in lockstep; zero columns keep a scale of 1.
+    n_fits = len(hists)
+    jtj, jtr, deviance = evaluate(np.arange(n_fits), params, first=True)
+    nfev = np.ones(n_fits, int)
+    damping = np.full(n_fits, 1e-3)
+    converged = np.zeros(n_fits, bool)
+    diagonal = np.arange(len(free))
+    while True:
+        fits = np.flatnonzero(~converged & (nfev < max_evaluations))
+        if not len(fits):
             break
-        trial_residuals, trial_jac, trial_deviance = evaluate(trial)
-        nfev += 1
-        if not trial_deviance <= deviance:
-            damping *= 10.0
+        x, system = params[fits][:, index], jtj[fits]
+        scale = system[:, diagonal, diagonal]
+        scale[scale == 0] = 1.0
+        system[:, diagonal, diagonal] += damping[fits, None] * scale
+        step = np.linalg.solve(system, -jtr[fits])[:, :, 0]
+        moved_to = np.clip(x + step, *bounds)
+        root = np.sqrt(scale)
+        moved = root * (moved_to - x)
+        stopped = np.sqrt(_row_dots(moved, moved)) <= 1e-10 * np.sqrt(_row_dots(root * x, root * x))
+        converged[fits[stopped]] = True
+        fits, trial = fits[~stopped], params[fits[~stopped]]
+        trial[:, index] = moved_to[~stopped]
+        # A trial whose series the cap would cut is rejected unformed, as a
+        # rise of the deviance is.
+        amplitude, sigma_t = trial[:, 0], trial[:, 4]
+        formed = _series_length(beams, amplitude, omega_i, omega_i * sigma_t) <= HARMONIC_CAP
+        nfev[fits] += 1
+        damping[fits[~formed]] *= 10.0
+        fits, trial = fits[formed], trial[formed]
+        if not len(fits):
             continue
-        converged = deviance - trial_deviance <= 1e-8 * deviance
-        x, residuals, jac, deviance = trial, trial_residuals, trial_jac, trial_deviance
-        damping /= 10.0
+        trial_jtj, trial_jtr, trial_deviance = evaluate(fits, trial)
+        accepted = trial_deviance <= deviance[fits]
+        damping[fits[~accepted]] *= 10.0
+        fits, trial_deviance = fits[accepted], trial_deviance[accepted]
+        converged[fits] = deviance[fits] - trial_deviance <= 1e-8 * deviance[fits]
+        params[fits], jtj[fits], jtr[fits] = trial[accepted], trial_jtj[accepted], trial_jtr[accepted]
+        deviance[fits] = trial_deviance
+        damping[fits] /= 10.0
 
-    params = build(x)
-    params = replace(params, phase=wrap_phase(params.phase))
-
-    dof = max(len(counts) - len(free), 1)
-    errors = {name: 0.0 for name in PARAM_NAMES}
-    try:
-        jtj_inv = np.linalg.pinv(jac.T @ jac)
-        sigma = np.sqrt(np.maximum(np.diag(jtj_inv) * deviance / dof, 0.0))
-        errors.update(zip(free, (float(err) for err in sigma)))
-    except np.linalg.LinAlgError:
-        converged = False
-
-    return FitResult(
-        params=params,
-        errors=errors,
-        residual=deviance,
-        converged=bool(converged),
-        iterations=nfev,
-        frozen=tuple(frozen),
-    )
+    dof = max(len(widths) - len(free), 1)
+    inverses = _pseudo_inverses(jtj)
+    results = []
+    for k, init in enumerate(inits):
+        fitted = replace(init, **dict(zip(free, map(float, params[k, index]))))
+        errors = {name: 0.0 for name in PARAM_NAMES}
+        if inverses[k] is not None:
+            sigma = np.sqrt(np.maximum(np.diag(inverses[k]) * deviance[k] / dof, 0.0))
+            errors.update(zip(free, (float(err) for err in sigma)))
+        results.append(
+            FitResult(
+                params=replace(fitted, phase=wrap_phase(fitted.phase)),
+                errors=errors,
+                residual=float(deviance[k]),
+                converged=bool(converged[k]) and inverses[k] is not None,
+                iterations=int(nfev[k]),
+                frozen=tuple(frozen),
+            )
+        )
+    return results
 
 
 def chain_init_params(

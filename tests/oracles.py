@@ -259,7 +259,7 @@ def least_squares_fit(
         raise NoModulationError("histogram is flat; nothing to fit")
     if omega_i is None:
         omega_i = TWO_PI / hist.period
-    check_start(init, hist.period)
+    check_start(init, hist.period, beams, omega_i)
 
     free = tuple(name for name in PARAM_NAMES if name not in frozen)
     if init.sigma_t == 0:

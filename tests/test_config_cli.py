@@ -479,7 +479,7 @@ class TestCli:
         # The campaign path on the same histogram; the amplitude and seed
         # passed below only reach the replaced sampler.
         monkeypatch.setattr(experiments, "synthesize_histogram", lambda *a, **k: hist)
-        (campaign,) = experiments._recover_amplitudes(load_config(cfg), 24.4e-6, [2])
+        (campaign,) = experiments._recover_amplitudes(load_config(cfg), [(24.4e-6, 2)])
         assert load_fit_report(report_path).amplitude == campaign
 
     def test_fit_missing_header_key_is_runtime_error(self, tmp_path, capsys):
@@ -539,6 +539,7 @@ class TestCli:
             "22,0,-1,1,0",  # negative alpha
             "22,0,1,1,10",  # sigma_t wider than half the 5.38 us period
             "22,7,1,1,0",  # phase outside the fit's [-2 pi, 2 pi]
+            "1e6,0,1,1,0",  # 1 m, whose series the harmonic cap would cut
         )
         for init in bad:
             for freeze in ([], ["--freeze="]):
@@ -552,6 +553,29 @@ class TestCli:
         save_histogram(flat, tmp_path / "flat.txt")
         code = run_cli(["fit", str(tmp_path / "flat.txt"), "--out", str(tmp_path / "r.txt")])
         assert code == 2
+
+    # The 5375.8 ns period holds 2 full bins of 1800 ns and 1 of 2700 ns,
+    # too few for the initial guess's floor of three.
+    @pytest.mark.parametrize("bin_width_ns, full", [(1800, 2), (2700, 1)])
+    def test_too_few_full_bins_name_their_count(
+        self, tmp_path, capsys, caplog, bin_width_ns, full
+    ):
+        cfg = tmp_path / "wide.yaml"
+        cfg.write_text(f"pipeline:\n  bin_width_ns: {bin_width_ns}\nexperiment:\n  repetitions: 3\n")
+        message = f"full TAC bins in the period: {full}, fewer than the 3"
+        hist, out = tmp_path / "hist.txt", tmp_path / "runs"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(hist), "--seed", "5"]) == 0
+        capsys.readouterr()
+        assert run_cli(["fit", str(hist), "--config", str(cfg), "--out", str(out / "f.txt")]) == 2
+        assert message in capsys.readouterr().err
+        # The campaign drops every trial as too flat to fit, and then has no
+        # scatter to report.
+        with caplog.at_level("WARNING"):
+            code = run_cli(["campaign", "sensitivity", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert caplog.text.count(message) == 3
+        assert "not enough converged fits" in capsys.readouterr().err
+        assert not (out / "sensitivity.json").exists()
 
     def test_sweep_drops_flat_histograms(self, tmp_path):
         # 1 s gates with 0.3 us jitter smear the 5 and 7.5 mV histograms

@@ -192,6 +192,58 @@ class TestAmplitudeSweep:
         assert (first["trials"], first["dropped"]) == (0, 2)
 
 
+class TestRecoveryStacks:
+    """The recovery campaigns fit their histograms in stacks of FIT_STACK,
+    and each trial's result is that of its fit alone."""
+
+    def test_each_trial_is_its_fit_alone(self, monkeypatch, caplog):
+        # 18 trials over 15-25 um, the fifth one flat: it is dropped before
+        # stacking, and the other 17 fit as a stack of 16 and one of 1.
+        config = config_from_dict({"pipeline": {"gate_time_s": 1.0, "timing_jitter_us": 0.2}})
+        omega_i, pipe = config.drive.injection_frequency, config.pipeline
+        trials = [(a, 700 + k) for k, a in enumerate(np.linspace(15e-6, 25e-6, 18))]
+        flat = TacHistogram(
+            pipe.bin_width,
+            TWO_PI / omega_i,
+            np.random.default_rng(3).poisson(8.0, 538),
+            pipe.gate_time,
+        )
+        synthesize = experiments.synthesize_histogram
+
+        def with_a_flat_one(beams, amplitude, phase, omega_i, pipeline, seed):
+            if seed == 704:
+                return flat
+            return synthesize(beams, amplitude, phase, omega_i, pipeline, seed=seed)
+
+        monkeypatch.setattr(experiments, "synthesize_histogram", with_a_flat_one)
+        stacks = []
+        fit_histograms = experiments.fit_histograms
+
+        def recording(hists, *args, **kwargs):
+            stacks.append(len(hists))
+            return fit_histograms(hists, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "fit_histograms", recording)
+        with caplog.at_level("WARNING"):
+            fitted = experiments._recover_amplitudes(config, trials)
+        assert stacks == [experiments.FIT_STACK, 17 - experiments.FIT_STACK]
+        assert "trial dropped at 17.35 um: histogram is flat" in caplog.text
+        expected = []
+        for amplitude, seed in trials:
+            hist = with_a_flat_one(
+                config.beams, amplitude, config.experiment.reference_phase, omega_i, pipe, seed
+            )
+            if seed == 704:
+                expected.append(None)
+                continue
+            result = fitting.fit_histogram(
+                hist, config.beams, experiments.fit_init(config, hist), omega_i=omega_i
+            )
+            expected.append(result.amplitude if result.converged else None)
+        assert fitted == expected
+        assert fitted[4] is None and all(a is not None for k, a in enumerate(fitted) if k != 4)
+
+
 class TestFitInit:
     def test_warm_start_makes_no_model_pass(self, monkeypatch):
         # Alpha and beta come from the detection chain, so once the template
@@ -433,8 +485,8 @@ class TestFixedSeedOutputs:
     # numbers on purpose updates the digest and says so.
     DEFAULT_RECORD_SHA256 = {
         "lower-bound": "ee6717ea29d11fb1314f7e8c9e83bea2f2d9cd22c193a6bd4f36fb67af18004d",
-        "sensitivity": "9b22de9655e541dbab660bc27db5ea79025ad3f24cd62f25859ff4f3d6352989",
-        "sweep-amplitude": "a661676bb5b22720c3d1e4c4fec80d46f1af3d59965308ea754e33af8f6a4e67",
+        "sensitivity": "8ae2062b1143c628bede7634ed659e803c15b28d81f8d6d66a99ca208bb22c5b",
+        "sweep-amplitude": "37b4c70af76310bc558575c08d024fbff63c614f177d65c9ec29990b62f6b192",
         "sweep-squeeze": "6445a80f2ef27fd964564179e414278c9522ccd8e9b171311c06e814edd427ca",
     }
 

@@ -319,6 +319,41 @@ class TestRateHarmonics:
         assert math.isfinite(total) and np.all(np.isfinite(means))
 
 
+class TestHarmonicCap:
+    """The fit never evaluates a rate series that HARMONIC_CAP would cut."""
+
+    def test_fit_never_forms_a_cut_series(self, monkeypatch):
+        # At 0.12 us jitter the series of a 21.677 um histogram needs 52
+        # harmonics and one at 18 um 49.  With the cap at 50 a start at the
+        # truth is refused, and a fit from 18 um rejects every trial past
+        # the cap, as it rejects a rise of the deviance.
+        monkeypatch.setattr(fitting, "HARMONIC_CAP", 50)
+        pipe = PipelineConfig(timing_jitter=0.12e-6)
+        hist = synth(*REF_CASE_A, seed=4300, pipe=pipe)
+        init = chain_init_params(hist, pipe.efficiency, pipe.snr, *REF_CASE_A, 0.12e-6)
+        with pytest.raises(ValueError, match="needs more than 50 harmonics"):
+            fit_histogram(hist, BEAMS, init)
+        formed, checked = [], []
+        harmonics, length = fitting._rate_harmonics, fitting._series_length
+
+        def recording_harmonics(beams, amplitude, omega_i, width, slope):
+            formed.extend(np.ravel(length(beams, amplitude, omega_i, width)))
+            return harmonics(beams, amplitude, omega_i, width, slope)
+
+        def recording_length(*args):
+            lengths = length(*args)
+            checked.extend(lengths)
+            return lengths
+
+        monkeypatch.setattr(fitting, "_rate_harmonics", recording_harmonics)
+        monkeypatch.setattr(fitting, "_series_length", recording_length)
+        clear_caches()
+        result = fit_histogram(hist, BEAMS, replace(init, amplitude=18e-6))
+        assert max(checked) > 50
+        assert formed and max(formed) <= 50
+        assert 18e-6 < result.amplitude < 20e-6
+
+
 class TestDeriveAlphaBeta:
     def test_reference_values(self):
         alpha, beta = derive_alpha_beta(0.0028, 10.0, 538, 5.353e4, 2.0)
@@ -531,11 +566,14 @@ class TestShapeCache:
     BASE = dict(amplitude=21.677e-6, phase=0.03, sigma_t=0.2e-6)
 
     def test_fits_from_one_start_evaluate_its_rate_once(self, monkeypatch):
-        start = []
+        # Two fits from one start in one stack: the start's integrals are
+        # formed once, by a pass of their own, and every later pass is the
+        # stack's, one row per evaluation.
+        passes = []
         rate = fitting.rate_integrals
 
         def counting_rate(beams, amplitude, phase, *rest):
-            start.append((amplitude, phase))
+            passes.append((amplitude, phase) if np.ndim(amplitude) == 0 else len(amplitude))
             return rate(beams, amplitude, phase, *rest)
 
         pipe = PipelineConfig(gate_time=1.0, timing_jitter=0.2e-6)
@@ -548,10 +586,11 @@ class TestShapeCache:
         assert inits[0].beta != inits[1].beta
         clear_caches()
         monkeypatch.setattr(fitting, "rate_integrals", counting_rate)
-        results = [fit_histogram(h, BEAMS, init) for h, init in zip(hists, inits)]
+        results = fitting.fit_histograms(hists, BEAMS, inits)
         assert all(result.converged for result in results)
-        assert start.count((21.0e-6, 0.03)) == 1
-        assert len(start) == sum(result.iterations for result in results) - 1
+        assert [p for p in passes if isinstance(p, tuple)] == [(21.0e-6, 0.03)]
+        rows = [p for p in passes if not isinstance(p, tuple)]
+        assert sum(rows) == sum(result.iterations for result in results) - 2
         # The kept start gives the fit that a cold start gives.
         monkeypatch.undo()
         clear_caches()
@@ -826,6 +865,59 @@ class TestFit:
         assert wrap_phase(0.1) == pytest.approx(0.1)
 
 
+class TestStacks:
+    """Every fit of a stack equals, with ==, the fit of its histogram
+    alone: the stack changes no fit's arithmetic or decisions."""
+
+    @pytest.mark.parametrize("size", [1, 16, 17])
+    @pytest.mark.parametrize("sigma_t", [0.0, 0.2e-6])
+    def test_each_fit_is_its_fit_alone(self, size, sigma_t):
+        # Amplitudes over 12-32 um give series of different lengths.
+        pipe = PipelineConfig(gate_time=2.0, timing_jitter=sigma_t)
+        amplitudes = np.linspace(12e-6, 32e-6, size)
+        hists = [synth(a, 0.3, seed=9000 + k, pipe=pipe) for k, a in enumerate(amplitudes)]
+        inits = [
+            chain_init_params(
+                h, pipe.efficiency, pipe.snr, *initial_guess(h, BEAMS, sigma_t=sigma_t), sigma_t
+            )
+            for h in hists
+        ]
+        stacked = fitting.fit_histograms(hists, BEAMS, inits)
+        assert stacked == [fit_histogram(h, BEAMS, init) for h, init in zip(hists, inits)]
+        assert all(result.converged for result in stacked)
+        if size > 1:
+            lengths = fitting._series_length(BEAMS, amplitudes, OMEGA, OMEGA * sigma_t)
+            assert len(set(lengths)) > 1
+
+    def test_a_fit_that_runs_out_of_evaluations(self):
+        # A start far from its histogram's amplitude takes more evaluations
+        # than the others; it runs out alone, and no other fit notices.
+        hists = [synth(*REF_CASE_A, seed=9100 + k) for k in range(4)]
+        inits = [
+            chain_init_params(h, PIPE.efficiency, PIPE.snr, *initial_guess(h, BEAMS))
+            for h in hists
+        ]
+        inits[2] = replace(inits[2], amplitude=30e-6, phase=-0.5)
+        stacked = fitting.fit_histograms(hists, BEAMS, inits, max_evaluations=6)
+        alone = [fit_histogram(h, BEAMS, i, max_evaluations=6) for h, i in zip(hists, inits)]
+        assert stacked == alone
+        assert [result.converged for result in stacked] == [True, True, False, True]
+        assert stacked[2].iterations == 6
+
+    def test_a_stack_shares_one_binning_and_free_set(self):
+        hist = synth(*REF_CASE_A, seed=9200)
+        other = synth(*REF_CASE_A, seed=9201, pipe=PipelineConfig(bin_width=13e-9))
+        init = chain_init_params(hist, PIPE.efficiency, PIPE.snr, *REF_CASE_A, 0.2e-6)
+        with pytest.raises(ValueError, match="one binning"):
+            fitting.fit_histograms([hist, other], BEAMS, [init, init])
+        with pytest.raises(ValueError, match="same parameters"):
+            fitting.fit_histograms(
+                [hist, hist], BEAMS, [init, replace(init, sigma_t=0.0)], frozen=()
+            )
+        with pytest.raises(ValueError, match="one start per histogram"):
+            fitting.fit_histograms([hist, hist], BEAMS, [init])
+
+
 class TestAgainstTrustRegion:
     """The package's Levenberg-Marquardt loop against scipy's trust-region
     solver on the same deviance, columns, bounds and thresholds."""
@@ -972,21 +1064,32 @@ class TestExactJacobian:
         _, slope = fitting._deviance_residuals(np.zeros(3), counts, special.xlogy(counts, counts))
         assert np.all(np.isfinite(slope))
 
-    def test_default_fit_calls_the_model_once_per_evaluation(self, monkeypatch):
-        hist = synth(*REF_CASE_A, seed=1000)
-        init = chain_init_params(hist, PIPE.efficiency, PIPE.snr, *initial_guess(hist, BEAMS))
+    def test_a_stack_makes_one_model_pass_per_iteration(self, monkeypatch):
+        # Each fit evaluates in every iteration until it stops, so a stack
+        # makes one pass per iteration of its longest fit, with one row per
+        # evaluation, after one pass per distinct start.
+        hists = [synth(*REF_CASE_A, seed=1000 + k) for k in range(3)]
+        inits = [
+            chain_init_params(h, PIPE.efficiency, PIPE.snr, *initial_guess(h, BEAMS))
+            for h in hists
+        ]
         calls = []
-        curve = fitting.model_curve
+        rate = fitting.rate_integrals
 
-        def counting_curve(*args, **kwargs):
-            calls.append(kwargs.get("free"))
-            return curve(*args, **kwargs)
+        def counting_rate(beams, amplitude, *rest):
+            calls.append((np.size(amplitude) if np.ndim(amplitude) else None, rest[5]))
+            return rate(beams, amplitude, *rest)
 
-        monkeypatch.setattr(fitting, "model_curve", counting_curve)
-        result = fit_histogram(hist, BEAMS, init=init)
-        assert result.converged
-        assert 0 < len(calls) <= result.iterations
-        assert set(calls) == {("amplitude", "phase")}
+        clear_caches()
+        monkeypatch.setattr(fitting, "rate_integrals", counting_rate)
+        results = fitting.fit_histograms(hists, BEAMS, inits)
+        assert all(result.converged for result in results)
+        assert {free for _, free in calls} == {("amplitude", "phase")}
+        starts = [size for size, _ in calls if size is None]
+        assert len(starts) == len({(init.amplitude, init.phase) for init in inits})
+        rows = [size for size, _ in calls if size is not None]
+        assert len(rows) == max(result.iterations for result in results) - 1
+        assert sum(rows) == sum(result.iterations for result in results) - len(results)
 
 
 class TestFisherInformation:

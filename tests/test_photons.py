@@ -355,7 +355,7 @@ class TestStageSpans:
         config = config_from_dict(
             {"pipeline": {"gate_time_s": 1.0, "timing_jitter_us": jitter * 1e6}}
         )
-        experiments._recover_amplitudes(config, 22e-6, [1, 2])
+        experiments._recover_amplitudes(config, [(22e-6, 1), (22e-6, 2)])
         assert calls["synthesize_histogram"] == 2
 
     def test_sampler_keeps_the_parameters_the_benchmark_reads(self):
