@@ -348,6 +348,7 @@ def _edge_sums(
     if n_rows > 1:
         rest = products[:, 1:].reshape(n_fits, -1, fine.shape[1])
         np.matmul(split[:, 1:].reshape(n_fits, -1, 2 * n), fine, out=rest)
+    # Freed before the sums are built, which lowers a stack's peak memory.
     del split
     sums = np.empty((n_fits, n_rows, phases.n_bins + 1))
     sums[..., :-1] = products[..., :-1].reshape(n_fits, n_rows, -1)[..., : phases.n_bins]
