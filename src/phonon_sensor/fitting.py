@@ -27,7 +27,9 @@ The loop runs a stack of fits in lockstep (:func:`fit_histograms`): one
 model pass with a leading fit axis, one set of residuals and one round of
 step algebra per iteration for every fit still running, with each fit's
 decisions and arithmetic its own, so a fit gives the result it gives
-alone; :func:`fit_histogram` is the stack of one.
+alone; :func:`fit_histogram` is the stack of one.  Through a
+:class:`FitStack`, each fit of a stack is still one :func:`fit_histogram`
+call, the first of which runs the stack's loop.
 
 What depends only on the binning, never on the counts, is built once per
 binning and reused read-only: the bin edges and widths, the sines and
@@ -700,6 +702,7 @@ def fit_histogram(
     frozen: tuple[str, ...] = DEFAULT_FROZEN,
     omega_i: float | None = None,
     max_evaluations: int = 500,
+    stack: FitStack | None = None,
 ) -> FitResult:
     """Poisson maximum-likelihood fit of a TAC histogram.
 
@@ -731,9 +734,15 @@ def fit_histogram(
     is 0 at sigma_t = 0, so a free sigma_t that starts at 0 stays there.
 
     This is the stack of one of :func:`fit_histograms`, whose fits give
-    the results they give alone.
+    the results they give alone.  Given a :class:`FitStack` that holds
+    ``hist`` from ``init``, made with the same beams and settings, the
+    result is this fit's from the stack's one loop.
     """
-    return fit_histograms([hist], beams, [init], frozen, omega_i, max_evaluations)[0]
+    if stack is None:
+        return fit_histograms([hist], beams, [init], frozen, omega_i, max_evaluations)[0]
+    if (tuple(beams), tuple(frozen), omega_i, max_evaluations) != stack.settings:
+        raise ValueError("a stack's fits take the beams and settings it was made with")
+    return stack.result(hist, init)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -910,6 +919,43 @@ def fit_histograms(
             )
         )
     return results
+
+
+class FitStack:
+    """Histograms of one binning whose fits run as one lockstep loop.
+
+    Each member is fitted through :func:`fit_histogram` with ``stack``
+    set, so every fit is still one call that returns its own result.  The
+    loop (:func:`fit_histograms`) runs when the first member is asked
+    for, and the others' results are then returned as it gave them.
+    """
+
+    def __init__(
+        self,
+        hists,
+        beams,
+        inits,
+        frozen: tuple[str, ...] = DEFAULT_FROZEN,
+        omega_i: float | None = None,
+        max_evaluations: int = 500,
+    ):
+        self.hists, self.inits = list(hists), list(inits)
+        self.settings = (tuple(beams), tuple(frozen), omega_i, max_evaluations)
+        self._results = None
+
+    def result(self, hist: TacHistogram, init: FitModelParams) -> FitResult:
+        """The fit of member ``hist`` from ``init``."""
+        for k, (member, start) in enumerate(zip(self.hists, self.inits)):
+            if member is hist and start == init:
+                break
+        else:
+            raise ValueError("the histogram and start are not a member of the stack")
+        if self._results is None:
+            beams, frozen, omega_i, max_evaluations = self.settings
+            self._results = fit_histograms(
+                self.hists, beams, self.inits, frozen, omega_i, max_evaluations
+            )
+        return self._results[k]
 
 
 def chain_init_params(

@@ -194,7 +194,9 @@ class TestAmplitudeSweep:
 
 class TestRecoveryStacks:
     """The recovery campaigns fit their histograms in stacks of FIT_STACK,
-    and each trial's result is that of its fit alone."""
+    and each trial's result is that of its fit alone.  The benchmark
+    counts and times the fits by wrapping ``experiments.fit_histogram``,
+    so each fit must still be one call to that module attribute."""
 
     def test_each_trial_is_its_fit_alone(self, monkeypatch, caplog):
         # 18 trials over 15-25 um, the fifth one flat: it is dropped before
@@ -216,17 +218,23 @@ class TestRecoveryStacks:
             return synthesize(beams, amplitude, phase, omega_i, pipeline, seed=seed)
 
         monkeypatch.setattr(experiments, "synthesize_histogram", with_a_flat_one)
-        stacks = []
-        fit_histograms = experiments.fit_histograms
+        stacks, calls = [], []
+        fit_histograms, fit_histogram = fitting.fit_histograms, experiments.fit_histogram
 
         def recording(hists, *args, **kwargs):
             stacks.append(len(hists))
             return fit_histograms(hists, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "fit_histograms", recording)
+        def recording_one(hist, *args, **kwargs):
+            calls.append((hist, fit_histogram(hist, *args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(fitting, "fit_histograms", recording)
+        monkeypatch.setattr(experiments, "fit_histogram", recording_one)
         with caplog.at_level("WARNING"):
             fitted = experiments._recover_amplitudes(config, trials)
         assert stacks == [experiments.FIT_STACK, 17 - experiments.FIT_STACK]
+        assert len(calls) == 17 and all(hist is not flat for hist, _ in calls)
         assert "trial dropped at 17.35 um: histogram is flat" in caplog.text
         expected = []
         for amplitude, seed in trials:
@@ -236,10 +244,12 @@ class TestRecoveryStacks:
             if seed == 704:
                 expected.append(None)
                 continue
-            result = fitting.fit_histogram(
+            result = fit_histogram(
                 hist, config.beams, experiments.fit_init(config, hist), omega_i=omega_i
             )
             expected.append(result.amplitude if result.converged else None)
+            (called,) = [got for drawn, got in calls if drawn.seed == seed]
+            assert called == result
         assert fitted == expected
         assert fitted[4] is None and all(a is not None for k, a in enumerate(fitted) if k != 4)
 

@@ -917,6 +917,32 @@ class TestStacks:
         with pytest.raises(ValueError, match="one start per histogram"):
             fitting.fit_histograms([hist, hist], BEAMS, [init])
 
+    def test_fits_through_a_fit_stack_run_its_loop_once(self, monkeypatch):
+        hists = [synth(*REF_CASE_A, seed=9300 + k) for k in range(3)]
+        inits = [
+            chain_init_params(h, PIPE.efficiency, PIPE.snr, *initial_guess(h, BEAMS))
+            for h in hists
+        ]
+        alone = [fit_histogram(h, BEAMS, i) for h, i in zip(hists, inits)]
+        loops = []
+        fit_histograms = fitting.fit_histograms
+
+        def recording(stack_hists, *args, **kwargs):
+            loops.append(len(stack_hists))
+            return fit_histograms(stack_hists, *args, **kwargs)
+
+        monkeypatch.setattr(fitting, "fit_histograms", recording)
+        stack = fitting.FitStack(hists, BEAMS, inits)
+        assert [fit_histogram(h, BEAMS, i, stack=stack) for h, i in zip(hists, inits)] == alone
+        assert loops == [3]
+        with pytest.raises(ValueError, match="not a member"):
+            fit_histogram(hists[0], BEAMS, inits[1], stack=stack)
+        with pytest.raises(ValueError, match="not a member"):
+            fit_histogram(synth(*REF_CASE_A, seed=9303), BEAMS, inits[0], stack=stack)
+        with pytest.raises(ValueError, match="settings it was made with"):
+            fit_histogram(hists[0], BEAMS, inits[0], max_evaluations=6, stack=stack)
+        assert loops == [3]
+
 
 class TestAgainstTrustRegion:
     """The package's Levenberg-Marquardt loop against scipy's trust-region
