@@ -6,6 +6,9 @@ Two integrators:
   equations for the in-phase/quadrature components, integrated with exact
   Gaussian transition steps (no step-size bias); :func:`_envelope_paths`
   integrates one such path per seed in one call, bit for bit the same.
+  The exact transition is the AR(1) recursion u[n] = a u[n-1] + kick, which
+  :func:`_ar1_scan` evaluates with numpy in blocks: a growth table, a
+  cumsum and a decay table per block.
 * :func:`_locked_phase_spreads` - the injection-locked phase model used by
   the smallest-force protocol: the oscillation phasor is pinned at the
   free-running amplitude while its phase feels the injection restoring
@@ -28,6 +31,7 @@ model against them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +51,8 @@ from .physics import (
 )
 
 PHASE_CHUNK = 500  # locked-phase steps whose normals are drawn at once
+AR1_SPAN = 300.0  # largest decay exponent rate_dt L of one AR(1) scan block
+AR1_LOOP_BLOCKS = 8  # rows of at most this many blocks scan them one call each
 
 
 @dataclass
@@ -147,7 +153,7 @@ def _envelope_paths(
     as ``x[traj, step]`` and ``y[traj, step]``.
 
     Each trajectory draws from its own generator exactly as a call of
-    :func:`integrate_quadratures` with its seed does, and rows are filtered
+    :func:`integrate_quadratures` with its seed does, and rows are scanned
     and offset independently, so row k equals that call's path bit for bit.
     """
     if duration <= 0:
@@ -174,30 +180,24 @@ def _envelope_paths(
     lam_x = 0.5 * noise.damping * (1.0 + modulation)
     lam_y = 0.5 * noise.damping * (1.0 - modulation)
     mean_y = drive.force / (denom * lam_y)
+    n_rows = n_steps + 1
 
-    def step_params(lam):
+    def scan_tables(lam):
         if lam > 0:
             decay = math.exp(-lam * dt)
             var = diffusion * (1.0 - decay * decay) / (2.0 * lam)
         else:
-            decay = 1.0  # marginal quadrature: pure random walk
-            var = diffusion * dt
-        return decay, math.sqrt(var)
+            var = diffusion * dt  # marginal quadrature: pure random walk
+        return _ar1_tables(lam * dt, n_rows, math.sqrt(var))
 
-    decay_x, sd_x = step_params(lam_x)
-    decay_y, sd_y = step_params(lam_y)
     if stationary_start and (lam_x <= 0 or lam_y <= 0):
         raise InstabilityError("no stationary state at |g cos 2 phi| = 1")
 
-    # The exact transition is the AR(1) recursion u[n] = decay u[n-1] + kick,
-    # evaluated as an IIR filter along rows that hold the start value in
-    # column 0 and the kicks after it, so the filter's output is the path
-    # itself.  scipy.signal is the only scipy module the package uses, so
-    # it is imported here, by its one user: on its own it costs 0.9-1.6 s,
-    # because it pulls in scipy.stats.
-    from scipy.signal import lfilter
-
-    paths = np.empty((2, len(seeds), n_steps + 1))
+    # Each row is drawn into a scratch row, which holds the start value in
+    # column 0 and the unit kicks after it, and scanned from there.
+    tables = scan_tables(lam_x), scan_tables(lam_y)
+    paths = np.empty((2, len(seeds), n_rows))
+    kicks = np.empty(n_rows)
     for k, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         if stationary_start:
@@ -205,15 +205,75 @@ def _envelope_paths(
             y0 = rng.normal(mean_y, math.sqrt(diffusion / (2.0 * lam_y)))
         else:
             x0, y0 = initial_x, initial_y
-        for row, start in ((paths[0, k], x0), (paths[1, k], y0 - mean_y)):
-            row[0] = start
-            rng.standard_normal(out=row[1:])
-    paths[0, :, 1:] *= sd_x
-    paths[1, :, 1:] *= sd_y
-    x = lfilter([1.0], [1.0, -decay_x], paths[0])
-    y = lfilter([1.0], [1.0, -decay_y], paths[1])
-    y += mean_y
-    return QuadraturePath(x, y)
+        for row, start, table in zip(paths[:, k], (x0, y0 - mean_y), tables):
+            kicks[0] = start
+            rng.standard_normal(out=kicks[1:])
+            _ar1_scan(kicks, row, table)
+    paths[1] += mean_y
+    return QuadraturePath(paths[0], paths[1])
+
+
+@functools.lru_cache(maxsize=4)
+def _ar1_tables(rate_dt: float, n: int, scale: float):
+    """Tables of :func:`_ar1_scan` for rows of ``n`` elements, the decay
+    a = exp(-rate_dt) per element and kicks scaled by ``scale``: scale a^-i
+    (1 for the start) and a^i at each element's offset i in its block, the
+    block length L and a^L.
+
+    L keeps rate_dt L <= AR1_SPAN, so a^-L stays far from overflow; a row
+    that fits in one block (every row at rate_dt = 0) is one block.  The
+    tables are kept for the next calls with the same arguments: the squeeze
+    sweep integrates each drive's trials in batches, and forming the tables
+    costs about as much as scanning two rows.
+    """
+    if rate_dt * n <= AR1_SPAN:
+        length = n
+    else:
+        length = max(1, int(AR1_SPAN / rate_dt))
+    powers = np.exp(rate_dt * (np.arange(n) % length))
+    shrink = 1.0 / powers
+    growth = powers * scale
+    growth[0] = 1.0
+    growth.flags.writeable = shrink.flags.writeable = False
+    return growth, shrink, length, math.exp(-rate_dt * length)
+
+
+def _ar1_scan(kicks: np.ndarray, out: np.ndarray, tables) -> None:
+    """Write to ``out`` the AR(1) path u[0] = kicks[0],
+    u[n] = a u[n-1] + scale kicks[n], with the tables of
+    :func:`_ar1_tables`; ``kicks`` is overwritten.
+
+    Within a block starting at b, u[b+i] = a^i cumsum_j(scale a^-j
+    kicks[b+j]) once the carry a u[b-1] = a^L S is added to the block's
+    first term, S being the previous block's last cumsum.
+
+    numpy releases the interpreter lock in a 1-D cumsum into another array,
+    but not in one in place or in a 2-D one over a few long rows, so each
+    block is summed into ``out`` by one such call, and takes its carry from
+    the block before.  A row of more than AR1_LOOP_BLOCKS blocks (rate_dt above
+    0.24 at 10 000 steps), where those calls would cost more than the sums,
+    is summed by one 2-D call after one pass adds every carry from the sums
+    of the blocks' own terms.  There rate_dt L >= 150
+    (L = floor(AR1_SPAN / rate_dt), or 1), so the part of a carry that
+    reaches back two blocks is below e^-150 of the path.
+    """
+    growth, shrink, length, span_decay = tables
+    n = len(kicks)
+    kicks *= growth
+    if n > AR1_LOOP_BLOCKS * length:
+        carries = np.add.reduceat(kicks, np.arange(0, n, length))[:-1]
+        carries *= span_decay
+        kicks[length::length] += carries
+        full = n // length * length
+        blocks = (-1, length)
+        np.add.accumulate(kicks[:full].reshape(blocks), axis=1, out=out[:full].reshape(blocks))
+        np.add.accumulate(kicks[full:], out=out[full:])
+    else:
+        for lo in range(0, n, length):
+            if lo:
+                kicks[lo] += span_decay * out[lo - 1]
+            np.add.accumulate(kicks[lo : lo + length], out=out[lo : lo + length])
+    out *= shrink
 
 
 def stationary_mean_displacement(

@@ -58,9 +58,9 @@ REFERENCE_TAU = 500.0  # s
 REFERENCE_SLOPE = 0.9979e-9 / 1e-24  # m/N
 
 # Envelope trials integrated per call in the squeeze sweep.  Batching makes
-# the scaling, filtering and variance calls per batch rather than per trial,
+# the variance calls and each call's setup per batch rather than per trial,
 # so two sweep workers seldom hand the interpreter lock back and forth; 8
-# trials of 10 000 periods take about 3 MB.
+# trials of 10 000 periods take about 1.3 MB.
 ENVELOPE_BATCH = 8
 
 # Histograms fitted per Levenberg-Marquardt loop by the recovery campaigns.

@@ -723,7 +723,10 @@ def fit_histogram(
     rise.  A trial whose rate series HARMONIC_CAP would cut is rejected
     unformed, as a rise is.  The fit has converged when an accepted step
     lowers the deviance by at most 1e-8 of it, or a step's scaled length
-    is at most 1e-10 of the parameters'.  Running out of
+    is at most 1e-10 of the parameters'.  A fit whose stop follows a trial
+    the cap rejected, with no step accepted in between but the stopping
+    one, is held at the cap, whose rejections shrank its last steps, and is
+    flagged unconverged.  Running out of
     ``max_evaluations`` flags the result instead of raising;
     ``iterations`` counts the evaluations.  Each evaluation is one model
     pass that also yields the exact Jacobian columns, and the errors come
@@ -864,6 +867,9 @@ def fit_histograms(
     nfev = np.ones(n_fits, int)
     damping = np.full(n_fits, 1e-3)
     converged = np.zeros(n_fits, bool)
+    # Fits with a trial rejected at the cap since their last accepted step;
+    # a step that ends a fit keeps the mark, as the cap shrank that step.
+    capped = np.zeros(n_fits, bool)
     diagonal = np.arange(len(free))
     while True:
         fits = np.flatnonzero(~converged & (nfev < max_evaluations))
@@ -887,6 +893,7 @@ def fit_histograms(
         formed = _series_length(beams, amplitude, omega_i, omega_i * sigma_t) <= HARMONIC_CAP
         nfev[fits] += 1
         damping[fits[~formed]] *= 10.0
+        capped[fits[~formed]] = True
         fits, trial = fits[formed], trial[formed]
         if not len(fits):
             continue
@@ -898,6 +905,7 @@ def fit_histograms(
         params[fits], jtj[fits], jtr[fits] = trial[accepted], trial_jtj[accepted], trial_jtr[accepted]
         deviance[fits] = trial_deviance
         damping[fits] /= 10.0
+        capped[fits] &= converged[fits]
 
     dof = max(len(widths) - len(free), 1)
     inverses = _pseudo_inverses(jtj)
@@ -913,7 +921,7 @@ def fit_histograms(
                 params=replace(fitted, phase=wrap_phase(fitted.phase)),
                 errors=errors,
                 residual=float(deviance[k]),
-                converged=bool(converged[k]) and inverses[k] is not None,
+                converged=bool(converged[k] and not capped[k]) and inverses[k] is not None,
                 iterations=int(nfev[k]),
                 frozen=tuple(frozen),
             )

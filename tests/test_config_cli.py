@@ -730,12 +730,14 @@ class TestCli:
         assert config_hash(config_from_dict(data)) == config_hash(default_config())
 
     def test_cheap_paths_import_no_scipy(self, tmp_path):
-        # Only the squeeze sweep needs scipy, and it imports scipy.signal
-        # when first used; a fresh interpreter that runs no sweep must not
-        # load it.  The lower-bound run uses 2 s gates and 20 trials, which
-        # still bracket the transition.
+        # No command loads scipy: the squeeze sweep integrates its envelopes
+        # with numpy too.  The lower-bound run uses 2 s gates and 20 trials,
+        # which still bracket the transition; the sweep is a short one.
         short = tmp_path / "short.yaml"
-        short.write_text("pipeline:\n  gate_time_s: 2.0\nexperiment:\n  lower_bound_trials: 20\n")
+        short.write_text(
+            "pipeline:\n  gate_time_s: 2.0\nexperiment:\n  lower_bound_trials: 20\n"
+            "  squeeze_trials: 4\n  squeeze_periods: 200\n"
+        )
         script = f"""
 import sys
 from phonon_sensor.cli import main
@@ -746,6 +748,7 @@ out = {str(tmp_path)!r}
 assert main(["write-config", "--out", out + "/default.yaml"]) == 0
 assert main(["campaign", "calibrate", "--out", out]) == 0
 assert main(["campaign", "lower-bound", "--config", {str(short)!r}, "--out", out]) == 0
+assert main(["campaign", "sweep-squeeze", "--config", {str(short)!r}, "--out", out]) == 0
 assert main(["campaign", "no-such-campaign", "--out", out]) == 1
 assert main(["fit", out + "/calibrate.json", "--out", out + "/r.txt"]) == 2
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))

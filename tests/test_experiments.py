@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phonon_sensor import experiments, fitting
+from phonon_sensor import dynamics, experiments, fitting
 from phonon_sensor.config import (
     ConfigError,
     canonicalize,
@@ -427,6 +428,23 @@ class TestConcurrency:
         ] * 2
         assert self.lower_bound_record() == pooled
 
+    def test_squeeze_sweep_equals_serial(self, monkeypatch):
+        # The sweep's workers share the kept scan tables.  With more workers
+        # than CPUs and a short switch interval, the threaded sweep still
+        # gives the serial rows.
+        config = with_experiment(CONFIG, squeeze_trials=24, squeeze_periods=2000)
+        monkeypatch.setattr(experiments, "_available_cpus", lambda: 1)
+        serial = json.dumps(squeeze_sweep(config, seed=47), sort_keys=True)
+        dynamics._ar1_tables.cache_clear()
+        monkeypatch.setattr(experiments, "_available_cpus", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = json.dumps(squeeze_sweep(config, seed=47), sort_keys=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
     def test_worker_error_ends_every_thread(self):
         # A zero damping rate passes squeeze_sweep and fails in every
         # envelope batch, so the error is raised inside the workers.
@@ -497,7 +515,7 @@ class TestFixedSeedOutputs:
         "lower-bound": "ee6717ea29d11fb1314f7e8c9e83bea2f2d9cd22c193a6bd4f36fb67af18004d",
         "sensitivity": "8ae2062b1143c628bede7634ed659e803c15b28d81f8d6d66a99ca208bb22c5b",
         "sweep-amplitude": "37b4c70af76310bc558575c08d024fbff63c614f177d65c9ec29990b62f6b192",
-        "sweep-squeeze": "6445a80f2ef27fd964564179e414278c9522ccd8e9b171311c06e814edd427ca",
+        "sweep-squeeze": "b85d5ada36a66d99b0276b1914b0113a15e222a4a059c0442d06f96aadd745ed",
     }
 
     @pytest.mark.parametrize("kind", sorted(DEFAULT_RECORD_SHA256))

@@ -326,7 +326,8 @@ class TestHarmonicCap:
         # At 0.12 us jitter the series of a 21.677 um histogram needs 52
         # harmonics and one at 18 um 49.  With the cap at 50 a start at the
         # truth is refused, and a fit from 18 um rejects every trial past
-        # the cap, as it rejects a rise of the deviance.
+        # the cap, as it rejects a rise of the deviance.  It stops held at
+        # the cap, short of the truth, so it is flagged unconverged.
         monkeypatch.setattr(fitting, "HARMONIC_CAP", 50)
         pipe = PipelineConfig(timing_jitter=0.12e-6)
         hist = synth(*REF_CASE_A, seed=4300, pipe=pipe)
@@ -352,6 +353,7 @@ class TestHarmonicCap:
         assert max(checked) > 50
         assert formed and max(formed) <= 50
         assert 18e-6 < result.amplitude < 20e-6
+        assert not result.converged
 
 
 class TestDeriveAlphaBeta:
