@@ -177,18 +177,19 @@ def _expected_lock_spread(config: RunConfig, voltage: float) -> float:
 
 
 def fit_init(config: RunConfig, hist):
-    """Fit start of a histogram taken under ``config``: the template-matched
-    amplitude, the reference phase, detection-chain alpha/beta and jitter."""
-    pipe = config.pipeline
-    amplitude, _ = initial_guess(
-        hist, config.beams, config.drive.injection_frequency, sigma_t=pipe.timing_jitter
+    """Fit start of a histogram taken under ``config``: the reference phase,
+    the amplitude the initial guess gives at that phase, and the
+    detection-chain alpha/beta and jitter."""
+    pipe, phase = config.pipeline, config.experiment.reference_phase
+    amplitude = initial_guess(
+        hist, config.beams, phase, config.drive.injection_frequency, pipe.timing_jitter
     )
     return chain_init_params(
         hist,
         pipe.efficiency,
         pipe.snr,
         amplitude=amplitude,
-        phase=config.experiment.reference_phase,
+        phase=phase,
         sigma_t=pipe.timing_jitter,
     )
 

@@ -31,17 +31,15 @@ alone; :func:`fit_histogram` is the stack of one.  Through a
 :class:`FitStack`, each fit of a stack is still one :func:`fit_histogram`
 call, the first of which runs the stack's loop.
 
+A fit starts from :func:`initial_guess`, a linear regression of the
+counts on the forward model's own low harmonics: at a known phase, the
+amplitude of a fixed grid whose harmonics best match the histogram's.
+
 What depends only on the binning, never on the counts, is built once per
 binning and reused read-only: the bin edges and widths, the sines and
 cosines of the harmonics at the bin edges, and the initial guess's
-zero-phase template bank over its fixed amplitude grid, whose conjugate
-spectra form one 2-D array so that a single inverse FFT correlates a
-histogram with every template.  What depends on the model's shape but not
-on alpha or beta, the bin integrals and their derivative rows, is kept
-read-only for the last few shapes, so fits that share a start form it
-once.  The correlation runs on a fast (5-smooth) FFT length; the FFTs are
-numpy's, and the fast length is computed here, so fitting imports no
-scipy module.
+regression rows.  The guess's harmonics over its amplitude grid are built
+once per beams, frequency and jitter width.
 """
 
 from __future__ import annotations
@@ -64,6 +62,11 @@ DEFAULT_FROZEN = ("alpha", "beta", "sigma_t")
 # cap, which bounds the cost of an absurd amplitude.
 HARMONIC_TOLERANCE = 2.0**-53
 HARMONIC_CAP = 4096
+# The initial guess regresses on at most this many harmonics, and takes its
+# amplitude from the grid np.linspace(*GUESS_GRID), 0.1 um apart; the grid
+# is built at the first guess, so that importing the package forms no array.
+GUESS_HARMONICS = 8
+GUESS_GRID = (8e-6, 40e-6, 321)
 
 
 class NoModulationError(ValueError):
@@ -361,41 +364,6 @@ def _edge_sums(
     return sums if stacked else sums[0]
 
 
-@lru_cache(maxsize=1)
-def _fft():
-    """numpy.fft, imported on first use, so that importing the package
-    loads no FFT module.
-
-    The first call also frees one 1 MB block.  glibc's malloc serves blocks
-    below its mmap threshold from the heap and raises that threshold to the
-    size of the largest mapped block freed.  Without the raise, whether the
-    template correlation's buffers (about 200 kB a call) are mapped and
-    faulted in anew on every call depends on the heap's history: a warm
-    recovery round without jitter took 3106 minor faults in one build and
-    8 in another that differed from it only in a docstring, against 8
-    with the raise (numpy 2.4, glibc 2.36, 2-core VM).
-    """
-    import numpy.fft
-
-    bytearray(1 << 20)
-    return numpy.fft
-
-
-def _next_fast_len(n: int) -> int:
-    """Smallest 5-smooth length 2^a 3^b 5^c of at least n >= 1, as
-    ``scipy.fft.next_fast_len(n, real=True)`` gives it."""
-    best = 1 << (n - 1).bit_length()
-    power5 = 1
-    while power5 < best:
-        power35 = power5
-        while power35 < best:
-            # The smallest power of two that lifts power35 to at least n.
-            best = min(best, power35 << (-(-n // power35) - 1).bit_length())
-            power35 *= 3
-        power5 *= 5
-    return best
-
-
 def model_curve(
     params: FitModelParams,
     beams,
@@ -413,13 +381,11 @@ def model_curve(
     curve's exact derivative in parameter ``free[j]``.  The alpha and beta
     columns are the rate integrals and the bin widths over the bin width;
     the amplitude, phase and sigma_t columns are alpha times the bin
-    integrals' derivatives (:func:`rate_integrals`).  Those
-    integrals do not depend on alpha or beta and are kept
-    (:func:`_shape_integrals`); the scaling is applied fresh on each call.
+    integrals' derivatives (:func:`rate_integrals`).
     """
     shape_free = tuple(name for name in ("amplitude", "phase", "sigma_t") if name in free)
     shape = (params.amplitude, params.phase, params.sigma_t)
-    integrals = _shape_integrals(tuple(beams), *shape, omega_i, period, bin_width, shape_free)
+    integrals = rate_integrals(beams, *shape, omega_i, period, bin_width, shape_free)
     _, widths = bin_grid(period, bin_width)
     scales = np.array([params.alpha]), np.array([params.beta])
     curve, rows = _scaled(integrals.reshape(1, -1, len(widths)), *scales, widths, bin_width, free)
@@ -446,30 +412,6 @@ def _scaled(integrals, alpha, beta, widths, bin_width, free) -> tuple:
             np.multiply(alpha[:, None], integrals[:, 1 + shape_free.index(name)], out=row)
             row /= bin_width
     return curve, rows
-
-
-@lru_cache(maxsize=16)
-def _shape_integrals(
-    beams: tuple,
-    amplitude: float,
-    phase: float,
-    sigma_t: float,
-    omega_i: float,
-    period: float,
-    bin_width: float,
-    free: tuple,
-) -> np.ndarray:
-    """Read-only :func:`rate_integrals`, with (for ``free``) their
-    derivative rows in those shape parameters.
-
-    They hold no alpha or beta, so the fits that share a start (the
-    template amplitude, the reference phase and sigma_t, equal across a
-    campaign's gates) form the start's integrals once; the last 16 are
-    kept.
-    """
-    integrals = rate_integrals(beams, amplitude, phase, sigma_t, omega_i, period, bin_width, free)
-    integrals.flags.writeable = False
-    return integrals
 
 
 def fisher_information(
@@ -512,110 +454,97 @@ def _is_flat(counts: np.ndarray) -> bool:
     return chi2 < dof + 8.0 * math.sqrt(2.0 * dof)
 
 
-def _correlation_length(n: int) -> int:
-    """Smallest 5-smooth length that holds a linear correlation of n bins."""
-    return _next_fast_len(2 * n)
+@lru_cache(maxsize=8)
+def _harmonic_projector(omega_i: float, period: float, bin_width: float, harmonics: int):
+    """Read-only complex rows, one per harmonic m = 1..``harmonics``, that
+    take a histogram's counts to (a_m - i b_m)/w of :func:`initial_guess`.
+
+    The rows are m times those of the pseudo-inverse of the regressors:
+    the bin widths, then the differences of sin m w t and of cos m w t at
+    the bin edges, which are m w times the bin integrals of cos m w t and
+    of -sin m w t.
+
+    A build also frees one 1 MB block, so that the recovery campaigns raise
+    glibc's mmap threshold before their first fit.  glibc's malloc serves
+    blocks below that threshold from the heap and raises it to the size of
+    the largest mapped block freed; without the raise the stacked fits'
+    working arrays (a few hundred kB a pass) are mapped and faulted in anew
+    on every pass.  A warm pass that guesses and fits 48 histograms in 3
+    stacks of 16 took 566 minor faults at 10 s gates and 586 at 1 s gates
+    with 0.2 us jitter without the raise, against 0-2 with it (numpy 2.4.6,
+    glibc 2.36, 2-core VM).
+    """
+    bytearray(1 << 20)
+    edges, widths = bin_grid(period, bin_width)
+    regressors = np.vstack([widths, np.diff(_sin_cos(harmonics, omega_i * edges))])
+    inverse = np.linalg.pinv(regressors.T)
+    projector = np.arange(1, harmonics + 1)[:, None] * (inverse[1::2] + 1j * inverse[2::2])
+    projector.flags.writeable = False
+    return projector
 
 
 @lru_cache(maxsize=8)
-def _template_bank(
-    beams: tuple,
-    omega_i: float,
-    period: float,
-    bin_width: float,
-    sigma_t: float,
-) -> tuple:
-    """Zero-phase, zero-mean templates over the amplitude grid of 24
-    amplitudes evenly spaced over 12-32 um, in grid order.
-
-    The bank is ``(amplitudes, norms, spectra)``, read-only, with row k of
-    ``spectra`` the conjugate ``rfft`` of template k on the correlation
-    length of :func:`_correlation_length`; templates of zero norm are left
-    out.
-    """
-    fft = _fft()
-    amplitudes, norms, templates = [], [], []
-    for amp in np.linspace(12e-6, 32e-6, 24):
-        template = model_curve(
-            FitModelParams(amp, 0.0, 1.0, 0.0, sigma_t), beams, omega_i, period, bin_width
-        )
-        template = template - template.mean()
-        norm = math.sqrt(float(np.sum(template**2)))
-        if norm == 0:
-            continue
-        amplitudes.append(amp)
-        norms.append(norm)
-        templates.append(template)
-    n_fft = _correlation_length(len(bin_grid(period, bin_width)[1]))
-    spectra = np.empty((len(templates), n_fft // 2 + 1), complex)
-    for row, template in zip(spectra, templates):
-        row[:] = np.conj(fft.rfft(template, n_fft))
-    bank = (np.array(amplitudes), np.array(norms), spectra)
-    for array in bank:
-        array.flags.writeable = False
-    return bank
-
-
-def _circular_correlation(signal: np.ndarray, spectra: np.ndarray) -> np.ndarray:
-    """Circular cross-correlation of ``signal`` with every template of a
-    bank, row by row over all bin shifts at once: the linear one on the
-    :func:`_correlation_length`, with its negative lags folded back onto
-    the period.  ``spectra`` holds the templates' conjugate spectra."""
-    n = len(signal)
-    n_fft = _correlation_length(n)
-    fft = _fft()
-    linear = fft.irfft(fft.rfft(signal, n_fft) * spectra, n_fft)
-    return linear[:, :n] + linear[:, n_fft - n :]
+def _guess_shapes(beams: tuple, omega_i: float, sigma_t: float, harmonics: int) -> tuple:
+    """Read-only: the initial guess's amplitude grid, and one unit row per
+    grid amplitude of the smeared rate's harmonics c_m g_m for
+    m = 1..``harmonics``: c_m = 2 K Im rho^m/w summed over the beams, as in
+    :func:`_rate_harmonics` (which would form every amplitude's whole
+    series, several MB at 40 um), and g_m = exp(-(m w sigma_t)^2/2).  A row
+    of zero norm stays 0."""
+    amplitudes = np.linspace(*GUESS_GRID)
+    _, scale, _ = _beam_poles(beams)
+    _, w, rho = _pole_ratios(beams, amplitudes, omega_i)
+    m = np.arange(1, harmonics + 1)
+    shapes = ((2 * scale / w)[..., None] * rho[..., None] ** m).sum(axis=0).imag
+    shapes *= np.exp(-0.5 * (m * omega_i * sigma_t) ** 2)
+    norms = np.linalg.norm(shapes, axis=1, keepdims=True)
+    np.divide(shapes, norms, out=shapes, where=norms > 0)
+    amplitudes.flags.writeable = shapes.flags.writeable = False
+    return amplitudes, shapes
 
 
 def initial_guess(
     hist: TacHistogram,
     beams,
+    phase: float,
     omega_i: float | None = None,
     sigma_t: float = 0.0,
-) -> tuple[float, float]:
-    """Coarse ``(amplitude, phase)`` from template matching.
+) -> float:
+    """Start amplitude of a fit at a known ``phase``, from the histogram's
+    low harmonics.
 
-    The histogram floor, the mean of its three lowest full bins, is taken
-    off as an offset, so a period of fewer than three full bins raises
-    :class:`NoModulationError`; the phase comes from the
-    circular cross-correlation peak against a zero-phase template, and the
-    amplitude from a fixed grid of 24 amplitudes evenly spaced over
-    12-32 um, scored by the same correlation (the grid resolves the growth
-    of the second peak with amplitude).  The scale and offset of a fit
-    start come from :func:`derive_alpha_beta`.
+    The counts are regressed, by least squares, on the bin widths and the
+    bin integrals of cos m w t and sin m w t, with coefficients a_m and
+    b_m, for m = 1..M.  M is at most GUESS_HARMONICS and at most
+    (full bins - 1)/2.  A single harmonic's unit shape is +-1 at every
+    amplitude, so M must be at least 2, and a period of fewer than 5 full
+    bins raises :class:`NoModulationError`.  The width column takes up the
+    offset.  By the forward model (:func:`rate_integrals`),
+    z_m = a_m - i b_m = alpha c_m g_m e^(i m phase), so Re(z_m e^(-i m phase))
+    is the scaled shape alpha c_m g_m.  The guess is the amplitude of
+    the GUESS_GRID whose unit shape best matches it: the one that
+    maximises the sum over m of Re(z_m e^(-i m phase)) times the unit row
+    of c_m g_m (:func:`_guess_shapes`), the first of equal scores.  The
+    scale and offset of a fit start come from :func:`derive_alpha_beta`.
     """
     if omega_i is None:
         omega_i = TWO_PI / hist.period
     _, widths = bin_grid(hist.period, hist.bin_width)
-    full = widths >= hist.bin_width * (1 - 1e-9)
-    if np.count_nonzero(full) < 3:
+    full = np.count_nonzero(widths >= hist.bin_width * (1 - 1e-9))
+    if full < 5:
         raise NoModulationError(
-            f"full TAC bins in the period: {np.count_nonzero(full)}, fewer than the 3 "
-            "the initial guess's floor needs"
+            f"full TAC bins in the period: {full}, fewer than the 5 the initial guess needs"
         )
-    counts = hist.counts.astype(float)
-    if _is_flat(counts):
+    if _is_flat(hist.counts.astype(float)):
         raise NoModulationError("histogram is flat; nothing to fit")
-
-    floor = max(0.0, float(np.partition(counts[full], 2)[:3].mean()))
-    signal = counts - floor * widths / hist.bin_width
-    signal -= signal.mean()
-
-    amplitudes, norms, template_conj = _template_bank(
-        tuple(beams), omega_i, hist.period, hist.bin_width, sigma_t
-    )
-    if not len(amplitudes):
-        raise NoModulationError("no usable template correlation")
-    corr = _circular_correlation(signal, template_conj)
-    shifts = np.argmax(corr, axis=1)
-    # The first highest score wins.
-    best = int(np.argmax(corr[np.arange(len(shifts)), shifts] / norms))
-    amp, shift = amplitudes[best], int(shifts[best])
-
-    # data(i) ~ template(i - shift): the pattern moved right by `shift`
-    # bins, i.e. the phase decreased by shift * bin * omega.
-    return float(amp), wrap_phase(-shift * hist.bin_width * omega_i)
+    harmonics = min(GUESS_HARMONICS, (full - 1) // 2)
+    projector = _harmonic_projector(omega_i, hist.period, hist.bin_width, harmonics)
+    turn = np.exp(-1j * phase * np.arange(1, harmonics + 1))
+    # Not matmul: OpenBLAS runs a complex matrix-vector product of 8 x 538
+    # on threads, which doubled a recovery round's CPU time.
+    shape = (np.einsum("mj,j->m", projector, hist.counts) * turn).real
+    amplitudes, shapes = _guess_shapes(tuple(beams), omega_i, sigma_t, harmonics)
+    return float(amplitudes[np.argmax(shapes @ shape)])
 
 
 def _fit_bounds(period: float) -> dict[str, tuple[float, float]]:
@@ -712,7 +641,7 @@ def fit_histogram(
     ``sign(n - m) sqrt(2 (m - n + n ln(n/m)))``, with ``n ln(n/m) = 0`` at
     ``n = 0``; unlike count weights, it does not pull the model toward
     low-count bins.  The caller builds the start ``init``, as
-    :func:`chain_init_params` does from a guessed amplitude and phase;
+    :func:`chain_init_params` does from an amplitude and phase;
     ``frozen`` names parameters held at their start values.  The result's
     ``residual`` is the deviance.
 
@@ -733,7 +662,8 @@ def fit_histogram(
     from pinv(J^T J) times the deviance per degree of freedom.
 
     Every start value must be finite and inside the searched range
-    (:func:`check_start`), or a ValueError names it.  The sigma_t column
+    (:func:`check_start`), or a ValueError names it; a start at which the
+    deviance is not finite raises one too.  The sigma_t column
     is 0 at sigma_t = 0, so a free sigma_t that starts at 0 stays there.
 
     This is the stack of one of :func:`fit_histograms`, whose fits give
@@ -783,8 +713,6 @@ def fit_histograms(
     convergence, ``max_evaluations`` and ``iterations`` stay per fit, and
     each fit's arithmetic is formed alone, so a fit's result equals that
     of :func:`fit_histogram` on its histogram, whatever stack it is in.
-    The starts' bin integrals come from the kept ones
-    (:func:`_shape_integrals`), so fits that share a start form it once.
     """
     hists, inits = list(hists), list(inits)
     if not hists or len(hists) != len(inits):
@@ -837,22 +765,13 @@ def fit_histograms(
     params = np.array([init.as_array() for init in inits])
     index = [PARAM_NAMES.index(name) for name in free]
 
-    def evaluate(fits, at, first=False):
+    def evaluate(fits, at):
         """J^T J, J^T r and the deviance of each of ``fits`` at its
         parameter row in ``at``, from one model pass."""
         amplitude, phase, alpha, beta, sigma_t = at.T.copy()
-        if first:
-            integrals = np.array(
-                [
-                    _shape_integrals(beams, *shape, omega_i, period, bin_width, shape_free)
-                    for shape in zip(amplitude, phase, sigma_t)
-                ]
-            )
-        else:
-            integrals = rate_integrals(
-                beams, amplitude, phase, sigma_t, omega_i, period, bin_width, shape_free
-            )
-        integrals = integrals.reshape(len(fits), -1, len(widths))
+        integrals = rate_integrals(
+            beams, amplitude, phase, sigma_t, omega_i, period, bin_width, shape_free
+        ).reshape(len(fits), -1, len(widths))
         curve, jt = _scaled(integrals, alpha, beta, widths, bin_width, free)
         del integrals
         # Indexing by every fit would copy the counts.
@@ -863,7 +782,11 @@ def fit_histograms(
 
     # Levenberg-Marquardt in lockstep; zero columns keep a scale of 1.
     n_fits = len(hists)
-    jtj, jtr, deviance = evaluate(np.arange(n_fits), params, first=True)
+    # A start whose model overflows raises below rather than warning here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        jtj, jtr, deviance = evaluate(np.arange(n_fits), params)
+    if not np.all(np.isfinite(deviance)):
+        raise ValueError("the deviance at the start is not finite")
     nfev = np.ones(n_fits, int)
     damping = np.full(n_fits, 1e-3)
     converged = np.zeros(n_fits, bool)

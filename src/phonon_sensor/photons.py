@@ -57,10 +57,15 @@ class TacHistogram:
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
+        for name in ("bin_width", "period", "gate_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)} must be finite")
         if self.bin_width <= 0 or self.period <= 0:
             raise ValueError("bin_width and period must be > 0")
         if self.bin_width > self.period:
             raise ValueError("bin_width must not exceed the period")
+        if not math.isfinite(self.period / self.bin_width):
+            raise ValueError("period / bin_width must be finite")
         if self.gate_time <= 0:
             raise ValueError("gate_time must be > 0")
         if np.any(self.counts < 0):

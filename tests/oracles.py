@@ -4,9 +4,8 @@ The full Langevin equation (:func:`integrate_langevin`), demodulated into
 quadratures, checks the envelope model, and :func:`circular_std` the
 locked-phase spreads.  The per-photon path (thinning, timing jitter,
 folding) checks the binned photon law, and scipy's trust-region solver
-(:func:`least_squares_fit`) the package's own fit loop.  The template
-correlation on ``scipy.fft`` (:func:`scipy_circular_correlation`) checks
-the fit's numpy FFTs.  The rate and its amplitude derivative on a time
+(:func:`least_squares_fit`) the package's own fit loop.  The rate and its
+amplitude derivative on a time
 grid (:func:`direct_scattering_rate`) check the rate's cosine series, and
 the rate convolved with the wrapped normal by quadrature
 (:func:`wrapped_gaussian_bin_means`) the series' jitter factors.
@@ -325,19 +324,6 @@ def least_squares_fit(
         iterations=int(result.nfev),
         frozen=tuple(frozen),
     )
-
-
-def scipy_circular_correlation(signal: np.ndarray, templates: np.ndarray) -> np.ndarray:
-    """Circular cross-correlation of ``signal`` with each row of
-    ``templates`` over all shifts, on ``scipy.fft``: the linear one on a
-    5-smooth length of at least twice the signal, negative lags folded back."""
-    import scipy.fft
-
-    n = len(signal)
-    n_fft = scipy.fft.next_fast_len(2 * n, real=True)
-    conj = np.conj(scipy.fft.rfft(templates, n_fft))
-    linear = scipy.fft.irfft(scipy.fft.rfft(signal, n_fft) * conj, n_fft)
-    return linear[:, :n] + linear[:, n_fft - n :]
 
 
 def wrapped_gaussian_bin_means(

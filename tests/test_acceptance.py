@@ -164,8 +164,11 @@ def test_criterion_05_fit_round_trip():
     for amp, phase, seed0 in ((21.677e-6, 0.028, 50_000), (24.462e-6, 0.042, 60_000)):
         for k in range(100):
             hist = synthesize_histogram(BEAMS, amp, phase, OMEGA, pipe, seed=seed0 + k)
-            amplitude, phase_guess = initial_guess(hist, BEAMS)
-            init = chain_init_params(hist, pipe.efficiency, pipe.snr, amplitude, phase_guess)
+            # The campaigns' start: the reference phase, not the true one,
+            # so the fit must move the phase.
+            start_phase = CONFIG.experiment.reference_phase
+            amplitude = initial_guess(hist, BEAMS, start_phase)
+            init = chain_init_params(hist, pipe.efficiency, pipe.snr, amplitude, start_phase)
             result = fit_histogram(hist, BEAMS, init=init)
             total += 1
             if (

@@ -482,6 +482,34 @@ class TestCli:
         (campaign,) = experiments._recover_amplitudes(load_config(cfg), [(24.4e-6, 2)])
         assert load_fit_report(report_path).amplitude == campaign
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("period_s", "inf", "period = inf must be finite"),
+            ("period_s", "nan", "period = nan must be finite"),
+            # Finite, but not its period over 10 ns bins.
+            ("period_s", "1e308", "period / bin_width must be finite"),
+            ("bin_width_s", "inf", "bin_width = inf must be finite"),
+            ("bin_width_s", "nan", "bin_width = nan must be finite"),
+            ("bin_width_s", "1e308", "bin_width must not exceed the period"),
+            ("gate_time_s", "inf", "gate_time = inf must be finite"),
+            ("gate_time_s", "nan", "gate_time = nan must be finite"),
+            # Finite, but its detection-chain scale overflows the model.
+            ("gate_time_s", "1e308", "the deviance at the start is not finite"),
+        ],
+    )
+    def test_fit_non_finite_header_is_runtime_error(self, tmp_path, capsys, key, value, message):
+        hist_path = tmp_path / "hist.txt"
+        assert run_cli(["simulate", "--out", str(hist_path), "--seed", "3"]) == 0
+        lines = hist_path.read_text().splitlines()
+        edited = [f"{key} = {value}" if x.startswith(f"{key} =") else x for x in lines]
+        assert edited != lines
+        hist_path.write_text("\n".join(edited) + "\n")
+        capsys.readouterr()
+        code = run_cli(["fit", str(hist_path), "--out", str(tmp_path / "r.txt")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_fit_missing_header_key_is_runtime_error(self, tmp_path, capsys):
         hist_path = tmp_path / "hist.txt"
         assert run_cli(["simulate", "--out", str(hist_path), "--seed", "3"]) == 0
@@ -555,14 +583,14 @@ class TestCli:
         assert code == 2
 
     # The 5375.8 ns period holds 2 full bins of 1800 ns and 1 of 2700 ns,
-    # too few for the initial guess's floor of three.
+    # too few for the initial guess's 5.
     @pytest.mark.parametrize("bin_width_ns, full", [(1800, 2), (2700, 1)])
     def test_too_few_full_bins_name_their_count(
         self, tmp_path, capsys, caplog, bin_width_ns, full
     ):
         cfg = tmp_path / "wide.yaml"
         cfg.write_text(f"pipeline:\n  bin_width_ns: {bin_width_ns}\nexperiment:\n  repetitions: 3\n")
-        message = f"full TAC bins in the period: {full}, fewer than the 3"
+        message = f"full TAC bins in the period: {full}, fewer than the 5"
         hist, out = tmp_path / "hist.txt", tmp_path / "runs"
         assert run_cli(["simulate", "--config", str(cfg), "--out", str(hist), "--seed", "5"]) == 0
         capsys.readouterr()
@@ -760,10 +788,10 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         assert result.stdout.splitlines()[-1] == "[]"
 
     def test_fit_paths_import_no_scipy_optimize(self, tmp_path):
-        # The fit solves its own least squares and takes its FFTs from
-        # numpy; neither the recovery campaigns' fits and jitter smears, with
-        # and without jitter, nor simulate and the CLI fit may load any scipy
-        # module.
+        # The fit solves its own least squares and its guess is a linear
+        # regression; neither the recovery campaigns' fits and jitter
+        # smears, with and without jitter, nor simulate and the CLI fit may
+        # load any scipy module or numpy's FFT.
         plain = "pipeline:\n  gate_time_s: 1.0\n"
         experiment = (
             "experiment:\n  amplitude_voltages_mv: [5.0, 10.0, 15.0]\n"
@@ -785,7 +813,7 @@ for config in {configs!r}:
         assert main(["campaign", kind, "--config", config, "--out", out]) == 0
 assert main(["simulate", "--out", out + "/hist.txt", "--seed", "3"]) == 0
 assert main(["fit", out + "/hist.txt", "--out", out + "/fit.txt"]) == 0
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.fft")))
 """
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=120

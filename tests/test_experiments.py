@@ -513,8 +513,8 @@ class TestFixedSeedOutputs:
     # numbers on purpose updates the digest and says so.
     DEFAULT_RECORD_SHA256 = {
         "lower-bound": "ee6717ea29d11fb1314f7e8c9e83bea2f2d9cd22c193a6bd4f36fb67af18004d",
-        "sensitivity": "8ae2062b1143c628bede7634ed659e803c15b28d81f8d6d66a99ca208bb22c5b",
-        "sweep-amplitude": "37b4c70af76310bc558575c08d024fbff63c614f177d65c9ec29990b62f6b192",
+        "sensitivity": "869b0f6101fc7c51836db38cd0c6622cb21cdca785e092b8c386c7b7b47039d2",
+        "sweep-amplitude": "cd8655e2c16cea4b537ae280c731be1f260fc820c5100687c7f173b8453aa0f8",
         "sweep-squeeze": "b85d5ada36a66d99b0276b1914b0113a15e222a4a059c0442d06f96aadd745ed",
     }
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from phonon_sensor import fitting
+from phonon_sensor.config import ExperimentConfig
 from phonon_sensor.constants import DEFAULT_AXIAL_FREQUENCY, TWO_PI
 from phonon_sensor.fitting import (
     DEFAULT_FROZEN,
@@ -36,7 +37,6 @@ from phonon_sensor.physics import LaserBeam, default_beams, total_scattering_rat
 from oracles import (
     direct_scattering_rate,
     least_squares_fit,
-    scipy_circular_correlation,
     wrapped_gaussian_bin_means,
 )
 
@@ -47,23 +47,24 @@ PIPE = PipelineConfig()
 
 REF_CASE_A = (21.677e-6, 0.028)
 REF_CASE_B = (24.462e-6, 0.042)
+# The campaigns' start phase; the fits must move it to the histogram's.
+REFERENCE_PHASE = ExperimentConfig().reference_phase
 
 
 def synth(amplitude, phase, seed, pipe=PIPE):
     return synthesize_histogram(BEAMS, amplitude, phase, OMEGA, pipe, seed=seed)
 
 
-def fit_with_chain_init(hist, pipe=PIPE, **kwargs):
-    amplitude, phase = initial_guess(hist, BEAMS)
-    init = chain_init_params(
-        hist,
-        pipe.efficiency,
-        pipe.snr,
-        amplitude=amplitude,
-        phase=phase,
-        sigma_t=pipe.timing_jitter,
-    )
-    return fit_histogram(hist, BEAMS, init=init, **kwargs)
+def guessed_start(hist, pipe=PIPE, phase=REFERENCE_PHASE):
+    """The campaigns' fit start: the guessed amplitude at ``phase``, and
+    the detection chain's scale, offset and jitter."""
+    sigma_t = pipe.timing_jitter
+    amplitude = initial_guess(hist, BEAMS, phase, sigma_t=sigma_t)
+    return chain_init_params(hist, pipe.efficiency, pipe.snr, amplitude, phase, sigma_t)
+
+
+def fit_with_chain_init(hist, pipe=PIPE, phase=REFERENCE_PHASE, **kwargs):
+    return fit_histogram(hist, BEAMS, init=guessed_start(hist, pipe, phase), **kwargs)
 
 
 class TestModelCurve:
@@ -373,13 +374,18 @@ class TestDeriveAlphaBeta:
             derive_alpha_beta(0.0028, 10.0, 538, 100.0, -1.0)
 
 
+def asimov(amplitude, phase, sigma_t=0.0, bin_width=10e-9):
+    """The rounded expected counts of a 10 s gate's histogram."""
+    truth = FitModelParams(amplitude, phase, 5.2e-5, 33.2, sigma_t)
+    curve = model_curve(truth, BEAMS, OMEGA, PERIOD, bin_width)
+    return TacHistogram(bin_width, PERIOD, np.round(curve * 50).astype(int), 10.0)
+
+
 class TestInitialGuess:
     def test_guess_quality(self):
         for seed, (amp, phase) in enumerate([REF_CASE_A, REF_CASE_B]):
             hist = synth(amp, phase, seed=40 + seed)
-            guess_amplitude, guess_phase = initial_guess(hist, BEAMS)
-            assert abs(guess_amplitude - amp) / amp < 0.20
-            assert abs(wrap_phase(guess_phase - phase)) < 0.3
+            assert abs(initial_guess(hist, BEAMS, REFERENCE_PHASE) - amp) < 0.3e-6
 
     def test_flat_histogram_rejected(self):
         rng = np.random.default_rng(3)
@@ -390,63 +396,53 @@ class TestInitialGuess:
             gate_time=10.0,
         )
         with pytest.raises(NoModulationError):
-            initial_guess(flat, BEAMS)
+            initial_guess(flat, BEAMS, REFERENCE_PHASE)
 
-    def test_template_at_truth_recovers_grid_point(self):
-        # The 15th of the 24 grid amplitudes over [12, 32] um, 24.174 um.
-        grid_point = np.linspace(12e-6, 32e-6, 24)[14]
-        truth = FitModelParams(grid_point, 0.0, 5.2e-5, 33.2, 0.0)
-        curve = model_curve(truth, BEAMS, OMEGA, PERIOD, 10e-9)
-        hist = TacHistogram(
-            bin_width=10e-9,
-            period=PERIOD,
-            counts=np.round(curve * 50).astype(int),
-            gate_time=10.0,
-        )
-        amplitude, phase = initial_guess(hist, BEAMS)
-        assert amplitude == pytest.approx(grid_point, abs=1e-9)
-        assert abs(wrap_phase(phase)) < 0.05
+    @pytest.mark.parametrize("bin_width", [10e-9, 13e-9])
+    @pytest.mark.parametrize("sigma_t", [0.0, 0.2e-6])
+    @pytest.mark.parametrize("phase", [0.03, 1.1, -2.0])
+    def test_asimov_histogram_recovers_its_grid_point(self, phase, sigma_t, bin_width):
+        # Every grid amplitude over 12-32 um, from its expected counts.
+        grid = np.linspace(*fitting.GUESS_GRID)
+        inside = grid[(grid > 11.95e-6) & (grid < 32.05e-6)]
+        assert len(inside) == 201
+        guesses = [
+            initial_guess(asimov(a, phase, sigma_t, bin_width), BEAMS, phase, sigma_t=sigma_t)
+            for a in inside
+        ]
+        assert guesses == list(inside)
 
+    @pytest.mark.parametrize("bin_width", [10e-9, 13e-9])
+    def test_projector_is_the_least_squares_fit(self, bin_width):
+        # Against numpy's lstsq on the closed-form bin integrals: z_m is
+        # (a_m - i b_m)/w for counts ~ k width + sum a_m C_m + b_m S_m.
+        edges, widths = bin_grid(PERIOD, bin_width)
+        m = np.arange(1, 9)[:, None]
+        angles = m * OMEGA * edges
+        cos_integrals = np.diff(np.sin(angles)) / (m * OMEGA)
+        sin_integrals = -np.diff(np.cos(angles)) / (m * OMEGA)
+        design = np.vstack([widths, cos_integrals, sin_integrals]).T
+        counts = np.random.default_rng(6).poisson(100.0, len(widths))
+        coefficients = np.linalg.lstsq(design, counts, rcond=None)[0]
+        expected = (coefficients[1:9] - 1j * coefficients[9:]) / OMEGA
+        got = fitting._harmonic_projector(OMEGA, PERIOD, bin_width, 8) @ counts
+        np.testing.assert_allclose(got, expected, rtol=1e-9)
 
-def per_template_guess(hist, beams, sigma_t=0.0):
-    """The initial guess's (amplitude, phase) with every template built per
-    histogram, as before the template bank; the flat-histogram check is
-    left out."""
-    omega_i = TWO_PI / hist.period
-    counts = hist.counts.astype(float)
-    widths = np.diff(bin_grid(hist.period, hist.bin_width)[0])
-    full = widths >= hist.bin_width * (1 - 1e-9)
-    beta_guess = max(0.0, float(np.partition(counts[full], 2)[:3].mean()))
-    signal = counts - beta_guess * widths / hist.bin_width
-    signal -= signal.mean()
-    spectrum = np.fft.rfft(signal)
-    best = None
-    for amp in np.linspace(12e-6, 32e-6, 24):
-        template = model_curve(
-            FitModelParams(amp, 0.0, 1.0, 0.0, sigma_t), beams, omega_i, hist.period, hist.bin_width
-        )
-        template = template - template.mean()
-        norm = math.sqrt(float(np.sum(template**2)))
-        if norm == 0:
-            continue
-        corr = np.fft.irfft(spectrum * np.conj(np.fft.rfft(template)), len(signal))
-        shift = int(np.argmax(corr))
-        score = corr[shift] / norm
-        if best is None or score > best[0]:
-            best = (score, amp, shift)
-    _, amp, shift = best
-    return float(amp), wrap_phase(-shift * hist.bin_width * omega_i)
+    def test_needs_five_full_bins(self):
+        # One harmonic's unit shape is +-1 at every amplitude, so the guess
+        # needs two, and with the width column 5 bins.  The 5375.8 ns
+        # period holds 5 full bins of 1075 ns and 4 of 1076 ns.
+        guess = initial_guess(asimov(21e-6, 0.5, bin_width=1075e-9), BEAMS, 0.5)
+        assert guess in np.linspace(*fitting.GUESS_GRID)
+        message = "full TAC bins in the period: 4, fewer than the 5"
+        with pytest.raises(NoModulationError, match=message):
+            initial_guess(asimov(21e-6, 0.5, bin_width=1076e-9), BEAMS, 0.5)
 
 
 def clear_caches():
-    fitting._template_bank.cache_clear()
-    fitting._shape_integrals.cache_clear()
+    fitting._harmonic_projector.cache_clear()
+    fitting._guess_shapes.cache_clear()
     fitting._edge_phases.cache_clear()
-
-
-def assert_same_params(got, expected):
-    for name, g, e in zip(("amplitude", "phase"), got, expected, strict=True):
-        assert g == e, name
 
 
 # 5375.8 ns / 13 ns leaves a partial last bin.
@@ -459,15 +455,6 @@ CACHE_CASES = [
 
 
 class TestCaches:
-    @pytest.mark.parametrize("bin_width, sigma_t", CACHE_CASES)
-    def test_initial_guess_matches_per_template_loop(self, bin_width, sigma_t):
-        pipe = PipelineConfig(gate_time=1.0, bin_width=bin_width, timing_jitter=sigma_t)
-        hist = synth(*REF_CASE_B, seed=71, pipe=pipe)
-        expected = per_template_guess(hist, BEAMS, sigma_t=sigma_t)
-        clear_caches()
-        for _ in range(2):  # cold, then warm
-            assert_same_params(initial_guess(hist, BEAMS, sigma_t=sigma_t), expected)
-
     def test_interleaved_keys_match_cold_results(self):
         red, _ = BEAMS
         other_beams = (red, LaserBeam(TWO_PI * 40e6, 0.4))
@@ -476,45 +463,28 @@ class TestCaches:
             hist = synth(*REF_CASE_A, seed=72, pipe=PipelineConfig(gate_time=1.0, bin_width=bin_width))
             for beams in (BEAMS, other_beams):
                 for sigma_t in (0.0, 0.2e-6, 0.3e-6):
-                    cases.append((hist, beams, sigma_t))
+                    for phase in (REF_CASE_A[1], 1.0):
+                        cases.append((hist, beams, phase, sigma_t))
         clear_caches()
-        warm = [initial_guess(h, b, sigma_t=s) for _ in range(2) for h, b, s in cases]
-        for k, (hist, beams, sigma_t) in enumerate(cases):
+        warm = [initial_guess(h, b, p, sigma_t=s) for _ in range(2) for h, b, p, s in cases]
+        for k, (hist, beams, phase, sigma_t) in enumerate(cases):
             clear_caches()
-            cold = initial_guess(hist, beams, sigma_t=sigma_t)
-            assert_same_params(cold, per_template_guess(hist, beams, sigma_t=sigma_t))
-            assert_same_params(warm[k], cold)
-            assert_same_params(warm[k + len(cases)], cold)
+            cold = initial_guess(hist, beams, phase, sigma_t=sigma_t)
+            assert warm[k] == cold
+            assert warm[k + len(cases)] == cold
 
-    def test_cached_arrays_are_read_only(self):
-        bank = fitting._template_bank(BEAMS, OMEGA, PERIOD, 10e-9, 0.2e-6)
-        _, _, spectra = bank
-        template_conj = spectra[0]
-        with pytest.raises(ValueError):
-            template_conj[0] = 0.0
-        for table in fitting._edge_phases(OMEGA, PERIOD, 10e-9).tables(8):
+    @pytest.mark.parametrize("bin_width, sigma_t", CACHE_CASES)
+    def test_guess_tables_are_read_only(self, bin_width, sigma_t):
+        n_bins = math.ceil(PERIOD / bin_width)
+        projector = fitting._harmonic_projector(OMEGA, PERIOD, bin_width, 8)
+        amplitudes, shapes = fitting._guess_shapes(BEAMS, OMEGA, sigma_t, 8)
+        assert np.array_equal(amplitudes, np.linspace(8e-6, 40e-6, 321))
+        assert projector.shape == (8, n_bins) and shapes.shape == (321, 8)
+        np.testing.assert_allclose(np.linalg.norm(shapes, axis=1), 1.0, rtol=1e-15)
+        tables = (projector, amplitudes, shapes, *fitting._edge_phases(OMEGA, PERIOD, bin_width).tables(8))
+        for table in tables:
             with pytest.raises(ValueError):
                 table[0] = 0.0
-
-    def test_templates_correlate_on_a_fast_length(self):
-        bank = fitting._template_bank(BEAMS, OMEGA, PERIOD, 10e-9, 0.0)
-        n_fft = fitting._correlation_length(538)
-        assert n_fft >= 2 * 538
-        rest = n_fft
-        for factor in (2, 3, 5):
-            while rest % factor == 0:
-                rest //= factor
-        assert rest == 1
-        _, _, spectra = bank
-        assert all(len(template_conj) == n_fft // 2 + 1 for template_conj in spectra)
-
-    def test_bank_is_one_read_only_array_per_field(self):
-        amplitudes, norms, spectra = fitting._template_bank(BEAMS, OMEGA, PERIOD, 13e-9, 0.2e-6)
-        assert list(amplitudes) == list(np.linspace(12e-6, 32e-6, 24))
-        assert norms.shape == (24,) and np.all(norms > 0)
-        assert spectra.shape == (24, fitting._correlation_length(414) // 2 + 1)
-        for array in (amplitudes, norms, spectra):
-            assert not array.flags.writeable
 
     @pytest.mark.parametrize("bin_width", [10e-9, 13e-9])
     def test_grids_are_built_once_per_binning_read_only(self, bin_width):
@@ -559,62 +529,15 @@ class TestCaches:
             expected = (alpha @ np.exp(1j * OMEGA * np.multiply.outer(n, at))).imag
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(alpha).sum())
 
-
-class TestShapeCache:
-    """The bin integrals of the profile and its derivative rows hold no
-    alpha or beta and are kept, so fits that share a start form it once."""
-
-    FREE = ("amplitude", "phase")
-    BASE = dict(amplitude=21.677e-6, phase=0.03, sigma_t=0.2e-6)
-
-    def test_fits_from_one_start_evaluate_its_rate_once(self, monkeypatch):
-        # Two fits from one start in one stack: the start's integrals are
-        # formed once, by a pass of their own, and every later pass is the
-        # stack's, one row per evaluation.
-        passes = []
-        rate = fitting.rate_integrals
-
-        def counting_rate(beams, amplitude, phase, *rest):
-            passes.append((amplitude, phase) if np.ndim(amplitude) == 0 else len(amplitude))
-            return rate(beams, amplitude, phase, *rest)
-
-        pipe = PipelineConfig(gate_time=1.0, timing_jitter=0.2e-6)
-        hists = [synth(*REF_CASE_A, seed=seed, pipe=pipe) for seed in (81, 82)]
-        assert not np.array_equal(hists[0].counts, hists[1].counts)
-        inits = [
-            chain_init_params(h, pipe.efficiency, pipe.snr, 21.0e-6, 0.03, pipe.timing_jitter)
-            for h in hists
-        ]
-        assert inits[0].beta != inits[1].beta
-        clear_caches()
-        monkeypatch.setattr(fitting, "rate_integrals", counting_rate)
-        results = fitting.fit_histograms(hists, BEAMS, inits)
-        assert all(result.converged for result in results)
-        assert [p for p in passes if isinstance(p, tuple)] == [(21.0e-6, 0.03)]
-        rows = [p for p in passes if not isinstance(p, tuple)]
-        assert sum(rows) == sum(result.iterations for result in results) - 2
-        # The kept start gives the fit that a cold start gives.
-        monkeypatch.undo()
-        clear_caches()
-        assert fit_histogram(hists[1], BEAMS, inits[1]) == results[1]
-
-    def test_kept_arrays_are_read_only_and_results_are_fresh(self):
-        clear_caches()
-        params = FitModelParams(**self.BASE, alpha=1e-4, beta=3.0)
-        curve, columns = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9, free=self.FREE)
+    def test_results_are_fresh(self):
+        params = FitModelParams(21.677e-6, 0.03, 1e-4, 3.0, 0.2e-6)
+        free = ("amplitude", "phase")
+        curve, columns = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9, free=free)
         expected = curve.copy(), columns.copy()
         curve[:] = 0.0
         columns[:] = 0.0
-        again = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9, free=self.FREE)
+        again = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9, free=free)
         assert all(map(np.array_equal, again, expected))
-        assert fitting._shape_integrals.cache_info().hits == 1
-        integrals = fitting._shape_integrals(
-            BEAMS, *self.BASE.values(), OMEGA, PERIOD, 10e-9, self.FREE
-        )
-        assert integrals.shape == (3, 538)
-        assert not integrals.flags.writeable
-        with pytest.raises(ValueError):
-            integrals[0, 0] = 0.0
 
     @pytest.mark.parametrize(
         "field",
@@ -630,15 +553,15 @@ class TestShapeCache:
         ],
     )
     def test_each_key_field_keeps_its_own_entry(self, field):
-        # A model pass that differs from a kept one in a single key field
-        # gives what a cold cache gives, not the kept entry.
+        # A model pass that differs from an earlier one in a single field
+        # gives what cold caches give, not the earlier result.
         base = {
-            "params": FitModelParams(**self.BASE, alpha=1e-4, beta=3.0),
+            "params": FitModelParams(21.677e-6, 0.03, 1e-4, 3.0, 0.2e-6),
             "beams": BEAMS,
             "omega_i": OMEGA,
             "period": PERIOD,
             "bin_width": 10e-9,
-            "free": self.FREE,
+            "free": ("amplitude", "phase"),
         }
         red, _ = BEAMS
         changes = {
@@ -658,45 +581,7 @@ class TestShapeCache:
         clear_caches()
         cold = model_curve(**variant)
         assert all(map(np.array_equal, warm, cold))
-        assert fitting._shape_integrals.cache_info().misses == 1
         assert not all(map(np.array_equal, kept, cold))
-
-
-class TestFftAgainstScipy:
-    """The fit's numpy FFTs and 5-smooth lengths give what scipy.fft gives,
-    bit for bit, at the campaigns' FFT lengths."""
-
-    def test_fast_length_matches_scipy(self):
-        import scipy.fft
-
-        mismatches = [
-            n
-            for n in range(1, 2**16 + 1)
-            if fitting._next_fast_len(n) != scipy.fft.next_fast_len(n, real=True)
-        ]
-        assert mismatches == []
-
-    @pytest.mark.parametrize("sigma_t", [0.0, 0.2e-6])
-    def test_template_correlation_is_bit_equal_at_1080(self, sigma_t):
-        assert fitting._correlation_length(538) == 1080
-        pipe = PipelineConfig(gate_time=1.0, timing_jitter=sigma_t)
-        hist = synth(*REF_CASE_B, seed=73, pipe=pipe)
-        assert hist.n_bins == 538
-        signal = hist.counts - hist.counts.mean()
-        amplitudes, _, spectra = fitting._template_bank(BEAMS, OMEGA, PERIOD, 10e-9, sigma_t)
-        templates = np.array(
-            [
-                model_curve(
-                    FitModelParams(amp, 0.0, 1.0, 0.0, sigma_t), BEAMS, OMEGA, PERIOD, 10e-9
-                )
-                for amp in amplitudes
-            ]
-        )
-        templates -= templates.mean(axis=1, keepdims=True)
-        assert np.array_equal(
-            fitting._circular_correlation(signal, spectra),
-            scipy_circular_correlation(signal, templates),
-        )
 
 
 class TestFit:
@@ -741,8 +626,9 @@ class TestFit:
             counts=np.roll(hist.counts, k),
             gate_time=hist.gate_time,
         )
-        shifted = fit_with_chain_init(rotated, omega_i=omega)
-        expected = wrap_phase(base.phase - k * hist.bin_width * omega)
+        turn = k * hist.bin_width * omega
+        shifted = fit_with_chain_init(rotated, phase=REFERENCE_PHASE - turn, omega_i=omega)
+        expected = wrap_phase(base.phase - turn)
         assert wrap_phase(shifted.phase - expected) == pytest.approx(0.0, abs=0.005)
         assert shifted.amplitude == pytest.approx(base.amplitude, abs=3e-8)
 
@@ -808,7 +694,7 @@ class TestFit:
 
     def test_single_parameter_fit(self):
         hist = synth(*REF_CASE_A, seed=4100)
-        amplitude, _ = initial_guess(hist, BEAMS)
+        amplitude = initial_guess(hist, BEAMS, REF_CASE_A[1])
         init = chain_init_params(hist, PIPE.efficiency, PIPE.snr, amplitude, REF_CASE_A[1])
         result = fit_histogram(
             hist, BEAMS, init=init, frozen=("phase", "alpha", "beta", "sigma_t")
@@ -830,8 +716,7 @@ class TestFit:
 
     def test_non_convergence_flagged_not_raised(self):
         hist = synth(*REF_CASE_A, seed=4200)
-        init = chain_init_params(hist, PIPE.efficiency, PIPE.snr, *initial_guess(hist, BEAMS))
-        result = fit_histogram(hist, BEAMS, init=init, max_evaluations=2)
+        result = fit_histogram(hist, BEAMS, init=guessed_start(hist), max_evaluations=2)
         assert not result.converged
 
     def test_free_alpha_from_zero_converges(self):
@@ -841,7 +726,7 @@ class TestFit:
         # model from the chain start's alpha.
         pipe = PipelineConfig(gate_time=1.0)
         hist = synth(*REF_CASE_A, seed=5, pipe=pipe)
-        init = chain_init_params(hist, pipe.efficiency, pipe.snr, *initial_guess(hist, BEAMS))
+        init = guessed_start(hist, pipe)
         held = ("beta", "sigma_t")
         cases = [
             # beta held at 0.
@@ -878,12 +763,7 @@ class TestStacks:
         pipe = PipelineConfig(gate_time=2.0, timing_jitter=sigma_t)
         amplitudes = np.linspace(12e-6, 32e-6, size)
         hists = [synth(a, 0.3, seed=9000 + k, pipe=pipe) for k, a in enumerate(amplitudes)]
-        inits = [
-            chain_init_params(
-                h, pipe.efficiency, pipe.snr, *initial_guess(h, BEAMS, sigma_t=sigma_t), sigma_t
-            )
-            for h in hists
-        ]
+        inits = [guessed_start(h, pipe, phase=0.3) for h in hists]
         stacked = fitting.fit_histograms(hists, BEAMS, inits)
         assert stacked == [fit_histogram(h, BEAMS, init) for h, init in zip(hists, inits)]
         assert all(result.converged for result in stacked)
@@ -895,10 +775,7 @@ class TestStacks:
         # A start far from its histogram's amplitude takes more evaluations
         # than the others; it runs out alone, and no other fit notices.
         hists = [synth(*REF_CASE_A, seed=9100 + k) for k in range(4)]
-        inits = [
-            chain_init_params(h, PIPE.efficiency, PIPE.snr, *initial_guess(h, BEAMS))
-            for h in hists
-        ]
+        inits = [guessed_start(h) for h in hists]
         inits[2] = replace(inits[2], amplitude=30e-6, phase=-0.5)
         stacked = fitting.fit_histograms(hists, BEAMS, inits, max_evaluations=6)
         alone = [fit_histogram(h, BEAMS, i, max_evaluations=6) for h, i in zip(hists, inits)]
@@ -921,10 +798,7 @@ class TestStacks:
 
     def test_fits_through_a_fit_stack_run_its_loop_once(self, monkeypatch):
         hists = [synth(*REF_CASE_A, seed=9300 + k) for k in range(3)]
-        inits = [
-            chain_init_params(h, PIPE.efficiency, PIPE.snr, *initial_guess(h, BEAMS))
-            for h in hists
-        ]
+        inits = [guessed_start(h) for h in hists]
         alone = [fit_histogram(h, BEAMS, i) for h, i in zip(hists, inits)]
         loops = []
         fit_histograms = fitting.fit_histograms
@@ -962,10 +836,7 @@ class TestAgainstTrustRegion:
     def test_same_fit_as_least_squares(self, pipe, frozen):
         for seed in range(6):
             hist = synth(*REF_CASE_A, seed=7100 + seed, pipe=pipe)
-            amplitude, phase = initial_guess(hist, BEAMS, sigma_t=pipe.timing_jitter)
-            init = chain_init_params(
-                hist, pipe.efficiency, pipe.snr, amplitude, phase, sigma_t=pipe.timing_jitter
-            )
+            init = guessed_start(hist, pipe)
             result = fit_histogram(hist, BEAMS, init, frozen=frozen)
             reference = least_squares_fit(hist, BEAMS, init, frozen=frozen)
             assert result.converged == reference.converged
@@ -1093,19 +964,16 @@ class TestExactJacobian:
         assert np.all(np.isfinite(slope))
 
     def test_a_stack_makes_one_model_pass_per_iteration(self, monkeypatch):
-        # Each fit evaluates in every iteration until it stops, so a stack
-        # makes one pass per iteration of its longest fit, with one row per
-        # evaluation, after one pass per distinct start.
+        # Each fit evaluates at its start and in every iteration until it
+        # stops, so a stack makes one pass per evaluation of its longest
+        # fit, with one row per evaluation.
         hists = [synth(*REF_CASE_A, seed=1000 + k) for k in range(3)]
-        inits = [
-            chain_init_params(h, PIPE.efficiency, PIPE.snr, *initial_guess(h, BEAMS))
-            for h in hists
-        ]
+        inits = [guessed_start(h) for h in hists]
         calls = []
         rate = fitting.rate_integrals
 
         def counting_rate(beams, amplitude, *rest):
-            calls.append((np.size(amplitude) if np.ndim(amplitude) else None, rest[5]))
+            calls.append((len(amplitude), rest[5]))
             return rate(beams, amplitude, *rest)
 
         clear_caches()
@@ -1113,11 +981,9 @@ class TestExactJacobian:
         results = fitting.fit_histograms(hists, BEAMS, inits)
         assert all(result.converged for result in results)
         assert {free for _, free in calls} == {("amplitude", "phase")}
-        starts = [size for size, _ in calls if size is None]
-        assert len(starts) == len({(init.amplitude, init.phase) for init in inits})
-        rows = [size for size, _ in calls if size is not None]
-        assert len(rows) == max(result.iterations for result in results) - 1
-        assert sum(rows) == sum(result.iterations for result in results) - len(results)
+        rows = [size for size, _ in calls]
+        assert len(rows) == max(result.iterations for result in results)
+        assert sum(rows) == sum(result.iterations for result in results)
 
 
 class TestFisherInformation:
