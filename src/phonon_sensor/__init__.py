@@ -13,7 +13,7 @@ cli          command-line entry point
 """
 
 from .config import RunConfig, default_config, load_config, save_config
-from .dynamics import ElectricNoise, NoiseModel, QuadraturePath, integrate_quadratures
+from .dynamics import ElectricNoise, NoiseModel, QuadraturePath, envelope_paths
 from .fitting import (
     FitModelParams,
     FitResult,

@@ -21,7 +21,7 @@ from .fitting import (
     DEFAULT_FROZEN,
     PARAM_NAMES,
     FitModelParams,
-    check_start,
+    check_starts,
     fit_histogram,
     save_fit_report,
 )
@@ -81,8 +81,8 @@ def _override_seed(config, seed: int):
 def _cmd_fit(args) -> int:
     config = _load_config_arg(args.config)
     hist = load_histogram(args.histogram)
-    omega_i = config.drive.injection_frequency
-    if not math.isclose(hist.period, TWO_PI / omega_i, rel_tol=1e-9):
+    # The fit takes its frequency from the period; the config must agree.
+    if not math.isclose(hist.period, TWO_PI / config.drive.injection_frequency, rel_tol=1e-9):
         raise ConfigError("histogram period differs from 2 pi / configured injection frequency")
     frozen = DEFAULT_FROZEN if args.freeze is None else tuple(
         name for name in args.freeze.split(",") if name
@@ -106,12 +106,12 @@ def _cmd_fit(args) -> int:
                 beta=beta,
                 sigma_t=sigma_t_us * 1e-6,
             )
-            check_start(init, hist.period, config.beams, omega_i)
+            check_starts([init], hist.period, config.beams)
         except ValueError as exc:
             raise ConfigError(
                 f"--init wants amplitude_um,phase,alpha,beta,sigma_t_us: {exc}"
             ) from exc
-    result = fit_histogram(hist, config.beams, init=init, frozen=frozen, omega_i=omega_i)
+    result = fit_histogram(hist, config.beams, init=init, frozen=frozen)
     save_fit_report(result, args.out, config_hash=config_hash(config))
     _progress(
         f"fit: A = {result.amplitude * 1e6:.4f} um, phase = {result.phase:.4f} rad, "

@@ -2,13 +2,13 @@
 
 Two integrators:
 
-* :func:`integrate_quadratures` - the linearized rotating-frame envelope
+* :func:`envelope_paths` - the linearized rotating-frame envelope
   equations for the in-phase/quadrature components, integrated with exact
-  Gaussian transition steps (no step-size bias); :func:`_envelope_paths`
-  integrates one such path per seed in one call, bit for bit the same.
-  The exact transition is the AR(1) recursion u[n] = a u[n-1] + kick, which
-  :func:`_ar1_scan` evaluates with numpy in blocks: a growth table, a
-  cumsum and a decay table per block.
+  Gaussian transition steps (no step-size bias), one path per seed in one
+  call; a path does not depend on the other seeds.  The exact transition
+  is the AR(1) recursion u[n] = a u[n-1] + kick, which :func:`_ar1_scan`
+  evaluates with numpy in blocks: a growth table, a cumsum and a decay
+  table per block.
 * :func:`_locked_phase_spreads` - the injection-locked phase model used by
   the smallest-force protocol: the oscillation phasor is pinned at the
   free-running amplitude while its phase feels the injection restoring
@@ -113,33 +113,7 @@ def _squeeze_modulation(drive: DriveConfig) -> float:
     return drive.effective_gain * math.cos(2.0 * drive.squeeze_phase)
 
 
-def integrate_quadratures(
-    trap: TrapConfig,
-    drive: DriveConfig,
-    noise: NoiseModel,
-    duration: float,
-    seed: int = 0,
-    initial_x: float = 0.0,
-    initial_y: float = 0.0,
-    stationary_start: bool = False,
-) -> QuadraturePath:
-    """Integrate the rotating-frame envelope equations.
-
-    dX/dt = -(zeta/2)(1 + g cos 2phi) X + f_x/(2 m w_z)
-    dY/dt = -(zeta/2)(1 - g cos 2phi) Y + (F0 + f_y)/(2 m w_z)
-
-    Steps one injection period at a time with the exact Gaussian transition
-    of the Ornstein-Uhlenbeck process, so stationary statistics carry no
-    discretization bias.  ``stationary_start`` draws the initial point from
-    the stationary distribution instead of using the given initial values.
-    """
-    path = _envelope_paths(
-        trap, drive, noise, duration, [seed], initial_x, initial_y, stationary_start
-    )
-    return QuadraturePath(path.x[0], path.y[0])
-
-
-def _envelope_paths(
+def envelope_paths(
     trap: TrapConfig,
     drive: DriveConfig,
     noise: NoiseModel,
@@ -149,12 +123,19 @@ def _envelope_paths(
     initial_y: float = 0.0,
     stationary_start: bool = False,
 ) -> QuadraturePath:
-    """:func:`integrate_quadratures` for one trajectory per seed, returned
-    as ``x[traj, step]`` and ``y[traj, step]``.
+    """Integrate the rotating-frame envelope equations, one trajectory per
+    seed, returned as ``x[traj, step]`` and ``y[traj, step]``.
 
-    Each trajectory draws from its own generator exactly as a call of
-    :func:`integrate_quadratures` with its seed does, and rows are scanned
-    and offset independently, so row k equals that call's path bit for bit.
+    dX/dt = -(zeta/2)(1 + g cos 2phi) X + f_x/(2 m w_z)
+    dY/dt = -(zeta/2)(1 - g cos 2phi) Y + (F0 + f_y)/(2 m w_z)
+
+    Steps one injection period at a time with the exact Gaussian transition
+    of the Ornstein-Uhlenbeck process, so stationary statistics carry no
+    discretization bias.  ``stationary_start`` draws the initial point from
+    the stationary distribution instead of using the given initial values.
+    Each trajectory draws from its own generator, seeded by its seed, and
+    rows are scanned and offset independently, so row k is bit for bit the
+    path of a call with ``seeds[k]`` alone.
     """
     if duration <= 0:
         raise ValueError("duration must be > 0")

@@ -29,8 +29,8 @@ from .config import (
 )
 from .constants import TWO_PI
 from .dynamics import (
-    _envelope_paths,
     _locked_phase_spreads,
+    envelope_paths,
     stationary_mean_displacement,
     thermal_quadrature_variance,
 )
@@ -181,9 +181,7 @@ def fit_init(config: RunConfig, hist):
     the amplitude the initial guess gives at that phase, and the
     detection-chain alpha/beta and jitter."""
     pipe, phase = config.pipeline, config.experiment.reference_phase
-    amplitude = initial_guess(
-        hist, config.beams, phase, config.drive.injection_frequency, pipe.timing_jitter
-    )
+    amplitude = initial_guess(hist, config.beams, phase, sigma_t=pipe.timing_jitter)
     return chain_init_params(
         hist,
         pipe.efficiency,
@@ -205,7 +203,7 @@ def _amplitude_crb(config: RunConfig, amplitude: float) -> float:
     omega_i = config.drive.injection_frequency
     period = TWO_PI / omega_i
     phase = config.experiment.reference_phase
-    mean_signal, _, _ = folded_law(config.beams, amplitude, phase, omega_i, pipe)
+    mean_signal, _, _ = folded_law(tuple(config.beams), amplitude, phase, omega_i, pipe)
     alpha, beta = derive_alpha_beta(
         pipe.efficiency,
         pipe.gate_time,
@@ -215,7 +213,7 @@ def _amplitude_crb(config: RunConfig, amplitude: float) -> float:
     )
     params = FitModelParams(amplitude, phase, alpha, beta, pipe.timing_jitter)
     free = [name for name in PARAM_NAMES if name not in DEFAULT_FROZEN]
-    info = fisher_information(params, config.beams, omega_i, period, pipe.bin_width, free)
+    info = fisher_information(params, config.beams, period, pipe.bin_width, free)
     j = free.index("amplitude")
     return math.sqrt(np.linalg.inv(info)[j, j])
 
@@ -246,9 +244,9 @@ def _recover_amplitudes(config: RunConfig, trials) -> list[float | None]:
         # A stack is fitted once it is full, or at the last trial.
         if stack and (len(stack) == FIT_STACK or k == len(trials) - 1):
             hists, inits = [hist for _, hist, _ in stack], [init for _, _, init in stack]
-            lockstep = FitStack(hists, config.beams, inits, omega_i=omega_i)
+            lockstep = FitStack(hists, config.beams, inits)
             for j, hist, init in stack:
-                result = fit_histogram(hist, config.beams, init, omega_i=omega_i, stack=lockstep)
+                result = fit_histogram(hist, config.beams, init, stack=lockstep)
                 if result.converged:
                     fitted[j] = result.amplitude
             stack = []
@@ -377,7 +375,7 @@ def squeeze_sweep(config: RunConfig, points=None, seed: int | None = None):
     def batch_variances(batch):
         drive, seeds = batch
         stationary = abs(drive.effective_gain * math.cos(2 * drive.squeeze_phase)) < 1.0
-        path = _envelope_paths(
+        path = envelope_paths(
             config.trap, drive, config.noise, duration, seeds, stationary_start=stationary
         )
         return np.array([np.var(path.y, axis=1), np.var(path.x, axis=1)])
@@ -570,6 +568,8 @@ def load_run(path) -> dict:
             record = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise RunRecordError(f"{path}: unreadable run record: {exc}") from exc
+    if not isinstance(record, dict):
+        raise RunRecordError(f"{path}: run record is a JSON {type(record).__name__}, not an object")
     if record.get("schema") != RUN_RECORD_SCHEMA:
         raise RunRecordError(
             f"{path}: schema version {record.get('schema')!r} unsupported"

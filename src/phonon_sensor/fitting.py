@@ -10,7 +10,9 @@ scaled and offset:
 The fit minimises the Poisson deviance of the counts against this model.
 Amplitude and phase are the physical parameters; alpha, beta and the
 dispersion width sigma_t are nuisance parameters that default to the
-closed-form detection-chain values and stay frozen.
+closed-form detection-chain values and stay frozen.  The binning fixes
+the model frequency: the model, the guess and the fit take the folding
+period and form w = 2 pi / period from it.
 
 :func:`rate_integrals` is the one forward model of the fit and of the
 photon sampler's binned law, and it is exact: the rate is a cosine series
@@ -39,7 +41,7 @@ What depends only on the binning, never on the counts, is built once per
 binning and reused read-only: the bin edges and widths, the sines and
 cosines of the harmonics at the bin edges, and the initial guess's
 regression rows.  The guess's harmonics over its amplitude grid are built
-once per beams, frequency and jitter width.
+once per beams, period and jitter width.
 """
 
 from __future__ import annotations
@@ -150,26 +152,30 @@ def _beam_poles(beams: tuple) -> tuple:
     return z, scale, wave_number
 
 
-def _pole_ratios(beams: tuple, amplitude: np.ndarray, omega_i: float) -> tuple:
+def _pole_ratios(beams: tuple, amplitude: np.ndarray, omega: float) -> tuple:
     """u, w and rho of :func:`_rate_harmonics`, per beam (rows) and
-    amplitude (columns)."""
+    amplitude (columns), at the angular frequency ``omega``."""
     z, _, wave_number = _beam_poles(beams)
-    u = wave_number * omega_i * amplitude
+    u = wave_number * omega * amplitude
     w = np.sqrt(z * z - u * u)
     w[(w * z.conj()).real < 0] *= -1
     return u, w, u / (z + w)
 
 
-def _series_length(beams, amplitude, omega_i: float, width) -> np.ndarray:
+def _series_length(beams, amplitude, omega: float, width) -> np.ndarray:
     """:func:`_harmonic_count` of each amplitude's series at the jitter's
     width w sigma_t in phase, not capped."""
-    return _harmonic_count(_pole_ratios(tuple(beams), np.atleast_1d(amplitude), omega_i)[2], width)
+    return _harmonic_count(_pole_ratios(tuple(beams), np.atleast_1d(amplitude), omega)[2], width)
 
 
-def _rate_harmonics(beams: tuple, amplitude, omega_i: float, width, slope: bool):
-    """Cosine series of the summed rate in theta = w t + phi: ``(c_0, c)``,
-    with ``c[n - 1]`` the coefficient of cos n theta for n = 1..N, and
-    with ``slope`` also their derivatives in the amplitude.
+def _rate_harmonics(beams: tuple, amplitude: np.ndarray, omega: float, width, slope: bool):
+    """Cosine series of the summed rate in theta = w t + phi, one per
+    entry of the 1-D ``amplitude`` and ``width`` (one per fit):
+    ``(N, c_0, c)``, with N each fit's series length, c_0 each fit's
+    constant term and row i of ``c`` the coefficients of cos n theta for
+    n = 1..N[i] in entries n - 1; the rows run to the largest N.  With
+    ``slope`` the result also holds the amplitude derivatives of c_0 and
+    of ``c``.  Every entry is formed alone, whatever the other fits are.
 
     A beam scatters K Im 1/(z - u cos theta), with the pole
     z = Delta - i (Gamma/2) sqrt(1 + s), K = (Gamma s/4pi) Gamma/(2 sqrt(1 + s))
@@ -180,16 +186,9 @@ def _rate_harmonics(beams: tuple, amplitude, omega_i: float, width, slope: bool)
     and d(rho^n/w)/du = n rho^(n-1) z/(w^2 (z + w)) + rho^n u/w^3.  N is
     :func:`_harmonic_count` of the largest |rho| at the jitter's width
     w sigma_t in phase, at most HARMONIC_CAP.
-
-    ``amplitude`` and ``width`` may also be 1-D arrays, one entry per fit.
-    The result is then ``(N, c_0, c, ...)``: each fit's N, the c_0 of each
-    fit, and rows of c that run to the largest N, of which row i is read
-    to N[i].  Every entry is formed alone, whatever the other fits are.
     """
-    stacked = np.ndim(amplitude) > 0
-    amplitude = np.atleast_1d(amplitude)
     z, scale, wave_number = _beam_poles(tuple(beams))
-    u, w, rho = _pole_ratios(tuple(beams), amplitude, omega_i)
+    u, w, rho = _pole_ratios(tuple(beams), amplitude, omega)
     counts = np.minimum(_harmonic_count(rho, width), HARMONIC_CAP).astype(int)
     n = int(counts.max())
     # powers[b, k, n] = rho^n of beam b and fit k, for n = 0..N.
@@ -199,24 +198,23 @@ def _rate_harmonics(beams: tuple, amplitude, omega_i: float, width, slope: bool)
     np.cumprod(powers, axis=-1, out=powers)
     c0 = (scale * (1 / w).imag).sum(axis=0)
     c = ((2 * scale / w)[..., None] * powers[..., 1:]).sum(axis=0).imag
-    series = [c0, c]
+    series = [counts, c0, c]
     if slope:
-        chain = scale * wave_number * omega_i
+        chain = scale * wave_number * omega
         cube = w**3
         dc = ((2 * chain * z / (w * w * (z + w)))[..., None] * powers[..., :-1]).sum(axis=0)
         dc *= np.arange(1, n + 1)
         dc += ((2 * chain * u / cube)[..., None] * powers[..., 1:]).sum(axis=0)
         series += [(chain * (u / cube).imag).sum(axis=0), dc.imag]
-    if stacked:
-        return (counts, *series)
-    return tuple(term[0] for term in series)
+    return tuple(series)
 
 
 def rate_integrals(
-    beams, amplitude, phase, sigma_t, omega_i, period, bin_width, free=(), stop=math.inf
+    beams, amplitude, phase, sigma_t, period, bin_width, free=(), stop=math.inf
 ) -> np.ndarray:
     """Integral over each TAC bin, its edges clipped at ``stop``, of the
-    rate convolved with a Gaussian of width sigma_t in time.
+    rate convolved with a Gaussian of width sigma_t in time, at the
+    frequency w = 2 pi / ``period``.
 
     The one forward model of the fit and the photon sampler.  With theta =
     w t + phi the rate is c_0 + sum c_n cos n theta (:func:`_rate_harmonics`),
@@ -241,15 +239,18 @@ def rate_integrals(
     amplitude, phase, sigma_t = np.broadcast_arrays(
         np.atleast_1d(amplitude), np.atleast_1d(phase), np.atleast_1d(sigma_t)
     )
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"period must be > 0 and finite, got {period!r}")
+    omega = TWO_PI / period
     # NaN is the least of any array that holds one, so one check covers all.
-    beams, _ = _check_rate_arguments(beams, np.min(amplitude), phase, omega_i)
+    beams, _ = _check_rate_arguments(beams, np.min(amplitude), phase, omega)
     if np.any(sigma_t > period / 2):
         raise ValueError("sigma_t wider than half the period")
-    width = omega_i * sigma_t
-    counts, c0, c, *slopes = _rate_harmonics(beams, amplitude, omega_i, width, "amplitude" in free)
+    width = omega * sigma_t
+    counts, c0, c, *slopes = _rate_harmonics(beams, amplitude, omega, width, "amplitude" in free)
     n = np.arange(1, c.shape[1] + 1)
     turn = np.exp(n * (1j * phase[:, None]))
-    turn /= n * omega_i
+    turn /= n * omega
     if np.any(width):
         turn *= np.exp(-0.5 * (n * width[:, None]) ** 2)
     alpha = [c * turn]
@@ -258,7 +259,7 @@ def rate_integrals(
     if "phase" in free:
         alpha.append(1j * n * alpha[0])
     if "sigma_t" in free:
-        alpha.append(-sigma_t[:, None] * (n * omega_i) ** 2 * alpha[0])
+        alpha.append(-sigma_t[:, None] * (n * omega) ** 2 * alpha[0])
     alpha = np.stack(alpha, axis=1)
     edges, widths = bin_grid(period, bin_width)
     if stop < period:
@@ -272,7 +273,7 @@ def rate_integrals(
         per_call = max(1, 2048 // (alpha.shape[1] * count))
         for first in range(0, len(same), per_call):
             fits = same[first : first + per_call]
-            sums = _edge_sums(alpha[fits, :, :count], omega_i, period, bin_width, stop)
+            sums = _edge_sums(alpha[fits, :, :count], period, bin_width, stop)
             integrals[fits] = sums[..., 1:] - sums[..., :-1]
     integrals[:, 0] += c0[:, None] * widths
     if "amplitude" in free:
@@ -293,7 +294,8 @@ def _sin_cos(n: int, angles: np.ndarray) -> np.ndarray:
 
 
 class _EdgePhases:
-    """Read-only e^(i n w t) at a binning's edges, for n = 1..size.
+    """Read-only e^(i n w t) at a binning's edges, for n = 1..size and
+    w = 2 pi / period.
 
     The edges t_j = j h, j < n_bins, split as j = q R + r with R about
     4 sqrt(n_bins): e^(i n w t_j) is the coarse factor ``coarse[q, n - 1]``
@@ -304,13 +306,13 @@ class _EdgePhases:
     leading part, whose values do not depend on the size.
     """
 
-    def __init__(self, omega_i: float, period: float, bin_width: float):
+    def __init__(self, period: float, bin_width: float):
         edges, widths = bin_grid(period, bin_width)
         self.n_bins = len(widths)
         fine_count = min(4 * math.isqrt(self.n_bins - 1) + 4, self.n_bins)
         coarse_count = -(-self.n_bins // fine_count)
-        step = omega_i * bin_width
-        self.fine_angles = np.append(step * np.arange(fine_count), omega_i * edges[-1])
+        step = TWO_PI / period * bin_width
+        self.fine_angles = np.append(step * np.arange(fine_count), TWO_PI / period * edges[-1])
         self.coarse_angles = step * fine_count * np.arange(coarse_count)
         self.size = 0
 
@@ -328,22 +330,16 @@ class _EdgePhases:
 _edge_phases = lru_cache(maxsize=8)(_EdgePhases)
 
 
-def _edge_sums(
-    alpha: np.ndarray, omega_i: float, period: float, bin_width: float, stop: float
-) -> np.ndarray:
-    """S_j = Im sum_n alpha[..., n - 1] e^(i n w t_j) at each TAC bin edge
-    t_j clipped at ``stop``, row by row: a complex product with the coarse
-    factors, then a real one with the fine table, as Im(x e^(i y)) =
-    Re x sin y + Im x cos y.  The first row's product is formed alone, so
-    its sums do not depend on the rows below it.
-
-    ``alpha`` may carry a leading fit axis; each fit's products are then
-    formed alone, as a call with its rows alone forms them."""
-    stacked = alpha.ndim == 3
-    if not stacked:
-        alpha = alpha[None]
+def _edge_sums(alpha: np.ndarray, period: float, bin_width: float, stop: float) -> np.ndarray:
+    """S_j = Im sum_n alpha[k, r, n - 1] e^(i n w t_j) at each TAC bin edge
+    t_j clipped at ``stop``, for each fit k and row r, with w = 2 pi /
+    period: a complex product with the coarse factors, then a real one
+    with the fine table, as Im(x e^(i y)) = Re x sin y + Im x cos y.  Each
+    fit's products are formed alone, as a call with its rows alone forms
+    them, and a fit's first row alone, so its sums do not depend on the
+    rows below it."""
     n_fits, n_rows, n = alpha.shape
-    phases = _edge_phases(omega_i, period, bin_width)
+    phases = _edge_phases(period, bin_width)
     coarse, fine = phases.tables(n)
     split = np.empty((n_fits, n_rows, len(coarse), n), complex)
     np.multiply(alpha[:, :, None, :], coarse, out=split)
@@ -360,18 +356,11 @@ def _edge_sums(
     sums[..., -1] = products[:, :, 0, -1]
     if stop < period:
         cut = bin_grid(period, bin_width)[0] >= stop
-        sums[..., cut] = alpha.view(float) @ _sin_cos(n, np.array([omega_i * stop]))
-    return sums if stacked else sums[0]
+        sums[..., cut] = alpha.view(float) @ _sin_cos(n, np.array([TWO_PI / period * stop]))
+    return sums
 
 
-def model_curve(
-    params: FitModelParams,
-    beams,
-    omega_i: float,
-    period: float,
-    bin_width: float,
-    free=(),
-):
+def model_curve(params: FitModelParams, beams, period: float, bin_width: float, free=()):
     """Expected counts per TAC bin for the given model parameters.
 
     A trailing partial bin receives proportionally fewer counts; both the
@@ -385,7 +374,7 @@ def model_curve(
     """
     shape_free = tuple(name for name in ("amplitude", "phase", "sigma_t") if name in free)
     shape = (params.amplitude, params.phase, params.sigma_t)
-    integrals = rate_integrals(beams, *shape, omega_i, period, bin_width, shape_free)
+    integrals = rate_integrals(beams, *shape, period, bin_width, shape_free)
     _, widths = bin_grid(period, bin_width)
     scales = np.array([params.alpha]), np.array([params.beta])
     curve, rows = _scaled(integrals.reshape(1, -1, len(widths)), *scales, widths, bin_width, free)
@@ -415,7 +404,7 @@ def _scaled(integrals, alpha, beta, widths, bin_width, free) -> tuple:
 
 
 def fisher_information(
-    params: FitModelParams, beams, omega_i: float, period: float, bin_width: float, free
+    params: FitModelParams, beams, period: float, bin_width: float, free
 ) -> np.ndarray:
     """Fisher information of one histogram's Poisson counts in ``free``.
 
@@ -425,7 +414,7 @@ def fisher_information(
     (Kay, Fundamentals of Statistical Signal Processing: Estimation
     Theory, 1993).
     """
-    curve, columns = model_curve(params, beams, omega_i, period, bin_width, free=tuple(free))
+    curve, columns = model_curve(params, beams, period, bin_width, free=tuple(free))
     return columns.T @ (columns / curve[:, None])
 
 
@@ -455,7 +444,7 @@ def _is_flat(counts: np.ndarray) -> bool:
 
 
 @lru_cache(maxsize=8)
-def _harmonic_projector(omega_i: float, period: float, bin_width: float, harmonics: int):
+def _harmonic_projector(period: float, bin_width: float, harmonics: int):
     """Read-only complex rows, one per harmonic m = 1..``harmonics``, that
     take a histogram's counts to (a_m - i b_m)/w of :func:`initial_guess`.
 
@@ -476,7 +465,7 @@ def _harmonic_projector(omega_i: float, period: float, bin_width: float, harmoni
     """
     bytearray(1 << 20)
     edges, widths = bin_grid(period, bin_width)
-    regressors = np.vstack([widths, np.diff(_sin_cos(harmonics, omega_i * edges))])
+    regressors = np.vstack([widths, np.diff(_sin_cos(harmonics, TWO_PI / period * edges))])
     inverse = np.linalg.pinv(regressors.T)
     projector = np.arange(1, harmonics + 1)[:, None] * (inverse[1::2] + 1j * inverse[2::2])
     projector.flags.writeable = False
@@ -484,7 +473,7 @@ def _harmonic_projector(omega_i: float, period: float, bin_width: float, harmoni
 
 
 @lru_cache(maxsize=8)
-def _guess_shapes(beams: tuple, omega_i: float, sigma_t: float, harmonics: int) -> tuple:
+def _guess_shapes(beams: tuple, omega: float, sigma_t: float, harmonics: int) -> tuple:
     """Read-only: the initial guess's amplitude grid, and one unit row per
     grid amplitude of the smeared rate's harmonics c_m g_m for
     m = 1..``harmonics``: c_m = 2 K Im rho^m/w summed over the beams, as in
@@ -493,33 +482,27 @@ def _guess_shapes(beams: tuple, omega_i: float, sigma_t: float, harmonics: int) 
     of zero norm stays 0."""
     amplitudes = np.linspace(*GUESS_GRID)
     _, scale, _ = _beam_poles(beams)
-    _, w, rho = _pole_ratios(beams, amplitudes, omega_i)
+    _, w, rho = _pole_ratios(beams, amplitudes, omega)
     m = np.arange(1, harmonics + 1)
     shapes = ((2 * scale / w)[..., None] * rho[..., None] ** m).sum(axis=0).imag
-    shapes *= np.exp(-0.5 * (m * omega_i * sigma_t) ** 2)
+    shapes *= np.exp(-0.5 * (m * omega * sigma_t) ** 2)
     norms = np.linalg.norm(shapes, axis=1, keepdims=True)
     np.divide(shapes, norms, out=shapes, where=norms > 0)
     amplitudes.flags.writeable = shapes.flags.writeable = False
     return amplitudes, shapes
 
 
-def initial_guess(
-    hist: TacHistogram,
-    beams,
-    phase: float,
-    omega_i: float | None = None,
-    sigma_t: float = 0.0,
-) -> float:
+def initial_guess(hist: TacHistogram, beams, phase: float, *, sigma_t: float = 0.0) -> float:
     """Start amplitude of a fit at a known ``phase``, from the histogram's
     low harmonics.
 
     The counts are regressed, by least squares, on the bin widths and the
-    bin integrals of cos m w t and sin m w t, with coefficients a_m and
-    b_m, for m = 1..M.  M is at most GUESS_HARMONICS and at most
-    (full bins - 1)/2.  A single harmonic's unit shape is +-1 at every
-    amplitude, so M must be at least 2, and a period of fewer than 5 full
-    bins raises :class:`NoModulationError`.  The width column takes up the
-    offset.  By the forward model (:func:`rate_integrals`),
+    bin integrals of cos m w t and sin m w t, w = 2 pi / period, with
+    coefficients a_m and b_m, for m = 1..M.  M is at most GUESS_HARMONICS
+    and at most (full bins - 1)/2.  A single harmonic's unit shape is +-1
+    at every amplitude, so M must be at least 2, and a period of fewer
+    than 5 full bins raises :class:`NoModulationError`.  The width column
+    takes up the offset.  By the forward model (:func:`rate_integrals`),
     z_m = a_m - i b_m = alpha c_m g_m e^(i m phase), so Re(z_m e^(-i m phase))
     is the scaled shape alpha c_m g_m.  The guess is the amplitude of
     the GUESS_GRID whose unit shape best matches it: the one that
@@ -527,8 +510,6 @@ def initial_guess(
     of c_m g_m (:func:`_guess_shapes`), the first of equal scores.  The
     scale and offset of a fit start come from :func:`derive_alpha_beta`.
     """
-    if omega_i is None:
-        omega_i = TWO_PI / hist.period
     _, widths = bin_grid(hist.period, hist.bin_width)
     full = np.count_nonzero(widths >= hist.bin_width * (1 - 1e-9))
     if full < 5:
@@ -538,12 +519,12 @@ def initial_guess(
     if _is_flat(hist.counts.astype(float)):
         raise NoModulationError("histogram is flat; nothing to fit")
     harmonics = min(GUESS_HARMONICS, (full - 1) // 2)
-    projector = _harmonic_projector(omega_i, hist.period, hist.bin_width, harmonics)
+    projector = _harmonic_projector(hist.period, hist.bin_width, harmonics)
     turn = np.exp(-1j * phase * np.arange(1, harmonics + 1))
     # Not matmul: OpenBLAS runs a complex matrix-vector product of 8 x 538
     # on threads, which doubled a recovery round's CPU time.
     shape = (np.einsum("mj,j->m", projector, hist.counts) * turn).real
-    amplitudes, shapes = _guess_shapes(tuple(beams), omega_i, sigma_t, harmonics)
+    amplitudes, shapes = _guess_shapes(tuple(beams), TWO_PI / hist.period, sigma_t, harmonics)
     return float(amplitudes[np.argmax(shapes @ shape)])
 
 
@@ -558,24 +539,21 @@ def _fit_bounds(period: float) -> dict[str, tuple[float, float]]:
     }
 
 
-def check_start(init: FitModelParams, period: float, beams, omega_i: float) -> None:
-    """Raise a ValueError naming the first start value that is not finite
-    or lies outside the range the fit searches at this folding period, or
-    a start amplitude whose rate series HARMONIC_CAP would cut."""
-    _check_starts([init], period, beams, omega_i)
-
-
-def _check_starts(inits, period: float, beams, omega_i: float) -> None:
-    """:func:`check_start` of each start, with one series check for all."""
+def check_starts(inits, period: float, beams) -> None:
+    """Raise a ValueError naming the first start value, over the starts
+    ``inits`` in turn, that is not finite or lies outside the range the fit
+    searches at this folding period, or a start amplitude whose rate
+    series HARMONIC_CAP would cut; one series check covers every start."""
     bounds = _fit_bounds(period)
     for init in inits:
         for name, (low, high) in bounds.items():
             value = getattr(init, name)
             if not (math.isfinite(value) and low <= value <= high):
                 raise ValueError(f"initial {name} = {value:g} outside [{low:g}, {high:g}]")
+    omega = TWO_PI / period
     amplitudes = np.array([init.amplitude for init in inits])
-    widths = omega_i * np.array([init.sigma_t for init in inits])
-    cut = _series_length(beams, amplitudes, omega_i, widths) > HARMONIC_CAP
+    widths = omega * np.array([init.sigma_t for init in inits])
+    cut = _series_length(beams, amplitudes, omega, widths) > HARMONIC_CAP
     if cut.any():
         raise ValueError(
             f"initial amplitude = {amplitudes[cut][0]:g} needs more than {HARMONIC_CAP} harmonics"
@@ -629,7 +607,6 @@ def fit_histogram(
     beams,
     init: FitModelParams,
     frozen: tuple[str, ...] = DEFAULT_FROZEN,
-    omega_i: float | None = None,
     max_evaluations: int = 500,
     stack: FitStack | None = None,
 ) -> FitResult:
@@ -662,7 +639,7 @@ def fit_histogram(
     from pinv(J^T J) times the deviance per degree of freedom.
 
     Every start value must be finite and inside the searched range
-    (:func:`check_start`), or a ValueError names it; a start at which the
+    (:func:`check_starts`), or a ValueError names it; a start at which the
     deviance is not finite raises one too.  The sigma_t column
     is 0 at sigma_t = 0, so a free sigma_t that starts at 0 stays there.
 
@@ -672,8 +649,8 @@ def fit_histogram(
     result is this fit's from the stack's one loop.
     """
     if stack is None:
-        return fit_histograms([hist], beams, [init], frozen, omega_i, max_evaluations)[0]
-    if (tuple(beams), tuple(frozen), omega_i, max_evaluations) != stack.settings:
+        return fit_histograms([hist], beams, [init], frozen, max_evaluations)[0]
+    if (tuple(beams), tuple(frozen), max_evaluations) != stack.settings:
         raise ValueError("a stack's fits take the beams and settings it was made with")
     return stack.result(hist, init)
 
@@ -699,7 +676,6 @@ def fit_histograms(
     beams,
     inits,
     frozen: tuple[str, ...] = DEFAULT_FROZEN,
-    omega_i: float | None = None,
     max_evaluations: int = 500,
 ) -> list[FitResult]:
     """:func:`fit_histogram` of each histogram from its own start, as one
@@ -726,13 +702,11 @@ def fit_histograms(
             raise NoModulationError("empty histogram")
         if _is_flat(row):
             raise NoModulationError("histogram is flat; nothing to fit")
-    if omega_i is None:
-        omega_i = TWO_PI / period
     unknown = set(frozen) - set(PARAM_NAMES)
     if unknown:
         raise ValueError(f"unknown frozen parameters: {sorted(unknown)}")
     beams = tuple(beams)
-    _check_starts(inits, period, beams, omega_i)
+    check_starts(inits, period, beams)
 
     free = tuple(name for name in PARAM_NAMES if name not in frozen)
     # The model is even in sigma_t, so its sigma_t column is 0 at 0,
@@ -758,7 +732,7 @@ def fit_histograms(
         for k, init in enumerate(inits):
             if init.alpha == 0:
                 unit = replace(init, alpha=1.0, beta=0.0)
-                rate = model_curve(unit, beams, omega_i, period, bin_width)
+                rate = model_curve(unit, beams, period, bin_width)
                 inits[k] = replace(init, alpha=counts[k].sum() / rate.sum())
 
     # Each fit's parameters in PARAM_NAMES order; the free ones move.
@@ -770,7 +744,7 @@ def fit_histograms(
         parameter row in ``at``, from one model pass."""
         amplitude, phase, alpha, beta, sigma_t = at.T.copy()
         integrals = rate_integrals(
-            beams, amplitude, phase, sigma_t, omega_i, period, bin_width, shape_free
+            beams, amplitude, phase, sigma_t, period, bin_width, shape_free
         ).reshape(len(fits), -1, len(widths))
         curve, jt = _scaled(integrals, alpha, beta, widths, bin_width, free)
         del integrals
@@ -794,6 +768,7 @@ def fit_histograms(
     # a step that ends a fit keeps the mark, as the cap shrank that step.
     capped = np.zeros(n_fits, bool)
     diagonal = np.arange(len(free))
+    omega = TWO_PI / period
     while True:
         fits = np.flatnonzero(~converged & (nfev < max_evaluations))
         if not len(fits):
@@ -813,7 +788,7 @@ def fit_histograms(
         # A trial whose series the cap would cut is rejected unformed, as a
         # rise of the deviance is.
         amplitude, sigma_t = trial[:, 0], trial[:, 4]
-        formed = _series_length(beams, amplitude, omega_i, omega_i * sigma_t) <= HARMONIC_CAP
+        formed = _series_length(beams, amplitude, omega, omega * sigma_t) <= HARMONIC_CAP
         nfev[fits] += 1
         damping[fits[~formed]] *= 10.0
         capped[fits[~formed]] = True
@@ -867,11 +842,10 @@ class FitStack:
         beams,
         inits,
         frozen: tuple[str, ...] = DEFAULT_FROZEN,
-        omega_i: float | None = None,
         max_evaluations: int = 500,
     ):
         self.hists, self.inits = list(hists), list(inits)
-        self.settings = (tuple(beams), tuple(frozen), omega_i, max_evaluations)
+        self.settings = (tuple(beams), tuple(frozen), max_evaluations)
         self._results = None
 
     def result(self, hist: TacHistogram, init: FitModelParams) -> FitResult:
@@ -882,10 +856,8 @@ class FitStack:
         else:
             raise ValueError("the histogram and start are not a member of the stack")
         if self._results is None:
-            beams, frozen, omega_i, max_evaluations = self.settings
-            self._results = fit_histograms(
-                self.hists, beams, self.inits, frozen, omega_i, max_evaluations
-            )
+            beams, frozen, max_evaluations = self.settings
+            self._results = fit_histograms(self.hists, beams, self.inits, frozen, max_evaluations)
         return self._results[k]
 
 

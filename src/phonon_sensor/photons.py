@@ -123,8 +123,9 @@ class PipelineConfig:
             raise ValueError(f"snr must be > 0, got {self.snr}")
 
 
+@lru_cache(maxsize=1)
 def folded_law(
-    beams, amplitude: float, phase: float, omega_i: float, pipeline: PipelineConfig
+    beams: tuple, amplitude: float, phase: float, omega_i: float, pipeline: PipelineConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Parameters of one gate's folded counts: the mean signal total, the
     mean signal count per TAC bin, and the time per bin the gate folds in.
@@ -140,27 +141,19 @@ def folded_law(
     means.
 
     The law of the last arguments is kept, with read-only arrays, so the
-    gates drawn in a row at one amplitude build it once.
+    gates drawn in a row at one amplitude build it once; ``beams`` is a
+    tuple, which the cache can key on.
     """
-    return _folded_law(tuple(beams), amplitude, phase, omega_i, pipeline)
-
-
-@lru_cache(maxsize=1)
-def _folded_law(
-    beams: tuple, amplitude: float, phase: float, omega_i: float, pipeline: PipelineConfig
-) -> tuple[float, np.ndarray, np.ndarray]:
     from .fitting import rate_integrals
 
-    period = TWO_PI / omega_i
-    edges, widths = bin_grid(period, pipeline.bin_width)
+    period, bin_width = TWO_PI / omega_i, pipeline.bin_width
+    edges, widths = bin_grid(period, bin_width)
     n_periods, rest = divmod(pipeline.gate_time, period)
     gate_share = n_periods * widths + np.clip(rest - edges[:-1], 0.0, widths)
 
     law = (beams, amplitude, phase)
-    signal_means = n_periods * rate_integrals(
-        *law, pipeline.timing_jitter, omega_i, period, pipeline.bin_width
-    )
-    signal_means += rate_integrals(*law, 0.0, omega_i, period, pipeline.bin_width, stop=rest)
+    signal_means = n_periods * rate_integrals(*law, pipeline.timing_jitter, period, bin_width)
+    signal_means += rate_integrals(*law, 0.0, period, bin_width, stop=rest)
     signal_means *= pipeline.efficiency
     # A cut an ulp past a bin edge can round below 0 (-6.9e-19 counts in a
     # test case), and past the harmonic cap (about 0.46 mm) the truncated
@@ -192,7 +185,7 @@ def synthesize_histogram(
     """
     signal_seed, background_seed = np.random.SeedSequence(seed).generate_state(2)
     mean_signal, signal_means, gate_share = folded_law(
-        beams, amplitude, phase, omega_i, pipeline
+        tuple(beams), amplitude, phase, omega_i, pipeline
     )
     rng = np.random.default_rng(signal_seed)
     n_signal = rng.poisson(mean_signal)

@@ -4,6 +4,17 @@ Everything here is a pure function of its inputs: scattering rate of a
 Doppler-modulated two-level ion, light-induced damping, radiation pressure,
 static electrode force, fluorescence collection efficiency and the classical
 squeezing variance law.
+
+The campaigns use only the rate's argument check, :func:`static_force` and
+:func:`squeeze_variance_ratio`.  The rest is the twin's closed-form layer,
+which no campaign calls and the tests and README read.  The pointwise rates
+(``scattering_rate``, ``total_scattering_rate`` and their ``_max`` bounds)
+cross-check ``fitting.rate_integrals`` and bound the per-photon oracle's
+thinning.  The radiation-pressure pieces (``radiation_pressure_force``,
+``damping_coefficient`` and their ``total_`` sums) drive the Langevin
+oracle; the damping is the force's slope at rest.  The efficiency chain
+(``EfficiencyChain``, ``default_efficiency_chain``, ``solid_angle_fraction``,
+``collection_efficiency``) gives README's collection-efficiency row.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from phonon_sensor.fitting import (
     _deviance_residuals,
     _fit_bounds,
     _is_flat,
-    check_start,
+    check_starts,
     model_curve,
     wrap_phase,
 )
@@ -239,7 +239,6 @@ def least_squares_fit(
     beams,
     init: FitModelParams,
     frozen: tuple[str, ...] = DEFAULT_FROZEN,
-    omega_i: float | None = None,
     max_evaluations: int = 500,
 ) -> FitResult:
     """The deviance fit of :func:`phonon_sensor.fitting.fit_histogram`,
@@ -256,9 +255,7 @@ def least_squares_fit(
     counts = hist.counts.astype(float)
     if _is_flat(counts):
         raise NoModulationError("histogram is flat; nothing to fit")
-    if omega_i is None:
-        omega_i = TWO_PI / hist.period
-    check_start(init, hist.period, beams, omega_i)
+    check_starts([init], hist.period, beams)
 
     free = tuple(name for name in PARAM_NAMES if name not in frozen)
     if init.sigma_t == 0:
@@ -274,7 +271,7 @@ def least_squares_fit(
     }
     if "alpha" in free:
         unit = replace(init, alpha=1.0, beta=0.0)
-        rate = model_curve(unit, beams, omega_i, hist.period, hist.bin_width)
+        rate = model_curve(unit, beams, hist.period, hist.bin_width)
         scales["alpha"] = counts.sum() / rate.sum()
         if init.alpha == 0:
             init = replace(init, alpha=scales["alpha"])
@@ -291,7 +288,7 @@ def least_squares_fit(
         key = vector.tobytes()
         if last.get("key") != key:
             curve, columns = model_curve(
-                build(vector), beams, omega_i, hist.period, hist.bin_width, free=free
+                build(vector), beams, hist.period, hist.bin_width, free=free
             )
             residuals, slope = _deviance_residuals(curve, counts, n_log_n)
             last.update(key=key, residuals=residuals, jac=slope[:, None] * columns)

@@ -11,7 +11,7 @@ from scipy import stats
 
 from phonon_sensor.config import config_from_dict, default_config
 from phonon_sensor.constants import DEFAULT_AXIAL_FREQUENCY, TWO_PI
-from phonon_sensor.dynamics import integrate_quadratures
+from phonon_sensor.dynamics import envelope_paths
 from phonon_sensor.experiments import (
     REFERENCE_DELTA_A,
     REFERENCE_SLOPE,
@@ -94,15 +94,15 @@ def test_criterion_03_squeezing_law():
         )
         out = []
         for k in range(trials):
-            path = integrate_quadratures(
+            path = envelope_paths(
                 trap,
                 drive,
                 noise,
                 duration,
-                seed=seed0 + k,
+                [seed0 + k],
                 stationary_start=abs(gain * math.cos(2 * phase)) < 1.0,
             )
-            out.append(np.var(path.y))
+            out.append(np.var(path.y[0]))
         return np.array(out)
 
     base = variances(0.0, 0.0, 10_000)
@@ -141,11 +141,11 @@ def test_criterion_04_fluctuation_dissipation():
     target = thermal_quadrature_variance(CONFIG.trap, drive, noise)
     xs, ys = [], []
     for seed in range(60):
-        path = integrate_quadratures(
-            CONFIG.trap, drive, noise, 10000 * PERIOD, seed=seed, stationary_start=True
+        path = envelope_paths(
+            CONFIG.trap, drive, noise, 10000 * PERIOD, [seed], stationary_start=True
         )
-        xs.append(path.x)
-        ys.append(path.y)
+        xs.append(path.x[0])
+        ys.append(path.y[0])
     var_x = float(np.var(np.concatenate(xs)))
     var_y = float(np.var(np.concatenate(ys)))
     ok = abs(var_x / target - 1) < 0.05 and abs(var_y / target - 1) < 0.05
@@ -205,11 +205,11 @@ def test_criterion_06_phase_time_equivalence():
     n_bins = 538
     h = PERIOD / n_bins
     base = FitModelParams(21.677e-6, 0.028, 1.0, 0.0, 0.8e-6)
-    curve = model_curve(base, BEAMS, OMEGA, PERIOD, h)
+    curve = model_curve(base, BEAMS, PERIOD, h)
     model_worst = 0.0
     for k in (3, 67, 269):
         shifted = FitModelParams(21.677e-6, 0.028 + k * h * OMEGA, 1.0, 0.0, 0.8e-6)
-        rolled = model_curve(shifted, BEAMS, OMEGA, PERIOD, h)
+        rolled = model_curve(shifted, BEAMS, PERIOD, h)
         err = np.max(np.abs(rolled - np.roll(curve, -k)) / np.maximum(np.abs(curve), 1e-300))
         model_worst = max(model_worst, float(err))
     model_ok = model_worst < 1e-12

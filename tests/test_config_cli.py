@@ -529,6 +529,24 @@ class TestCli:
         assert run_cli(["fit", str(hist_path), "--out", str(tmp_path / "r.txt")]) == 1
         assert run_cli(["fit", str(hist_path), "--config", str(cfg), "--out", str(tmp_path / "r.txt")]) == 0
 
+    def test_fit_takes_the_frequency_from_the_histogram(self, tmp_path):
+        # A config 2e-8 Hz off the shipped one passes the 1e-9 period check
+        # and shares its config_hash; the fit takes its frequency from the
+        # histogram's period, so the two write the same report.
+        with open(SHIPPED_CONFIG) as fh:
+            data = yaml.safe_load(fh)
+        data["physics"]["drive"]["injection_frequency_hz"] = 186020.00000002
+        nudged = tmp_path / "nudged.yaml"
+        nudged.write_text(yaml.safe_dump(data))
+        hist_path = tmp_path / "hist.txt"
+        assert run_cli(["simulate", "--config", SHIPPED_CONFIG, "--out", str(hist_path)]) == 0
+        reports = []
+        for k, cfg in enumerate((SHIPPED_CONFIG, str(nudged))):
+            report = tmp_path / f"fit-{k}.txt"
+            assert run_cli(["fit", str(hist_path), "--config", cfg, "--out", str(report)]) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_fit_corrupt_file_nonzero_exit(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a histogram\n")

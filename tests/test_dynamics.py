@@ -12,9 +12,8 @@ from phonon_sensor.dynamics import (
     PHASE_CHUNK,
     _ar1_scan,
     _ar1_tables,
-    _envelope_paths,
     _locked_phase_spreads,
-    integrate_quadratures,
+    envelope_paths,
     stationary_mean_displacement,
     thermal_quadrature_variance,
 )
@@ -184,22 +183,22 @@ def oracle_quadratures(drive, noise, n_periods, seed, start=None):
 class TestQuadratures:
     def test_decay_without_forcing(self):
         noise = NoiseModel(temperature=0.0)
-        path = integrate_quadratures(
-            TRAP, IDLE, noise, 2000 * PERIOD, seed=1, initial_x=1e-6, initial_y=-2e-6
+        path = envelope_paths(
+            TRAP, IDLE, noise, 2000 * PERIOD, [1], initial_x=1e-6, initial_y=-2e-6
         )
-        assert abs(path.x[-1]) < 1e-9
-        assert abs(path.y[-1]) < 1e-9
+        assert abs(path.x[0, -1]) < 1e-9
+        assert abs(path.y[0, -1]) < 1e-9
 
     def test_thermal_variance_matches_formula(self):
         # Stationary var(X), var(Y) -> k_B T / (2 m w^2) within 5%.
         target = thermal_quadrature_variance(TRAP, IDLE, THERMAL)
         xs, ys = [], []
         for seed in range(20):
-            path = integrate_quadratures(
-                TRAP, IDLE, THERMAL, 10000 * PERIOD, seed=seed, stationary_start=True
+            path = envelope_paths(
+                TRAP, IDLE, THERMAL, 10000 * PERIOD, [seed], stationary_start=True
             )
-            xs.append(path.x)
-            ys.append(path.y)
+            xs.append(path.x[0])
+            ys.append(path.y[0])
         var_x = np.var(np.concatenate(xs))
         var_y = np.var(np.concatenate(ys))
         assert var_x == pytest.approx(target, rel=0.05)
@@ -212,9 +211,9 @@ class TestQuadratures:
         )
         target = thermal_quadrature_variance(TRAP, drive, THERMAL)
         ys = [
-            integrate_quadratures(
-                TRAP, drive, THERMAL, 10000 * PERIOD, seed=seed, stationary_start=True
-            ).y
+            envelope_paths(
+                TRAP, drive, THERMAL, 10000 * PERIOD, [seed], stationary_start=True
+            ).y[0]
             for seed in range(12)
         ]
         ratio = np.var(np.concatenate(ys)) / target
@@ -225,10 +224,10 @@ class TestQuadratures:
         means = []
         for i, voltage in enumerate(voltages):
             drive = DriveConfig(injection_voltage=voltage)
-            path = integrate_quadratures(
-                TRAP, drive, THERMAL, 8000 * PERIOD, seed=30 + i, stationary_start=True
+            path = envelope_paths(
+                TRAP, drive, THERMAL, 8000 * PERIOD, [30 + i], stationary_start=True
             )
-            means.append(np.mean(path.y))
+            means.append(np.mean(path.y[0]))
         forces = np.array(voltages) * IDLE.force_per_volt
         coeffs = np.polyfit(forces, means, 1)
         predicted = np.polyval(coeffs, forces)
@@ -242,18 +241,16 @@ class TestQuadratures:
     def test_instability_raises_both_sides(self):
         unstable_y = DriveConfig(squeeze_gain=1.0, squeeze_phase=0.0, squeeze_enabled=True)
         with pytest.raises(InstabilityError):
-            integrate_quadratures(TRAP, unstable_y, THERMAL, 100 * PERIOD)
+            envelope_paths(TRAP, unstable_y, THERMAL, 100 * PERIOD, [0])
         # g cos 2phi = -1 leaves the displaced quadrature stable; the
         # marginal in-phase quadrature random-walks but the run completes.
         marginal = DriveConfig(
             squeeze_gain=1.0, squeeze_phase=math.pi / 2, squeeze_enabled=True
         )
-        path = integrate_quadratures(TRAP, marginal, THERMAL, 1000 * PERIOD, seed=2)
+        path = envelope_paths(TRAP, marginal, THERMAL, 1000 * PERIOD, [2])
         assert np.all(np.isfinite(path.x))
         with pytest.raises(InstabilityError):
-            integrate_quadratures(
-                TRAP, marginal, THERMAL, 100 * PERIOD, stationary_start=True
-            )
+            envelope_paths(TRAP, marginal, THERMAL, 100 * PERIOD, [0], stationary_start=True)
 
     @pytest.mark.parametrize(
         "drive, start",
@@ -284,19 +281,17 @@ class TestQuadratures:
             kwargs = {"stationary_start": True}
         else:
             kwargs = {"initial_x": start[0], "initial_y": start[1]}
-        path = integrate_quadratures(
-            TRAP, drive, THERMAL, n_periods * PERIOD, seed=8, **kwargs
-        )
+        path = envelope_paths(TRAP, drive, THERMAL, n_periods * PERIOD, [8], **kwargs)
         x, y = oracle_quadratures(drive, THERMAL, n_periods, 8, start)
         # The integrator sums the kicks in another order than the oracle's
         # recursion, so elements near a zero crossing differ in relative
         # terms; the paths agree to rounding on the scale of the path.
-        for got, want in ((path.x, x), (path.y, y)):
+        for got, want in ((path.x[0], x), (path.y[0], y)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
     def test_deterministic(self):
-        a = integrate_quadratures(TRAP, IDLE, THERMAL, 500 * PERIOD, seed=5)
-        b = integrate_quadratures(TRAP, IDLE, THERMAL, 500 * PERIOD, seed=5)
+        a = envelope_paths(TRAP, IDLE, THERMAL, 500 * PERIOD, [5])
+        b = envelope_paths(TRAP, IDLE, THERMAL, 500 * PERIOD, [5])
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.y, b.y)
 
@@ -304,12 +299,13 @@ class TestQuadratures:
     @pytest.mark.parametrize("kwargs", [{"stationary_start": True}, {"initial_x": 1e-9}])
     def test_batched_rows_equal_single_paths(self, kwargs):
         squeezed = DriveConfig(squeeze_gain=0.6, squeeze_phase=0.3, squeeze_enabled=True)
-        batch = _envelope_paths(TRAP, squeezed, THERMAL, 300 * PERIOD, [5, 6, 7], **kwargs)
+        batch = envelope_paths(TRAP, squeezed, THERMAL, 300 * PERIOD, [5, 6, 7], **kwargs)
         assert batch.x.shape == batch.y.shape == (3, 301)
         for row, seed in enumerate((5, 6, 7)):
-            path = integrate_quadratures(TRAP, squeezed, THERMAL, 300 * PERIOD, seed=seed, **kwargs)
-            np.testing.assert_array_equal(batch.x[row], path.x)
-            np.testing.assert_array_equal(batch.y[row], path.y)
+            path = envelope_paths(TRAP, squeezed, THERMAL, 300 * PERIOD, [seed], **kwargs)
+            assert path.x.shape == path.y.shape == (1, 301)
+            np.testing.assert_array_equal(batch.x[row], path.x[0])
+            np.testing.assert_array_equal(batch.y[row], path.y[0])
 
 
 class TestAr1Scan:
@@ -406,16 +402,14 @@ class TestDemodulate:
 class TestDetectLock:
     def test_noiseless_driven_state_locked(self):
         drive = DriveConfig(injection_voltage=18.25e-3)
-        path = integrate_quadratures(
-            TRAP, drive, NoiseModel(temperature=0.0), 4000 * PERIOD, seed=1
-        )
-        assert circular_std(path.phase[len(path.x) // 2 :]) < 1e-6
+        path = envelope_paths(TRAP, drive, NoiseModel(temperature=0.0), 4000 * PERIOD, [1])
+        phase = path.phase[0]
+        assert circular_std(phase[len(phase) // 2 :]) < 1e-6
 
     def test_undriven_thermal_phase_diffuses(self):
-        path = integrate_quadratures(
-            TRAP, IDLE, THERMAL, 8000 * PERIOD, seed=2, stationary_start=True
-        )
-        assert circular_std(path.phase[len(path.x) // 2 :]) > 1.0
+        path = envelope_paths(TRAP, IDLE, THERMAL, 8000 * PERIOD, [2], stationary_start=True)
+        phase = path.phase[0]
+        assert circular_std(phase[len(phase) // 2 :]) > 1.0
 
     def test_operating_voltage_locks_nearly_always(self):
         # 100 phase-model trials with the full noise budget.
@@ -610,9 +604,7 @@ class TestTypes:
         with pytest.raises(ValueError):
             NoiseModel(damping=-1.0)
         with pytest.raises(ValueError):  # envelope model needs damping
-            integrate_quadratures(
-                TRAP, IDLE, NoiseModel(temperature=0.0, damping=0.0), 100 * PERIOD
-            )
+            envelope_paths(TRAP, IDLE, NoiseModel(temperature=0.0, damping=0.0), 100 * PERIOD, [0])
         spectral = THERMAL.force_spectral_density(TRAP.mass)
         assert spectral == pytest.approx(
             2 * TRAP.mass * THERMAL.damping * BOLTZMANN * THERMAL.temperature

@@ -245,9 +245,7 @@ class TestRecoveryStacks:
             if seed == 704:
                 expected.append(None)
                 continue
-            result = fit_histogram(
-                hist, config.beams, experiments.fit_init(config, hist), omega_i=omega_i
-            )
+            result = fit_histogram(hist, config.beams, experiments.fit_init(config, hist))
             expected.append(result.amplitude if result.converged else None)
             (called,) = [got for drawn, got in calls if drawn.seed == seed]
             assert called == result
@@ -573,7 +571,9 @@ class TestAsimovBias:
         )
         pipe, beams = config.pipeline, config.beams
         omega_i, phase = config.drive.injection_frequency, config.experiment.reference_phase
-        mean_signal, signal_means, gate_share = folded_law(beams, amplitude, phase, omega_i, pipe)
+        mean_signal, signal_means, gate_share = folded_law(
+            tuple(beams), amplitude, phase, omega_i, pipe
+        )
         expected = signal_means + mean_signal / pipe.snr * gate_share / gate_share.sum()
         hist = TacHistogram(
             pipe.bin_width, TWO_PI / omega_i, np.zeros(len(expected)), pipe.gate_time
@@ -582,12 +582,10 @@ class TestAsimovBias:
         init = fitting.chain_init_params(
             hist, pipe.efficiency, pipe.snr, amplitude, phase, pipe.timing_jitter
         )
-        result = fitting.fit_histogram(hist, beams, init, omega_i=omega_i)
+        result = fitting.fit_histogram(hist, beams, init)
         assert result.converged
         free = ["amplitude", "phase"]
-        info = fitting.fisher_information(
-            init, beams, omega_i, hist.period, pipe.bin_width, free
-        )
+        info = fitting.fisher_information(init, beams, hist.period, pipe.bin_width, free)
         phase_crb = math.sqrt(np.linalg.inv(info)[1, 1])
         assert abs(result.amplitude - amplitude) < 0.1 * experiments._amplitude_crb(
             config, amplitude
@@ -652,9 +650,11 @@ class TestRunRecords:
         with pytest.raises(RunRecordError, match="checksum"):
             load_run(path)
 
-    def test_unreadable_record_rejected(self, tmp_path):
+    # Broken JSON, and JSON whose top level is not an object.
+    @pytest.mark.parametrize("text", ["{broken", "[1, 2]", '"str"', "null"])
+    def test_unreadable_record_rejected(self, tmp_path, text):
         path = tmp_path / "junk.json"
-        path.write_text("{broken")
+        path.write_text(text)
         with pytest.raises(RunRecordError):
             load_run(path)
 

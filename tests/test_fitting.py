@@ -55,6 +55,14 @@ def synth(amplitude, phase, seed, pipe=PIPE):
     return synthesize_histogram(BEAMS, amplitude, phase, OMEGA, pipe, seed=seed)
 
 
+def harmonics(amplitude, width=0.0, slope=False):
+    """The rate's cosine series at one amplitude: row 0 of a stack of one."""
+    _, *series = fitting._rate_harmonics(
+        BEAMS, np.array([amplitude]), OMEGA, np.array([width]), slope
+    )
+    return [term[0] for term in series]
+
+
 def guessed_start(hist, pipe=PIPE, phase=REFERENCE_PHASE):
     """The campaigns' fit start: the guessed amplitude at ``phase``, and
     the detection chain's scale, offset and jitter."""
@@ -72,7 +80,7 @@ class TestModelCurve:
         # Independent oracle: Gauss-Legendre integration of the rate over a
         # few bins, without any series machinery.
         params = FitModelParams(22e-6, 0.1, 1.0, 0.0, 0.0)
-        curve = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9)
+        curve = model_curve(params, BEAMS, PERIOD, 10e-9)
         nodes, weights = np.polynomial.legendre.leggauss(24)
         for idx in (0, 100, 267, 400, 537):
             lo = idx * 10e-9
@@ -85,7 +93,7 @@ class TestModelCurve:
 
     def test_zero_amplitude_flat(self):
         params = FitModelParams(0.0, 0.3, 1.0, 5.0, 0.0)
-        curve = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9)
+        curve = model_curve(params, BEAMS, PERIOD, 10e-9)
         full = curve[:-1]  # trailing partial bin scales with width
         assert np.ptp(full) / np.mean(full) < 1e-12
         stationary = total_scattering_rate(BEAMS, 0.0, 0.0, OMEGA, 0.0)
@@ -94,31 +102,31 @@ class TestModelCurve:
     def test_smear_conserves_counts(self):
         sharp = FitModelParams(*REF_CASE_A, 1.0, 0.0, 0.0)
         smeared = FitModelParams(*REF_CASE_A, 1.0, 0.0, 0.8e-6)
-        a = model_curve(sharp, BEAMS, OMEGA, PERIOD, 10e-9)
-        b = model_curve(smeared, BEAMS, OMEGA, PERIOD, 10e-9)
+        a = model_curve(sharp, BEAMS, PERIOD, 10e-9)
+        b = model_curve(smeared, BEAMS, PERIOD, 10e-9)
         assert b.sum() == pytest.approx(a.sum(), rel=1e-12)
 
     def test_tiny_sigma_matches_delta_kernel(self):
         sharp = FitModelParams(*REF_CASE_A, 1.0, 2.0, 0.0)
         tiny = FitModelParams(*REF_CASE_A, 1.0, 2.0, 1e-13)
-        a = model_curve(sharp, BEAMS, OMEGA, PERIOD, 10e-9)
-        b = model_curve(tiny, BEAMS, OMEGA, PERIOD, 10e-9)
+        a = model_curve(sharp, BEAMS, PERIOD, 10e-9)
+        b = model_curve(tiny, BEAMS, PERIOD, 10e-9)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_kernel_wider_than_half_period_rejected(self):
         bad = FitModelParams(*REF_CASE_A, 1.0, 0.0, 0.6 * PERIOD)
         with pytest.raises(ValueError):
-            model_curve(bad, BEAMS, OMEGA, PERIOD, 10e-9)
+            model_curve(bad, BEAMS, PERIOD, 10e-9)
 
     def test_phase_translation_identity_exact(self):
         # On a period of whole bins, advancing the phase by k bins rotates
         # the curve by k bins.
         bin_width = PERIOD / 538
         base = FitModelParams(*REF_CASE_A, 1.0, 0.0, 0.8e-6)
-        curve = model_curve(base, BEAMS, OMEGA, PERIOD, bin_width)
+        curve = model_curve(base, BEAMS, PERIOD, bin_width)
         for k in (1, 17, 215, 269):
             shifted = replace(base, phase=base.phase + k * bin_width * OMEGA)
-            rolled = model_curve(shifted, BEAMS, OMEGA, PERIOD, bin_width)
+            rolled = model_curve(shifted, BEAMS, PERIOD, bin_width)
             np.testing.assert_allclose(rolled, np.roll(curve, -k), rtol=1e-12)
 
     # At sigma_t = period / 2 the wrapped normal wraps round the whole period.
@@ -128,7 +136,7 @@ class TestModelCurve:
         # The law of the per-photon path, which jitters each arrival and
         # then folds it: the rate convolved with the wrapped normal.
         params = FitModelParams(amplitude, 0.028, 1.0, 0.0, sigma_t)
-        curve = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9)
+        curve = model_curve(params, BEAMS, PERIOD, 10e-9)
         edges = bin_grid(PERIOD, 10e-9)[0]
         bins = np.arange(0, 538, 23)
         expected = wrapped_gaussian_bin_means(
@@ -154,10 +162,10 @@ class TestModelCurve:
         m = draw.draw(st.integers(0, n_bins - 1))
         base = FitModelParams(amplitude, phase, 1.0, beta, sigma_t)
         shifted = replace(base, phase=phase + OMEGA * m * bin_width)
-        curve = model_curve(base, BEAMS, OMEGA, PERIOD, bin_width)
+        curve = model_curve(base, BEAMS, PERIOD, bin_width)
         assert len(curve) == n_bins
         np.testing.assert_allclose(
-            model_curve(shifted, BEAMS, OMEGA, PERIOD, bin_width),
+            model_curve(shifted, BEAMS, PERIOD, bin_width),
             np.roll(curve, -m),
             rtol=1e-9,
         )
@@ -171,7 +179,7 @@ class TestModelCurve:
     def test_zero_amplitude_curve_ignores_phase(self, sigma_t, n_bins, phases):
         bin_width = PERIOD / n_bins
         a, b = (
-            model_curve(FitModelParams(0.0, p, 1.0, 5.0, sigma_t), BEAMS, OMEGA, PERIOD, bin_width)
+            model_curve(FitModelParams(0.0, p, 1.0, 5.0, sigma_t), BEAMS, PERIOD, bin_width)
             for p in phases
         )
         np.testing.assert_allclose(a, b, rtol=1e-12)
@@ -185,7 +193,7 @@ class TestModelCurve:
 
         def count_maxima(sigma_t):
             params = FitModelParams(*REF_CASE_A, 1.0, 0.0, sigma_t)
-            y = model_curve(params, BEAMS, OMEGA, PERIOD, bin_width)
+            y = model_curve(params, BEAMS, PERIOD, bin_width)
             left, right = np.roll(y, 1), np.roll(y, -1)
             return int(np.count_nonzero((y > left) & (y >= right)))
 
@@ -204,7 +212,6 @@ class TestModelCurve:
                 model_curve(
                     FitModelParams(a * 1e-6, phase, 1.0, 0.0, sigma),
                     BEAMS,
-                    OMEGA,
                     PERIOD,
                     PERIOD / n_bins,
                 )[idx]
@@ -225,7 +232,7 @@ class TestRateHarmonics:
         n_points = 2**14
         t = np.arange(n_points) * (PERIOD / n_points)
         rate, slope = direct_scattering_rate(BEAMS, amplitude, 0.0, OMEGA, t)
-        c0, c, dc0, dc = fitting._rate_harmonics(BEAMS, amplitude, OMEGA, 0.0, True)
+        c0, c, dc0, dc = harmonics(amplitude, slope=True)
         assert len(c) < n_points // 2
         for got0, got, row in ((c0, c, rate), (dc0, dc, slope)):
             spectrum = np.fft.rfft(row) / n_points
@@ -242,7 +249,7 @@ class TestRateHarmonics:
         # The cut series summed at random times and phases, off any grid,
         # against the rate and its amplitude slope formed point by point.
         t = np.random.default_rng(8).uniform(0.0, PERIOD, 997)
-        c0, c, dc0, dc = fitting._rate_harmonics(BEAMS, amplitude, OMEGA, 0.0, True)
+        c0, c, dc0, dc = harmonics(amplitude, slope=True)
         n = np.arange(1, len(c) + 1)
         for phase in (-2 * math.pi, -1.234, 0.03, 5.4321):
             cosines = np.cos(np.multiply.outer(OMEGA * t + phase, n))
@@ -257,10 +264,10 @@ class TestRateHarmonics:
     def test_single_harmonics_match_their_closed_form(self, bin_width, k):
         # cos k w t integrates over a bin to the difference of
         # sin(k w t)/(k w) at its edges: the edge sums of one harmonic.
-        alpha = np.zeros((1, k), complex)
-        alpha[0, -1] = 1 / (k * OMEGA)
+        alpha = np.zeros((1, 1, k), complex)
+        alpha[0, 0, -1] = 1 / (k * OMEGA)
         edges, widths = bin_grid(PERIOD, bin_width)
-        got = np.diff(fitting._edge_sums(alpha, OMEGA, PERIOD, bin_width, math.inf)[0])
+        got = np.diff(fitting._edge_sums(alpha, PERIOD, bin_width, math.inf)[0, 0])
         exact = PERIOD / (TWO_PI * k) * np.diff(np.sin(TWO_PI * k * edges / PERIOD))
         assert np.max(np.abs(got - exact) / widths) < 1e-12
 
@@ -269,7 +276,7 @@ class TestRateHarmonics:
         [(0.0, 0.0, 1), (21.677e-6, 0.0, 172), (32e-6, 0.0, 270), (21.677e-6, 0.2e-6, 33)],
     )
     def test_harmonic_count(self, amplitude, width, expected):
-        c = fitting._rate_harmonics(BEAMS, amplitude, OMEGA, OMEGA * width, False)[1]
+        c = harmonics(amplitude, OMEGA * width)[1]
         assert len(c) == expected
 
     # A cut at 0.4 of the period leaves a 1 ns sliver of a 10 ns bin; one
@@ -280,7 +287,7 @@ class TestRateHarmonics:
     def test_clipped_integrals_match_gauss_legendre(self, bin_width, stop):
         # The sampler's partial period: the bins' edges clipped at a cut,
         # exact to 1e-12 of a full bin; the bins past the cut are empty.
-        got = fitting.rate_integrals(BEAMS, *REF_CASE_A, 0.0, OMEGA, PERIOD, bin_width, stop=stop)
+        got = fitting.rate_integrals(BEAMS, *REF_CASE_A, 0.0, PERIOD, bin_width, stop=stop)
         edges = np.minimum(bin_grid(PERIOD, bin_width)[0], stop)
         nodes, weights = np.polynomial.legendre.leggauss(200)
         expected = []
@@ -295,26 +302,27 @@ class TestRateHarmonics:
     @pytest.mark.parametrize(
         "beams, args, message",
         [
-            ((), (21.677e-6, 0.0, OMEGA), "need at least one beam"),
-            (BEAMS, (-1e-6, 0.0, OMEGA), "amplitude must be >= 0"),
-            (BEAMS, (math.nan, 0.0, OMEGA), "amplitude must be finite"),
-            (BEAMS, (21.677e-6, math.inf, OMEGA), "phase must be finite"),
-            (BEAMS, (21.677e-6, 0.0, 0.0), "omega_i must be > 0"),
-            (BEAMS, (21.677e-6, 0.0, math.nan), "omega_i must be > 0"),
+            ((), (21.677e-6, 0.0, PERIOD), "need at least one beam"),
+            (BEAMS, (-1e-6, 0.0, PERIOD), "amplitude must be >= 0"),
+            (BEAMS, (math.nan, 0.0, PERIOD), "amplitude must be finite"),
+            (BEAMS, (21.677e-6, math.inf, PERIOD), "phase must be finite"),
+            (BEAMS, (21.677e-6, 0.0, 0.0), "period must be > 0"),
+            (BEAMS, (21.677e-6, 0.0, math.nan), "period must be > 0"),
+            (BEAMS, (21.677e-6, 0.0, math.inf), "period must be > 0"),
         ],
     )
     def test_rejects_bad_inputs(self, beams, args, message):
-        amplitude, phase, omega_i = args
+        amplitude, phase, period = args
         with pytest.raises(ValueError, match=message):
-            fitting.rate_integrals(beams, amplitude, phase, 0.0, omega_i, PERIOD, 10e-9)
+            fitting.rate_integrals(beams, amplitude, phase, 0.0, period, 10e-9)
 
     def test_an_absurd_amplitude_stays_finite_within_the_cap(self):
         # At 1 m the series would need about 1e7 harmonics; it is cut at
         # the cap, and the curve and the sampler's law stay finite.
-        c = fitting._rate_harmonics(BEAMS, 1.0, OMEGA, 0.0, False)[1]
+        c = harmonics(1.0)[1]
         assert len(c) == fitting.HARMONIC_CAP
         params = FitModelParams(1.0, 0.3, 1.0, 0.0, 0.0)
-        curve, columns = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9, free=PARAM_NAMES)
+        curve, columns = model_curve(params, BEAMS, PERIOD, 10e-9, free=PARAM_NAMES)
         assert np.all(np.isfinite(curve)) and np.all(np.isfinite(columns))
         total, means, _ = folded_law(BEAMS, 1.0, 0.3, OMEGA, PIPE)
         assert math.isfinite(total) and np.all(np.isfinite(means))
@@ -338,9 +346,9 @@ class TestHarmonicCap:
         formed, checked = [], []
         harmonics, length = fitting._rate_harmonics, fitting._series_length
 
-        def recording_harmonics(beams, amplitude, omega_i, width, slope):
-            formed.extend(np.ravel(length(beams, amplitude, omega_i, width)))
-            return harmonics(beams, amplitude, omega_i, width, slope)
+        def recording_harmonics(beams, amplitude, omega, width, slope):
+            formed.extend(np.ravel(length(beams, amplitude, omega, width)))
+            return harmonics(beams, amplitude, omega, width, slope)
 
         def recording_length(*args):
             lengths = length(*args)
@@ -377,7 +385,7 @@ class TestDeriveAlphaBeta:
 def asimov(amplitude, phase, sigma_t=0.0, bin_width=10e-9):
     """The rounded expected counts of a 10 s gate's histogram."""
     truth = FitModelParams(amplitude, phase, 5.2e-5, 33.2, sigma_t)
-    curve = model_curve(truth, BEAMS, OMEGA, PERIOD, bin_width)
+    curve = model_curve(truth, BEAMS, PERIOD, bin_width)
     return TacHistogram(bin_width, PERIOD, np.round(curve * 50).astype(int), 10.0)
 
 
@@ -397,6 +405,13 @@ class TestInitialGuess:
         )
         with pytest.raises(NoModulationError):
             initial_guess(flat, BEAMS, REFERENCE_PHASE)
+
+    def test_jitter_width_is_keyword_only(self):
+        # The binning fixes the frequency; a frequency passed where it once
+        # went would otherwise be read as a jitter width of 1.2e6 s.
+        hist = synth(*REF_CASE_A, seed=40)
+        with pytest.raises(TypeError):
+            initial_guess(hist, BEAMS, REFERENCE_PHASE, OMEGA)
 
     @pytest.mark.parametrize("bin_width", [10e-9, 13e-9])
     @pytest.mark.parametrize("sigma_t", [0.0, 0.2e-6])
@@ -425,7 +440,7 @@ class TestInitialGuess:
         counts = np.random.default_rng(6).poisson(100.0, len(widths))
         coefficients = np.linalg.lstsq(design, counts, rcond=None)[0]
         expected = (coefficients[1:9] - 1j * coefficients[9:]) / OMEGA
-        got = fitting._harmonic_projector(OMEGA, PERIOD, bin_width, 8) @ counts
+        got = fitting._harmonic_projector(PERIOD, bin_width, 8) @ counts
         np.testing.assert_allclose(got, expected, rtol=1e-9)
 
     def test_needs_five_full_bins(self):
@@ -476,12 +491,12 @@ class TestCaches:
     @pytest.mark.parametrize("bin_width, sigma_t", CACHE_CASES)
     def test_guess_tables_are_read_only(self, bin_width, sigma_t):
         n_bins = math.ceil(PERIOD / bin_width)
-        projector = fitting._harmonic_projector(OMEGA, PERIOD, bin_width, 8)
+        projector = fitting._harmonic_projector(PERIOD, bin_width, 8)
         amplitudes, shapes = fitting._guess_shapes(BEAMS, OMEGA, sigma_t, 8)
         assert np.array_equal(amplitudes, np.linspace(8e-6, 40e-6, 321))
         assert projector.shape == (8, n_bins) and shapes.shape == (321, 8)
         np.testing.assert_allclose(np.linalg.norm(shapes, axis=1), 1.0, rtol=1e-15)
-        tables = (projector, amplitudes, shapes, *fitting._edge_phases(OMEGA, PERIOD, bin_width).tables(8))
+        tables = (projector, amplitudes, shapes, *fitting._edge_phases(PERIOD, bin_width).tables(8))
         for table in tables:
             with pytest.raises(ValueError):
                 table[0] = 0.0
@@ -505,14 +520,14 @@ class TestCaches:
         # a pass that reads part of a grown table gives the cold result.
         clear_caches()
         params = [FitModelParams(a, 0.3, 1.0, 0.0, 0.0) for a in (5e-6, 21.677e-6, 32e-6)]
-        warm = [model_curve(p, BEAMS, OMEGA, PERIOD, bin_width, free=("phase",)) for p in params]
+        warm = [model_curve(p, BEAMS, PERIOD, bin_width, free=("phase",)) for p in params]
         info = fitting._edge_phases.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
-        phases = fitting._edge_phases(OMEGA, PERIOD, bin_width)
+        phases = fitting._edge_phases(PERIOD, bin_width)
         assert phases.size >= 270
         for p, kept in zip(params, warm):
             clear_caches()
-            cold = model_curve(p, BEAMS, OMEGA, PERIOD, bin_width, free=("phase",))
+            cold = model_curve(p, BEAMS, PERIOD, bin_width, free=("phase",))
             assert all(map(np.array_equal, kept, cold))
 
     @pytest.mark.parametrize("bin_width", [10e-9, 13e-9, PERIOD])
@@ -524,7 +539,7 @@ class TestCaches:
         edges = bin_grid(PERIOD, bin_width)[0]
         n = np.arange(1, 41)
         for stop in (math.inf, 0.3 * PERIOD):
-            got = fitting._edge_sums(alpha, OMEGA, PERIOD, bin_width, stop)
+            got = fitting._edge_sums(alpha[None], PERIOD, bin_width, stop)[0]
             at = np.minimum(edges, stop)
             expected = (alpha @ np.exp(1j * OMEGA * np.multiply.outer(n, at))).imag
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(alpha).sum())
@@ -532,11 +547,11 @@ class TestCaches:
     def test_results_are_fresh(self):
         params = FitModelParams(21.677e-6, 0.03, 1e-4, 3.0, 0.2e-6)
         free = ("amplitude", "phase")
-        curve, columns = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9, free=free)
+        curve, columns = model_curve(params, BEAMS, PERIOD, 10e-9, free=free)
         expected = curve.copy(), columns.copy()
         curve[:] = 0.0
         columns[:] = 0.0
-        again = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9, free=free)
+        again = model_curve(params, BEAMS, PERIOD, 10e-9, free=free)
         assert all(map(np.array_equal, again, expected))
 
     @pytest.mark.parametrize(
@@ -546,7 +561,6 @@ class TestCaches:
             "phase",
             "sigma_t",
             "beams",
-            "omega_i",
             "period",
             "bin_width",
             "free",
@@ -558,7 +572,6 @@ class TestCaches:
         base = {
             "params": FitModelParams(21.677e-6, 0.03, 1e-4, 3.0, 0.2e-6),
             "beams": BEAMS,
-            "omega_i": OMEGA,
             "period": PERIOD,
             "bin_width": 10e-9,
             "free": ("amplitude", "phase"),
@@ -569,7 +582,6 @@ class TestCaches:
             "phase": {"params": replace(base["params"], phase=0.3)},
             "sigma_t": {"params": replace(base["params"], sigma_t=0.4e-6)},
             "beams": {"beams": (red, LaserBeam(TWO_PI * 40e6, 0.4))},
-            "omega_i": {"omega_i": 1.01 * OMEGA},
             "period": {"period": 1.01 * PERIOD},
             "bin_width": {"bin_width": 13e-9},
             "free": {"free": ("amplitude", "phase", "sigma_t")},
@@ -587,7 +599,7 @@ class TestCaches:
 class TestFit:
     def test_noiseless_curve_exact_recovery(self):
         truth = FitModelParams(*REF_CASE_A, 5.2e-5, 33.2, 0.0)
-        curve = model_curve(truth, BEAMS, OMEGA, PERIOD, 10e-9)
+        curve = model_curve(truth, BEAMS, PERIOD, 10e-9)
         hist = TacHistogram(
             bin_width=10e-9,
             period=PERIOD,
@@ -618,7 +630,7 @@ class TestFit:
         # integer-bin period makes the rotation exact.
         omega = TWO_PI / (538 * 10e-9)
         hist = synthesize_histogram(BEAMS, 22e-6, 0.1, omega, PIPE, seed=77)
-        base = fit_with_chain_init(hist, omega_i=omega)
+        base = fit_with_chain_init(hist)
         k = 45
         rotated = TacHistogram(
             bin_width=hist.bin_width,
@@ -627,7 +639,7 @@ class TestFit:
             gate_time=hist.gate_time,
         )
         turn = k * hist.bin_width * omega
-        shifted = fit_with_chain_init(rotated, phase=REFERENCE_PHASE - turn, omega_i=omega)
+        shifted = fit_with_chain_init(rotated, phase=REFERENCE_PHASE - turn)
         expected = wrap_phase(base.phase - turn)
         assert wrap_phase(shifted.phase - expected) == pytest.approx(0.0, abs=0.005)
         assert shifted.amplitude == pytest.approx(base.amplitude, abs=3e-8)
@@ -636,7 +648,7 @@ class TestFit:
         params = FitModelParams(*REF_CASE_A, 5.2e-5, 33.2, 0.0)
 
         def curve(p):
-            return model_curve(p, BEAMS, OMEGA, PERIOD, 10e-9)
+            return model_curve(p, BEAMS, PERIOD, 10e-9)
 
         da = 1e-9
         dp = 1e-4
@@ -858,7 +870,7 @@ class TestDeviance:
         result = fit_with_chain_init(hist, pipe=pipe)
         assert result.converged
         assert np.isfinite(result.residual)
-        m = model_curve(result.params, BEAMS, OMEGA, PERIOD, hist.bin_width)
+        m = model_curve(result.params, BEAMS, PERIOD, hist.bin_width)
         deviance = 2 * np.sum(m - counts + special.xlogy(counts, counts / m))
         assert result.residual == pytest.approx(deviance, rel=1e-9)
 
@@ -880,7 +892,7 @@ def nudged(params, name, sign):
 
 def central_difference(params, name, bin_width=10e-9):
     (up, step), (down, _) = (nudged(params, name, sign) for sign in (1, -1))
-    curve = lambda p: model_curve(p, BEAMS, OMEGA, PERIOD, bin_width)
+    curve = lambda p: model_curve(p, BEAMS, PERIOD, bin_width)
     return (curve(up) - curve(down)) / (2 * step)
 
 
@@ -891,8 +903,8 @@ class TestExactJacobian:
         widths = np.diff(bin_grid(PERIOD, 10e-9)[0])
         assert len(widths) == 538 and widths[-1] < 10e-9
         params = FitModelParams(*REF_CASE_A, 5.2e-5, 33.2, sigma_t)
-        curve, columns = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9, free=PARAM_NAMES)
-        np.testing.assert_array_equal(curve, model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9))
+        curve, columns = model_curve(params, BEAMS, PERIOD, 10e-9, free=PARAM_NAMES)
+        np.testing.assert_array_equal(curve, model_curve(params, BEAMS, PERIOD, 10e-9))
         assert columns.shape == (538, 5)
         for j, name in enumerate(PARAM_NAMES):
             if name == "sigma_t" and sigma_t == 0.0:
@@ -906,11 +918,11 @@ class TestExactJacobian:
         # The jitter factor exp(-(n w sigma_t)^2/2) is even in sigma_t, so
         # the curve is flat in sigma_t at 0 and its column there is 0.
         sharp = FitModelParams(*REF_CASE_A, 5.2e-5, 33.2, 0.0)
-        curve, columns = model_curve(sharp, BEAMS, OMEGA, PERIOD, 10e-9, free=("sigma_t",))
-        np.testing.assert_array_equal(curve, model_curve(sharp, BEAMS, OMEGA, PERIOD, 10e-9))
+        curve, columns = model_curve(sharp, BEAMS, PERIOD, 10e-9, free=("sigma_t",))
+        np.testing.assert_array_equal(curve, model_curve(sharp, BEAMS, PERIOD, 10e-9))
         assert not np.any(columns)
         tiny = replace(sharp, sigma_t=1e-12)
-        _, columns = model_curve(tiny, BEAMS, OMEGA, PERIOD, 10e-9, free=("sigma_t",))
+        _, columns = model_curve(tiny, BEAMS, PERIOD, 10e-9, free=("sigma_t",))
         slope = central_difference(replace(sharp, sigma_t=0.2e-6), "sigma_t")
         assert 0 < np.abs(columns).max() < 1e-4 * np.abs(slope).max()
 
@@ -930,12 +942,12 @@ class TestExactJacobian:
         n_log_n = special.xlogy(counts, counts)
         alpha, beta = derive_alpha_beta(PIPE.efficiency, 0.3, 538, hist.total_counts, PIPE.snr)
         params = FitModelParams(REF_CASE_A[0] + 0.3e-6, REF_CASE_A[1] - 0.02, alpha, beta, 0.2e-6)
-        curve, columns = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9, free=PARAM_NAMES)
+        curve, columns = model_curve(params, BEAMS, PERIOD, 10e-9, free=PARAM_NAMES)
         _, slope = fitting._deviance_residuals(curve, counts, n_log_n)
         jacobian = slope[:, None] * columns
 
         def residuals(p):
-            curve = model_curve(p, BEAMS, OMEGA, PERIOD, 10e-9)
+            curve = model_curve(p, BEAMS, PERIOD, 10e-9)
             return fitting._deviance_residuals(curve, counts, n_log_n)[0]
 
         for j, name in enumerate(PARAM_NAMES):
@@ -973,7 +985,7 @@ class TestExactJacobian:
         rate = fitting.rate_integrals
 
         def counting_rate(beams, amplitude, *rest):
-            calls.append((len(amplitude), rest[5]))
+            calls.append((len(amplitude), rest[4]))
             return rate(beams, amplitude, *rest)
 
         clear_caches()
@@ -990,8 +1002,8 @@ class TestFisherInformation:
     def test_is_the_column_gram_matrix_over_the_model(self):
         params = FitModelParams(*REF_CASE_A, 5.2e-5, 33.2, 0.2e-6)
         free = ("amplitude", "phase", "beta")
-        info = fisher_information(params, BEAMS, OMEGA, PERIOD, 10e-9, free)
-        curve = model_curve(params, BEAMS, OMEGA, PERIOD, 10e-9)
+        info = fisher_information(params, BEAMS, PERIOD, 10e-9, free)
+        curve = model_curve(params, BEAMS, PERIOD, 10e-9)
         grads = np.stack([central_difference(params, name) for name in free])
         expected = grads @ (grads / curve).T
         # Compared as correlations: amplitude and phase are nearly orthogonal.
@@ -1014,7 +1026,7 @@ class TestFisherInformation:
             PIPE.efficiency, PIPE.gate_time, 538, mean_signal * (1 + 1 / PIPE.snr), PIPE.snr
         )
         truth = FitModelParams(*REF_CASE_A, alpha, beta, 0.0)
-        info = fisher_information(truth, BEAMS, OMEGA, PERIOD, 10e-9, ("amplitude", "phase"))
+        info = fisher_information(truth, BEAMS, PERIOD, 10e-9, ("amplitude", "phase"))
         bound = math.sqrt(np.linalg.inv(info)[0, 0])
         assert bound == pytest.approx(45.2e-9, rel=0.01)
         ratio = np.std(amplitudes, ddof=1) / bound

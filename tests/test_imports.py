@@ -1,6 +1,7 @@
 """Every name a module imports is used in that module, every parameter
-of a package function is read in its body, and every module-level
-UPPER_CASE name the package assigns is read somewhere in the package.
+of a package function is read in its body, every module-level
+UPPER_CASE name the package assigns is read somewhere in the package, and
+every ``lru_cache`` of the package states a finite size.
 
 The package's ``__init__.py`` imports names only to re-export them, so its
 imports are not checked.
@@ -128,3 +129,51 @@ def test_check_finds_an_unread_constant():
         "b.py": "from . import a\nSIZE = a.LIMIT\nprint(_KEYS, SIZE)\n",
     }
     assert unread_constants(sources) == ["a.py: STEP (line 2)"]
+
+
+def unsized_caches(source: str) -> list[str]:
+    """Each ``lru_cache``, by name or as ``functools.lru_cache``, that is
+    not called with a positive int ``maxsize``, as a keyword or as its
+    first argument: one of ``maxsize=None`` grows with every key, and a
+    bare one leaves its size unstated."""
+    tree = ast.parse(source)
+    sized = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            size = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+            if size and isinstance(size[0], ast.Constant) and type(size[0].value) is int:
+                if size[0].value > 0:
+                    sized.add(id(node.func))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "lru_cache")
+        or (isinstance(node, ast.Attribute) and node.attr == "lru_cache")
+        if id(node) not in sized
+    ]
+    return [f"line {line}" for line in sorted(lines)]
+
+
+# The caches are keyed by binning, amplitude and beams, so an unbounded one
+# would grow with every histogram a library caller fits.
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_every_cache_is_bounded(path):
+    assert unsized_caches(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_an_unbounded_cache():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "@lru_cache(maxsize=8)\n"
+        "def a(): pass\n"
+        "@functools.lru_cache(4)\n"
+        "def b(): pass\n"
+        "@lru_cache(maxsize=None)\n"
+        "def c(): pass\n"
+        "@lru_cache\n"
+        "def d(): pass\n"
+        "e = lru_cache(maxsize=2)(object)\n"
+        "f = functools.lru_cache()(object)\n"
+    )
+    assert unsized_caches(source) == ["line 7", "line 9", "line 12"]

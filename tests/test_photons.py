@@ -456,28 +456,30 @@ class TestLawCache:
     draws in a row at one amplitude build it once."""
 
     def test_law_is_kept_read_only_and_takes_a_list_of_beams(self):
+        # The sampler passes its beams on as a tuple, so a list of beams
+        # keys the same law as the tuple.
         pipe = PipelineConfig(gate_time=1.0, timing_jitter=0.2e-6)
-        photons._folded_law.cache_clear()
-        total, means, gate_share = folded_law(list(BEAMS), 22e-6, 0.3, OMEGA, pipe)
+        photons.folded_law.cache_clear()
+        kept = synthesize_histogram(list(BEAMS), 22e-6, 0.3, OMEGA, pipe, seed=9)
+        total, means, gate_share = folded_law(tuple(BEAMS), 22e-6, 0.3, OMEGA, pipe)
         again = folded_law(tuple(BEAMS), 22e-6, 0.3, OMEGA, pipe)
         assert again[0] == total and again[1] is means and again[2] is gate_share
         for array in (means, gate_share):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
-        assert photons._folded_law.cache_info().misses == 1
+        assert photons.folded_law.cache_info().misses == 1
         # A histogram drawn from the kept law equals one from a fresh law.
-        kept = synthesize_histogram(BEAMS, 22e-6, 0.3, OMEGA, pipe, seed=9)
-        photons._folded_law.cache_clear()
+        photons.folded_law.cache_clear()
         fresh = synthesize_histogram(BEAMS, 22e-6, 0.3, OMEGA, pipe, seed=9)
         assert np.array_equal(kept.counts, fresh.counts)
 
     def test_default_sweep_builds_one_law_per_locked_voltage(self):
         config = config_from_dict({})
-        photons._folded_law.cache_clear()
+        photons.folded_law.cache_clear()
         rows = experiments.amplitude_sweep(config)["rows"]
         locked = sum(row["locked"] for row in rows)
         assert locked == len(config.experiment.amplitude_voltages)
-        info = photons._folded_law.cache_info()
+        info = photons.folded_law.cache_info()
         assert info.misses == locked
         assert info.hits == locked * (config.experiment.amplitude_trials - 1)
