@@ -239,7 +239,8 @@ def rate_integrals(
     amplitude, phase, sigma_t = np.broadcast_arrays(
         np.atleast_1d(amplitude), np.atleast_1d(phase), np.atleast_1d(sigma_t)
     )
-    if not (math.isfinite(period) and period > 0):
+    # A subnormal period's frequency overflows.
+    if not (period > 0 and math.isfinite(period) and math.isfinite(TWO_PI / period)):
         raise ValueError(f"period must be > 0 and finite, got {period!r}")
     omega = TWO_PI / period
     # NaN is the least of any array that holds one, so one check covers all.

@@ -309,6 +309,7 @@ class TestRateHarmonics:
             (BEAMS, (21.677e-6, 0.0, 0.0), "period must be > 0"),
             (BEAMS, (21.677e-6, 0.0, math.nan), "period must be > 0"),
             (BEAMS, (21.677e-6, 0.0, math.inf), "period must be > 0"),
+            (BEAMS, (21.677e-6, 0.0, 5e-324), "period must be > 0"),
         ],
     )
     def test_rejects_bad_inputs(self, beams, args, message):

@@ -460,7 +460,7 @@ class TestLawCache:
         # keys the same law as the tuple.
         pipe = PipelineConfig(gate_time=1.0, timing_jitter=0.2e-6)
         photons.folded_law.cache_clear()
-        kept = synthesize_histogram(list(BEAMS), 22e-6, 0.3, OMEGA, pipe, seed=9)
+        synthesize_histogram(list(BEAMS), 22e-6, 0.3, OMEGA, pipe, seed=9)
         total, means, gate_share = folded_law(tuple(BEAMS), 22e-6, 0.3, OMEGA, pipe)
         again = folded_law(tuple(BEAMS), 22e-6, 0.3, OMEGA, pipe)
         assert again[0] == total and again[1] is means and again[2] is gate_share
@@ -470,6 +470,8 @@ class TestLawCache:
                 array[0] = 0.0
         assert photons.folded_law.cache_info().misses == 1
         # A histogram drawn from the kept law equals one from a fresh law.
+        kept = synthesize_histogram(BEAMS, 22e-6, 0.3, OMEGA, pipe, seed=9)
+        assert photons.folded_law.cache_info().misses == 1
         photons.folded_law.cache_clear()
         fresh = synthesize_histogram(BEAMS, 22e-6, 0.3, OMEGA, pipe, seed=9)
         assert np.array_equal(kept.counts, fresh.counts)
