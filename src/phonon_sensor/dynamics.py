@@ -2,13 +2,15 @@
 
 Two integrators:
 
-* :func:`envelope_paths` - the linearized rotating-frame envelope
+* :func:`_envelope_rows` - the linearized rotating-frame envelope
   equations for the in-phase/quadrature components, integrated with exact
-  Gaussian transition steps (no step-size bias), one path per seed in one
-  call; a path does not depend on the other seeds.  The exact transition
-  is the AR(1) recursion u[n] = a u[n-1] + kick, which :func:`_ar1_scan`
-  evaluates with numpy in blocks: a growth table, a cumsum and a decay
-  table per block.
+  Gaussian transition steps (no step-size bias), one seed at a time into
+  two reused rows; a path does not depend on the other seeds.  The exact
+  transition is the AR(1) recursion u[n] = a u[n-1] + kick, which
+  :func:`_ar1_scan` evaluates with numpy in blocks: a growth table, a
+  cumsum and a decay table per block.  :func:`envelope_paths` copies the
+  rows out, one path per seed; the squeeze sweep takes each row's
+  variance in place and keeps no path.
 * :func:`_locked_phase_spreads` - the injection-locked phase model used by
   the smallest-force protocol: the oscillation phasor is pinned at the
   free-running amplitude while its phase feels the injection restoring
@@ -135,7 +137,37 @@ def envelope_paths(
     the stationary distribution instead of using the given initial values.
     Each trajectory draws from its own generator, seeded by its seed, and
     rows are scanned and offset independently, so row k is bit for bit the
-    path of a call with ``seeds[k]`` alone.
+    path of a call with ``seeds[k]`` alone.  The rows are those of
+    :func:`_envelope_rows`, copied out.
+    """
+    n_rows, rows = _envelope_rows(
+        trap, drive, noise, duration, seeds, initial_x, initial_y, stationary_start
+    )
+    paths = np.empty((2, len(seeds), n_rows))
+    for k, (x, y) in enumerate(rows):
+        paths[0, k] = x
+        paths[1, k] = y
+    return QuadraturePath(paths[0], paths[1])
+
+
+def _envelope_rows(
+    trap: TrapConfig,
+    drive: DriveConfig,
+    noise: NoiseModel,
+    duration: float,
+    seeds,
+    initial_x: float = 0.0,
+    initial_y: float = 0.0,
+    stationary_start: bool = False,
+):
+    """The envelope integrator of :func:`envelope_paths`, one seed at a
+    time: returns the number of elements of a row and an iterator over
+    each seed's ``(x, y)`` path.
+
+    The arguments are checked at the call.  Every seed's rows are written
+    into the same two buffers, which the caller may overwrite: the next
+    seed's draw and scan rewrite every element.  So a consumer that keeps
+    one number per row, as the squeeze sweep does, holds no paths array.
     """
     if duration <= 0:
         raise ValueError("duration must be > 0")
@@ -173,25 +205,27 @@ def envelope_paths(
 
     if stationary_start and (lam_x <= 0 or lam_y <= 0):
         raise InstabilityError("no stationary state at |g cos 2 phi| = 1")
-
-    # Each row is drawn into a scratch row, which holds the start value in
-    # column 0 and the unit kicks after it, and scanned from there.
     tables = scan_tables(lam_x), scan_tables(lam_y)
-    paths = np.empty((2, len(seeds), n_rows))
-    kicks = np.empty(n_rows)
-    for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        if stationary_start:
-            x0 = rng.normal(0.0, math.sqrt(diffusion / (2.0 * lam_x)))
-            y0 = rng.normal(mean_y, math.sqrt(diffusion / (2.0 * lam_y)))
-        else:
-            x0, y0 = initial_x, initial_y
-        for row, start, table in zip(paths[:, k], (x0, y0 - mean_y), tables):
-            kicks[0] = start
-            rng.standard_normal(out=kicks[1:])
-            _ar1_scan(kicks, row, table)
-    paths[1] += mean_y
-    return QuadraturePath(paths[0], paths[1])
+
+    def rows():
+        # Each row is drawn into a scratch row, which holds the start value
+        # in column 0 and the unit kicks after it, and scanned from there.
+        x, y, kicks = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            if stationary_start:
+                x0 = rng.normal(0.0, math.sqrt(diffusion / (2.0 * lam_x)))
+                y0 = rng.normal(mean_y, math.sqrt(diffusion / (2.0 * lam_y)))
+            else:
+                x0, y0 = initial_x, initial_y
+            for row, start, table in zip((x, y), (x0, y0 - mean_y), tables):
+                kicks[0] = start
+                rng.standard_normal(out=kicks[1:])
+                _ar1_scan(kicks, row, table)
+            y += mean_y
+            yield x, y
+
+    return n_rows, rows()
 
 
 @functools.lru_cache(maxsize=4)

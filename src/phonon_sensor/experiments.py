@@ -29,8 +29,8 @@ from .config import (
 )
 from .constants import TWO_PI
 from .dynamics import (
+    _envelope_rows,
     _locked_phase_spreads,
-    envelope_paths,
     stationary_mean_displacement,
     thermal_quadrature_variance,
 )
@@ -58,9 +58,10 @@ REFERENCE_TAU = 500.0  # s
 REFERENCE_SLOPE = 0.9979e-9 / 1e-24  # m/N
 
 # Envelope trials integrated per call in the squeeze sweep.  Batching makes
-# the variance calls and each call's setup per batch rather than per trial,
-# so two sweep workers seldom hand the interpreter lock back and forth; 8
-# trials of 10 000 periods take about 1.3 MB.
+# each call's setup (its checks, scan tables and scratch rows) and each pool
+# task per batch rather than per trial, so two sweep workers seldom hand the
+# interpreter lock back and forth.  A call keeps no paths: its three scratch
+# rows take about 0.24 MB at 10 000 periods, whatever the batch size.
 ENVELOPE_BATCH = 8
 
 # Histograms fitted per Levenberg-Marquardt loop by the recovery campaigns.
@@ -329,6 +330,29 @@ def amplitude_sweep(config: RunConfig, seed: int | None = None):
     }
 
 
+def _variance_in_place(row: np.ndarray) -> float:
+    """``np.var(row)``, formed by the operations numpy performs for it (the
+    pairwise sum over the row's size for the mean, subtract, square, the
+    pairwise sum over the size again) and so equal to it bit for bit, but in
+    place: ``row`` is left holding its squared deviations."""
+    row -= np.add.reduce(row) / row.size
+    np.square(row, out=row)
+    return np.add.reduce(row) / row.size
+
+
+def _envelope_variances(trap, drive, noise, duration, seeds, **start) -> np.ndarray:
+    """``[var_y, var_x]`` of each seed's envelope path, equal to ``np.var``
+    of the rows of ``envelope_paths`` with the same arguments; each row's
+    variance is taken from the integrator's scratch rows, so no path is
+    kept."""
+    _, rows = _envelope_rows(trap, drive, noise, duration, seeds, **start)
+    variances = np.empty((2, len(seeds)))
+    for k, (x, y) in enumerate(rows):
+        variances[0, k] = _variance_in_place(y)
+        variances[1, k] = _variance_in_place(x)
+    return variances
+
+
 def squeeze_sweep(config: RunConfig, points=None, seed: int | None = None):
     """Relative quadrature variance across the squeeze (gain, phase) grid.
 
@@ -375,10 +399,9 @@ def squeeze_sweep(config: RunConfig, points=None, seed: int | None = None):
     def batch_variances(batch):
         drive, seeds = batch
         stationary = abs(drive.effective_gain * math.cos(2 * drive.squeeze_phase)) < 1.0
-        path = envelope_paths(
+        return _envelope_variances(
             config.trap, drive, config.noise, duration, seeds, stationary_start=stationary
         )
-        return np.array([np.var(path.y, axis=1), np.var(path.x, axis=1)])
 
     # (var_y, var_x) of every job's trials, in job order.
     done = _run_concurrently(batch_variances, batches)

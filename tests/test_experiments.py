@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import json
 import math
 import multiprocessing
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -42,7 +44,8 @@ from phonon_sensor.photons import TacHistogram, folded_law, synthesize_histogram
 
 CONFIG = default_config()
 TRAP = CONFIG.trap
-SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIG = ROOT / "configs" / "default.yaml"
 
 
 def with_experiment(config, **fields):
@@ -300,6 +303,34 @@ class TestSqueezeSweep:
         assert rows[0]["theory_ratio_y"] == pytest.approx(10.0, rel=1e-12)
         assert rows[0]["sim_ratio_y"] == pytest.approx(10.0, rel=0.25)
 
+    @pytest.mark.parametrize(
+        "gain, phase, damping, n_periods, start",
+        [
+            (0.6, 0.3, None, 1500, {"stationary_start": True}),
+            (0.5, 0.3, None, 1500, {"initial_x": 2e-8, "initial_y": -1e-8}),
+            # g cos 2phi = -1: the in-phase quadrature is a random walk.
+            (1.0, math.pi / 2, None, 1500, {"initial_x": 3e-9}),
+            # 100 times the damping: rows of 12 blocks, summed by reduceat.
+            (0.0, 0.0, 100.0, 1000, {"stationary_start": True}),
+        ],
+        ids=["stationary", "given-start", "marginal", "reduceat"],
+    )
+    def test_trial_variances_are_np_var_of_the_paths(self, gain, phase, damping, n_periods, start):
+        drive = replace(
+            CONFIG.drive, squeeze_gain=gain, squeeze_phase=phase, squeeze_enabled=gain > 0
+        )
+        noise = CONFIG.noise
+        if damping is not None:
+            noise = replace(noise, damping=damping * noise.damping)
+            rate_dt = 0.5 * noise.damping * TWO_PI / drive.injection_frequency
+            assert n_periods + 1 > dynamics.AR1_LOOP_BLOCKS * int(dynamics.AR1_SPAN / rate_dt)
+        duration = n_periods * TWO_PI / drive.injection_frequency
+        seeds = [3, 4, 5]
+        got = experiments._envelope_variances(TRAP, drive, noise, duration, seeds, **start)
+        path = dynamics.envelope_paths(TRAP, drive, noise, duration, seeds, **start)
+        # np.var of the paths is the reference.
+        assert got.tolist() == [np.var(path.y, axis=1).tolist(), np.var(path.x, axis=1).tolist()]
+
     def test_unstable_point_flagged(self, caplog):
         with caplog.at_level("WARNING"):
             rows = squeeze_sweep(
@@ -494,11 +525,88 @@ class TestConcurrency:
         # three (chunk, trials x voltages) arrays, about 4.6 MB.
         assert traced_peak(lambda: lower_bound_search(CONFIG, squeeze=False)) <= 7e6
 
+    def test_default_sweep_working_set(self):
+        # Three reused rows per worker and the kept scan tables; no batch's
+        # paths.  numpy imports numpy.random at its first draw, which is no
+        # part of the sweep's working set, so that happens before tracing.
+        np.random.default_rng(0)
+        assert traced_peak(lambda: squeeze_sweep(CONFIG)) <= 2e6
+
     def test_lower_bound_campaign_working_set(self, monkeypatch):
         # tracemalloc does not see worker processes, so the two searches run
         # here, in series; the campaign then peaks as one search does.
         monkeypatch.setattr(experiments, "_available_cpus", lambda: 1)
         assert traced_peak(lambda: run_campaign("lower-bound", CONFIG)) <= 7e6
+
+
+@pytest.fixture(scope="module")
+def default_record(tmp_path_factory):
+    """The path of the run record that `phonon-sensor campaign <kind>
+    --config configs/default.yaml` writes, for a kind; each record is built
+    once, at its first use."""
+    config = load_config(SHIPPED_CONFIG)
+    seed = config.experiment.seed
+    directory = tmp_path_factory.mktemp("default-records")
+    paths = {}
+
+    def record(kind: str) -> Path:
+        if kind not in paths:
+            results = run_campaign(kind, config, seed)
+            paths[kind] = directory / f"{kind}.json"
+            persist_run(make_run_record(kind, config, seed, results), paths[kind])
+        return paths[kind]
+
+    return record
+
+
+def readme_table() -> list[list[str]]:
+    """The cells of each body row of README's "What the defaults reproduce"
+    table."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = text.split("## What the defaults reproduce", 1)[1].splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows = []
+    for line in lines[first + 2 :]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split(" | ")])
+    return rows
+
+
+def record_field(results: dict, path: str):
+    """The value at ``path`` in ``results``: dotted keys, each with an
+    optional ``[index]`` into a list of rows."""
+    value = results
+    for part in path.split("."):
+        name, _, index = part.partition("[")
+        value = value[name]
+        if index:
+            value = value[int(index.rstrip("]"))]
+    return value
+
+
+def half_unit(printed: str) -> float:
+    """Half a unit in the last printed digit of a number such as 0.458 or
+    1.246e7."""
+    mantissa, _, exponent = printed.partition("e")
+    return 0.5 * 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+
+
+def names_a_test(node_id: str) -> bool:
+    """Whether a test id ``tests/<file>.py::[Class::]test`` names a test
+    defined in that file."""
+    path, *names = node_id.split("::")
+    body = ast.parse((ROOT / path).read_text(encoding="utf-8")).body
+    for name in names:
+        found = [
+            node
+            for node in body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+        ]
+        if not found:
+            return False
+        body = found[0].body
+    return True
 
 
 class TestFixedSeedOutputs:
@@ -517,13 +625,37 @@ class TestFixedSeedOutputs:
     }
 
     @pytest.mark.parametrize("kind", sorted(DEFAULT_RECORD_SHA256))
-    def test_default_smallest_force_record(self, kind, tmp_path):
-        config = load_config(SHIPPED_CONFIG)
-        seed = config.experiment.seed
-        path = tmp_path / f"{kind}.json"
-        persist_run(make_run_record(kind, config, seed, run_campaign(kind, config, seed)), path)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    def test_default_smallest_force_record(self, kind, default_record):
+        digest = hashlib.sha256(default_record(kind).read_bytes()).hexdigest()
         assert digest == self.DEFAULT_RECORD_SHA256[kind]
+
+    def test_readme_table_matches_the_default_records(self, default_record):
+        # A record source reads `kind`: `field`, ... with an optional
+        # "× factor" after a field; its fields take the model cell's numbers
+        # in order.  Any other source names the tests it comes from.
+        # This checks the README against the records; it bounds no record.
+        sources = re.compile(r"`([^`]+)`(?: × (\S+))?")
+        numbers = re.compile(r"\d+(?:\.\d+)?(?:e[+-]?\d+)?")
+        rows = readme_table()
+        assert len(rows) >= 10
+        for quantity, model, _, source in rows:
+            named = sources.findall(source)
+            assert named, quantity
+            kind = named[0][0]
+            if kind in (*self.DEFAULT_RECORD_SHA256, "calibrate"):
+                results = load_run(default_record(kind))["results"]
+                printed = numbers.findall(model)
+                assert len(printed) == len(named) - 1, quantity
+                for value, (path, factor) in zip(printed, named[1:]):
+                    got = record_field(results, path) * float(factor or 1)
+                    assert abs(got - float(value)) <= half_unit(value) * (1 + 1e-9), (
+                        quantity,
+                        path,
+                        got,
+                    )
+            else:
+                tests = [name for name, _ in named if "::" in name]
+                assert tests and all(names_a_test(test) for test in tests), quantity
 
     def test_lower_bound_lock_fractions(self):
         # The benchmark's smoke settings: 2 s gates, 20 trials, shipped grid.

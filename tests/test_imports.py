@@ -1,7 +1,8 @@
 """Every name a module imports is used in that module, every parameter
 of a package function is read in its body, every module-level
-UPPER_CASE name the package assigns is read somewhere in the package, and
-every ``lru_cache`` of the package states a finite size.
+UPPER_CASE name the package assigns is read somewhere in the package,
+every ``lru_cache`` of the package states a finite size, and the package
+reads one environment variable, ``PHONON_SENSOR_OUTDIR``.
 
 The package's ``__init__.py`` imports names only to re-export them, so its
 imports are not checked.
@@ -177,3 +178,71 @@ def test_check_finds_an_unbounded_cache():
         "f = functools.lru_cache()(object)\n"
     )
     assert unsized_caches(source) == ["line 7", "line 9", "line 12"]
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[tuple[int, str]]:
+    """(line, key) of each read of the process environment: ``os.environ``
+    subscripted, called through a method or used whole, and ``os.getenv``,
+    by those names or imported from ``os``.  The key is the subscript or
+    the first argument when it is a string constant, else ``?``."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if not (isinstance(node.value, ast.Name) and node.value.id == "os"):
+                continue
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        else:
+            continue
+        if name not in ENVIRONMENT:
+            continue
+        parent = parents.get(node)
+        key = None
+        if name.startswith("getenv") and isinstance(parent, ast.Call) and parent.func is node:
+            key = parent.args[0] if parent.args else None
+        elif isinstance(parent, ast.Subscript) and parent.value is node:
+            key = parent.slice
+        elif isinstance(parent, ast.Attribute) and isinstance(parents.get(parent), ast.Call):
+            call = parents[parent]
+            key = call.args[0] if call.func is parent and call.args else None
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            reads.append((node.lineno, key.value))
+        else:
+            reads.append((node.lineno, "?"))
+    return sorted(reads)
+
+
+# Settings come from the config file and the command line; the output
+# directory override is the one read of the environment.
+def test_environment_is_read_only_for_the_output_directory():
+    reads = {path.name: environment_reads(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    keys = {name: [key for _, key in found] for name, found in reads.items() if found}
+    assert keys == {"config.py": ["PHONON_SENSOR_OUTDIR"]}
+
+
+def test_check_finds_an_environment_read():
+    source = (
+        "import os\n"
+        "from os import environ, getenv\n"
+        "a = os.environ.get('PHONON_SENSOR_OUTDIR', '.')\n"
+        "b = os.environ['WORKERS']\n"
+        "c = os.getenv('BATCH')\n"
+        "d = getenv(name)\n"
+        "e = environ.get('CHUNK')\n"
+        "f = dict(os.environ)\n"
+        "g = os.path.join('environ', 'getenv')\n"
+    )
+    assert environment_reads(source) == [
+        (3, "PHONON_SENSOR_OUTDIR"),
+        (4, "WORKERS"),
+        (5, "BATCH"),
+        (6, "?"),
+        (7, "CHUNK"),
+        (8, "?"),
+    ]
