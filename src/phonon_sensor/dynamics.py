@@ -33,7 +33,6 @@ model against them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -228,7 +227,6 @@ def _envelope_rows(
     return n_rows, rows()
 
 
-@functools.lru_cache(maxsize=4)
 def _ar1_tables(rate_dt: float, n: int, scale: float):
     """Tables of :func:`_ar1_scan` for rows of ``n`` elements, the decay
     a = exp(-rate_dt) per element and kicks scaled by ``scale``: scale a^-i
@@ -236,10 +234,9 @@ def _ar1_tables(rate_dt: float, n: int, scale: float):
     block length L and a^L.
 
     L keeps rate_dt L <= AR1_SPAN, so a^-L stays far from overflow; a row
-    that fits in one block (every row at rate_dt = 0) is one block.  The
-    tables are kept for the next calls with the same arguments: the squeeze
-    sweep integrates each drive's trials in batches, and forming the tables
-    costs about as much as scanning two rows.
+    that fits in one block (every row at rate_dt = 0) is one block.  An
+    envelope call forms its two tables once for all of its seeds, at about
+    the cost of scanning two rows.
     """
     if rate_dt * n <= AR1_SPAN:
         length = n
@@ -249,7 +246,6 @@ def _ar1_tables(rate_dt: float, n: int, scale: float):
     shrink = 1.0 / powers
     growth = powers * scale
     growth[0] = 1.0
-    growth.flags.writeable = shrink.flags.writeable = False
     return growth, shrink, length, math.exp(-rate_dt * length)
 
 
@@ -262,15 +258,15 @@ def _ar1_scan(kicks: np.ndarray, out: np.ndarray, tables) -> None:
     kicks[b+j]) once the carry a u[b-1] = a^L S is added to the block's
     first term, S being the previous block's last cumsum.
 
-    numpy releases the interpreter lock in a 1-D cumsum into another array,
-    but not in one in place or in a 2-D one over a few long rows, so each
-    block is summed into ``out`` by one such call, and takes its carry from
-    the block before.  A row of more than AR1_LOOP_BLOCKS blocks (rate_dt above
+    A row of at most AR1_LOOP_BLOCKS blocks, as every row of the shipped
+    configs is, sums each block into ``out`` by one 1-D cumsum that takes
+    its carry from the block before.  A row of more blocks (rate_dt above
     0.24 at 10 000 steps), where those calls would cost more than the sums,
     is summed by one 2-D call after one pass adds every carry from the sums
     of the blocks' own terms.  There rate_dt L >= 150
     (L = floor(AR1_SPAN / rate_dt), or 1), so the part of a carry that
-    reaches back two blocks is below e^-150 of the path.
+    reaches back two blocks, which this pass leaves out, is below e^-150 of
+    the path.
     """
     growth, shrink, length, span_decay = tables
     n = len(kicks)

@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -56,13 +55,6 @@ log = logging.getLogger(__name__)
 REFERENCE_DELTA_A = 15e-9  # m
 REFERENCE_TAU = 500.0  # s
 REFERENCE_SLOPE = 0.9979e-9 / 1e-24  # m/N
-
-# Envelope trials integrated per call in the squeeze sweep.  Batching makes
-# each call's setup (its checks, scan tables and scratch rows) and each pool
-# task per batch rather than per trial, so two sweep workers seldom hand the
-# interpreter lock back and forth.  A call keeps no paths: its three scratch
-# rows take about 0.24 MB at 10 000 periods, whatever the batch size.
-ENVELOPE_BATCH = 8
 
 # Histograms fitted per Levenberg-Marquardt loop by the recovery campaigns.
 # A stack forms its model passes, residuals and step algebra once per
@@ -116,37 +108,37 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_concurrently(fn, jobs, processes: bool = False) -> list:
-    """``[fn(job) for job in jobs]``, with the calls run on a pool.
+def _run_concurrently(fn, jobs) -> list:
+    """``[fn(job) for job in jobs]``, with the calls run in forked worker
+    processes, at most one per available CPU.
 
-    The pool holds threads, or with ``processes`` forked worker processes,
-    whose calls do not share the interpreter lock; ``fn``, the jobs and the
-    results must then pickle, and the caller must run no other thread, as
-    forking copies no thread but the calling one.  The jobs must share no
-    generator or other mutable state.  Results come back in submission
-    order, so they do not depend on the number of workers.  The calls run
-    in series when one CPU is available, or when processes are asked for
-    on a platform that cannot fork.  A job's exception is raised here once
-    every worker has ended.
+    Each worker has its own interpreter lock, so no call stalls another;
+    forked workers start from the caller's imports, which spawned ones
+    would repeat (about 0.3 s each).  ``fn``, the jobs and the results must
+    pickle, so ``fn`` is a module-level function or a ``partial`` of one,
+    and the caller must run no other thread, as forking copies no thread
+    but the calling one.  The jobs must share no generator or other mutable
+    state.  Results come back in submission order, so they do not depend
+    on the number of workers.  The calls run in series when one CPU is
+    available, or on a platform that cannot fork.  A job's exception is
+    raised here once every worker has ended; a worker that dies without a
+    result raises :class:`ChildProcessError`.
     """
     jobs = list(jobs)
     workers = min(len(jobs), _available_cpus())
-    if processes:
-        # Imported here, by the one caller that forks, so that the other
-        # campaigns do not pay for the import.
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
+    # Imported here, so that the campaigns that run no pool do not pay for
+    # the imports.
+    import multiprocessing
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers <= 1:
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(job) for job in jobs]
-    if processes:
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    else:
-        pool = ThreadPoolExecutor(workers)
-    with pool:
-        return list(pool.map(fn, jobs))
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(fn, jobs))
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"a worker process died: {exc}") from exc
 
 
 def _true_amplitude(config: RunConfig, voltage: float) -> float:
@@ -340,12 +332,18 @@ def _variance_in_place(row: np.ndarray) -> float:
     return np.add.reduce(row) / row.size
 
 
-def _envelope_variances(trap, drive, noise, duration, seeds, **start) -> np.ndarray:
-    """``[var_y, var_x]`` of each seed's envelope path, equal to ``np.var``
-    of the rows of ``envelope_paths`` with the same arguments; each row's
-    variance is taken from the integrator's scratch rows, so no path is
-    kept."""
-    _, rows = _envelope_rows(trap, drive, noise, duration, seeds, **start)
+def _squeeze_variances(config: RunConfig, job) -> np.ndarray:
+    """``[var_y, var_x]`` of each trial of one squeeze sweep job, a drive
+    and its trials' seeds: ``squeeze_periods`` injection periods of the
+    envelope, started in the stationary state where the drive has one.
+    Each variance equals ``np.var`` of that trial's ``envelope_paths`` row;
+    it is taken from the integrator's scratch rows, so no path is kept."""
+    drive, seeds = job
+    duration = config.experiment.squeeze_periods * TWO_PI / drive.injection_frequency
+    stationary = abs(drive.effective_gain * math.cos(2 * drive.squeeze_phase)) < 1.0
+    _, rows = _envelope_rows(
+        config.trap, drive, config.noise, duration, seeds, stationary_start=stationary
+    )
     variances = np.empty((2, len(seeds)))
     for k, (x, y) in enumerate(rows):
         variances[0, k] = _variance_in_place(y)
@@ -370,15 +368,13 @@ def squeeze_sweep(config: RunConfig, points=None, seed: int | None = None):
         points = [(g, p) for g in exp.squeeze_gains for p in exp.squeeze_phases]
     trials = exp.squeeze_trials
     seed = exp.seed if seed is None else seed
-    duration = exp.squeeze_periods * TWO_PI / config.drive.injection_frequency
     base_drive = replace(
         config.drive, injection_voltage=0.0, squeeze_gain=0.0, squeeze_enabled=False
     )
 
-    # Every stable point's trials have their own seeds, so the envelope
-    # batches of the baseline and of every point are integrated
-    # concurrently; the rows and the bootstrap, which share one generator,
-    # then follow in grid order.
+    # Every stable point's trials have their own seeds, so the baseline and
+    # every point are integrated concurrently, one job each; the rows and
+    # the bootstrap, which share one generator, then follow in grid order.
     jobs = [(base_drive, _spawn_seeds(seed, trials))]
     for k, (gain, phase) in enumerate(points):
         if gain * math.cos(2 * phase) < 1.0:
@@ -390,26 +386,8 @@ def squeeze_sweep(config: RunConfig, points=None, seed: int | None = None):
                 squeeze_enabled=True,
             )
             jobs.append((drive, _spawn_seeds(seed + 104729 * (k + 1), trials)))
-    batches = [
-        (drive, seeds[first : first + ENVELOPE_BATCH])
-        for drive, seeds in jobs
-        for first in range(0, trials, ENVELOPE_BATCH)
-    ]
-
-    def batch_variances(batch):
-        drive, seeds = batch
-        stationary = abs(drive.effective_gain * math.cos(2 * drive.squeeze_phase)) < 1.0
-        return _envelope_variances(
-            config.trap, drive, config.noise, duration, seeds, stationary_start=stationary
-        )
-
     # (var_y, var_x) of every job's trials, in job order.
-    done = _run_concurrently(batch_variances, batches)
-    per_job = len(done) // len(jobs)
-    variances = (
-        np.concatenate(done[first : first + per_job], axis=1)
-        for first in range(0, len(done), per_job)
-    )
+    variances = iter(_run_concurrently(partial(_squeeze_variances, config), jobs))
     rng = np.random.default_rng(seed)
     base_y, base_x = next(variances)
     base_mean = base_y.mean()
@@ -635,13 +613,8 @@ def run_campaign(kind: str, config: RunConfig, seed: int | None = None):
     if kind == "sweep-squeeze":
         return squeeze_sweep(config, seed=seed)
     if kind == "lower-bound":
-        # The two searches share no state, and their step loops hold the
-        # interpreter lock, so they run in forked processes; spawned ones
-        # would import numpy and the package again (about 0.3 s each), which
-        # costs more than it saves.
-        unsqueezed, squeezed = _run_concurrently(
-            partial(_search, config, seed), (False, True), processes=True
-        )
+        # The two searches share no state, so they run concurrently.
+        unsqueezed, squeezed = _run_concurrently(partial(_search, config, seed), (False, True))
         return {
             "unsqueezed": unsqueezed,
             "squeezed": squeezed,

@@ -3,7 +3,9 @@ import copy
 import dataclasses
 import io
 import math
+import multiprocessing
 import os
+import signal
 import stat
 import string
 import subprocess
@@ -432,6 +434,16 @@ def run_cli(args):
     return main(list(args))
 
 
+TEST_PROCESS = os.getpid()
+
+
+def _killed_search(*_args):
+    """A lower-bound search whose worker process is killed."""
+    if os.getpid() != TEST_PROCESS:
+        os.kill(os.getpid(), signal.SIGKILL)
+    raise AssertionError("the search ran in the test process")
+
+
 class TestCli:
     def test_simulate_writes_expected_count_scale(self, tmp_path):
         out = tmp_path / "hist.txt"
@@ -650,6 +662,20 @@ class TestCli:
         code = run_cli(["campaign", "lower-bound", "--config", str(cfg), "--out", str(out)])
         assert code == 2
         assert "not bracketed" in capsys.readouterr().err
+        assert not (out / "lower-bound.json").exists()
+
+    @pytest.mark.skipif(
+        experiments._available_cpus() < 2, reason="one CPU runs the searches in this process"
+    )
+    def test_killed_worker_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # A worker that dies without a result is a failure of the run, not
+        # of its usage, and no worker outlives the campaign.
+        monkeypatch.setattr(experiments, "_search", _killed_search)
+        out = tmp_path / "runs"
+        code = run_cli(["campaign", "lower-bound", "--config", SHIPPED_CONFIG, "--out", str(out)])
+        assert code == 2
+        assert "worker process died" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
         assert not (out / "lower-bound.json").exists()
 
     def test_squeeze_sweep_without_thermal_noise_is_runtime_error(self, tmp_path, capsys):

@@ -5,7 +5,6 @@ import math
 import multiprocessing
 import os
 import re
-import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -54,7 +53,8 @@ def with_experiment(config, **fields):
 
 
 def traced_peak(fn) -> int:
-    """Peak bytes allocated while ``fn()`` runs, over all threads."""
+    """Peak bytes allocated while ``fn()`` runs, in this process: tracemalloc
+    does not see forked workers."""
     tracemalloc.start()
     try:
         fn()
@@ -304,30 +304,38 @@ class TestSqueezeSweep:
         assert rows[0]["sim_ratio_y"] == pytest.approx(10.0, rel=0.25)
 
     @pytest.mark.parametrize(
-        "gain, phase, damping, n_periods, start",
+        "gain, phase, voltage, damping, n_periods",
         [
-            (0.6, 0.3, None, 1500, {"stationary_start": True}),
-            (0.5, 0.3, None, 1500, {"initial_x": 2e-8, "initial_y": -1e-8}),
-            # g cos 2phi = -1: the in-phase quadrature is a random walk.
-            (1.0, math.pi / 2, None, 1500, {"initial_x": 3e-9}),
+            (0.6, 0.3, None, None, 1500),
+            # The sweep's own baseline: no squeeze and no injection force.
+            (0.0, 0.0, 0.0, None, 1500),
+            # g cos 2phi = -1: the in-phase quadrature is a random walk from 0.
+            (1.0, math.pi / 2, None, None, 1500),
             # 100 times the damping: rows of 12 blocks, summed by reduceat.
-            (0.0, 0.0, 100.0, 1000, {"stationary_start": True}),
+            (0.0, 0.0, None, 100.0, 1000),
         ],
-        ids=["stationary", "given-start", "marginal", "reduceat"],
+        ids=["stationary", "baseline", "marginal", "reduceat"],
     )
-    def test_trial_variances_are_np_var_of_the_paths(self, gain, phase, damping, n_periods, start):
+    def test_trial_variances_are_np_var_of_the_paths(self, gain, phase, voltage, damping, n_periods):
         drive = replace(
             CONFIG.drive, squeeze_gain=gain, squeeze_phase=phase, squeeze_enabled=gain > 0
         )
-        noise = CONFIG.noise
+        if voltage is not None:
+            drive = replace(drive, injection_voltage=voltage)
+        config = with_experiment(CONFIG, squeeze_periods=n_periods)
         if damping is not None:
-            noise = replace(noise, damping=damping * noise.damping)
-            rate_dt = 0.5 * noise.damping * TWO_PI / drive.injection_frequency
+            noise = replace(CONFIG.noise, damping=damping * CONFIG.noise.damping)
+            config = replace(config, noise=noise)
+            rate_dt = 0.5 * config.noise.damping * TWO_PI / drive.injection_frequency
             assert n_periods + 1 > dynamics.AR1_LOOP_BLOCKS * int(dynamics.AR1_SPAN / rate_dt)
         duration = n_periods * TWO_PI / drive.injection_frequency
         seeds = [3, 4, 5]
-        got = experiments._envelope_variances(TRAP, drive, noise, duration, seeds, **start)
-        path = dynamics.envelope_paths(TRAP, drive, noise, duration, seeds, **start)
+        got = experiments._squeeze_variances(config, (drive, seeds))
+        # The sweep starts each path in the stationary state where there is one.
+        stationary = abs(gain * math.cos(2 * phase)) < 1.0
+        path = dynamics.envelope_paths(
+            TRAP, drive, config.noise, duration, seeds, stationary_start=stationary
+        )
         # np.var of the paths is the reference.
         assert got.tolist() == [np.var(path.y, axis=1).tolist(), np.var(path.x, axis=1).tolist()]
 
@@ -412,9 +420,9 @@ class TestLowerBound:
 
 
 class TestConcurrency:
-    """The squeeze sweep runs its envelope batches on a thread pool and the
-    lower-bound campaign runs its two searches in forked worker processes;
-    neither pool nor the number of CPUs may show in an output, and no
+    """The squeeze sweep runs its baseline and each stable grid point, and
+    the lower-bound campaign its two searches, in forked worker processes;
+    neither the pool nor the number of CPUs may show in an output, and no
     worker may outlive a campaign."""
 
     # The benchmark's smoke settings: 2 s gates, 20 trials, shipped grid.
@@ -448,35 +456,25 @@ class TestConcurrency:
     def test_lower_bound_campaign_without_fork_runs_in_series(self, monkeypatch):
         pooled = self.lower_bound_record()
         if experiments._available_cpus() > 1:
-            assert os.getpid() not in experiments._run_concurrently(
-                _worker_pid, range(2), processes=True
-            )
+            assert os.getpid() not in experiments._run_concurrently(_worker_pid, range(2))
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert experiments._run_concurrently(_worker_pid, range(2), processes=True) == [
-            os.getpid()
-        ] * 2
+        assert experiments._run_concurrently(_worker_pid, range(2)) == [os.getpid()] * 2
         assert self.lower_bound_record() == pooled
 
     def test_squeeze_sweep_equals_serial(self, monkeypatch):
-        # The sweep's workers share the kept scan tables.  With more workers
-        # than CPUs and a short switch interval, the threaded sweep still
-        # gives the serial rows.
+        # Four workers, more than the CPUs of a small host, still give the
+        # serial rows.
         config = with_experiment(CONFIG, squeeze_trials=24, squeeze_periods=2000)
         monkeypatch.setattr(experiments, "_available_cpus", lambda: 1)
         serial = json.dumps(squeeze_sweep(config, seed=47), sort_keys=True)
-        dynamics._ar1_tables.cache_clear()
         monkeypatch.setattr(experiments, "_available_cpus", lambda: 4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threaded = json.dumps(squeeze_sweep(config, seed=47), sort_keys=True)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded == serial
+        forked = json.dumps(squeeze_sweep(config, seed=47), sort_keys=True)
+        assert multiprocessing.active_children() == []
+        assert forked == serial
 
     def test_worker_error_ends_every_thread(self):
         # A zero damping rate passes squeeze_sweep and fails in every
-        # envelope batch, so the error is raised inside the workers.
+        # envelope job, so the error is raised inside the workers.
         before = threading.active_count()
         undamped = replace(
             with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=500),
@@ -485,6 +483,7 @@ class TestConcurrency:
         with pytest.raises(ValueError, match="positive damping rate"):
             squeeze_sweep(undamped, points=[(0.3, 0.0)], seed=43)
         assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
         # Without thermal or electrode noise every voltage locks, so both
         # searches raise inside their worker processes.
         quiet = config_from_dict(
@@ -525,10 +524,12 @@ class TestConcurrency:
         # three (chunk, trials x voltages) arrays, about 4.6 MB.
         assert traced_peak(lambda: lower_bound_search(CONFIG, squeeze=False)) <= 7e6
 
-    def test_default_sweep_working_set(self):
-        # Three reused rows per worker and the kept scan tables; no batch's
-        # paths.  numpy imports numpy.random at its first draw, which is no
-        # part of the sweep's working set, so that happens before tracing.
+    def test_default_sweep_working_set(self, monkeypatch):
+        # Three reused rows and two scan tables per job; no job's paths.
+        # tracemalloc does not see worker processes, so the jobs run here,
+        # in series.  numpy imports numpy.random at its first draw, which is
+        # no part of the sweep's working set, so that happens before tracing.
+        monkeypatch.setattr(experiments, "_available_cpus", lambda: 1)
         np.random.default_rng(0)
         assert traced_peak(lambda: squeeze_sweep(CONFIG)) <= 2e6
 

@@ -1,8 +1,9 @@
 """Every name a module imports is used in that module, every parameter
 of a package function is read in its body, every module-level
 UPPER_CASE name the package assigns is read somewhere in the package,
-every ``lru_cache`` of the package states a finite size, and the package
-reads one environment variable, ``PHONON_SENSOR_OUTDIR``.
+every ``lru_cache`` of the package states a finite size, the package
+reads one environment variable, ``PHONON_SENSOR_OUTDIR``, and it starts
+no thread.
 
 The package's ``__init__.py`` imports names only to re-export them, so its
 imports are not checked.
@@ -245,4 +246,60 @@ def test_check_finds_an_environment_read():
         (6, "?"),
         (7, "CHUNK"),
         (8, "?"),
+    ]
+
+
+THREAD_MODULES = {
+    "threading",
+    "_thread",
+    "concurrent.futures.thread",
+    "multiprocessing.dummy",
+    "multiprocessing.pool",
+}
+THREAD_POOLS = {"ThreadPoolExecutor", "ThreadPool"}
+
+
+def thread_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each import of a thread module (``threading``,
+    ``_thread``, ``concurrent.futures.thread``, ``multiprocessing.dummy``
+    or ``multiprocessing.pool``), whole or from, and of each import or
+    attribute named ``ThreadPoolExecutor`` or ``ThreadPool``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name in THREAD_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                if THREAD_MODULES & {node.module, name} or alias.name in THREAD_POOLS:
+                    found.append((node.lineno, name))
+        elif isinstance(node, ast.Attribute) and node.attr in THREAD_POOLS:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+# The campaigns' pool forks, and a fork copies no thread but the calling
+# one, so the package starts none.
+def test_package_imports_no_thread():
+    found = {path.name: thread_imports(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_check_finds_a_thread_import():
+    source = (
+        "import threading\n"
+        "from concurrent.futures import ThreadPoolExecutor, ProcessPoolExecutor\n"
+        "import concurrent.futures\n"
+        "pool = concurrent.futures.ThreadPoolExecutor(2)\n"
+        "from multiprocessing import dummy, get_context\n"
+        "from multiprocessing.pool import Pool\n"
+        "from concurrent.futures.process import BrokenProcessPool\n"
+        "import multiprocessing\n"
+    )
+    assert thread_imports(source) == [
+        (1, "threading"),
+        (2, "concurrent.futures.ThreadPoolExecutor"),
+        (4, "ThreadPoolExecutor"),
+        (5, "multiprocessing.dummy"),
+        (6, "multiprocessing.pool.Pool"),
     ]
