@@ -12,9 +12,17 @@ import io
 import math
 import os
 import sys
+from dataclasses import replace
 
 from . import experiments
-from .config import ConfigError, config_hash, default_config, load_config, save_config
+from .config import (
+    ConfigError,
+    canonicalize,
+    config_hash,
+    default_config,
+    load_config,
+    save_config,
+)
 from .constants import TWO_PI
 from .fileio import atomic_write_text as _atomic_write_text
 from .fitting import (
@@ -40,9 +48,8 @@ def _progress(message: str) -> None:
 
 
 def _load_config_arg(path: str | None):
-    if path is None:
-        return default_config()
-    return load_config(path)
+    """The config a command runs: canonical, so that its hash names it."""
+    return canonicalize(default_config() if path is None else load_config(path))
 
 
 def _cmd_simulate(args) -> int:
@@ -73,8 +80,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _override_seed(config, seed: int):
-    from dataclasses import replace
-
     return replace(config, experiment=replace(config.experiment, seed=seed))
 
 
@@ -121,8 +126,6 @@ def _cmd_fit(args) -> int:
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
-    if not rows:
-        return ""
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
     writer.writeheader()
@@ -165,7 +168,6 @@ def _campaign_summary(kind: str, results: dict) -> dict:
             section = results[key]
             summary[f"{key}_critical_voltage_mv"] = section["critical_voltage_mv"]
             summary[f"{key}_critical_force_yn"] = section["critical_force_yn"]
-        summary["critical_voltage_ratio"] = results["critical_voltage_ratio"]
     return summary
 
 
@@ -230,11 +232,10 @@ def _cmd_campaign(args) -> int:
     out_dir = args.out or config.output.resolve_directory()
     os.makedirs(out_dir, exist_ok=True)
     kind = args.name
-    seed = config.experiment.seed
-    _progress(f"campaign {kind}: seed = {seed}")
+    _progress(f"campaign {kind}: seed = {config.experiment.seed}")
 
-    results = experiments.run_campaign(kind, config, seed)
-    record = experiments.make_run_record(kind, config, seed, results)
+    results = experiments.run_campaign(kind, config)
+    record = experiments.make_run_record(kind, config, results)
 
     base = os.path.join(out_dir, kind)
     experiments.persist_run(record, base + ".json")

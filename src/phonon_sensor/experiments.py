@@ -1,10 +1,11 @@
 """Measurement campaigns: calibration, sensitivity, squeezing and the
 smallest-force (lock lower-bound) search, plus persistent run records.
 
-Each campaign function is pure given (config, seed) and returns the
-``results`` its run record holds: a JSON-ready dict of unit-suffixed
-values, with row dicts ready for CSV emission; persistence is checksummed
-JSON that reproduces bit-identical results on re-run.
+Each campaign function is pure given its config, whose ``experiment.seed``
+seeds every draw, and returns the ``results`` its run record holds: a
+JSON-ready dict of unit-suffixed values, with row dicts ready for CSV
+emission; persistence is checksummed JSON that reproduces bit-identical
+results on re-run.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ def _recover_amplitudes(config: RunConfig, trials) -> list[float | None]:
     return fitted
 
 
-def amplitude_sweep(config: RunConfig, seed: int | None = None):
+def amplitude_sweep(config: RunConfig):
     """Fit the oscillation amplitude across injection voltages and regress.
 
     Runs dynamics -> photon pipeline -> fit for each voltage of
@@ -262,8 +263,7 @@ def amplitude_sweep(config: RunConfig, seed: int | None = None):
     """
     exp = config.experiment
     voltages, trials = exp.amplitude_voltages, exp.amplitude_trials
-    seed = exp.seed if seed is None else seed
-    seeds = _spawn_seeds(seed, len(voltages) * trials)
+    seeds = _spawn_seeds(exp.seed, len(voltages) * trials)
     rows, locked, recoveries = [], [], []
     for i, voltage in enumerate(voltages):
         row = {
@@ -351,7 +351,7 @@ def _squeeze_variances(config: RunConfig, job) -> np.ndarray:
     return variances
 
 
-def squeeze_sweep(config: RunConfig, points=None, seed: int | None = None):
+def squeeze_sweep(config: RunConfig, points=None):
     """Relative quadrature variance across the squeeze (gain, phase) grid.
 
     Simulates the rotating-frame envelope per grid point, ``squeeze_trials``
@@ -366,8 +366,7 @@ def squeeze_sweep(config: RunConfig, points=None, seed: int | None = None):
     exp = config.experiment
     if points is None:
         points = [(g, p) for g in exp.squeeze_gains for p in exp.squeeze_phases]
-    trials = exp.squeeze_trials
-    seed = exp.seed if seed is None else seed
+    trials, seed = exp.squeeze_trials, exp.seed
     base_drive = replace(
         config.drive, injection_voltage=0.0, squeeze_gain=0.0, squeeze_enabled=False
     )
@@ -434,7 +433,7 @@ def squeeze_sweep(config: RunConfig, points=None, seed: int | None = None):
     return {"rows": rows, "baseline_variance_m2": float(base_mean), "thermal_variance_m2": thermal}
 
 
-def lower_bound_search(config: RunConfig, squeeze: bool = False, seed: int | None = None):
+def lower_bound_search(config: RunConfig, squeeze: bool = False):
     """Smallest locking voltage at 90% success probability.
 
     The injection-locked phase model runs ``lower_bound_trials`` independent
@@ -450,7 +449,6 @@ def lower_bound_search(config: RunConfig, squeeze: bool = False, seed: int | Non
     """
     exp = config.experiment
     voltages, trials = exp.lower_bound_voltages, exp.lower_bound_trials
-    seed = exp.seed if seed is None else seed
 
     drive_template = replace(
         config.drive,
@@ -466,7 +464,7 @@ def lower_bound_search(config: RunConfig, squeeze: bool = False, seed: int | Non
         config.noise,
         config.pipeline.gate_time,
         LOWER_BOUND_STEP,
-        _spawn_seeds(seed + (1 if squeeze else 0), len(voltages)),
+        _spawn_seeds(exp.seed + (1 if squeeze else 0), len(voltages)),
         config.electric_noise,
         config.free_running_amplitude,
         trials,
@@ -496,7 +494,7 @@ def lower_bound_search(config: RunConfig, squeeze: bool = False, seed: int | Non
     }
 
 
-def sensitivity_campaign(config: RunConfig, seed: int | None = None):
+def sensitivity_campaign(config: RunConfig):
     """Empirical sensitivity from repeated pipeline fits at one voltage.
 
     The fits run ``experiment.repetitions`` gates at the drive's injection
@@ -509,9 +507,8 @@ def sensitivity_campaign(config: RunConfig, seed: int | None = None):
     evaluation's reference sensitivity.
     """
     repetitions = config.experiment.repetitions
-    seed = config.experiment.seed if seed is None else seed
     amplitude = _true_amplitude(config, config.drive.injection_voltage)
-    trials = [(amplitude, s) for s in _spawn_seeds(seed, repetitions)]
+    trials = [(amplitude, s) for s in _spawn_seeds(config.experiment.seed, repetitions)]
     fitted = [a for a in _recover_amplitudes(config, trials) if a is not None]
     if len(fitted) < 2:
         raise ValueError("not enough converged fits for a scatter estimate")
@@ -545,13 +542,14 @@ def _canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def make_run_record(kind: str, config: RunConfig, seed: int, results) -> dict:
+def make_run_record(kind: str, config: RunConfig, results) -> dict:
+    """A campaign's checksummed record; its ``seed`` is ``config.experiment.seed``."""
     payload = {
         "schema": RUN_RECORD_SCHEMA,
         "kind": kind,
         "config": config_to_dict(config),
         "config_hash": config_hash(config),
-        "seed": seed,
+        "seed": config.experiment.seed,
         "results": results,
     }
     payload["checksum"] = hashlib.sha256(_canonical(payload).encode()).hexdigest()
@@ -580,28 +578,32 @@ def load_run(path) -> dict:
     expected = hashlib.sha256(_canonical(body).encode()).hexdigest()
     if stored != expected:
         raise RunRecordError(f"{path}: checksum mismatch; record was modified")
+    # A rerun reads the config alone, so the record's seed must be the config's.
+    try:
+        seeds_agree = record["seed"] == record["config"]["experiment"]["seed"]
+    except (KeyError, TypeError):
+        seeds_agree = False
+    if not seeds_agree:
+        raise RunRecordError(f"{path}: the record's seed is not its config's experiment.seed")
     return record
 
 
 def rerun_record(record: dict) -> dict:
-    """Re-execute the campaign stored in a record from its config and seed."""
+    """Re-execute the campaign stored in a record from its config alone."""
     config = config_from_dict(record["config"])
     kind = record["kind"]
-    seed = record["seed"]
-    results = run_campaign(kind, config, seed)
-    return make_run_record(kind, config, seed, results)
+    return make_run_record(kind, config, run_campaign(kind, config))
 
 
-def _search(config: RunConfig, seed: int, squeeze: bool) -> dict:
+def _search(config: RunConfig, squeeze: bool) -> dict:
     """One lower-bound search, as the lower-bound record holds it."""
     # Pickled by name, it finds the search as a module global: a wrapper set there need not pickle.
-    return lower_bound_search(config, squeeze=squeeze, seed=seed)
+    return lower_bound_search(config, squeeze=squeeze)
 
 
-def run_campaign(kind: str, config: RunConfig, seed: int | None = None):
+def run_campaign(kind: str, config: RunConfig):
     """Dispatch a named campaign and return JSON-serializable results."""
     config = canonicalize(config)
-    seed = config.experiment.seed if seed is None else seed
     if kind == "calibrate":
         slope = calibrate_force(config.trap, [(3.0, 12e-6)])
         return {
@@ -609,12 +611,12 @@ def run_campaign(kind: str, config: RunConfig, seed: int | None = None):
             "static_force_zn_at_12um_3v": static_force(config.trap, 12e-6) * 1e21,
         }
     if kind == "sweep-amplitude":
-        return amplitude_sweep(config, seed=seed)
+        return amplitude_sweep(config)
     if kind == "sweep-squeeze":
-        return squeeze_sweep(config, seed=seed)
+        return squeeze_sweep(config)
     if kind == "lower-bound":
         # The two searches share no state, so they run concurrently.
-        unsqueezed, squeezed = _run_concurrently(partial(_search, config, seed), (False, True))
+        unsqueezed, squeezed = _run_concurrently(partial(_search, config), (False, True))
         return {
             "unsqueezed": unsqueezed,
             "squeezed": squeezed,
@@ -622,5 +624,5 @@ def run_campaign(kind: str, config: RunConfig, seed: int | None = None):
             / squeezed["critical_voltage_mv"],
         }
     if kind == "sensitivity":
-        return sensitivity_campaign(config, seed=seed)
+        return sensitivity_campaign(config)
     raise ValueError(f"unknown campaign {kind!r}")

@@ -69,6 +69,8 @@ HARMONIC_CAP = 4096
 # is built at the first guess, so that importing the package forms no array.
 GUESS_HARMONICS = 8
 GUESS_GRID = (8e-6, 40e-6, 321)
+# Model evaluations after which a fit stops unconverged, read at each call.
+MAX_EVALUATIONS = 500
 
 
 class NoModulationError(ValueError):
@@ -608,7 +610,6 @@ def fit_histogram(
     beams,
     init: FitModelParams,
     frozen: tuple[str, ...] = DEFAULT_FROZEN,
-    max_evaluations: int = 500,
     stack: FitStack | None = None,
 ) -> FitResult:
     """Poisson maximum-likelihood fit of a TAC histogram.
@@ -634,7 +635,7 @@ def fit_histogram(
     the cap rejected, with no step accepted in between but the stopping
     one, is held at the cap, whose rejections shrank its last steps, and is
     flagged unconverged.  Running out of
-    ``max_evaluations`` flags the result instead of raising;
+    :data:`MAX_EVALUATIONS` flags the result instead of raising;
     ``iterations`` counts the evaluations.  Each evaluation is one model
     pass that also yields the exact Jacobian columns, and the errors come
     from pinv(J^T J) times the deviance per degree of freedom.
@@ -646,13 +647,14 @@ def fit_histogram(
 
     This is the stack of one of :func:`fit_histograms`, whose fits give
     the results they give alone.  Given a :class:`FitStack` that holds
-    ``hist`` from ``init``, made with the same beams and settings, the
-    result is this fit's from the stack's one loop.
+    ``hist`` from ``init``, made with the same beams, the result is this
+    fit's from the stack's one loop; a stack's fits freeze
+    :data:`DEFAULT_FROZEN`.
     """
     if stack is None:
-        return fit_histograms([hist], beams, [init], frozen, max_evaluations)[0]
-    if (tuple(beams), tuple(frozen), max_evaluations) != stack.settings:
-        raise ValueError("a stack's fits take the beams and settings it was made with")
+        return fit_histograms([hist], beams, [init], frozen)[0]
+    if (tuple(beams), tuple(frozen)) != (stack.beams, DEFAULT_FROZEN):
+        raise ValueError("a stack's fits take the beams it was made with and DEFAULT_FROZEN")
     return stack.result(hist, init)
 
 
@@ -677,7 +679,6 @@ def fit_histograms(
     beams,
     inits,
     frozen: tuple[str, ...] = DEFAULT_FROZEN,
-    max_evaluations: int = 500,
 ) -> list[FitResult]:
     """:func:`fit_histogram` of each histogram from its own start, as one
     stack: the histograms share a binning, and their fits free the same
@@ -687,9 +688,10 @@ def fit_histograms(
     forms the step algebra of every fit still running at once, and one
     model pass (:func:`rate_integrals` with a fit axis) and one set of
     deviance residuals for every trial point.  Damping, acceptance,
-    convergence, ``max_evaluations`` and ``iterations`` stay per fit, and
-    each fit's arithmetic is formed alone, so a fit's result equals that
-    of :func:`fit_histogram` on its histogram, whatever stack it is in.
+    convergence, the budget of :data:`MAX_EVALUATIONS` and ``iterations``
+    stay per fit, and each fit's arithmetic is formed alone, so a fit's
+    result equals that of :func:`fit_histogram` on its histogram, whatever
+    stack it is in.
     """
     hists, inits = list(hists), list(inits)
     if not hists or len(hists) != len(inits):
@@ -771,7 +773,7 @@ def fit_histograms(
     diagonal = np.arange(len(free))
     omega = TWO_PI / period
     while True:
-        fits = np.flatnonzero(~converged & (nfev < max_evaluations))
+        fits = np.flatnonzero(~converged & (nfev < MAX_EVALUATIONS))
         if not len(fits):
             break
         x, system = params[fits][:, index], jtj[fits]
@@ -833,20 +835,14 @@ class FitStack:
 
     Each member is fitted through :func:`fit_histogram` with ``stack``
     set, so every fit is still one call that returns its own result.  The
-    loop (:func:`fit_histograms`) runs when the first member is asked
-    for, and the others' results are then returned as it gave them.
+    loop (:func:`fit_histograms`, with :data:`DEFAULT_FROZEN`) runs when
+    the first member is asked for, and the others' results are then
+    returned as it gave them.
     """
 
-    def __init__(
-        self,
-        hists,
-        beams,
-        inits,
-        frozen: tuple[str, ...] = DEFAULT_FROZEN,
-        max_evaluations: int = 500,
-    ):
+    def __init__(self, hists, beams, inits):
         self.hists, self.inits = list(hists), list(inits)
-        self.settings = (tuple(beams), tuple(frozen), max_evaluations)
+        self.beams = tuple(beams)
         self._results = None
 
     def result(self, hist: TacHistogram, init: FitModelParams) -> FitResult:
@@ -857,8 +853,7 @@ class FitStack:
         else:
             raise ValueError("the histogram and start are not a member of the stack")
         if self._results is None:
-            beams, frozen, max_evaluations = self.settings
-            self._results = fit_histograms(self.hists, beams, self.inits, frozen, max_evaluations)
+            self._results = fit_histograms(self.hists, self.beams, self.inits)
         return self._results[k]
 
 

@@ -169,7 +169,7 @@ def synthesize_histogram(
     phase: float,
     omega_i: float,
     pipeline: PipelineConfig,
-    seed: int | None = None,
+    seed: int,
     config_hash: str | None = None,
 ) -> TacHistogram:
     """Draw one gate's folded TAC histogram from its exact law.

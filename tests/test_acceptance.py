@@ -250,7 +250,7 @@ def test_criterion_07_sensitivity_formula():
 
 
 def test_criterion_08_calibration_consistency():
-    results = amplitude_sweep(CONFIG, seed=80_000)
+    results = amplitude_sweep(config_from_dict({"experiment": {"seed": 80_000}}))
     slope_nm_mv = results["amplitude_per_volt_nm_per_mv"]
     ratio_nm_yn = results["amplitude_per_force_nm_per_yn"]
     slope_ok = abs(slope_nm_mv - 362.1) / 362.1 < 0.03
@@ -266,8 +266,9 @@ def test_criterion_08_calibration_consistency():
 
 
 def test_criterion_09_lower_bound_protocol():
-    off = lower_bound_search(CONFIG, squeeze=False, seed=90_000)
-    on = lower_bound_search(CONFIG, squeeze=True, seed=90_000)
+    config = config_from_dict({"experiment": {"seed": 90_000}})
+    off = lower_bound_search(config, squeeze=False)
+    on = lower_bound_search(config, squeeze=True)
 
     def monotone(res):
         probs = np.array(res["lock_probability"])

@@ -25,6 +25,7 @@ from phonon_sensor.config import (
     FIELDS,
     ConfigError,
     RunConfig,
+    canonicalize,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -461,6 +462,29 @@ class TestCli:
         assert run_cli(["simulate", "--out", str(b), "--seed", "7"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_simulate_and_fit_run_the_config_their_hash_names(self, tmp_path):
+        # Two configs 1e-13 apart (relative) in the injection frequency
+        # serialize, and so hash, alike; each command runs the config as it
+        # serializes, as does a command given no config.
+        with open(SHIPPED_CONFIG, encoding="utf-8") as fh:
+            text = fh.read()
+        assert "injection_frequency_hz: 186020.0\n" in text
+        nudged = tmp_path / "nudged.yaml"
+        nudged.write_text(text.replace("186020.0\n", "186020.00000002\n"))
+        assert config_hash(load_config(nudged)) == config_hash(load_config(SHIPPED_CONFIG))
+        configs = {
+            "plain": [],
+            "shipped": ["--config", SHIPPED_CONFIG],
+            "nudged": ["--config", str(nudged)],
+        }
+        outputs = []
+        for name, config in configs.items():
+            hist, report = tmp_path / f"{name}.hist", tmp_path / f"{name}.fit"
+            assert run_cli(["simulate", *config, "--out", str(hist)]) == 0
+            assert run_cli(["fit", str(hist), *config, "--out", str(report)]) == 0
+            outputs.append((hist.read_bytes(), report.read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_invalid_gate_time_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("pipeline:\n  gate_time_s: 0.0\n")
@@ -488,10 +512,12 @@ class TestCli:
         assert run_cli(["simulate", "--config", str(cfg), "--out", str(hist_path), "--seed", "2"]) == 0
         assert run_cli(["fit", str(hist_path), "--config", str(cfg), "--out", str(report_path)]) == 0
         hist = load_histogram(hist_path)
-        # The campaign path on the same histogram; the amplitude and seed
-        # passed below only reach the replaced sampler.
+        # The campaign path on the same histogram, from the canonical config
+        # that run_campaign and the CLI run; the amplitude and seed passed
+        # below only reach the replaced sampler.
         monkeypatch.setattr(experiments, "synthesize_histogram", lambda *a, **k: hist)
-        (campaign,) = experiments._recover_amplitudes(load_config(cfg), [(24.4e-6, 2)])
+        config = canonicalize(load_config(cfg))
+        (campaign,) = experiments._recover_amplitudes(config, [(24.4e-6, 2)])
         assert load_fit_report(report_path).amplitude == campaign
 
     @pytest.mark.parametrize(

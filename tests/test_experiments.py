@@ -124,7 +124,7 @@ class TestSensitivityFormula:
 
 class TestAmplitudeSweep:
     def test_recovers_configured_linear_response(self):
-        results = amplitude_sweep(CONFIG, seed=101)
+        results = amplitude_sweep(with_experiment(CONFIG, seed=101))
         # Configured response: force_per_volt * amplitude_per_force.
         expected_slope = CONFIG.drive.force_per_volt * CONFIG.amplitude_per_force
         assert results["amplitude_per_volt_nm_per_mv"] == pytest.approx(
@@ -139,7 +139,7 @@ class TestAmplitudeSweep:
         assert all(row["locked"] for row in results["rows"])
 
     def test_internal_consistency_identity(self):
-        results = amplitude_sweep(with_experiment(CONFIG, amplitude_trials=2), seed=7)
+        results = amplitude_sweep(with_experiment(CONFIG, amplitude_trials=2, seed=7))
         per_force = results["amplitude_per_force_nm_per_yn"] * 1e-9 / 1e-24
         assert per_force * CONFIG.drive.force_per_volt == pytest.approx(
             results["amplitude_per_volt_nm_per_mv"] * 1e-9 / 1e-3, rel=1e-12
@@ -153,10 +153,10 @@ class TestAmplitudeSweep:
 
     def test_unlockable_voltage_excluded_with_warning(self, caplog):
         config = with_experiment(
-            CONFIG, amplitude_voltages=(1e-7, 5e-3, 10e-3, 15e-3), amplitude_trials=2
+            CONFIG, amplitude_voltages=(1e-7, 5e-3, 10e-3, 15e-3), amplitude_trials=2, seed=3
         )
         with caplog.at_level("WARNING"):
-            results = amplitude_sweep(config, seed=3)
+            results = amplitude_sweep(config)
         assert "fails the lock criterion" in caplog.text
         assert results["rows"][0]["locked"] is False
         assert results["r_squared"] > 0.99
@@ -278,8 +278,8 @@ class TestFitInit:
 
 class TestSqueezeSweep:
     def test_matches_variance_law_within_bootstrap_errors(self):
-        config = with_experiment(CONFIG, squeeze_trials=25, squeeze_periods=4000)
-        rows = squeeze_sweep(config, seed=11)["rows"]
+        config = with_experiment(CONFIG, squeeze_trials=25, squeeze_periods=4000, seed=11)
+        rows = squeeze_sweep(config)["rows"]
         for row in rows:
             assert row["stable"]
             diff = abs(row["sim_ratio_y"] - row["theory_ratio_y"])
@@ -287,8 +287,8 @@ class TestSqueezeSweep:
 
     def test_monotone_toward_half_along_squeeze_axis(self):
         points = [(g, math.pi / 2) for g in (0.0, 0.3, 0.6, 0.9)]
-        config = with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=4000)
-        rows = squeeze_sweep(config, points=points, seed=13)["rows"]
+        config = with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=4000, seed=13)
+        rows = squeeze_sweep(config, points=points)["rows"]
         ratios = [row["sim_ratio_y"] for row in rows]
         assert all(np.diff(ratios) < 0)
         assert ratios[-1] == pytest.approx(1 / 1.9, abs=0.06)
@@ -298,8 +298,8 @@ class TestSqueezeSweep:
             with_experiment(CONFIG, squeeze_trials=0)
 
     def test_antisqueezed_point(self):
-        config = with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=6000)
-        rows = squeeze_sweep(config, points=[(0.9, 0.0)], seed=17)["rows"]
+        config = with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=6000, seed=17)
+        rows = squeeze_sweep(config, points=[(0.9, 0.0)])["rows"]
         assert rows[0]["theory_ratio_y"] == pytest.approx(10.0, rel=1e-12)
         assert rows[0]["sim_ratio_y"] == pytest.approx(10.0, rel=0.25)
 
@@ -342,9 +342,8 @@ class TestSqueezeSweep:
     def test_unstable_point_flagged(self, caplog):
         with caplog.at_level("WARNING"):
             rows = squeeze_sweep(
-                with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=1000),
+                with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=1000, seed=19),
                 points=[(1.0, 0.0)],
-                seed=19,
             )["rows"]
         assert rows[0]["stable"] is False
         assert math.isnan(rows[0]["sim_ratio_y"])
@@ -352,9 +351,9 @@ class TestSqueezeSweep:
 
 @pytest.fixture(scope="module")
 def lower_bound_results():
-    config = with_experiment(CONFIG, lower_bound_trials=24)
-    off = lower_bound_search(config, squeeze=False, seed=23)
-    on = lower_bound_search(config, squeeze=True, seed=23)
+    config = with_experiment(CONFIG, lower_bound_trials=24, seed=23)
+    off = lower_bound_search(config, squeeze=False)
+    on = lower_bound_search(config, squeeze=True)
     return off, on
 
 
@@ -395,12 +394,12 @@ class TestLowerBound:
 
     def test_noiseless_lock_everywhere_is_unbracketed(self):
         quiet = replace(
-            with_experiment(CONFIG, lower_bound_trials=20),
+            with_experiment(CONFIG, lower_bound_trials=20, seed=29),
             noise=replace(CONFIG.noise, temperature=1e-9),
             electric_noise=replace(CONFIG.electric_noise, rms_voltage=0.0),
         )
         with pytest.raises(ValueError, match="not bracketed"):
-            lower_bound_search(quiet, squeeze=False, seed=29)
+            lower_bound_search(quiet, squeeze=False)
 
     def test_too_few_trials_rejected(self):
         with pytest.raises(ConfigError, match=">= 20 trials"):
@@ -429,23 +428,23 @@ class TestConcurrency:
     SHORT = replace(
         CONFIG,
         pipeline=replace(CONFIG.pipeline, gate_time=2.0),
-        experiment=replace(CONFIG.experiment, lower_bound_trials=20),
+        experiment=replace(CONFIG.experiment, lower_bound_trials=20, seed=37),
     )
 
     def lower_bound_record(self, results=None) -> str:
         if results is None:
-            results = run_campaign("lower-bound", self.SHORT, seed=37)
-        return json.dumps(make_run_record("lower-bound", self.SHORT, 37, results), sort_keys=True)
+            results = run_campaign("lower-bound", self.SHORT)
+        return json.dumps(make_run_record("lower-bound", self.SHORT, results), sort_keys=True)
 
     def test_lower_bound_campaign_equals_serial_searches(self, monkeypatch):
         before = threading.active_count()
-        results = run_campaign("lower-bound", self.SHORT, seed=37)
+        results = run_campaign("lower-bound", self.SHORT)
         assert threading.active_count() == before
         assert multiprocessing.active_children() == []
         # run_campaign searches the config as a run record stores it.
         config = canonicalize(self.SHORT)
         for key, squeeze in (("unsqueezed", False), ("squeezed", True)):
-            serial = lower_bound_search(config, squeeze=squeeze, seed=37)
+            serial = lower_bound_search(config, squeeze=squeeze)
             assert results[key]["lock_probability"] == serial["lock_probability"]
             assert results[key]["critical_voltage_mv"] == serial["critical_voltage_mv"]
         # The record's bytes do not depend on the pool.
@@ -464,11 +463,11 @@ class TestConcurrency:
     def test_squeeze_sweep_equals_serial(self, monkeypatch):
         # Four workers, more than the CPUs of a small host, still give the
         # serial rows.
-        config = with_experiment(CONFIG, squeeze_trials=24, squeeze_periods=2000)
+        config = with_experiment(CONFIG, squeeze_trials=24, squeeze_periods=2000, seed=47)
         monkeypatch.setattr(experiments, "_available_cpus", lambda: 1)
-        serial = json.dumps(squeeze_sweep(config, seed=47), sort_keys=True)
+        serial = json.dumps(squeeze_sweep(config), sort_keys=True)
         monkeypatch.setattr(experiments, "_available_cpus", lambda: 4)
-        forked = json.dumps(squeeze_sweep(config, seed=47), sort_keys=True)
+        forked = json.dumps(squeeze_sweep(config), sort_keys=True)
         assert multiprocessing.active_children() == []
         assert forked == serial
 
@@ -477,11 +476,11 @@ class TestConcurrency:
         # envelope job, so the error is raised inside the workers.
         before = threading.active_count()
         undamped = replace(
-            with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=500),
+            with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=500, seed=43),
             noise=replace(CONFIG.noise, damping=0.0),
         )
         with pytest.raises(ValueError, match="positive damping rate"):
-            squeeze_sweep(undamped, points=[(0.3, 0.0)], seed=43)
+            squeeze_sweep(undamped, points=[(0.3, 0.0)])
         assert threading.active_count() == before
         assert multiprocessing.active_children() == []
         # Without thermal or electrode noise every voltage locks, so both
@@ -502,12 +501,12 @@ class TestConcurrency:
         # Two unstable points between stable ones: the warnings keep the
         # grid order, and the shared bootstrap generator its draw order.
         points = [(0.3, 0.0), (1.2, 0.0), (0.6, math.pi / 2), (1.0, 0.0), (0.9, 0.4)]
-        config = with_experiment(CONFIG, squeeze_trials=10, squeeze_periods=500)
+        config = with_experiment(CONFIG, squeeze_trials=10, squeeze_periods=500, seed=43)
 
         def sweep():
             caplog.clear()
             with caplog.at_level("WARNING", logger="phonon_sensor.experiments"):
-                result = squeeze_sweep(config, points=points, seed=43)
+                result = squeeze_sweep(config, points=points)
             return json.dumps(result), [record.getMessage() for record in caplog.records]
 
         pooled, pooled_log = sweep()
@@ -546,15 +545,14 @@ def default_record(tmp_path_factory):
     --config configs/default.yaml` writes, for a kind; each record is built
     once, at its first use."""
     config = load_config(SHIPPED_CONFIG)
-    seed = config.experiment.seed
     directory = tmp_path_factory.mktemp("default-records")
     paths = {}
 
     def record(kind: str) -> Path:
         if kind not in paths:
-            results = run_campaign(kind, config, seed)
+            results = run_campaign(kind, config)
             paths[kind] = directory / f"{kind}.json"
-            persist_run(make_run_record(kind, config, seed, results), paths[kind])
+            persist_run(make_run_record(kind, config, results), paths[kind])
         return paths[kind]
 
     return record
@@ -661,11 +659,11 @@ class TestFixedSeedOutputs:
     def test_lower_bound_lock_fractions(self):
         # The benchmark's smoke settings: 2 s gates, 20 trials, shipped grid.
         short = replace(
-            with_experiment(CONFIG, lower_bound_trials=20),
+            with_experiment(CONFIG, lower_bound_trials=20, seed=37),
             pipeline=replace(CONFIG.pipeline, gate_time=2.0),
         )
-        off = lower_bound_search(short, squeeze=False, seed=37)
-        on = lower_bound_search(short, squeeze=True, seed=37)
+        off = lower_bound_search(short, squeeze=False)
+        on = lower_bound_search(short, squeeze=True)
         assert off["lock_probability"] == [0.0] * 7 + [0.35, 0.9, 1.0, 1.0, 1.0]
         assert on["lock_probability"] == (
             [0.0, 0.05, 0.0, 0.0, 0.3, 0.6] + [1.0] * 6
@@ -673,9 +671,8 @@ class TestFixedSeedOutputs:
 
     def test_squeeze_ratios(self):
         rows = squeeze_sweep(
-            with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=2000),
+            with_experiment(CONFIG, squeeze_trials=20, squeeze_periods=2000, seed=41),
             points=[(0.9, math.pi / 2), (0.5, 0.0)],
-            seed=41,
         )["rows"]
         ratios = [row["sim_ratio_y"] for row in rows]
         assert ratios == pytest.approx([0.5362266307392819, 1.7833302851049535], rel=1e-12)
@@ -728,7 +725,7 @@ class TestAsimovBias:
 
 class TestSensitivityCampaign:
     def test_empirical_and_reference_reports(self):
-        results = sensitivity_campaign(with_experiment(CONFIG, repetitions=8), seed=31)
+        results = sensitivity_campaign(with_experiment(CONFIG, repetitions=8, seed=31))
         assert results["tau_s"] == 8 * CONFIG.pipeline.gate_time
         assert results["sensitivity_yn_per_sqrt_hz"] == pytest.approx(
             results["delta_a_nm"] * math.sqrt(results["tau_s"]) / results["slope_nm_per_yn"],
@@ -742,8 +739,8 @@ class TestSensitivityCampaign:
         assert results["delta_a_over_crb"] == results["delta_a_nm"] / results["delta_a_crb_nm"]
 
     def test_record_carries_the_bound(self):
-        config = config_from_dict({"experiment": {"repetitions": 3}})
-        results = run_campaign("sensitivity", config, 31)
+        config = config_from_dict({"experiment": {"repetitions": 3, "seed": 31}})
+        results = run_campaign("sensitivity", config)
         assert results["reference_sensitivity_yn_per_sqrt_hz"] == pytest.approx(336.1, rel=1e-3)
         assert results["delta_a_crb_nm"] == pytest.approx(48.32, rel=1e-3)
         assert results["delta_a_over_crb"] == pytest.approx(
@@ -757,16 +754,16 @@ class TestSensitivityCampaign:
             {
                 "physics": {"drive": {"injection_voltage_mv": 7.5}},
                 "pipeline": {"gate_time_s": 1.0, "timing_jitter_us": 0.3},
-                "experiment": {"repetitions": 8},
+                "experiment": {"repetitions": 8, "seed": 31},
             }
         )
-        assert run_campaign("sensitivity", config, 31)["dropped"] == 3
+        assert run_campaign("sensitivity", config)["dropped"] == 3
 
 
 class TestRunRecords:
     def test_round_trip(self, tmp_path):
         results = run_campaign("calibrate", CONFIG)
-        record = make_run_record("calibrate", CONFIG, CONFIG.experiment.seed, results)
+        record = make_run_record("calibrate", CONFIG, results)
         path = tmp_path / "run.json"
         persist_run(record, path)
         loaded = load_run(path)
@@ -774,7 +771,7 @@ class TestRunRecords:
 
     def test_tampered_checksum_rejected(self, tmp_path):
         results = run_campaign("calibrate", CONFIG)
-        record = make_run_record("calibrate", CONFIG, 1, results)
+        record = make_run_record("calibrate", CONFIG, results)
         path = tmp_path / "run.json"
         persist_run(record, path)
         data = json.loads(path.read_text())
@@ -792,18 +789,35 @@ class TestRunRecords:
             load_run(path)
 
     def test_schema_version_checked(self, tmp_path):
-        record = make_run_record("calibrate", CONFIG, 1, {"x": 1})
+        record = make_run_record("calibrate", CONFIG, {"x": 1})
         record["schema"] = 99
         path = tmp_path / "run.json"
         persist_run(record, path)
         with pytest.raises(RunRecordError, match="schema"):
             load_run(path)
 
+    @pytest.mark.parametrize("edit", ["seed", "config seed"])
+    def test_record_whose_two_seeds_disagree_is_rejected(self, tmp_path, edit):
+        # A rerun reads the config's seed alone, so a record that names
+        # another one, under a valid checksum, cannot be reproduced.
+        record = make_run_record("calibrate", CONFIG, run_campaign("calibrate", CONFIG))
+        assert record["seed"] == record["config"]["experiment"]["seed"] == CONFIG.experiment.seed
+        if edit == "seed":
+            record["seed"] += 1
+        else:
+            del record["config"]["experiment"]["seed"]
+        body = {key: value for key, value in record.items() if key != "checksum"}
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        record["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
+        path = tmp_path / "run.json"
+        persist_run(record, path)
+        with pytest.raises(RunRecordError, match="seed"):
+            load_run(path)
+
     def test_rerun_reproduces_bit_identical_results(self, tmp_path):
-        config = with_experiment(CONFIG, amplitude_trials=2)
-        seed = 37
-        results = run_campaign("sweep-amplitude", config, seed)
-        record = make_run_record("sweep-amplitude", config, seed, results)
+        config = with_experiment(CONFIG, amplitude_trials=2, seed=37)
+        results = run_campaign("sweep-amplitude", config)
+        record = make_run_record("sweep-amplitude", config, results)
         path = tmp_path / "sweep.json"
         persist_run(record, path)
         replayed = rerun_record(load_run(path))
@@ -816,6 +830,6 @@ class TestRunRecords:
     def test_unwritable_destination_raises(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
-        record = make_run_record("calibrate", CONFIG, 1, {"x": 1})
+        record = make_run_record("calibrate", CONFIG, {"x": 1})
         with pytest.raises(OSError):
             persist_run(record, blocker / "run.json")

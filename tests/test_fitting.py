@@ -727,9 +727,10 @@ class TestFit:
         with pytest.raises(NoModulationError):
             fit_histogram(flat, BEAMS, init)
 
-    def test_non_convergence_flagged_not_raised(self):
+    def test_non_convergence_flagged_not_raised(self, monkeypatch):
         hist = synth(*REF_CASE_A, seed=4200)
-        result = fit_histogram(hist, BEAMS, init=guessed_start(hist), max_evaluations=2)
+        monkeypatch.setattr(fitting, "MAX_EVALUATIONS", 2)
+        result = fit_histogram(hist, BEAMS, init=guessed_start(hist))
         assert not result.converged
 
     def test_free_alpha_from_zero_converges(self):
@@ -784,14 +785,15 @@ class TestStacks:
             lengths = fitting._series_length(BEAMS, amplitudes, OMEGA, OMEGA * sigma_t)
             assert len(set(lengths)) > 1
 
-    def test_a_fit_that_runs_out_of_evaluations(self):
+    def test_a_fit_that_runs_out_of_evaluations(self, monkeypatch):
         # A start far from its histogram's amplitude takes more evaluations
         # than the others; it runs out alone, and no other fit notices.
         hists = [synth(*REF_CASE_A, seed=9100 + k) for k in range(4)]
         inits = [guessed_start(h) for h in hists]
         inits[2] = replace(inits[2], amplitude=30e-6, phase=-0.5)
-        stacked = fitting.fit_histograms(hists, BEAMS, inits, max_evaluations=6)
-        alone = [fit_histogram(h, BEAMS, i, max_evaluations=6) for h, i in zip(hists, inits)]
+        monkeypatch.setattr(fitting, "MAX_EVALUATIONS", 6)
+        stacked = fitting.fit_histograms(hists, BEAMS, inits)
+        alone = [fit_histogram(h, BEAMS, i) for h, i in zip(hists, inits)]
         assert stacked == alone
         assert [result.converged for result in stacked] == [True, True, False, True]
         assert stacked[2].iterations == 6
@@ -828,8 +830,10 @@ class TestStacks:
             fit_histogram(hists[0], BEAMS, inits[1], stack=stack)
         with pytest.raises(ValueError, match="not a member"):
             fit_histogram(synth(*REF_CASE_A, seed=9303), BEAMS, inits[0], stack=stack)
-        with pytest.raises(ValueError, match="settings it was made with"):
-            fit_histogram(hists[0], BEAMS, inits[0], max_evaluations=6, stack=stack)
+        with pytest.raises(ValueError, match="beams it was made with and DEFAULT_FROZEN"):
+            fit_histogram(hists[0], BEAMS, inits[0], frozen=("beta", "sigma_t"), stack=stack)
+        with pytest.raises(ValueError, match="beams it was made with and DEFAULT_FROZEN"):
+            fit_histogram(hists[0], BEAMS[::-1], inits[0], stack=stack)
         assert loops == [3]
 
 

@@ -2,8 +2,8 @@
 of a package function is read in its body, every module-level
 UPPER_CASE name the package assigns is read somewhere in the package,
 every ``lru_cache`` of the package states a finite size, the package
-reads one environment variable, ``PHONON_SENSOR_OUTDIR``, and it starts
-no thread.
+reads one environment variable, ``PHONON_SENSOR_OUTDIR``, it starts no
+thread, and it draws only from generators given a seed.
 
 The package's ``__init__.py`` imports names only to re-export them, so its
 imports are not checked.
@@ -302,4 +302,93 @@ def test_check_finds_a_thread_import():
         (4, "ThreadPoolExecutor"),
         (5, "multiprocessing.dummy"),
         (6, "multiprocessing.pool.Pool"),
+    ]
+
+
+SEEDED = {"default_rng", "SeedSequence"}
+
+
+def unseeded_draws(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each use of a ``numpy.random`` name other than a
+    call of ``default_rng`` or ``SeedSequence`` with one argument that is
+    not the literal ``None``.  The names are found as attributes of
+    ``numpy.random`` under the aliases the source imports it by, or
+    imported from it."""
+    tree = ast.parse(source)
+    numpy_aliases, random_aliases, imported = set(), set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy":
+                    numpy_aliases.add(alias.asname or "numpy")
+                elif alias.name == "numpy.random":
+                    (random_aliases if alias.asname else numpy_aliases).add(alias.asname or "numpy")
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.random"):
+            for alias in node.names:
+                if node.module == "numpy.random":
+                    imported[alias.asname or alias.name] = alias.name
+                elif alias.name == "random":
+                    random_aliases.add(alias.asname or "random")
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = node.value
+            in_random = (isinstance(owner, ast.Name) and owner.id in random_aliases) or (
+                isinstance(owner, ast.Attribute)
+                and owner.attr == "random"
+                and isinstance(owner.value, ast.Name)
+                and owner.value.id in numpy_aliases
+            )
+            if not in_random:
+                continue
+            name = node.attr
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in imported:
+            name = imported[node.id]
+        else:
+            continue
+        call = parents.get(node)
+        if name in SEEDED and isinstance(call, ast.Call) and call.func is node:
+            arguments = [*call.args, *(keyword.value for keyword in call.keywords)]
+            if len(arguments) == 1 and not isinstance(arguments[0], ast.Starred):
+                if not (isinstance(arguments[0], ast.Constant) and arguments[0].value is None):
+                    continue
+        found.append((node.lineno, name))
+    return sorted(found)
+
+
+# Every draw comes from a generator seeded from the config: global-state
+# draws and streams seeded from entropy could not be reproduced from a run
+# record.
+def test_package_draws_only_from_seeded_generators():
+    found = {path.name: unseeded_draws(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_check_finds_an_unseeded_draw():
+    source = (
+        "import numpy as np\n"
+        "import numpy.random as npr\n"
+        "from numpy.random import default_rng, normal as gauss\n"
+        "a = np.random.default_rng(seed)\n"
+        "b = np.random.SeedSequence(entropy=seed).spawn(2)\n"
+        "c = np.random.default_rng()\n"
+        "d = np.random.normal(0.0, 1.0)\n"
+        "e = np.random.SeedSequence(None)\n"
+        "f = npr.default_rng(1, 2)\n"
+        "g = default_rng(*seeds)\n"
+        "h = gauss(size=3)\n"
+        "make = np.random.default_rng\n"
+        "np.random.seed(5)\n"
+        "k = other.random.normal()\n"
+    )
+    assert unseeded_draws(source) == [
+        (6, "default_rng"),
+        (7, "normal"),
+        (8, "SeedSequence"),
+        (9, "default_rng"),
+        (10, "default_rng"),
+        (11, "normal"),
+        (12, "default_rng"),
+        (13, "seed"),
     ]

@@ -383,7 +383,7 @@ class TestCampaignSpans:
     )
     # The benchmark's smoke settings: 2 s gates, 20 trials, shipped grid.
     SMOKE = config_from_dict(
-        {"pipeline": {"gate_time_s": 2.0}, "experiment": {"lower_bound_trials": 20}}
+        {"pipeline": {"gate_time_s": 2.0}, "experiment": {"lower_bound_trials": 20, "seed": 37}}
     )
     CAMPAIGNS = {
         "sweep-amplitude": ("amplitude_sweep", 1),
@@ -410,7 +410,7 @@ class TestCampaignSpans:
         assert log.read_text(encoding="utf-8").split() == [name] * expected
 
     def test_forked_search_takes_a_wrapper_that_cannot_pickle(self, monkeypatch):
-        unwrapped = experiments.run_campaign("lower-bound", self.SMOKE, seed=37)
+        unwrapped = experiments.run_campaign("lower-bound", self.SMOKE)
         search = experiments.lower_bound_search
 
         def local_search(*args, **kwargs):
@@ -419,7 +419,7 @@ class TestCampaignSpans:
         with pytest.raises((AttributeError, pickle.PicklingError)):
             pickle.dumps(local_search)
         monkeypatch.setattr(experiments, "lower_bound_search", local_search)
-        assert experiments.run_campaign("lower-bound", self.SMOKE, seed=37) == unwrapped
+        assert experiments.run_campaign("lower-bound", self.SMOKE) == unwrapped
 
     @pytest.mark.parametrize("kind", ["calibrate", *sorted(CAMPAIGNS)])
     def test_results_survive_a_json_round_trip(self, kind):
